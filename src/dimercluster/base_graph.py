@@ -69,16 +69,6 @@ class Tile:
     def edges(self):
         return [edge_key(p, q) for p, q in self.sides()]
 
-    def center_doubled(self):
-        """Interior point in doubled coordinates (never on an edge line)."""
-        if self.kind == "square":
-            a, b = self.cells[0]
-            return (2 * a + 1, 2 * b + 1)
-        (a, b), (a2, b2) = self.cells
-        if a2 == a + 1:  # horizontal brick
-            return (2 * a + 2, 2 * b + 1)
-        return (2 * a + 1, 2 * b + 2)
-
 
 def _square_corners(cell):
     a, b = cell
@@ -105,6 +95,7 @@ class BaseGraph:
         self._validate()
         self._assign_weights()
         self._mark_nodes()
+        self._labels = {}  # root -> node_labels(root)
 
     # ---- colors and classes -------------------------------------------------
 
@@ -225,9 +216,6 @@ class BaseGraph:
     def shared_edge(self, i, j):
         return self._shared[tuple(sorted((i, j)))]
 
-    def boundary_edges(self, tile_index):
-        return [e for e in self.tiles[tile_index].edges() if len(self.edge_tiles[e]) == 1]
-
     def tile_class_edges(self, tile_index, cls):
         """All edges of the tile (interior and boundary) with the given class."""
         return [
@@ -301,6 +289,16 @@ class BaseGraph:
         return frozenset({y, z})
 
     def node_labels(self, d):
+        """corner -> "red" | "blue" | "green" for the root d.
+
+        A fresh dict on every call; the labels are computed once per root.
+        """
+        d = tuple(d)
+        if d not in self._labels:
+            self._labels[d] = self._compute_node_labels(d)
+        return dict(self._labels[d])
+
+    def _compute_node_labels(self, d):
         labels = {}
         for v in self.red_nodes:
             labels[v] = "red"

@@ -22,26 +22,34 @@ from dimercluster.cluster_invariants import (
     verify_quiver,
 )
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.mixed_dimer import count_cycles, e_from_config, x_exponents
+from dimercluster.mixed_dimer import x_exponents
 from dimercluster.quiver_core import (
     Quiver,
+    QuiverSyntaxError,
     all_orientations,
     format_quiver,
     is_positive_root,
     parse_quiver,
-    positive_roots,
 )
 
 EXIT_MISMATCH = 1
 EXIT_SEMANTIC = 3
 
 
+def _semantic_error(message):
+    click.echo("error: %s" % message, err=True)
+    sys.exit(EXIT_SEMANTIC)
+
+
 def _parse_quiver_opt(spec):
-    """Quiver from its text form; malformed text is a usage error (exit 2)."""
+    """Quiver from its text form; malformed text is a usage error (exit 2),
+    well-formed text that is no type-D orientation a semantic one (exit 3)."""
     try:
         return parse_quiver(spec)
-    except ValueError as exc:
+    except QuiverSyntaxError as exc:
         raise click.UsageError(str(exc))
+    except ValueError as exc:
+        _semantic_error(exc)
 
 
 def _parse_root_opt(spec, n):
@@ -51,8 +59,7 @@ def _parse_root_opt(spec, n):
     except ValueError:
         raise click.UsageError("root must be a comma-separated integer vector")
     if len(d) != n or not is_positive_root(n, d):
-        click.echo("error: %r is not a positive root at rank %d" % (d, n), err=True)
-        sys.exit(EXIT_SEMANTIC)
+        _semantic_error("%r is not a positive root at rank %d" % (d, n))
     return d
 
 
@@ -151,9 +158,10 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     f = dimer_f_polynomial(quiver, d, poset=poset)
     g = dimer_g_vector(quiver, d, graph=poset.graph)
     laurent = dimer_laurent_expansion(quiver, d, poset=poset)
+    coeffs = poset.coefficients()
     histogram = {}
-    for config in poset.configs.values():
-        c = count_cycles(config)
+    for coeff in coeffs.values():
+        c = coeff.bit_length() - 1  # coeff is 2^cycles
         histogram[c] = histogram.get(c, 0) + 1
     if fmt == "json":
         payload = {
@@ -170,7 +178,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
             payload["configurations"] = [
                 {
                     "e": list(e),
-                    "coefficient": poset.coefficients()[e],
+                    "coefficient": coeffs[e],
                     "x_exponents": list(x_exponents(poset.graph, poset.configs[e])),
                 }
                 for e in poset.elements
@@ -188,7 +196,6 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
         % ", ".join("%d cycles x%d" % (k, v) for k, v in sorted(histogram.items())),
     ]
     if explain:
-        coeffs = poset.coefficients()
         lines.append("configurations (e | coefficient | weight exponents):")
         for e in poset.elements:
             lines.append(
@@ -288,27 +295,20 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
 
 
 def _verify_one_orientation(args):
-    """Worker: full verification of one orientation (picklable payload)."""
-    n, arrows, oracles = args
+    """Worker: verification of one orientation (picklable payload); roots=None
+    means every positive root."""
+    n, arrows, oracles, roots = args
     quiver = Quiver(n, arrows)
-    results = []
-    for report in verify_quiver(quiver, oracles=oracles):
-        d = report["root"]
-        poset = FlipPoset(quiver, d)
-        roundtrip = all(
-            e_from_config(poset.graph, d, config) == e
-            for e, config in poset.configs.items()
-        )
-        results.append(
-            {
-                "quiver": format_quiver(quiver),
-                "root": list(d),
-                "ok": bool(report["ok"] and roundtrip),
-                "roundtrip": roundtrip,
-                "oracles": report["oracles"],
-            }
-        )
-    return results
+    return [
+        {
+            "quiver": format_quiver(quiver),
+            "root": list(report["root"]),
+            "ok": report["ok"],
+            "roundtrip": report["roundtrip"],
+            "oracles": report["oracles"],
+        }
+        for report in verify_quiver(quiver, oracles=oracles, roots=roots)
+    ]
 
 
 @main.command()
@@ -316,7 +316,12 @@ def _verify_one_orientation(args):
 @click.option("-q", "--quiver", "quiver_spec", default=None, help="verify a single quiver instead")
 @click.option("-d", "--root", "root_spec", default=None, help="restrict to one root")
 @click.option("--oracle", "oracle_spec", default="tran,mutation", help="comma-joined subset")
-@click.option("--jobs", type=int, default=None, help="parallel orientations (default: cores)")
+@click.option(
+    "--jobs",
+    type=click.IntRange(min=1),
+    default=None,
+    help="parallel orientations (default: cores, at most one per orientation)",
+)
 @click.option("-f", "--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--explain", is_flag=True, help="per-instance lines, not just the summary")
 @click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
@@ -329,29 +334,21 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
         quivers = [_parse_quiver_opt(quiver_spec)]
     else:
         if rank < 4:
-            click.echo("error: rank must be at least 4", err=True)
-            sys.exit(EXIT_SEMANTIC)
+            _semantic_error("rank must be at least 4")
         quivers = all_orientations(rank)
+    roots = None
     if root_spec is not None:
-        if len(quivers) != 1:
+        if quiver_spec is None:
             raise click.UsageError("--root requires --quiver")
-        d = _parse_root_opt(root_spec, quivers[0].n)
-        tasks = [(quivers[0].n, quivers[0].arrows, oracles)]
-        results = [
-            r
-            for r in _verify_one_orientation(tasks[0])
-            if tuple(r["root"]) == d
-        ]
+        roots = [_parse_root_opt(root_spec, quivers[0].n)]
+    tasks = [(q.n, q.arrows, oracles, roots) for q in quivers]
+    jobs = min(jobs or multiprocessing.cpu_count(), len(tasks))
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            chunks = pool.map(_verify_one_orientation, tasks)
     else:
-        tasks = [(q.n, q.arrows, oracles) for q in quivers]
-        if jobs is None:
-            jobs = multiprocessing.cpu_count()
-        if jobs > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                chunks = pool.map(_verify_one_orientation, tasks)
-        else:
-            chunks = [_verify_one_orientation(t) for t in tasks]
-        results = [r for chunk in chunks for r in chunk]
+        chunks = [_verify_one_orientation(t) for t in tasks]
+    results = [r for chunk in chunks for r in chunk]
     failures = [r for r in results if not r["ok"]]
     if fmt == "json":
         payload = {

@@ -7,7 +7,10 @@ termwise from per-configuration weights (the two must agree exactly).
 
 ``verify_root`` compares every invariant against the requested independent
 oracles — the closed-form exponent-vector conditions and/or direct seed
-mutation — and reports the outcome per quantity.
+mutation — and reports the outcome per quantity, together with the
+``e <-> configuration`` roundtrip over the whole poset.  ``verify_quiver`` is
+the one per-orientation loop: one base graph, at most one mutation atlas, and
+one poset per root.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ from __future__ import annotations
 from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
-from dimercluster.mixed_dimer import minimal_matching, x_exponents
+from dimercluster.mixed_dimer import e_from_config, minimal_matching, x_exponents
 from dimercluster.mutation_oracle import (
     expansion_from_f_and_g,
     f_polynomial_from_expansion,
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import is_positive_root
+from dimercluster.quiver_core import is_positive_root, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 
 ORACLE_NAMES = ("tran", "mutation")
@@ -97,7 +100,8 @@ def verify_root(quiver, d, oracles=ORACLE_NAMES, atlas=None, poset=None):
     """Compare the dimer model against independent oracles for one root.
 
     Returns a report dict with keys "quiver", "root", "ok", "f", "g",
-    "laurent", and per-oracle match flags under "oracles".
+    "laurent", "roundtrip" (e_from_config inverts every configuration of the
+    poset), and per-oracle match flags under "oracles".
     """
     d = _check_root(quiver, d)
     n = quiver.n
@@ -108,14 +112,18 @@ def verify_root(quiver, d, oracles=ORACLE_NAMES, atlas=None, poset=None):
     f = dimer_f_polynomial(quiver, d, poset=poset)
     g = dimer_g_vector(quiver, d, graph=poset.graph)
     laurent = dimer_laurent_expansion(quiver, d, poset=poset)
+    roundtrip = all(
+        e_from_config(poset.graph, d, config) == e for e, config in poset.configs.items()
+    )
     report = {
         "quiver": quiver,
         "root": d,
         "f": f,
         "g": g,
         "laurent": laurent,
+        "roundtrip": roundtrip,
         "oracles": {},
-        "ok": True,
+        "ok": roundtrip,
     }
     for name in oracles:
         if name == "tran":
@@ -141,8 +149,6 @@ def verify_root(quiver, d, oracles=ORACLE_NAMES, atlas=None, poset=None):
 
 def verify_quiver(quiver, oracles=ORACLE_NAMES, roots=None):
     """Reports for every positive root (or a chosen subset) of one quiver."""
-    from dimercluster.quiver_core import positive_roots
-
     atlas = walk_cluster_variables(quiver) if "mutation" in oracles else None
     graph = BaseGraph(quiver)
     out = []

@@ -36,6 +36,7 @@ class FlipPoset:
         self.quiver = quiver
         self.d = tuple(int(x) for x in d)
         self.graph = graph if graph is not None else BaseGraph(quiver)
+        self._coefficients = None
         self._build()
         self._close_order()
 
@@ -206,8 +207,13 @@ class FlipPoset:
     # ---- derived data ---------------------------------------------------------------
 
     def coefficients(self):
-        """e -> 2^(number of cycle components of its configuration)."""
-        return {e: 2 ** count_cycles(cfg) for e, cfg in self.configs.items()}
+        """e -> 2^(number of cycle components of its configuration).
+
+        A fresh dict on every call; the cycles are counted once per poset.
+        """
+        if self._coefficients is None:
+            self._coefficients = {e: 2 ** count_cycles(cfg) for e, cfg in self.configs.items()}
+        return dict(self._coefficients)
 
     def hasse_dot(self):
         out = ["digraph hasse {", "  rankdir=BT;"]

@@ -25,7 +25,12 @@ on doubled coordinates).
 
 from __future__ import annotations
 
+import weakref
+
 from dimercluster.base_graph import BW, WB
+
+# graph -> {root: minimal matching}; an entry lives as long as its graph.
+_MINIMAL_MATCHINGS = weakref.WeakKeyDictionary()
 
 
 def add_configs(a, b):
@@ -93,14 +98,22 @@ def is_realizable(graph, d, e):
 
 
 def minimal_matching(graph, d):
-    """The e = 0 configuration, computed two independent ways."""
-    closed = config_from_e(graph, d, (0,) * graph.n)
-    regional = _region_minimal_matching(graph, d)
-    if closed != regional:
-        raise AssertionError(
-            "minimal-matching routes disagree: %r vs %r" % (closed, regional)
-        )
-    return closed
+    """The e = 0 configuration, computed two independent ways.
+
+    The routes are compared once per (graph, d); every call returns a fresh
+    dict.
+    """
+    d = tuple(d)
+    per_root = _MINIMAL_MATCHINGS.setdefault(graph, {})
+    if d not in per_root:
+        closed = config_from_e(graph, d, (0,) * graph.n)
+        regional = _region_minimal_matching(graph, d)
+        if closed != regional:
+            raise AssertionError(
+                "minimal-matching routes disagree: %r vs %r" % (closed, regional)
+            )
+        per_root[d] = closed
+    return dict(per_root[d])
 
 
 def _region_minimal_matching(graph, d):

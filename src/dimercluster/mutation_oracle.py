@@ -25,7 +25,7 @@ import os
 import numpy as np
 
 from dimercluster.laurent_poly import LaurentPolynomial, divide_exact, u_context, xy_context
-from dimercluster.quiver_core import positive_roots
+from dimercluster.quiver_core import is_positive_root
 
 DEFAULT_SEED_BUDGET = 100000
 SEED_BUDGET_ENV = "DIMERCLUSTER_SEED_BUDGET"
@@ -188,8 +188,7 @@ def walk_cluster_variables(quiver, max_sweeps=None):
         raise RuntimeError(
             "sweep walk found %d of %d variables" % (len(atlas), expected)
         )
-    root_set = set(positive_roots(n))
-    stray = [d for d in atlas if d not in root_set]
+    stray = [d for d in atlas if not is_positive_root(n, d)]
     if stray:
         raise RuntimeError("denominator vectors outside the root system: %s" % stray)
     return atlas

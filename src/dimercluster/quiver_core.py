@@ -12,6 +12,8 @@ there is an arrow ``i -> j``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 MIN_RANK = 4
@@ -128,34 +130,39 @@ def all_orientations(n):
     return out
 
 
+class QuiverSyntaxError(ValueError):
+    """Quiver text that does not have the form ``"n=<rank>; t>h, ..."``."""
+
+
 def parse_quiver(text):
     """Parse ``"n=6; 1>0, 2>1, 3>2, 4>3, 3>5"`` into a Quiver.
 
-    Raises ValueError with a readable message on malformed input.
+    Raises QuiverSyntaxError on malformed text, and ValueError when well-formed
+    text does not denote an orientation of the rank-n diagram.
     """
     parts = text.split(";")
     if len(parts) != 2:
-        raise ValueError('expected "n=<rank>; t>h, t>h, ..."')
+        raise QuiverSyntaxError('expected "n=<rank>; t>h, t>h, ..."')
     head, body = parts
     head = head.strip()
     if not head.startswith("n="):
-        raise ValueError('quiver text must start with "n=<rank>"')
+        raise QuiverSyntaxError('quiver text must start with "n=<rank>"')
     try:
         n = int(head[2:])
     except ValueError:
-        raise ValueError("rank %r is not an integer" % head[2:]) from None
+        raise QuiverSyntaxError("rank %r is not an integer" % head[2:]) from None
     arrows = []
     for chunk in body.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ">" not in chunk:
-            raise ValueError("arrow %r must look like t>h" % chunk)
+            raise QuiverSyntaxError("arrow %r must look like t>h" % chunk)
         t_text, h_text = chunk.split(">", 1)
         try:
             arrows.append((int(t_text), int(h_text)))
         except ValueError:
-            raise ValueError("arrow %r must be a pair of integers" % chunk) from None
+            raise QuiverSyntaxError("arrow %r must be a pair of integers" % chunk) from None
     return Quiver(n, arrows)
 
 
@@ -168,6 +175,15 @@ def format_quiver(quiver):
 
 def positive_roots(n):
     """All positive roots of the rank-n system, in ascending graded-lex order.
+
+    A fresh list on every call; the roots themselves are computed once per rank.
+    """
+    return list(_roots(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(n):
+    """The positive roots as a tuple, memoized per rank.
 
     Computed as the reflection-orbit closure of the simple roots: the simple
     reflection at i sends d to d - (A d)_i e_i for the Cartan matrix A, and
@@ -191,11 +207,16 @@ def positive_roots(n):
         frontier = nxt
     roots = [d for d in seen if all(x >= 0 for x in d) and any(d)]
     roots.sort(key=lambda d: (sum(d), d))
-    return roots
+    return tuple(roots)
+
+
+@functools.lru_cache(maxsize=None)
+def _root_set(n):
+    return frozenset(_roots(n))
 
 
 def is_positive_root(n, d):
     d = tuple(int(x) for x in d)
     if len(d) != n:
         return False
-    return d in set(positive_roots(n))
+    return d in _root_set(n)

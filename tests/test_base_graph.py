@@ -30,6 +30,15 @@ def gc():
 # ---- frozen rank-5 geometry ---------------------------------------------------
 
 
+def test_node_labels_returns_a_fresh_dict():
+    graph = BaseGraph(QC)
+    labels = graph.node_labels(D5)
+    expected = dict(labels)
+    labels[next(iter(labels))] = "purple"
+    labels[(99, 99)] = "green"
+    assert graph.node_labels(D5) == expected
+
+
 def test_rank5_tile_layout(gc):
     kinds = [t.kind for t in gc.tiles]
     assert kinds == ["square", "square", "hexagon", "square", "square"]

@@ -1,11 +1,14 @@
 """Command-line interface: formats, exit codes, golden snippets."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import dimercluster.cli
 from dimercluster.cli import main
+from dimercluster.flip_poset import FlipPoset
 
 QC_SPEC = "n=5; 1>0,2>1,3>2,2>4"
 QC_ROOT = "1,1,2,1,1"
@@ -152,6 +155,55 @@ def test_verify_rank4_sweep(runner):
     assert "verified 96 instances" in result.output
 
 
+@pytest.mark.parametrize("spec", [QC_SPEC, "n=5; 0>1,2>1,2>3,4>2"])
+def test_verify_one_root_matches_its_entry_in_the_full_report(runner, spec):
+    full_text = runner.invoke(main, ["verify", "-q", spec, "--explain"])
+    full_json = runner.invoke(main, ["verify", "-q", spec, "--explain", "-f", "json"])
+    assert full_text.exit_code == 0 and full_json.exit_code == 0
+    lines = full_text.output.splitlines()[:-1]
+    entries = json.loads(full_json.output)["results"]
+    assert len(lines) == len(entries) == 20
+    for line, entry in zip(lines, entries):
+        root = ",".join(map(str, entry["root"]))
+        text = runner.invoke(main, ["verify", "-q", spec, "-d", root, "--explain"])
+        assert text.output == line + "\nverified 1 instances against tran+mutation: all ok\n"
+        one = runner.invoke(main, ["verify", "-q", spec, "-d", root, "--explain", "-f", "json"])
+        payload = json.loads(one.output)
+        assert payload["results"] == [entry]
+        assert payload["instances"] == 1 and payload["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "args, instances",
+    [
+        (["verify", "-q", QC_SPEC, "-d", QC_ROOT], 1),
+        (["verify", "--n", "4", "--jobs", "1"], 96),
+    ],
+)
+def test_verify_builds_one_poset_and_one_report_per_instance(runner, monkeypatch, args, instances):
+    calls = {"FlipPoset": 0, "verify_root": 0}
+    build = FlipPoset.__init__
+
+    def counted_build(self, *a, **kw):
+        calls["FlipPoset"] += 1
+        build(self, *a, **kw)
+
+    monkeypatch.setattr(FlipPoset, "__init__", counted_build)
+    verify_root = dimercluster.cluster_invariants.verify_root
+
+    def counted_verify_root(*a, **kw):
+        calls["verify_root"] += 1
+        return verify_root(*a, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dimercluster.") and getattr(module, "verify_root", None) is verify_root:
+            monkeypatch.setattr(module, "verify_root", counted_verify_root)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "verified %d instances" % instances in result.output
+    assert calls == {"FlipPoset": instances, "verify_root": instances}
+
+
 # ---- output files and exit codes -------------------------------------------------------
 
 
@@ -178,6 +230,40 @@ def test_exit_2_on_parse_errors(runner):
     assert runner.invoke(main, ["verify", "--root", QC_ROOT]).exit_code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_jobs_below_one(runner, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(dimercluster.cli.multiprocessing, "Pool", no_pool)
+    result = runner.invoke(main, ["verify", "--n", "4", "--jobs", jobs])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
+
+
+def test_verify_caps_the_pool_at_the_orientation_count(runner, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(dimercluster.cli.multiprocessing, "Pool", SerialPool)
+    result = runner.invoke(main, ["verify", "--n", "4", "--oracle", "tran", "--jobs", "64"])
+    assert result.exit_code == 0
+    assert "verified 96 instances" in result.output
+    assert sizes == [8]
+
+
 def test_exit_3_on_semantic_errors(runner):
     assert (
         runner.invoke(main, ["compute", "-q", QC_SPEC, "-d", "9,9,9,9,9"]).exit_code == 3
@@ -189,3 +275,14 @@ def test_exit_3_on_semantic_errors(runner):
         runner.invoke(main, ["poset", "-q", QC_SPEC, "-d", "0,0,0,0,0"]).exit_code == 3
     )
     assert runner.invoke(main, ["verify", "--n", "3"]).exit_code == 3
+    # well-formed quiver text that is no rank >= 4 type-D orientation
+    for spec in (
+        "n=3; 0>1, 1>2",  # rank below 4
+        "n=5; 0>1, 1>2, 2>3",  # an edge left unoriented
+        "n=4; 0>2, 1>2, 1>3",  # not an edge of the diagram
+        "n=4; 0>1, 1>0, 1>2, 1>3",  # an edge oriented twice
+    ):
+        for args in (["verify", "-q", spec], ["basegraph", "-q", spec]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, (args, result.output)
+            assert result.output.startswith("error: ") and result.output.count("\n") == 1

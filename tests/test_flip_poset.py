@@ -32,6 +32,15 @@ def test_rank5_elements_and_covers(poset_qc):
     assert poset_qc.bottom == (0, 0, 0, 0, 0)
 
 
+def test_coefficients_returns_a_fresh_dict():
+    poset = FlipPoset(QC, D5)
+    coeffs = poset.coefficients()
+    expected = dict(coeffs)
+    coeffs[poset.bottom] = 99
+    coeffs[(9, 9, 9, 9, 9)] = 1
+    assert poset.coefficients() == expected
+
+
 def test_rank5_rank_profile(poset_qc):
     ranks = {}
     for e in poset_qc.elements:

@@ -58,6 +58,16 @@ def gc():
 # ---- [DERIVED] frozen minimal matchings -----------------------------------------
 
 
+def test_minimal_matching_returns_a_fresh_dict():
+    graph = BaseGraph(QC)
+    m = minimal_matching(graph, D5)
+    expected = dict(m)
+    m[next(iter(m))] += 5
+    m[E((99, 99), (99, 100))] = 1
+    assert minimal_matching(graph, D5) == expected
+    assert e_from_config(graph, D5, expected) == (0,) * 5
+
+
 def test_rank5_minimal_matching(gc):
     expected = {
         E((0, 0), (1, 0)): 1,  # south of tile 0

@@ -151,6 +151,16 @@ def test_highest_root_rank4():
     assert positive_roots(4)[-1] == (1, 2, 1, 1)
 
 
+def test_positive_roots_returns_a_fresh_list():
+    roots = positive_roots(5)
+    expected = list(roots)
+    roots.append((9, 9, 9, 9, 9))
+    roots[0] = (0, 0, 0, 0, 0)
+    assert positive_roots(5) == expected
+    assert not is_positive_root(5, (9, 9, 9, 9, 9))
+    assert is_positive_root(5, expected[0])
+
+
 def test_is_positive_root():
     assert is_positive_root(6, (0, 1, 1, 2, 1, 1))
     assert not is_positive_root(6, (0, 1, 0, 2, 1, 1))
