@@ -16,9 +16,7 @@ import click
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import (
     ORACLE_NAMES,
-    dimer_f_polynomial,
-    dimer_g_vector,
-    dimer_laurent_expansion,
+    _dimer_invariants,
     verify_quiver,
 )
 from dimercluster.flip_poset import FlipPoset
@@ -72,7 +70,11 @@ def _emit(text, out):
 
 
 def _oracle_list(spec):
-    names = tuple(x.strip() for x in spec.split(",") if x.strip())
+    """Oracle names from csv, each once in first-seen order; an empty list is
+    a usage error."""
+    names = tuple(dict.fromkeys(x.strip() for x in spec.split(",") if x.strip()))
+    if not names:
+        raise click.UsageError("--oracle needs at least one of %s" % ", ".join(ORACLE_NAMES))
     for name in names:
         if name not in ORACLE_NAMES:
             raise click.UsageError(
@@ -155,9 +157,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     quiver = _parse_quiver_opt(quiver_spec)
     d = _parse_root_opt(root_spec, quiver.n)
     poset = FlipPoset(quiver, d)
-    f = dimer_f_polynomial(quiver, d, poset=poset)
-    g = dimer_g_vector(quiver, d, graph=poset.graph)
-    laurent = dimer_laurent_expansion(quiver, d, poset=poset)
+    f, g, laurent = _dimer_invariants(quiver, d, poset)
     coeffs = poset.coefficients()
     histogram = {}
     for coeff in coeffs.values():

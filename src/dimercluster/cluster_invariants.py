@@ -53,29 +53,36 @@ def dimer_g_vector(quiver, d, graph=None):
     return tuple(w - x for w, x in zip(wt, d))
 
 
-def dimer_laurent_expansion(quiver, d, poset=None):
-    """Laurent expansion, assembled two ways and compared exactly."""
-    d = _check_root(quiver, d)
-    poset = poset if poset is not None else FlipPoset(quiver, d)
-    n = quiver.n
+def _dimer_invariants(quiver, d, poset):
+    """F, g and the Laurent expansion of one instance.
+
+    The expansion is assembled as ``x^g * F(yhat)`` and termwise from the
+    configuration weights, and the two must agree exactly.
+    """
     f = dimer_f_polynomial(quiver, d, poset=poset)
     g = dimer_g_vector(quiver, d, graph=poset.graph)
     recombined = expansion_from_f_and_g(quiver, f, g)
 
-    ctx = xy_context(n)
     terms = {}
     coeffs = poset.coefficients()
     for e, config in poset.configs.items():
         wt = x_exponents(poset.graph, config)
         exps = tuple(w - x for w, x in zip(wt, d)) + e
         terms[exps] = terms.get(exps, 0) + coeffs[e]
-    termwise = LaurentPolynomial(ctx, terms)
+    termwise = LaurentPolynomial(xy_context(quiver.n), terms)
     if termwise != recombined:
         raise AssertionError(
             "termwise configuration weights disagree with x^g * F(yhat) "
             "for root %r" % (d,)
         )
-    return recombined
+    return f, g, recombined
+
+
+def dimer_laurent_expansion(quiver, d, poset=None):
+    """Laurent expansion, assembled two ways and compared exactly."""
+    d = _check_root(quiver, d)
+    poset = poset if poset is not None else FlipPoset(quiver, d)
+    return _dimer_invariants(quiver, d, poset)[2]
 
 
 def cluster_variable(quiver, d, method="dimer"):
@@ -109,9 +116,7 @@ def verify_root(quiver, d, oracles=ORACLE_NAMES, atlas=None, poset=None):
         if name not in ORACLE_NAMES:
             raise ValueError("unknown oracle %r (choose from %s)" % (name, ORACLE_NAMES))
     poset = poset if poset is not None else FlipPoset(quiver, d)
-    f = dimer_f_polynomial(quiver, d, poset=poset)
-    g = dimer_g_vector(quiver, d, graph=poset.graph)
-    laurent = dimer_laurent_expansion(quiver, d, poset=poset)
+    f, g, laurent = _dimer_invariants(quiver, d, poset)
     roundtrip = all(
         e_from_config(poset.graph, d, config) == e for e, config in poset.configs.items()
     )

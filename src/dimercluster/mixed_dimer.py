@@ -18,16 +18,23 @@ checked against each other at runtime.
 A *flip* at tile i lowers every bw-side of the tile by one and raises every
 wb-side by one, sending the configuration for e to the one for ``e + unit_i``.
 The inverse recovery — from an edge multiset back to e — superimposes the
-configuration with the minimal matching and repeatedly peels the longest
-simple cycle, crediting every enclosed tile (exact integer point-in-polygon
-on doubled coordinates).
+configuration with the minimal matching and peels simple cycles off the
+superposition, crediting every tile a cycle encloses (an exact ray cast from
+the tile centre against the cycle's vertical sides).  The simple cycles are
+enumerated once per configuration, on the 2-core of its support (tails of
+degree-1 vertices lie on no cycle), with chains of degree-2 vertices
+between branch vertices taken as single steps.  They are ranked once by
+(longest first, enclosed tiles, sorted edges), and each in turn is peeled
+for as long as all its edges stay positive.  Peeling only shrinks the
+support, so this is the same as re-choosing the least-ranked remaining cycle
+after every single peel.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from dimercluster.base_graph import BW, WB
+from dimercluster.base_graph import BW, WB, edge_key
 
 # graph -> {root: minimal matching}; an entry lives as long as its graph.
 _MINIMAL_MATCHINGS = weakref.WeakKeyDictionary()
@@ -229,45 +236,87 @@ def is_monochromatic(graph, d, config):
 # ---- exponent recovery -------------------------------------------------------------
 
 
-def _simple_cycles(edges):
-    """All simple cycles (as vertex lists) in an undirected edge set."""
+def _support_cycles(edges):
+    """Every simple cycle of at least four edges in an undirected edge set,
+    each as a list of canonical edges.
+
+    A vertex of degree 1 lies on no cycle, so those are stripped until the
+    2-core is left.  A component of the core without a branch vertex (degree
+    at least 3) is exactly one cycle.  Every other cycle passes through a
+    branch vertex: the core is cut into chains of degree-2 vertices between
+    branch vertices, and each cycle is found once, as a path of chains that
+    leaves and re-enters its least branch vertex.
+    """
     adj = {}
     for p, q in edges:
-        adj.setdefault(p, set()).add(q)
-        adj.setdefault(q, set()).add(p)
+        if p != q:  # a loop edge lies on no simple cycle
+            adj.setdefault(p, set()).add(q)
+            adj.setdefault(q, set()).add(p)
+    leaves = [v for v, ws in adj.items() if len(ws) == 1]
+    while leaves:
+        v = leaves.pop()
+        for w in adj.pop(v):
+            ws = adj[w]
+            ws.discard(v)
+            if len(ws) == 1:
+                leaves.append(w)
+
+    def walk(path):
+        """Extend path through degree-2 vertices up to a branch vertex or
+        back to its start."""
+        while len(adj[path[-1]]) == 2 and path[-1] != path[0]:
+            a, b = adj[path[-1]]
+            path.append(b if a == path[-2] else a)
+        return [edge_key(p, q) for p, q in zip(path, path[1:])]
+
     cycles = []
-    vertices = sorted(adj)
-    for v0 in vertices:
-        # cycles whose minimum vertex is v0; direction fixed by second < last
-        stack = [(v0, [v0])]
+    branch = sorted(v for v, ws in adj.items() if len(ws) > 2)
+    links = {b: [] for b in branch}  # branch vertex -> [(chain index, far end)]
+    chains = []
+    walked = set()  # (far end, last step) of every chain: its reverse start
+    for b in branch:
+        for w in adj[b]:
+            if (b, w) in walked:
+                continue
+            path = [b, w]
+            chain = walk(path)
+            walked.add((path[-1], path[-2]))
+            if path[-1] == b:
+                cycles.append(chain)  # a loop through one branch vertex
+            else:
+                links[b].append((len(chains), path[-1]))
+                links[path[-1]].append((len(chains), b))
+                chains.append(chain)
+    on_chains = {v for chain in chains + cycles for edge in chain for v in edge}
+    for v in adj:
+        if v not in on_chains:  # a component that is one cycle
+            path = [v, next(iter(adj[v]))]
+            chain = walk(path)
+            on_chains.update(path)
+            cycles.append(chain)
+
+    for b0 in branch:
+        stack = [(b0, (), (b0,))]  # (vertex, chains taken, branch vertices met)
         while stack:
-            v, path = stack.pop()
-            for w in sorted(adj[v]):
-                if w == v0 and len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(list(path))
-                elif w > v0 and w not in path:
-                    stack.append((w, path + [w]))
+            v, route, seen = stack.pop()
+            for c, w in links[v]:
+                if w == b0:
+                    if route and route[0] < c:  # one of the two directions
+                        cycles.append([edge for i in route + (c,) for edge in chains[i]])
+                elif w > b0 and w not in seen:
+                    stack.append((w, route + (c,), seen + (w,)))
     return [c for c in cycles if len(c) >= 4]
 
 
-def _point_in_polygon(cycle, point):
-    """Exact ray cast in doubled coordinates; point has odd coordinates."""
-    px, py = point
-    inside = False
-    for i, p in enumerate(cycle):
-        q = cycle[(i + 1) % len(cycle)]
-        x1, y1 = 2 * p[0], 2 * p[1]
-        x2, y2 = 2 * q[0], 2 * q[1]
-        if x1 == x2 and min(y1, y2) < py < max(y1, y2) and x1 > px:
-            inside = not inside
-    return inside
-
-
-def enclosed_tiles(graph, cycle):
+def enclosed_tiles(graph, edges):
+    """Tiles whose first cell's centre lies inside the cycle with these
+    canonical edges: a ray cast east from the centre crosses an odd number of
+    the cycle's vertical sides."""
+    sides = [(p[0], p[1], q[1]) for p, q in edges if p[0] == q[0]]
     out = []
     for tile in graph.tiles:
         a, b = tile.cells[0]
-        if _point_in_polygon(cycle, (2 * a + 1, 2 * b + 1)):
+        if sum(x > a and y1 <= b < y2 for x, y1, y2 in sides) % 2:
             out.append(tile.index)
     return tuple(out)
 
@@ -281,32 +330,19 @@ def e_from_config(graph, d, config):
     total = add_configs(config, minimal_matching(graph, d))
     if any(m % 2 for m in config_valences(total).values()):
         raise ValueError("superimposed valences are odd; not a configuration")
+    ranked = sorted(
+        (-len(edges), enclosed_tiles(graph, edges), tuple(sorted(edges)))
+        for edges in _support_cycles([edge for edge, m in total.items() if m > 0])
+    )
     e = [0] * graph.n
-    while True:
-        support = [edge for edge, m in total.items() if m > 0]
-        cycles = _simple_cycles(support)
-        if not cycles:
-            break
-        best = None
-        for cycle in cycles:
-            enclosed = enclosed_tiles(graph, cycle)
-            edges = sorted(
-                (min(cycle[i], cycle[(i + 1) % len(cycle)]),
-                 max(cycle[i], cycle[(i + 1) % len(cycle)]))
-                for i in range(len(cycle))
-            )
-            key = (-len(cycle), enclosed, tuple(edges))
-            if best is None or key < best[0]:
-                best = (key, cycle, enclosed, edges)
-        _, cycle, enclosed, edges = best
-        for edge in edges:
-            m = total[edge] - 1
-            if m:
-                total[edge] = m
-            else:
-                del total[edge]
-        for t in enclosed:
-            e[t] += 1
+    # a cycle passed over has lost an edge and stays dead: one walk suffices
+    for _, enclosed, edges in ranked:
+        times = min(total[edge] for edge in edges)
+        if times > 0:
+            for edge in edges:
+                total[edge] -= times
+            for t in enclosed:
+                e[t] += times
     if any(m % 2 for m in total.values()):
         raise ValueError("leftover odd multiplicity after peeling")
     return tuple(e)

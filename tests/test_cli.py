@@ -204,6 +204,62 @@ def test_verify_builds_one_poset_and_one_report_per_instance(runner, monkeypatch
     assert calls == {"FlipPoset": instances, "verify_root": instances}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "-q", QC_SPEC, "-d", QC_ROOT],
+        ["verify", "-q", QC_SPEC, "-d", QC_ROOT],
+    ],
+)
+def test_f_and_g_are_computed_once_per_instance(runner, monkeypatch, args):
+    calls = {"dimer_f_polynomial": 0, "dimer_g_vector": 0}
+    for name in calls:
+        original = getattr(dimercluster.cluster_invariants, name)
+
+        def counted(*a, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*a, **kw)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("dimercluster.") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert calls == {"dimer_f_polynomial": 1, "dimer_g_vector": 1}
+
+
+@pytest.mark.parametrize("spec", [",", "", " , ,"])
+def test_verify_rejects_an_empty_oracle_list(runner, spec):
+    result = runner.invoke(main, ["verify", "--n", "4", "--jobs", "1", "--oracle", spec])
+    assert result.exit_code == 2
+    assert "--oracle needs at least one of tran, mutation" in result.output
+    assert "verified" not in result.output
+
+
+@pytest.mark.parametrize(
+    "spec, oracles",
+    [("tran,tran", ["tran"]), ("mutation,tran,mutation", ["mutation", "tran"])],
+)
+def test_verify_runs_each_oracle_once(runner, monkeypatch, spec, oracles):
+    calls = []
+    tran = dimercluster.cluster_invariants.tran_f_polynomial
+
+    def counted_tran(*a, **kw):
+        calls.append(a[1])
+        return tran(*a, **kw)
+
+    monkeypatch.setattr(dimercluster.cluster_invariants, "tran_f_polynomial", counted_tran)
+    args = ["verify", "-q", "n=4; 0>1,1>2,1>3", "--oracle", spec]
+    text = runner.invoke(main, args)
+    assert text.exit_code == 0
+    assert text.output == "verified 12 instances against %s: all ok\n" % "+".join(oracles)
+    assert len(calls) == 12
+    payload = json.loads(runner.invoke(main, args + ["-f", "json"]).output)
+    assert payload["oracles"] == oracles
+
+
 # ---- output files and exit codes -------------------------------------------------------
 
 
