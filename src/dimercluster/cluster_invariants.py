@@ -25,29 +25,20 @@ from dimercluster.mutation_oracle import (
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import is_positive_root, positive_roots
+from dimercluster.quiver_core import check_root, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 
 ORACLE_NAMES = ("tran", "mutation")
 
 
-def _check_root(quiver, d):
-    d = tuple(int(x) for x in d)
-    if not is_positive_root(quiver.n, d):
-        raise ValueError(
-            "%r is not a positive root of the rank-%d system" % (d, quiver.n)
-        )
-    return d
-
-
 def dimer_f_polynomial(quiver, d, poset=None):
-    d = _check_root(quiver, d)
+    d = check_root(quiver, d)
     poset = poset if poset is not None else FlipPoset(quiver, d)
     return LaurentPolynomial(u_context(quiver.n), poset.coefficients())
 
 
 def dimer_g_vector(quiver, d, graph=None):
-    d = _check_root(quiver, d)
+    d = check_root(quiver, d)
     graph = graph if graph is not None else BaseGraph(quiver)
     wt = x_exponents(graph, minimal_matching(graph, d))
     return tuple(w - x for w, x in zip(wt, d))
@@ -80,7 +71,7 @@ def _dimer_invariants(quiver, d, poset):
 
 def dimer_laurent_expansion(quiver, d, poset=None):
     """Laurent expansion, assembled two ways and compared exactly."""
-    d = _check_root(quiver, d)
+    d = check_root(quiver, d)
     poset = poset if poset is not None else FlipPoset(quiver, d)
     return _dimer_invariants(quiver, d, poset)[2]
 
@@ -91,7 +82,7 @@ def cluster_variable(quiver, d, method="dimer"):
     method: "dimer" (constructive model), "tran" (closed-form conditions),
     or "mutation" (seed mutation).
     """
-    d = _check_root(quiver, d)
+    d = check_root(quiver, d)
     if method == "dimer":
         return dimer_laurent_expansion(quiver, d)
     if method == "tran":
@@ -110,7 +101,7 @@ def verify_root(quiver, d, oracles=ORACLE_NAMES, atlas=None, poset=None):
     "laurent", "roundtrip" (e_from_config inverts every configuration of the
     poset), and per-oracle match flags under "oracles".
     """
-    d = _check_root(quiver, d)
+    d = check_root(quiver, d)
     n = quiver.n
     for name in oracles:
         if name not in ORACLE_NAMES:

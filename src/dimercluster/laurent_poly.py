@@ -107,9 +107,6 @@ class LaurentPolynomial:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def is_one(self):
-        return self.terms == {(0,) * len(self.context): 1}
-
     # ---- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -182,21 +179,6 @@ class LaurentPolynomial:
 
     # ---- queries --------------------------------------------------------
 
-    def degree_vector(self):
-        """Exponent vector of a polynomial that is a single coeff-1 monomial.
-
-        The degree "vector" of e.g. x1^3*x2^2*x3^2 / x^(1,1,2,2,1,1) is
-        (-1,2,0,0,-1,-1).  Anything that is not a monic monomial is an error:
-        callers use this to read off g-vectors and malformed input means an
-        upstream bug.
-        """
-        if len(self.terms) != 1:
-            raise ValueError("degree_vector of a non-monomial: %s" % self.render())
-        ((exps, coeff),) = self.terms.items()
-        if coeff != 1:
-            raise ValueError("degree_vector of non-monic monomial %s" % self.render())
-        return exps
-
     def min_exponents(self):
         """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
         if not self.terms:
@@ -268,13 +250,6 @@ class LaurentPolynomial:
                     term = term * power(i, exps[i])
             total = total + term
         return total
-
-    def rename_context(self, new_context):
-        """Positional renaming into a context of the same width."""
-        new_context = tuple(new_context)
-        if len(new_context) != len(self.context):
-            raise ContextError("rename requires a context of equal width")
-        return LaurentPolynomial(new_context, dict(self.terms))
 
     # ---- rendering ------------------------------------------------------
 

@@ -325,8 +325,11 @@ def e_from_config(graph, d, config):
     """Recover the exponent vector by peeling cycles off config + minimal.
 
     Inverse of config_from_e; raises ValueError if the multiset is not a
-    valid configuration for the root.
+    valid configuration for the root, or if a key is not an edge of the graph.
     """
+    for edge in config:
+        if edge not in graph.edge_tiles:
+            raise ValueError("%r is not an edge of the base graph" % (edge,))
     total = add_configs(config, minimal_matching(graph, d))
     if any(m % 2 for m in config_valences(total).values()):
         raise ValueError("superimposed valences are odd; not a configuration")

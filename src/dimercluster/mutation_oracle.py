@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from dimercluster.laurent_poly import LaurentPolynomial, divide_exact, u_context, xy_context
 from dimercluster.quiver_core import is_positive_root
 
@@ -36,7 +34,7 @@ class Seed:
 
     def __init__(self, cluster, ext):
         self.cluster = tuple(cluster)
-        self.ext = ext  # (2n, n) int array; treat as immutable
+        self.ext = ext  # 2n row tuples of n ints each
 
     @property
     def n(self):
@@ -47,33 +45,30 @@ def initial_seed(quiver):
     n = quiver.n
     ctx = xy_context(n)
     cluster = [LaurentPolynomial.variable(ctx, "x%d" % i) for i in range(n)]
-    ext = np.zeros((2 * n, n), dtype=int)
-    ext[:n, :] = -quiver.exchange_matrix()
-    ext[n:, :] = np.eye(n, dtype=int)
-    return Seed(cluster, ext)
+    top = tuple(tuple(-b for b in row) for row in quiver.exchange_matrix())
+    bottom = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return Seed(cluster, top + bottom)
 
 
 def mutate_ext(ext, k):
-    """Matrix mutation at column/row k, applied to all 2n rows."""
-    rows, n = ext.shape
-    out = ext.copy()
-    col_k = ext[:, k]
-    row_k = ext[k, :]
-    for i in range(rows):
-        bik = col_k[i]
-        if not bik:
-            continue
-        s = 1 if bik > 0 else -1
-        for j in range(n):
-            if i == k or j == k:
-                continue
-            prod = bik * row_k[j]
-            if prod > 0:
-                out[i, j] += s * prod
-    out[k, :] = -ext[k, :]
-    out[:, k] = -ext[:, k]
-    out[k, k] = 0
-    return out
+    """Matrix mutation at column/row k, applied to all 2n rows.
+
+    ``b'_ij = -b_ij`` if i or j is k, else ``b_ij + sgn(b_ik) max(b_ik b_kj, 0)``.
+    """
+    row_k = ext[k]
+    out = []
+    for i, row in enumerate(ext):
+        bik = row[k]
+        if i == k:
+            row = tuple(-b for b in row)
+        elif bik:
+            s = 1 if bik > 0 else -1
+            row = tuple(
+                -b if j == k else b + s * max(bik * bkj, 0)
+                for j, (b, bkj) in enumerate(zip(row, row_k))
+            )
+        out.append(row)
+    return tuple(out)
 
 
 def mutate_seed(seed, k):
@@ -82,7 +77,7 @@ def mutate_seed(seed, k):
     plus = LaurentPolynomial.one(ctx)
     minus = LaurentPolynomial.one(ctx)
     for i in range(2 * n):
-        m = int(seed.ext[i, k])
+        m = seed.ext[i][k]
         if not m:
             continue
         if i < n:
@@ -219,10 +214,11 @@ def _canonical_seed_key(seed):
     """
     n = seed.n
     perm = sorted(range(n), key=lambda i: _poly_key(seed.cluster[i]))
-    top = seed.ext[:n, :][np.ix_(perm, perm)]
-    bottom = seed.ext[n:, :][:, perm]
+    ext = seed.ext
+    top = tuple(tuple(ext[i][j] for j in perm) for i in perm)
+    bottom = tuple(tuple(row[j] for j in perm) for row in ext[n:])
     cluster_key = tuple(_poly_key(seed.cluster[i]) for i in perm)
-    return cluster_key, top.tobytes(), bottom.tobytes()
+    return cluster_key, top, bottom
 
 
 def enumerate_cluster_variables(quiver, seed_budget=None):

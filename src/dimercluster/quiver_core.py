@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
 MIN_RANK = 4
 
 
@@ -29,11 +27,11 @@ def dynkin_edges(n):
 
 
 def cartan_matrix(n):
-    a = 2 * np.eye(n, dtype=int)
+    """The Cartan matrix as a tuple of row tuples."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i, j in dynkin_edges(n):
-        a[i, j] = -1
-        a[j, i] = -1
-    return a
+        a[i][j] = a[j][i] = -1
+    return tuple(map(tuple, a))
 
 
 class Quiver:
@@ -88,11 +86,9 @@ class Quiver:
         return sorted(self.out_neighbors(i) + self.in_neighbors(i))
 
     def exchange_matrix(self):
-        b = np.zeros((self.n, self.n), dtype=int)
-        for t, h in self.arrows:
-            b[t, h] = 1
-            b[h, t] = -1
-        return b
+        """B as a tuple of row tuples: ``b[i][j]`` is ``arrow_sign(i, j)``."""
+        n = self.n
+        return tuple(tuple(self.arrow_sign(i, j) for j in range(n)) for i in range(n))
 
     def topological_order(self):
         """Vertex order with every arrow tail before its head."""
@@ -112,9 +108,6 @@ class Quiver:
         if len(order) != self.n:
             raise ValueError("orientation contains a cycle")  # unreachable on a tree
         return order
-
-    def reversed(self):
-        return Quiver(self.n, [(h, t) for t, h in self.arrows])
 
 
 def all_orientations(n):
@@ -196,10 +189,10 @@ def _roots(n):
     while frontier:
         nxt = []
         for d in frontier:
-            ad = a @ np.array(d, dtype=int)
+            ad = [sum(x * y for x, y in zip(row, d)) for row in a]
             for i in range(n):
                 img = list(d)
-                img[i] -= int(ad[i])
+                img[i] -= ad[i]
                 img = tuple(img)
                 if img not in seen:
                     seen.add(img)
@@ -220,3 +213,11 @@ def is_positive_root(n, d):
     if len(d) != n:
         return False
     return d in _root_set(n)
+
+
+def check_root(quiver, d):
+    """``d`` as a tuple of ints; ValueError unless it is a positive root."""
+    d = tuple(int(x) for x in d)
+    if not is_positive_root(quiver.n, d):
+        raise ValueError("%r is not a positive root of the rank-%d system" % (d, quiver.n))
+    return d

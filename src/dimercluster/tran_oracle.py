@@ -22,14 +22,7 @@ from __future__ import annotations
 import itertools
 
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
-from dimercluster.quiver_core import dynkin_edges, is_positive_root
-
-
-def _check_inputs(quiver, d):
-    d = tuple(int(x) for x in d)
-    if not is_positive_root(quiver.n, d):
-        raise ValueError("%r is not a positive root of the rank-%d system" % (d, quiver.n))
-    return d
+from dimercluster.quiver_core import check_root, dynkin_edges
 
 
 def arrow_conditions_hold(quiver, d, e):
@@ -105,17 +98,11 @@ def component_charges(quiver, d, e):
 
 def acceptable_evectors(quiver, d):
     """All e with nonzero coefficient, ascending graded-lex."""
-    d = _check_inputs(quiver, d)
-    out = []
-    for e in itertools.product(*(range(x + 1) for x in d)):
-        if coefficient_of(quiver, d, e):
-            out.append(e)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    return sorted(tran_f_polynomial(quiver, d).terms, key=lambda e: (sum(e), e))
 
 
 def tran_f_polynomial(quiver, d):
-    d = _check_inputs(quiver, d)
+    d = check_root(quiver, d)
     terms = {}
     for e in itertools.product(*(range(x + 1) for x in d)):
         c = coefficient_of(quiver, d, e)
@@ -125,7 +112,7 @@ def tran_f_polynomial(quiver, d):
 
 
 def tran_g_vector(quiver, d):
-    d = _check_inputs(quiver, d)
+    d = check_root(quiver, d)
     g = [-x for x in d]
     for t, h in quiver.arrows:
         g[t] += d[h]

@@ -194,6 +194,18 @@ def test_e_from_config_rejects_garbage(gc):
         e_from_config(gc, D5, broken)
 
 
+def test_e_from_config_rejects_keys_that_are_not_edges(gc):
+    golden = config_from_e(gc, D5, (1, 1, 1, 0, 1))
+    reversed_keys = {(q, p): m for (p, q), m in golden.items()}
+    with pytest.raises(ValueError, match=r"\(\(0, 1\), \(0, 0\)\) is not an edge"):
+        e_from_config(gc, D5, reversed_keys)
+    foreign = dict(golden)
+    foreign[((99, 99), (100, 99))] = 2
+    with pytest.raises(ValueError, match=r"\(\(99, 99\), \(100, 99\)\) is not an edge"):
+        e_from_config(gc, D5, foreign)
+    assert e_from_config(gc, D5, golden) == (1, 1, 1, 0, 1)
+
+
 def test_roundtrip_random_quivers():
     # [DERIVED] seeded sweep over rank-4 orientations and every root
     rng = random.Random(424242)

@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from dimercluster.quiver_core import (
@@ -33,15 +32,13 @@ def test_rank_floor():
 
 
 def test_cartan_matrix_rank4():
-    expected = np.array(
-        [
-            [2, -1, 0, 0],
-            [-1, 2, -1, -1],
-            [0, -1, 2, 0],
-            [0, -1, 0, 2],
-        ]
+    expected = (
+        (2, -1, 0, 0),
+        (-1, 2, -1, -1),
+        (0, -1, 2, 0),
+        (0, -1, 0, 2),
     )
-    assert (cartan_matrix(4) == expected).all()
+    assert cartan_matrix(4) == expected
 
 
 # ---- [TRIVIAL] quiver construction -----------------------------------------
@@ -70,10 +67,10 @@ def test_exchange_matrix_sign_convention():
     # b[i][j] = +1 exactly when i -> j
     q = Quiver(4, [(0, 1), (2, 1), (1, 3)])
     b = q.exchange_matrix()
-    assert b[0, 1] == 1 and b[1, 0] == -1
-    assert b[2, 1] == 1 and b[1, 2] == -1
-    assert b[1, 3] == 1 and b[3, 1] == -1
-    assert (b == -b.T).all()
+    assert b[0][1] == 1 and b[1][0] == -1
+    assert b[2][1] == 1 and b[1][2] == -1
+    assert b[1][3] == 1 and b[3][1] == -1
+    assert b == tuple(tuple(-x for x in col) for col in zip(*b))
 
 
 def test_topological_order_tails_first():
@@ -82,11 +79,6 @@ def test_topological_order_tails_first():
     pos = {v: k for k, v in enumerate(order)}
     for t, h in q.arrows:
         assert pos[t] < pos[h]
-
-
-def test_reversed_orientation():
-    q = Quiver(4, [(0, 1), (1, 2), (1, 3)])
-    assert q.reversed().arrows == frozenset({(1, 0), (2, 1), (3, 1)})
 
 
 def test_all_orientations_count_and_uniqueness():
@@ -128,8 +120,8 @@ def brute_force_roots(n):
     a = cartan_matrix(n)
     out = []
     for d in itertools.product(range(3), repeat=n):
-        v = np.array(d)
-        if v @ a @ v == 2 and any(d):
+        ad = [sum(x * y for x, y in zip(row, d)) for row in a]
+        if sum(x * y for x, y in zip(d, ad)) == 2 and any(d):
             out.append(d)
     out.sort(key=lambda d: (sum(d), d))
     return out
