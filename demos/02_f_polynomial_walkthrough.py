@@ -9,7 +9,7 @@ would join differently-colored marked corners.
 from dimercluster import parse_quiver
 from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.cluster_invariants import dimer_f_polynomial
+from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.mixed_dimer import (
     count_cycles,
     is_flippable,
@@ -53,7 +53,7 @@ for verts, edges in support_components(config):
 print()
 
 print("=== the F-polynomial, two independent ways ===")
-f_dimer = dimer_f_polynomial(quiver, d, poset=poset)
+f_dimer, _, _ = dimer_invariants(poset)
 f_cond = tran_f_polynomial(quiver, d)
 print("poset route:     F =", f_dimer.render())
 print("condition route: F =", f_cond.render())

@@ -8,21 +8,20 @@ it both ways and refuses to return anything if they disagree.
 
 from dimercluster import parse_quiver
 from dimercluster.base_graph import BaseGraph
-from dimercluster.cluster_invariants import (
-    dimer_g_vector,
-    dimer_laurent_expansion,
-)
+from dimercluster.cluster_invariants import dimer_invariants
+from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import minimal_matching, x_exponents
 from dimercluster.mutation_oracle import hatted_coefficients, walk_cluster_variables
 
 quiver = parse_quiver("n=5; 1>0,2>1,3>2,2>4")
 d = (1, 1, 2, 1, 1)
 graph = BaseGraph(quiver)
+f, g, var = dimer_invariants(FlipPoset(quiver, d, graph=graph))
 
 print("=== weight of the minimal matching ===")
 wt = x_exponents(graph, minimal_matching(graph, d))
 print("wt(M_-) exponents:", wt)
-print("g = wt - d      :", dimer_g_vector(quiver, d))
+print("g = wt - d      :", g)
 print()
 
 print("=== hatted coefficients ===")
@@ -31,7 +30,6 @@ for i, p in enumerate(hatted_coefficients(quiver)):
 print()
 
 print("=== the cluster variable ===")
-var = dimer_laurent_expansion(quiver, d)
 print("x_d =", var.render())
 print()
 

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import sys
 
 import click
 
 from dimercluster.base_graph import BaseGraph
-from dimercluster.cluster_invariants import (
-    ORACLE_NAMES,
-    _dimer_invariants,
-    verify_quiver,
-)
+from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_quiver
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import x_exponents
 from dimercluster.quiver_core import (
@@ -61,12 +58,29 @@ def _parse_root_opt(spec, n):
     return d
 
 
+def _check_output(ctx, param, value):
+    """-o must name a file in an existing directory; checked before any work."""
+    if value is not None:
+        parent = os.path.dirname(value)
+        if parent and not os.path.isdir(parent):
+            raise click.BadParameter("directory %r does not exist" % parent)
+    return value
+
+
+_output_option = click.option(
+    "-o", "--output", default=None, type=click.Path(dir_okay=False), callback=_check_output
+)
+
+
 def _emit(text, out):
     if out is None:
         click.echo(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise click.UsageError("cannot write %s: %s" % (out, exc.strerror))
 
 
 def _oracle_list(spec):
@@ -95,7 +109,7 @@ def main():
 @click.option("-q", "--quiver", "quiver_spec", required=True, help='e.g. "n=5; 1>0,2>1,3>2,2>4"')
 @click.option("-d", "--root", "root_spec", default=None, help="positive root, csv")
 @click.option("-f", "--format", "fmt", type=click.Choice(["text", "json", "dot"]), default="text")
-@click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
+@_output_option
 def basegraph(quiver_spec, root_spec, fmt, output):
     """Build the hexagon-square base graph of a quiver."""
     quiver = _parse_quiver_opt(quiver_spec)
@@ -151,13 +165,13 @@ def basegraph(quiver_spec, root_spec, fmt, output):
 @click.option("-d", "--root", "root_spec", required=True)
 @click.option("-f", "--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--explain", is_flag=True, help="list every configuration with its weight data")
-@click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
+@_output_option
 def compute(quiver_spec, root_spec, fmt, explain, output):
     """F-polynomial, g-vector, and Laurent expansion for one root."""
     quiver = _parse_quiver_opt(quiver_spec)
     d = _parse_root_opt(root_spec, quiver.n)
     poset = FlipPoset(quiver, d)
-    f, g, laurent = _dimer_invariants(quiver, d, poset)
+    f, g, laurent = dimer_invariants(poset)
     coeffs = poset.coefficients()
     histogram = {}
     for coeff in coeffs.values():
@@ -217,7 +231,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
 @click.option("-d", "--root", "root_spec", required=True)
 @click.option("-f", "--format", "fmt", type=click.Choice(["text", "json", "dot"]), default="dot")
 @click.option("--lattice", is_flag=True, help="append lattice diagnostics and witnesses")
-@click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
+@_output_option
 def poset(quiver_spec, root_spec, fmt, lattice, output):
     """Hasse diagram of the flip poset for one root."""
     quiver = _parse_quiver_opt(quiver_spec)
@@ -324,7 +338,7 @@ def _verify_one_orientation(args):
 )
 @click.option("-f", "--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--explain", is_flag=True, help="per-instance lines, not just the summary")
-@click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
+@_output_option
 def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output):
     """Cross-check the dimer model against the independent oracles."""
     oracles = _oracle_list(oracle_spec)

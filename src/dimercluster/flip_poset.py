@@ -1,5 +1,10 @@
 """The poset of monochromatic configurations under flips.
 
+One poset is one instance (quiver, positive root d): it holds the quiver, d,
+the base graph and every configuration, and F, g and the Laurent expansion
+are read off it (``cluster_invariants.dimer_invariants``).  The constructor
+is where the root is checked.
+
 Elements are exponent vectors (each standing for its configuration), built by
 breadth-first search upward from the minimal matching: a flip at tile i moves
 from e to e + unit_i when every bw-side of the tile is present, and the
@@ -25,6 +30,7 @@ from dimercluster.mixed_dimer import (
     is_monochromatic,
     minimal_matching,
 )
+from dimercluster.quiver_core import check_root
 
 
 def _graded(e):
@@ -33,8 +39,10 @@ def _graded(e):
 
 class FlipPoset:
     def __init__(self, quiver, d, graph=None):
+        """ValueError unless d is a positive root of the quiver's rank; graph
+        is the quiver's base graph, built here when not given."""
         self.quiver = quiver
-        self.d = tuple(int(x) for x in d)
+        self.d = check_root(quiver, d)
         self.graph = graph if graph is not None else BaseGraph(quiver)
         self._coefficients = None
         self._build()

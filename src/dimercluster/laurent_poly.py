@@ -296,7 +296,10 @@ class LaurentPolynomial:
         }
 
 
-def divide_exact(numerator, denominator, max_steps=200000):
+DIVISION_STEP_LIMIT = 200000
+
+
+def divide_exact(numerator, denominator):
     """Quotient of two Laurent polynomials when it exists in the ring.
 
     Repeatedly cancels the graded-lex leading term.  Exchange relations always
@@ -314,7 +317,7 @@ def divide_exact(numerator, denominator, max_steps=200000):
     steps = 0
     while remainder:
         steps += 1
-        if steps > max_steps:
+        if steps > DIVISION_STEP_LIMIT:
             raise ExactDivisionError("division did not terminate (inexact input?)")
         r_exps, r_coeff = remainder.leading_term()
         q, r = divmod(r_coeff, d_coeff)

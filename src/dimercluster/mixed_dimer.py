@@ -66,7 +66,7 @@ def interior_multiplicity(d, e, tail, head):
     return max(d[tail] - d[head], 0) + e[head] - e[tail]
 
 
-def config_from_e(graph, d, e, check=True):
+def config_from_e(graph, d, e):
     """Configuration for an exponent vector, from the multiplicity formulas."""
     config = {}
     for edge in graph.edges:
@@ -84,7 +84,7 @@ def config_from_e(graph, d, e, check=True):
                 m = d[i] - e[i]
             else:
                 m = e[i]
-        if check and m < 0:
+        if m < 0:
             raise ValueError(
                 "exponent vector %r is not realizable (edge %r would have "
                 "multiplicity %d)" % (tuple(e), edge, m)
@@ -92,16 +92,6 @@ def config_from_e(graph, d, e, check=True):
         if m:
             config[edge] = m
     return config
-
-
-def is_realizable(graph, d, e):
-    if any(not (0 <= e[i] <= d[i]) for i in range(graph.n)):
-        return False
-    try:
-        config_from_e(graph, d, e)
-    except ValueError:
-        return False
-    return True
 
 
 def minimal_matching(graph, d):
@@ -325,11 +315,14 @@ def e_from_config(graph, d, config):
     """Recover the exponent vector by peeling cycles off config + minimal.
 
     Inverse of config_from_e; raises ValueError if the multiset is not a
-    valid configuration for the root, or if a key is not an edge of the graph.
+    valid configuration for the root, if a key is not an edge of the graph,
+    or if a multiplicity is negative.
     """
-    for edge in config:
+    for edge, m in config.items():
         if edge not in graph.edge_tiles:
             raise ValueError("%r is not an edge of the base graph" % (edge,))
+        if m < 0:
+            raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
     total = add_configs(config, minimal_matching(graph, d))
     if any(m % 2 for m in config_valences(total).values()):
         raise ValueError("superimposed valences are odd; not a configuration")

@@ -153,23 +153,21 @@ def expansion_from_f_and_g(quiver, f_poly, g_vec):
 # ---- source-sweep walk ------------------------------------------------------
 
 
-def walk_cluster_variables(quiver, max_sweeps=None):
+def walk_cluster_variables(quiver):
     """All non-initial cluster variables, keyed by denominator vector.
 
     Mutates along the topological order of the quiver (every vertex is a
     source of the current quiver when its turn comes, and a full sweep
-    restores the original tree orientation), sweeping repeatedly until no new
-    denominator vectors appear.  This touches O(n^2) seeds instead of the
+    restores the original tree orientation), sweeping repeatedly (at most
+    4n + 4 times) until no new denominator vectors appear.  This touches O(n^2) seeds instead of the
     full exchange graph, which matters for the exhaustive cross-checks.
     """
     n = quiver.n
-    if max_sweeps is None:
-        max_sweeps = 4 * n + 4
     order = quiver.topological_order()
     expected = n * (n - 1)
     atlas = {}
     seed = initial_seed(quiver)
-    for _ in range(max_sweeps):
+    for _ in range(4 * n + 4):
         new = 0
         for k in order:
             seed = mutate_seed(seed, k)
@@ -187,15 +185,6 @@ def walk_cluster_variables(quiver, max_sweeps=None):
     if stray:
         raise RuntimeError("denominator vectors outside the root system: %s" % stray)
     return atlas
-
-
-def cluster_variable_for_root(quiver, d):
-    """Laurent expansion of the non-initial variable with denominator x^d."""
-    d = tuple(int(x) for x in d)
-    atlas = walk_cluster_variables(quiver)
-    if d not in atlas:
-        raise ValueError("%r is not a positive root of the rank-%d system" % (d, quiver.n))
-    return atlas[d]
 
 
 # ---- exhaustive seed enumeration -------------------------------------------
@@ -221,16 +210,15 @@ def _canonical_seed_key(seed):
     return cluster_key, top, bottom
 
 
-def enumerate_cluster_variables(quiver, seed_budget=None):
+def enumerate_cluster_variables(quiver):
     """BFS over the whole exchange graph; returns (atlas, seed_count).
 
     The atlas maps denominator vectors of non-initial variables to Laurent
-    expansions.  ``seed_budget`` caps the number of distinct seeds visited
-    (default from DIMERCLUSTER_SEED_BUDGET or 100000) — exceeding it raises,
-    because these enumerations are meant to be exhaustive.
+    expansions.  The number of distinct seeds visited is capped by
+    DIMERCLUSTER_SEED_BUDGET (default 100000) — exceeding it raises, because
+    these enumerations are meant to be exhaustive.
     """
-    if seed_budget is None:
-        seed_budget = int(os.environ.get(SEED_BUDGET_ENV, DEFAULT_SEED_BUDGET))
+    seed_budget = int(os.environ.get(SEED_BUDGET_ENV, DEFAULT_SEED_BUDGET))
     n = quiver.n
     start = initial_seed(quiver)
     seen = {_canonical_seed_key(start)}

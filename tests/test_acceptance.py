@@ -19,12 +19,7 @@ import pytest
 
 from conftest import record_ac
 from dimercluster.base_graph import BaseGraph
-from dimercluster.cluster_invariants import (
-    dimer_f_polynomial,
-    dimer_g_vector,
-    dimer_laurent_expansion,
-    verify_root,
-)
+from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_root
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import (
@@ -78,6 +73,11 @@ from frozen import (
 EXTENDED = os.environ.get("DIMERCLUSTER_EXTENDED") == "1"
 
 
+def invariants(quiver, d):
+    """(F, g, laurent) of one instance, from the dimer model."""
+    return dimer_invariants(FlipPoset(quiver, d))
+
+
 def criterion(k, budget=None):
     """Record the AC verdict; optionally pin a wall-clock budget (seconds)."""
 
@@ -109,7 +109,7 @@ def criterion(k, budget=None):
 
 @criterion(1, budget=1.0)
 def test_ac1_rank6_f_polynomial_three_ways():
-    dimer = dimer_f_polynomial(QA, D6)
+    dimer, g, _ = invariants(QA, D6)
     tran = tran_f_polynomial(QA, D6)
     atlas = walk_cluster_variables(QA)
     mutation = f_polynomial_from_expansion(atlas[D6], QA.n)
@@ -120,7 +120,7 @@ def test_ac1_rank6_f_polynomial_three_ways():
     assert sorted(e for e, c in terms.items() if c == 2) == sorted(F_QA_COEFF2)
     # the published duplicated monomial carries coefficient 1, fixed by mutation
     assert terms[F_QA_DUPLICATE_FIX] == 1
-    assert dimer_g_vector(QA, D6) == G_QA == tran_g_vector(QA, D6)
+    assert g == G_QA == tran_g_vector(QA, D6)
 
 
 # ---- AC2: golden rank-5 triple --------------------------------------------------------
@@ -128,20 +128,18 @@ def test_ac1_rank6_f_polynomial_three_ways():
 
 def test_ac2_rank5_golden_triple():
     start = time.perf_counter()
-    f = dimer_f_polynomial(QC, D5)
+    f, g, laurent = invariants(QC, D5)
     assert f == LaurentPolynomial(u_context(5), F_QC)
     yhat = hatted_coefficients(QC)
     assert [
         next(iter(p.terms)) for p in yhat
     ] == YHAT_QC and all(p.is_monomial() for p in yhat)
-    laurent = dimer_laurent_expansion(QC, D5)
     expected = LaurentPolynomial(xy_context(5), {x + y: c for x, y, c in LAURENT_QC})
     assert laurent == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     # criterion as printed also pins the published g-vector, which contradicts
     # the published expansion's unit term; report the criterion honestly
-    g = dimer_g_vector(QC, D5)
     assert g == G_QC
     record_ac(
         2,
@@ -157,7 +155,7 @@ def test_ac2_rank5_golden_triple():
     " published Laurent expansion; both oracles give (-1, 0, 0, 1, -1)",
 )
 def test_ac2_published_g_vector_clause():
-    assert dimer_g_vector(QC, D5) == G_QC_PUBLISHED
+    assert invariants(QC, D5)[1] == G_QC_PUBLISHED
 
 
 # ---- AC3: golden rank-6 branch-heavy weight and g-vector ------------------------------
@@ -168,7 +166,7 @@ def test_ac3_rank6_branch_heavy_weight_and_g():
     graph = BaseGraph(QB)
     # wt(M_-) = x1^3 x2^2 x3^2
     assert x_exponents(graph, minimal_matching(graph, D6)) == WT_MIN_QB
-    assert dimer_g_vector(QB, D6) == G_QB == tran_g_vector(QB, D6)
+    assert invariants(QB, D6)[1] == G_QB == tran_g_vector(QB, D6)
 
 
 # ---- AC4: exhaustive three-way equivalence --------------------------------------------
@@ -181,9 +179,7 @@ def test_ac4_three_way_equivalence_ranks_4_and_5(sweep4, sweep5):
     for sweep in (sweep4, sweep5):
         for entry in sweep.entries:
             for d, poset in entry.posets.items():
-                report = verify_root(
-                    entry.quiver, d, atlas=entry.atlas, poset=poset
-                )
+                report = verify_root(poset, ORACLE_NAMES, entry.atlas)
                 assert report["ok"], (entry.quiver.arrows, d, report)
                 instances += 1
     assert instances == 8 * 12 + 16 * 20  # 96 + 320
@@ -200,7 +196,7 @@ def test_ac4_extended_rank6_sweep():
         atlas = walk_cluster_variables(quiver)
         for d in positive_roots(6):
             poset = FlipPoset(quiver, d, graph=graph)
-            report = verify_root(quiver, d, atlas=atlas, poset=poset)
+            report = verify_root(poset, ORACLE_NAMES, atlas)
             assert report["ok"], (quiver.arrows, d, report)
             count += 1
     assert count == 32 * 30
@@ -240,11 +236,11 @@ def test_ac6_excluded_configuration():
     step1 = flip(graph, m, 2)
     assert is_flippable(graph, D6, step1, 3)
     step2 = flip(graph, step1, 3)
-    assert step2 == config_from_e(graph, D6, POLY_EXCLUDED_QA, check=False)
+    assert step2 == config_from_e(graph, D6, POLY_EXCLUDED_QA)
     # the reached configuration joins differently-colored nodes
     assert not is_monochromatic(graph, D6, step2)
     # u2*u3 is absent from F
-    assert dimer_f_polynomial(QA, D6).coefficient(POLY_EXCLUDED_QA) == 0
+    assert invariants(QA, D6)[0].coefficient(POLY_EXCLUDED_QA) == 0
     assert coefficient_of(QA, D6, POLY_EXCLUDED_QA) == 0
     # the condition oracle charges component {2, 3} twice
     assert component_charges(QA, D6, POLY_EXCLUDED_QA) == {(2, 3): 2}

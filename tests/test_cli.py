@@ -212,22 +212,21 @@ def test_verify_builds_one_poset_and_one_report_per_instance(runner, monkeypatch
     ],
 )
 def test_f_and_g_are_computed_once_per_instance(runner, monkeypatch, args):
-    calls = {"dimer_f_polynomial": 0, "dimer_g_vector": 0}
-    for name in calls:
-        original = getattr(dimercluster.cluster_invariants, name)
+    calls = []
+    original = dimercluster.cluster_invariants.dimer_invariants
 
-        def counted(*a, _name=name, _original=original, **kw):
-            calls[_name] += 1
-            return _original(*a, **kw)
+    def counted(poset):
+        calls.append(poset.d)
+        return original(poset)
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("dimercluster.") and (
-                getattr(module, name, None) is original
-            ):
-                monkeypatch.setattr(module, name, counted)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("dimercluster.") and (
+            getattr(module, "dimer_invariants", None) is original
+        ):
+            monkeypatch.setattr(module, "dimer_invariants", counted)
     result = runner.invoke(main, args)
     assert result.exit_code == 0
-    assert calls == {"dimer_f_polynomial": 1, "dimer_g_vector": 1}
+    assert calls == [(1, 1, 2, 1, 1)]
 
 
 @pytest.mark.parametrize("spec", [",", "", " , ,"])
@@ -270,6 +269,32 @@ def test_output_file_flag(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert target.read_text().startswith("graph basegraph {")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["basegraph", "-q", QC_SPEC],
+        ["compute", "-q", QC_SPEC, "-d", QC_ROOT, "-f", "json"],
+        ["poset", "-q", QC_SPEC, "-d", QC_ROOT],
+        ["verify", "-q", QC_SPEC, "-d", QC_ROOT],
+    ],
+)
+def test_output_into_a_missing_directory_is_a_usage_error(runner, tmp_path, args):
+    target = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, args + ["-o", str(target)])
+    assert result.exit_code == 2
+    assert "does not exist" in result.output
+    assert isinstance(result.exception, SystemExit)  # not an uncaught OSError
+    assert not target.parent.exists()
+
+
+def test_output_that_cannot_be_written_is_a_usage_error(runner, tmp_path):
+    target = tmp_path / ("x" * 300)  # longer than a file name may be
+    result = runner.invoke(main, ["poset", "-q", QC_SPEC, "-d", QC_ROOT, "-o", str(target)])
+    assert result.exit_code == 2
+    assert "cannot write" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_exit_2_on_parse_errors(runner):

@@ -4,16 +4,17 @@ import pytest
 
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import (
-    cluster_variable,
-    dimer_f_polynomial,
-    dimer_g_vector,
-    dimer_laurent_expansion,
+    ORACLE_NAMES,
+    dimer_invariants,
     verify_quiver,
     verify_root,
 )
+from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import minimal_matching, x_exponents
+from dimercluster.mutation_oracle import expansion_from_f_and_g, walk_cluster_variables
 from dimercluster.quiver_core import Quiver, positive_roots
+from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 from frozen import (
     COEFF2_E_QB,
     D5,
@@ -35,18 +36,22 @@ from frozen import (
 )
 
 
+def invariants(quiver, d):
+    return dimer_invariants(FlipPoset(quiver, d))
+
+
 # ---- frozen rank-5 instance ------------------------------------------------------
 
 
 def test_rank5_f_polynomial_matches_golden():
     # [PAPER] 13 monomials with a single coefficient-2 term
-    f = dimer_f_polynomial(QC, D5)
+    f, _, _ = invariants(QC, D5)
     assert f == LaurentPolynomial(u_context(5), F_QC)
 
 
 def test_rank5_g_vector_matches_golden():
     # [DERIVED] value forced by the y-free unit term of the expansion
-    assert dimer_g_vector(QC, D5) == G_QC
+    assert invariants(QC, D5)[1] == G_QC
 
 
 def test_rank5_laurent_expansion_matches_golden():
@@ -54,12 +59,13 @@ def test_rank5_laurent_expansion_matches_golden():
     expected = LaurentPolynomial(
         xy_context(5), {x + y: c for x, y, c in LAURENT_QC}
     )
-    assert dimer_laurent_expansion(QC, D5) == expected
+    assert invariants(QC, D5)[2] == expected
 
 
 def test_rank5_all_routes_agree():
-    for method in ("dimer", "tran", "mutation"):
-        assert cluster_variable(QC, D5, method=method) == cluster_variable(QC, D5)
+    dimer = invariants(QC, D5)[2]
+    tran = expansion_from_f_and_g(QC, tran_f_polynomial(QC, D5), tran_g_vector(QC, D5))
+    assert dimer == tran == walk_cluster_variables(QC)[D5]
 
 
 # ---- frozen rank-6 instances -------------------------------------------------------
@@ -67,7 +73,7 @@ def test_rank5_all_routes_agree():
 
 def test_rank6_linear_f_polynomial_facts():
     # [DERIVED] corrected 24-term support, total 28, four doubled monomials
-    f = dimer_f_polynomial(QA, D6)
+    f, _, _ = invariants(QA, D6)
     terms = dict(f.sorted_terms())
     assert len(terms) == F_QA_TERM_COUNT
     assert sum(terms.values()) == F_QA_AT_ONES
@@ -78,19 +84,19 @@ def test_rank6_linear_f_polynomial_facts():
 def test_rank6_linear_g_vector_and_weight():
     graph = BaseGraph(QA)
     assert x_exponents(graph, minimal_matching(graph, D6)) == WT_MIN_QA
-    assert dimer_g_vector(QA, D6) == G_QA
+    assert invariants(QA, D6)[1] == G_QA
 
 
 def test_rank6_branch_heavy_weight_and_g_vector():
     # [PAPER] wt(M_-) = x1^3 x2^2 x3^2 and g = (-1, 2, 0, 0, -1, -1)
     graph = BaseGraph(QB)
     assert x_exponents(graph, minimal_matching(graph, D6)) == WT_MIN_QB
-    assert dimer_g_vector(QB, D6) == G_QB
+    assert invariants(QB, D6)[1] == G_QB
 
 
 def test_rank6_branch_heavy_doubled_coefficient():
     # [PAPER] the u2 u3^2 u4 u5 monomial carries coefficient 2
-    f = dimer_f_polynomial(QB, D6)
+    f, _, _ = invariants(QB, D6)
     assert f.coefficient(COEFF2_E_QB) == 2
 
 
@@ -98,7 +104,7 @@ def test_rank6_branch_heavy_doubled_coefficient():
 
 
 def test_verify_root_report_structure():
-    report = verify_root(QC, D5)
+    report = verify_root(FlipPoset(QC, D5), ORACLE_NAMES, walk_cluster_variables(QC))
     assert report["ok"] is True
     assert report["root"] == D5
     assert report["g"] == G_QC
@@ -108,7 +114,7 @@ def test_verify_root_report_structure():
 
 
 def test_verify_root_single_oracle():
-    report = verify_root(QA, D6, oracles=("tran",))
+    report = verify_root(FlipPoset(QA, D6), ("tran",), None)
     assert report["ok"] is True
     assert list(report["oracles"]) == ["tran"]
 
@@ -131,14 +137,12 @@ def test_verify_quiver_subset_of_roots():
 
 
 def test_rejects_non_roots():
-    with pytest.raises(ValueError):
-        dimer_f_polynomial(QC, (1, 1, 1, 1, 2))
-    with pytest.raises(ValueError):
-        verify_root(QC, (0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="not a positive root"):
+        verify_quiver(QC, roots=[(1, 1, 1, 1, 2)])
+    with pytest.raises(ValueError, match="not a positive root"):
+        verify_quiver(QC, oracles=("tran",), roots=[(0, 0, 0, 0, 0)])
 
 
-def test_rejects_unknown_oracle_and_method():
-    with pytest.raises(ValueError):
-        verify_root(QC, D5, oracles=("nope",))
-    with pytest.raises(ValueError):
-        cluster_variable(QC, D5, method="guess")
+def test_rejects_unknown_oracle():
+    with pytest.raises(ValueError, match="unknown oracle 'nope'"):
+        verify_quiver(QC, oracles=("nope",), roots=[D5])

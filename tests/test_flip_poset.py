@@ -1,6 +1,7 @@
 """Unit tests for the flip poset and its lattice structure."""
 
 import itertools
+import re
 
 import pytest
 
@@ -30,6 +31,21 @@ def test_rank5_elements_and_covers(poset_qc):
     got = {e: sorted(v) for e, v in poset_qc.covers.items() if v}
     assert got == expected
     assert poset_qc.bottom == (0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        (1, 1, 1, 1, 2),  # in the box of a root, but no root
+        (0, 0, 0, 0, 0),
+        (3, 0, 0, 0, 0),
+        (1, 1, 2, 1, 1, 1),  # a rank-5 root with one entry too many
+    ],
+)
+def test_rejects_non_roots(d):
+    message = "%r is not a positive root of the rank-5 system" % (d,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FlipPoset(QC, d)
 
 
 def test_coefficients_returns_a_fresh_dict():

@@ -16,7 +16,6 @@ from dimercluster.mixed_dimer import (
     flip,
     is_flippable,
     is_monochromatic,
-    is_realizable,
     minimal_matching,
     x_exponents,
 )
@@ -131,6 +130,18 @@ def test_closed_form_equals_flip_executor(quiver, d):
         assert config_from_e(graph, d, e) == config_from_e_by_flips(graph, d, e)
 
 
+def is_realizable(graph, d, e):
+    """e lies in the box 0 <= e <= d and the closed form gives no negative
+    multiplicity."""
+    if any(not (0 <= e[i] <= d[i]) for i in range(graph.n)):
+        return False
+    try:
+        config_from_e(graph, d, e)
+    except ValueError:
+        return False
+    return True
+
+
 def test_realizability_matches_arrow_conditions(gc):
     # [DERIVED] nonnegative multiplicities <=> box + arrow inequalities
     from dimercluster.tran_oracle import arrow_conditions_hold
@@ -204,6 +215,21 @@ def test_e_from_config_rejects_keys_that_are_not_edges(gc):
     with pytest.raises(ValueError, match=r"\(\(99, 99\), \(100, 99\)\) is not an edge"):
         e_from_config(gc, D5, foreign)
     assert e_from_config(gc, D5, golden) == (1, 1, 1, 0, 1)
+
+
+def test_e_from_config_rejects_negative_multiplicities(gc):
+    # every -1/-2 single-edge perturbation that goes below zero; 7 of these
+    # once recovered the unperturbed e instead of raising
+    golden = config_from_e(gc, D5, (1, 1, 1, 0, 1))
+    negative = 0
+    for edge in gc.edges:
+        for step in (1, 2):
+            m = golden.get(edge, 0) - step
+            if m < 0:
+                with pytest.raises(ValueError, match="negative multiplicity %d" % m):
+                    e_from_config(gc, D5, {**golden, edge: m})
+                negative += 1
+    assert negative == 26
 
 
 def test_roundtrip_random_quivers():

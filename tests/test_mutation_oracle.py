@@ -1,13 +1,11 @@
 """Unit tests for the seed-mutation engine."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mutation_oracle import (
     Seed,
-    cluster_variable_for_root,
     denominator_vector,
     enumerate_cluster_variables,
     expansion_from_f_and_g,
@@ -155,7 +153,7 @@ def test_hatted_coefficients_frozen():
 
 def test_rank5_instance_full_expansion():
     # [PAPER]/[DERIVED] Laurent expansion, F-polynomial, g-vector for (QC, D5)
-    var = cluster_variable_for_root(QC, D5)
+    var = walk_cluster_variables(QC)[D5]
     assert var == laurent_from_triples(5, LAURENT_QC)
     f = f_polynomial_from_expansion(var, 5)
     assert f == LaurentPolynomial(u_context(5), F_QC)
@@ -165,7 +163,7 @@ def test_rank5_instance_full_expansion():
 
 def test_rank6_instance_f_and_g():
     # [DERIVED] corrected F-polynomial facts and g-vector for (QA, D6)
-    var = cluster_variable_for_root(QA, D6)
+    var = walk_cluster_variables(QA)[D6]
     f = f_polynomial_from_expansion(var, 6)
     assert len(f.terms) == F_QA_TERM_COUNT
     assert sum(f.terms.values()) == F_QA_AT_ONES
@@ -179,7 +177,7 @@ def test_rank6_instance_f_and_g():
 def test_expansion_recombines_from_f_and_g():
     # x^g * F(yhat) reproduces the engine expansion exactly
     for quiver, d in ((QC, D5), (QA, D6)):
-        var = cluster_variable_for_root(quiver, d)
+        var = walk_cluster_variables(quiver)[d]
         n = quiver.n
         f = f_polynomial_from_expansion(var, n)
         g = g_vector_from_expansion(var, n)
@@ -187,8 +185,8 @@ def test_expansion_recombines_from_f_and_g():
 
 
 def test_unknown_root_rejected():
-    with pytest.raises(ValueError):
-        cluster_variable_for_root(QC, (1, 0, 0, 0, 1))
+    # (1,0,0,0,1) is no root, so no cluster variable has it as denominator
+    assert (1, 0, 0, 0, 1) not in walk_cluster_variables(QC)
 
 
 # ---- walk vs exhaustive enumeration ------------------------------------------

@@ -6,7 +6,8 @@ edges)``.  Its cycle search, tile test and peel loop are kept below verbatim
 as the reference; the library must give the same exponent vector, or raise
 ``ValueError`` with the same message, on every rank-4 and rank-5 poset
 configuration and on seeded perturbations of them, and must enumerate the
-same cycles.
+same cycles.  A perturbation that makes a multiplicity negative is the one
+exception: the reference peeled it anyway, the library raises ValueError.
 """
 
 import random
@@ -157,17 +158,23 @@ def test_peel_matches_reference_on_every_poset_configuration(request, rank):
 def test_peel_matches_reference_on_perturbed_inputs(request, rank):
     sweep = request.getfixturevalue("sweep%d" % rank)
     rng = random.Random(20200 + rank)
-    valid = invalid = 0
+    valid = invalid = negative = 0
     for entry in sweep.entries:
         for d, poset in entry.posets.items():
             configs = list(poset.configs.values())
             for config in perturbed_inputs(entry.graph, configs, rng):
+                assert_same_cycles(entry.graph, d, config)
+                if any(m < 0 for m in config.values()):
+                    # the reference never checked signs; the library refuses
+                    with pytest.raises(ValueError, match="negative multiplicity"):
+                        e_from_config(entry.graph, d, config)
+                    negative += 1
+                    continue
                 want = outcome(reference_e_from_config, entry.graph, d, config)
                 assert outcome(e_from_config, entry.graph, d, config) == want
-                assert_same_cycles(entry.graph, d, config)
                 if want[0] == "ValueError":
                     invalid += 1
                 else:
                     valid += 1
     # both outcomes are exercised in quantity
-    assert valid >= 100 and invalid >= 100
+    assert valid >= 100 and invalid >= 100 and negative > 0
