@@ -1,17 +1,20 @@
 """g-vectors and full Laurent expansions from configuration weights.
 
-The weight of the minimal matching divided by x^d gives the g-vector; the
-full cluster variable is recovered either as x^g * F(yhat) or termwise as a
-sum of 2^cycles * x^(wt - d) * y^e over poset elements.  The library builds
-it both ways and refuses to return anything if they disagree.
+The weight of the minimal matching divided by x^d gives the g-vector.  Each
+hatted coefficient yhat_i is a monomial, so the full cluster variable
+x^g * F(yhat) is F with every term c * u^e relabeled to one term
+c * x^(g + Yhat e) * y^e.  Termwise, it is also the sum of
+2^cycles * x^(wt - d) * y^e over poset elements; the library checks that
+the two agree and refuses to return anything if they do not.
 """
 
 from dimercluster import parse_quiver
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
+from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mixed_dimer import minimal_matching, x_exponents
-from dimercluster.mutation_oracle import hatted_coefficients, walk_cluster_variables
+from dimercluster.mutation_oracle import expansion_from_f_and_g, walk_cluster_variables
 
 quiver = parse_quiver("n=5; 1>0,2>1,3>2,2>4")
 d = (1, 1, 2, 1, 1)
@@ -25,7 +28,9 @@ print("g = wt - d      :", g)
 print()
 
 print("=== hatted coefficients ===")
-for i, p in enumerate(hatted_coefficients(quiver)):
+for i in range(quiver.n):  # yhat_i is x^0 * F(yhat) for F = u_i
+    u_i = LaurentPolynomial.variable(u_context(quiver.n), "u%d" % i)
+    p = expansion_from_f_and_g(quiver, u_i, (0,) * quiver.n)
     print("  yhat_%d = %s" % (i, p.render()))
 print()
 

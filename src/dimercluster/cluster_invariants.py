@@ -4,9 +4,10 @@ An instance (quiver, positive root d) is its flip poset,
 ``FlipPoset(quiver, d)``, and ``dimer_invariants(poset)`` reads
 ``(F, g, laurent)`` off it.  The F-polynomial sums ``2^cycles * u^e`` over
 the poset, the g-vector is the weight of the minimal matching (the poset's
-bottom) divided by ``x^d``, and the Laurent expansion is assembled both as
-``x^g * F(yhat)`` and termwise from per-configuration weights (the two must
-agree exactly).
+bottom) divided by ``x^d``, and the Laurent expansion ``x^g * F(yhat)`` is
+F with each term relabeled (``expansion_from_f_and_g``).  Every configuration
+also gives its term directly, ``2^cycles * x^(wt - d) * y^e``, and the two
+must agree exactly.
 
 ``verify_root(poset, oracles, atlas)`` compares every invariant against the
 requested independent oracles — the closed-form exponent-vector conditions
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
+from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mixed_dimer import e_from_config, x_exponents
 from dimercluster.mutation_oracle import (
     expansion_from_f_and_g,
@@ -38,28 +39,27 @@ ORACLE_NAMES = ("tran", "mutation")
 def dimer_invariants(poset):
     """F, g and the Laurent expansion of the instance the poset holds.
 
-    The expansion is assembled as ``x^g * F(yhat)`` and termwise from the
-    configuration weights, and the two must agree exactly.
+    The expansion is F relabeled term by term as ``x^g * F(yhat)``.  The sum
+    of ``2^cycles * x^(wt - d) * y^e`` over the configurations must equal it
+    exactly.
     """
     quiver, d, graph = poset.quiver, poset.d, poset.graph
     coeffs = poset.coefficients()
     f = LaurentPolynomial(u_context(quiver.n), coeffs)
     wt = x_exponents(graph, poset.configs[poset.bottom])
     g = tuple(w - x for w, x in zip(wt, d))
-    recombined = expansion_from_f_and_g(quiver, f, g)
+    laurent = expansion_from_f_and_g(quiver, f, g)
 
-    terms = {}
+    termwise = {}
     for e, config in poset.configs.items():
         wt = x_exponents(graph, config)
-        exps = tuple(w - x for w, x in zip(wt, d)) + e
-        terms[exps] = terms.get(exps, 0) + coeffs[e]
-    termwise = LaurentPolynomial(xy_context(quiver.n), terms)
-    if termwise != recombined:
+        termwise[tuple(w - x for w, x in zip(wt, d)) + e] = coeffs[e]
+    if termwise != laurent.terms:
         raise AssertionError(
             "termwise configuration weights disagree with x^g * F(yhat) "
             "for root %r" % (d,)
         )
-    return f, g, recombined
+    return f, g, laurent
 
 
 def verify_root(poset, oracles, atlas):

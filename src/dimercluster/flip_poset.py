@@ -121,9 +121,6 @@ class FlipPoset:
     def leq(self, u, v):
         return bool(self._down[self.index(v)] >> self.index(u) & 1)
 
-    def rank(self, e):
-        return sum(e)
-
     def _bound(self, masks, u, v):
         common = masks[self.index(u)] & masks[self.index(v)]
         k = common

@@ -59,10 +59,6 @@ class LaurentPolynomial:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, context):
-        return cls(context, {})
-
-    @classmethod
     def one(cls, context):
         return cls.monomial(context, (0,) * len(context))
 
@@ -103,9 +99,6 @@ class LaurentPolynomial:
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
-
-    def is_monomial(self):
-        return len(self.terms) == 1
 
     # ---- ring operations ----------------------------------------------
 
@@ -152,7 +145,7 @@ class LaurentPolynomial:
         if not isinstance(k, int):
             raise TypeError("exponent must be an int")
         if k < 0:
-            return self.monomial_inverse() ** (-k)
+            raise ValueError("negative exponent %d" % k)
         result = LaurentPolynomial.one(self.context)
         base = self
         while k:
@@ -161,21 +154,6 @@ class LaurentPolynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def monomial_inverse(self):
-        """Inverse of a unit monomial (coefficient +-1)."""
-        if len(self.terms) != 1:
-            raise ExactDivisionError(
-                "only monomials are invertible; got %s" % self.render()
-            )
-        ((exps, coeff),) = self.terms.items()
-        if coeff not in (1, -1):
-            raise ExactDivisionError(
-                "monomial coefficient %d is not a unit" % coeff
-            )
-        return LaurentPolynomial.monomial(
-            self.context, tuple(-e for e in exps), coeff
-        )
 
     # ---- queries --------------------------------------------------------
 
@@ -192,64 +170,6 @@ class LaurentPolynomial:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_graded_lex_key)
         return exps, self.terms[exps]
-
-    # ---- substitution ---------------------------------------------------
-
-    def substitute(self, images):
-        """Evaluate by substituting a polynomial for every occurring variable.
-
-        ``images`` maps variable names to LaurentPolynomial values, all in one
-        common target context.  A variable of this polynomial must be mapped if
-        it occurs with a nonzero exponent.  Negative exponents require the
-        image to be an invertible monomial.
-        """
-        occurring = [
-            i
-            for i in range(len(self.context))
-            if any(e[i] for e in self.terms)
-        ]
-        if not self.terms:
-            # context of the result still needs defining
-            if images:
-                ctx = next(iter(images.values())).context
-                return LaurentPolynomial.zero(ctx)
-            return LaurentPolynomial.zero(self.context)
-        target_ctx = None
-        for name, img in images.items():
-            if target_ctx is None:
-                target_ctx = img.context
-            elif img.context != target_ctx:
-                raise ContextError("substitution images disagree on context")
-        for i in occurring:
-            if self.context[i] not in images:
-                raise ContextError(
-                    "no image given for occurring variable %s" % self.context[i]
-                )
-        if target_ctx is None:
-            target_ctx = self.context
-
-        pow_cache = {}
-
-        def power(i, k):
-            key = (i, k)
-            if key not in pow_cache:
-                img = images[self.context[i]]
-                if k < 0 and len(img.terms) != 1:
-                    raise ExactDivisionError(
-                        "cannot raise non-monomial image of %s to power %d"
-                        % (self.context[i], k)
-                    )
-                pow_cache[key] = img ** k
-            return pow_cache[key]
-
-        total = LaurentPolynomial.zero(target_ctx)
-        for exps, coeff in self.terms.items():
-            term = LaurentPolynomial.monomial(target_ctx, (0,) * len(target_ctx), coeff)
-            for i in occurring:
-                if exps[i]:
-                    term = term * power(i, exps[i])
-            total = total + term
-        return total
 
     # ---- rendering ------------------------------------------------------
 

@@ -148,18 +148,6 @@ def is_flippable(graph, d, config, tile_index):
     )
 
 
-def config_from_e_by_flips(graph, d, e):
-    """Flip tile i e_i times, i ascending; negative multiplicities are
-    tolerated mid-sequence and must all cancel by the end."""
-    config = minimal_matching(graph, d)
-    for i in range(graph.n):
-        for _ in range(e[i]):
-            config = flip(graph, config, i)
-    if any(m < 0 for m in config.values()):
-        raise ValueError("flip sequence for %r left negative multiplicities" % (e,))
-    return config
-
-
 # ---- support structure -----------------------------------------------------------
 
 

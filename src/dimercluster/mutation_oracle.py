@@ -15,7 +15,9 @@ that mutating at a sink ``k`` of the quiver produces
 Extraction of invariants from a Laurent expansion ``L`` is
 convention-independent: the g-vector is the x-exponent of the unique
 coefficient-free term (y-part zero), and the F-polynomial is ``L`` with every
-``x_i`` set to 1.
+``x_i`` set to 1.  The converse, ``expansion_from_f_and_g``, relabels each
+term of F into one term of ``L``; the dimer model and the closed-form oracle
+use it too.
 """
 
 from __future__ import annotations
@@ -123,31 +125,22 @@ def denominator_vector(expansion, n):
     return tuple(-m for m in mins)
 
 
-def hatted_coefficients(quiver):
-    """ŷ_i = y_i * prod over arrows at i (out-neighbors +1, in-neighbors -1)."""
-    n = quiver.n
-    ctx = xy_context(n)
-    out = []
-    for i in range(n):
-        exps = [0] * (2 * n)
-        exps[n + i] = 1
-        for j in quiver.out_neighbors(i):
-            exps[j] += 1
-        for j in quiver.in_neighbors(i):
-            exps[j] -= 1
-        out.append(LaurentPolynomial.monomial(ctx, tuple(exps)))
-    return out
-
-
 def expansion_from_f_and_g(quiver, f_poly, g_vec):
-    """Recombine x^g * F(ŷ) — the converse of the two extractors above."""
-    n = quiver.n
-    ctx = xy_context(n)
-    yhat = hatted_coefficients(quiver)
-    images = {"u%d" % i: yhat[i] for i in range(n)}
-    fx = f_poly.substitute(images)
-    prefactor = LaurentPolynomial.monomial(ctx, tuple(g_vec) + (0,) * n)
-    return prefactor * fx
+    """x^g * F(ŷ), the converse of the two extractors above, term by term.
+
+    ŷ_i = y_i * prod_{i->j} x_j / prod_{j->i} x_j is a monomial; let column i
+    of Ŷ hold its x-exponents.  The term c * u^e of F then becomes the one
+    term c * x^(g + Ŷe) * y^e, and as its y-part is e itself, no two terms
+    meet (the separation formula).  No polynomial arithmetic is involved.
+    """
+    terms = {}
+    for e, c in f_poly.terms.items():
+        x = list(g_vec)
+        for t, h in quiver.arrows:
+            x[h] += e[t]
+            x[t] -= e[h]
+        terms[tuple(x) + e] = c
+    return LaurentPolynomial(xy_context(quiver.n), terms)
 
 
 # ---- source-sweep walk ------------------------------------------------------

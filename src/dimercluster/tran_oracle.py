@@ -84,23 +84,6 @@ def coefficient_of(quiver, d, e):
     return 2 ** sum(1 for c in charges.values() if c == 0)
 
 
-def component_charges(quiver, d, e):
-    """Critical-arrow counts per component of S = {i : (d_i, e_i) = (2, 1)}.
-
-    Returns {sorted component tuple: charge count}; a count >= 2 means the
-    monomial u^e is killed, count 0 doubles the coefficient.
-    """
-    e = tuple(int(x) for x in e)
-    comps = _s_components(quiver.n, d, e)
-    charges = _critical_charges(quiver, d, e, comps)
-    return {tuple(sorted(comp)): c for comp, c in charges.items()}
-
-
-def acceptable_evectors(quiver, d):
-    """All e with nonzero coefficient, ascending graded-lex."""
-    return sorted(tran_f_polynomial(quiver, d).terms, key=lambda e: (sum(e), e))
-
-
 def tran_f_polynomial(quiver, d):
     d = check_root(quiver, d)
     terms = {}

@@ -24,7 +24,6 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import (
     config_from_e,
-    config_from_e_by_flips,
     count_cycles,
     e_from_config,
     flip,
@@ -35,19 +34,13 @@ from dimercluster.mixed_dimer import (
 )
 from dimercluster.mutation_oracle import (
     enumerate_cluster_variables,
+    expansion_from_f_and_g,
     f_polynomial_from_expansion,
     g_vector_from_expansion,
-    hatted_coefficients,
     walk_cluster_variables,
 )
 from dimercluster.quiver_core import all_orientations, positive_roots
-from dimercluster.tran_oracle import (
-    acceptable_evectors,
-    coefficient_of,
-    component_charges,
-    tran_f_polynomial,
-    tran_g_vector,
-)
+from dimercluster.tran_oracle import coefficient_of, tran_f_polynomial, tran_g_vector
 from frozen import (
     COEFF2_E_QB,
     D5,
@@ -69,6 +62,7 @@ from frozen import (
     WT_MIN_QB,
     YHAT_QC,
 )
+from reference import acceptable_evectors, component_charges, config_from_e_by_flips
 
 EXTENDED = os.environ.get("DIMERCLUSTER_EXTENDED") == "1"
 
@@ -130,10 +124,11 @@ def test_ac2_rank5_golden_triple():
     start = time.perf_counter()
     f, g, laurent = invariants(QC, D5)
     assert f == LaurentPolynomial(u_context(5), F_QC)
-    yhat = hatted_coefficients(QC)
+    # yhat_i is x^0 * F(yhat) for F = u_i
     assert [
-        next(iter(p.terms)) for p in yhat
-    ] == YHAT_QC and all(p.is_monomial() for p in yhat)
+        expansion_from_f_and_g(QC, LaurentPolynomial.variable(u_context(5), "u%d" % i), (0,) * 5)
+        for i in range(5)
+    ] == [LaurentPolynomial.monomial(xy_context(5), exps) for exps in YHAT_QC]
     expected = LaurentPolynomial(xy_context(5), {x + y: c for x, y, c in LAURENT_QC})
     assert laurent == expected
     elapsed = time.perf_counter() - start
@@ -288,9 +283,9 @@ def test_ac8_poset_lattice_properties(sweep4, sweep5):
                     if all(e not in ups for ups in poset.covers.values())
                 ]
                 assert tops == [d] and bottoms == [zero]
-                # rank equals |e|
-                for e in poset.elements:
-                    assert poset.rank(e) == sum(e)
+                # rank equals |e|: every cover adds one to |e|
+                for e, ups in poset.covers.items():
+                    assert all(sum(v) == sum(e) + 1 for v in ups)
                 # boolean roots give distributive lattices
                 if max(d) == 1:
                     ok, _ = poset.is_lattice()

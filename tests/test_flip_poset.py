@@ -7,9 +7,10 @@ import pytest
 
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
-from dimercluster.tran_oracle import acceptable_evectors, coefficient_of, tran_f_polynomial
+from dimercluster.tran_oracle import coefficient_of, tran_f_polynomial
 
 from frozen import D5, D6, N5_WITNESS_QC, POLY_EXCLUDED_QA, POSET_COVERS_QC, QA, QC
+from reference import acceptable_evectors
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from dimercluster.base_graph import BaseGraph, edge_key
 from dimercluster.mixed_dimer import (
     add_configs,
     config_from_e,
-    config_from_e_by_flips,
     config_valences,
     count_cycles,
     e_from_config,
@@ -20,7 +19,6 @@ from dimercluster.mixed_dimer import (
     x_exponents,
 )
 from dimercluster.quiver_core import all_orientations, positive_roots
-from dimercluster.tran_oracle import acceptable_evectors
 
 from frozen import (
     D5,
@@ -33,6 +31,7 @@ from frozen import (
     WT_MIN_QA,
     WT_MIN_QB,
 )
+from reference import acceptable_evectors, config_from_e_by_flips
 
 
 def E(p, q):

@@ -11,7 +11,6 @@ from dimercluster.mutation_oracle import (
     expansion_from_f_and_g,
     f_polynomial_from_expansion,
     g_vector_from_expansion,
-    hatted_coefficients,
     initial_seed,
     mutate_ext,
     mutate_seed,
@@ -142,10 +141,12 @@ def test_extractors_on_initial_variable():
 
 
 def test_hatted_coefficients_frozen():
-    # [PAPER] all five published hatted coefficients for the rank-5 instance
-    got = hatted_coefficients(QC)
-    for poly, exps in zip(got, YHAT_QC):
-        assert poly == LaurentPolynomial.monomial(xy_context(5), exps)
+    # [PAPER] all five published hatted coefficients for the rank-5 instance,
+    # each read as x^0 * F(yhat) for F = u_i
+    for i, exps in enumerate(YHAT_QC):
+        u_i = LaurentPolynomial.variable(u_context(5), "u%d" % i)
+        got = expansion_from_f_and_g(QC, u_i, (0,) * 5)
+        assert got == LaurentPolynomial.monomial(xy_context(5), exps)
 
 
 # ---- frozen instances --------------------------------------------------------

@@ -10,7 +10,6 @@ from dimercluster.mutation_oracle import (
 )
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
 from dimercluster.tran_oracle import (
-    acceptable_evectors,
     arrow_conditions_hold,
     coefficient_of,
     tran_f_polynomial,
@@ -34,6 +33,7 @@ from frozen import (
     QB,
     QC,
 )
+from reference import acceptable_evectors
 
 
 # ---- [TRIVIAL] basic conditions ----------------------------------------------
