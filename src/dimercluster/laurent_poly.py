@@ -1,10 +1,26 @@
 """Exact integer-coefficient Laurent polynomials in named variables.
 
 A polynomial is bound to a *context*: an ordered tuple of variable names such
-as ``("x0", ..., "x4", "y0", ..., "y4")``.  Terms are held sparsely as a dict
-mapping exponent vectors (tuples of possibly-negative ints, one entry per
-context variable) to nonzero integer coefficients.  All arithmetic is exact;
-coefficients are arbitrary-precision ints.
+as ``("x0", ..., "x4", "y0", ..., "y4")``.  Its public view, ``terms``, is a
+sparse dict mapping exponent vectors (tuples of possibly-negative ints, one
+entry per context variable) to nonzero integer coefficients; ``coefficient``,
+``render`` and ``to_json`` read it.  All arithmetic is exact; coefficients are
+arbitrary-precision ints.
+
+Arithmetic runs on a second, private view of the same terms, with each
+exponent vector packed into one int: a signed 16-bit field per variable,
+the first variable most significant, under a top field holding the total
+degree.  Int order is then graded-lex order, and the exponents of a product
+of monomials are the sum of their keys.  A polynomial built from tuples
+(``LaurentPolynomial(ctx, terms)``) is packed the first time arithmetic
+touches it; one built by arithmetic decodes its tuple view the first time it
+is read.  Each packed polynomial carries a bound on its largest absolute
+exponent, so an operation whose result could leave the field range raises
+OverflowError instead of wrapping.
+
+``divide_exact`` cancels leading terms in place in one remainder dict, taking
+them from a max-heap of packed keys (Johnson, SIGSAM Bull. 1974; Monagan and
+Pearce, CASC 2007).
 
 Mixing contexts is an error rather than a coercion: the cluster-algebra code
 works in two fixed contexts (``u0..u{n-1}`` for F-polynomials and
@@ -13,6 +29,10 @@ bookkeeping bugs.
 """
 
 from __future__ import annotations
+
+import functools
+import heapq
+import struct
 
 
 class ContextError(ValueError):
@@ -36,8 +56,62 @@ def _graded_lex_key(exps):
     return (sum(exps), exps)
 
 
+# ---- packed exponent vectors -------------------------------------------------
+
+# Each exponent sits in a signed 16-bit field; a packed polynomial's exponents
+# all lie within +-EXP_LIMIT.
+EXP_LIMIT = (1 << 15) - 1
+
+
+class _Layout:
+    """The packing of exponent vectors of one width.
+
+    The key of e is ``sum(e) << shift`` plus ``sum(e_i << 16 * (width-1-i))``.
+    Adding ``bias`` (``2^15`` in every field) makes each field non-negative,
+    which is how keys are decoded and range-checked.
+    """
+
+    __slots__ = ("shift", "low_mask", "bias", "guard", "fields", "nbytes")
+
+    def __init__(self, width):
+        self.shift = 16 * width
+        self.low_mask = (1 << self.shift) - 1
+        self.bias = sum(1 << (16 * i + 15) for i in range(width))
+        self.guard = self.bias >> 1  # bit 14 of every field
+        self.fields = struct.Struct(">%dh" % width)
+        self.nbytes = 2 * width
+
+    def encode(self, exps):
+        biased = int.from_bytes(self.fields.pack(*exps), "big") ^ self.bias
+        return (sum(exps) << self.shift) + biased - self.bias
+
+    def decode(self, key):
+        low = ((key + self.bias) & self.low_mask) ^ self.bias
+        return self.fields.unpack(low.to_bytes(self.nbytes, "big"))
+
+    def within_half(self, key):
+        """Whether every exponent of ``key`` lies in [-2^14, 2^14)."""
+        biased = key + self.bias
+        return ((biased >> 1) ^ biased) & self.guard == self.guard
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(width):
+    return _Layout(width)
+
+
+def _exponent_bound(vectors):
+    return max((max(map(abs, e), default=0) for e in vectors), default=0)
+
+
+def _overflow(bound):
+    return OverflowError(
+        "exponents up to %d would leave the field range +-%d" % (bound, EXP_LIMIT)
+    )
+
+
 class LaurentPolynomial:
-    __slots__ = ("context", "terms", "_hash")
+    __slots__ = ("context", "_terms", "_packed", "_bound", "_hash")
 
     def __init__(self, context, terms):
         self.context = tuple(context)
@@ -53,14 +127,29 @@ class LaurentPolynomial:
                     % (exps, width)
                 )
             clean[exps] = coeff
-        self.terms = clean
+        self._terms = clean
+        self._packed = None
+        self._bound = None
         self._hash = None
+
+    @classmethod
+    def _build(cls, context, terms=None, packed=None, bound=None):
+        """A polynomial from a clean tuple view, a packed view with its bound,
+        or both; nothing is re-validated."""
+        poly = object.__new__(cls)
+        poly.context = context
+        poly._terms = terms
+        poly._packed = packed
+        poly._bound = bound
+        poly._hash = None
+        return poly
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def one(cls, context):
-        return cls.monomial(context, (0,) * len(context))
+        context = tuple(context)
+        return cls._build(context, {(0,) * len(context): 1}, {0: 1}, 0)
 
     @classmethod
     def monomial(cls, context, exps, coeff=1):
@@ -71,12 +160,35 @@ class LaurentPolynomial:
         context = tuple(context)
         exps = [0] * len(context)
         exps[context.index(name)] = 1
-        return cls(context, {tuple(exps): 1})
+        exps = tuple(exps)
+        key = _layout(len(context)).encode(exps)
+        return cls._build(context, {exps: 1}, {key: 1}, 1)
+
+    # ---- the two views ------------------------------------------------
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient}, decoded once from the packed view."""
+        if self._terms is None:
+            decode = _layout(len(self.context)).decode
+            self._terms = {decode(k): c for k, c in self._packed.items()}
+        return self._terms
+
+    def _pack(self):
+        """{packed key: coefficient}, encoded once from the tuple view."""
+        if self._packed is None:
+            bound = _exponent_bound(self._terms)
+            if bound > EXP_LIMIT:
+                raise _overflow(bound)
+            encode = _layout(len(self.context)).encode
+            self._packed = {encode(e): c for e, c in self._terms.items()}
+            self._bound = bound
+        return self._packed
 
     # ---- basic structure ----------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms if self._packed is None else self._packed)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -102,42 +214,56 @@ class LaurentPolynomial:
 
     # ---- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            c = terms.get(exps, 0) + coeff
+        terms = dict(self._pack())
+        get = terms.get
+        for k, c in other._pack().items():
+            c = get(k, 0) + sign * c
             if c:
-                terms[exps] = c
-            elif exps in terms:
-                del terms[exps]
-        return LaurentPolynomial(self.context, terms)
-
-    def __neg__(self):
-        return LaurentPolynomial(
-            self.context, {e: -c for e, c in self.terms.items()}
+                terms[k] = c
+            else:
+                del terms[k]
+        return LaurentPolynomial._build(
+            self.context, packed=terms, bound=max(self._bound, other._bound)
         )
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _scaled(self, factor):
+        packed = {k: c * factor for k, c in self._pack().items()} if factor else {}
+        return LaurentPolynomial._build(self.context, packed=packed, bound=self._bound)
+
+    def __neg__(self):
+        return self._scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPolynomial(
-                self.context, {e: c * other for e, c in self.terms.items()}
-            )
+            return self._scaled(other)
         self._check(other)
-        # classic sparse convolution; fine at the term counts seen here
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(e, 0) + c1 * c2
-                if c:
-                    terms[e] = c
-                elif e in terms:
-                    del terms[e]
-        return LaurentPolynomial(self.context, terms)
+        a, b = self._pack(), other._pack()
+        bound = self._bound + other._bound
+        if bound > EXP_LIMIT:
+            raise _overflow(bound)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial shifts every key; no two products meet
+            ((kb, cb),) = b.items()
+            terms = {k + kb: c * cb for k, c in a.items()}
+        else:
+            terms = {}
+            get = terms.get
+            for kb, cb in b.items():
+                for k, c in a.items():
+                    k += kb
+                    terms[k] = get(k, 0) + c * cb
+            terms = {k: c for k, c in terms.items() if c}
+        return LaurentPolynomial._build(self.context, packed=terms, bound=bound)
 
     __rmul__ = __mul__
 
@@ -146,6 +272,9 @@ class LaurentPolynomial:
             raise TypeError("exponent must be an int")
         if k < 0:
             raise ValueError("negative exponent %d" % k)
+        self._pack()
+        if self._bound * k > EXP_LIMIT:
+            raise _overflow(self._bound * k)
         result = LaurentPolynomial.one(self.context)
         base = self
         while k:
@@ -166,10 +295,11 @@ class LaurentPolynomial:
 
     def leading_term(self):
         """(exps, coeff) maximal in graded-lex order."""
-        if not self.terms:
+        packed = self._pack()
+        if not packed:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_graded_lex_key)
-        return exps, self.terms[exps]
+        key = max(packed)
+        return _layout(len(self.context)).decode(key), packed[key]
 
     # ---- rendering ------------------------------------------------------
 
@@ -218,35 +348,74 @@ class LaurentPolynomial:
 
 DIVISION_STEP_LIMIT = 200000
 
+# Division needs numerator bound + 2 * denominator bound below this, so that
+# an exact quotient's remainder never leaves [-2^14, 2^14) and any update of
+# a remainder in that range stays within a field.
+_DIVISION_RANGE = 1 << 14
+
 
 def divide_exact(numerator, denominator):
     """Quotient of two Laurent polynomials when it exists in the ring.
 
-    Repeatedly cancels the graded-lex leading term.  Exchange relations always
-    divide exactly; a non-exact division here signals an implementation bug
-    upstream, so both failure modes (non-divisible coefficient, step overrun)
-    raise ExactDivisionError rather than returning junk.
+    Repeatedly cancels the graded-lex leading term of one remainder dict,
+    updated in place; leading terms come from a max-heap of packed keys, and
+    a popped key no longer in the remainder has cancelled and is skipped.
+    Exchange relations always divide exactly; a non-exact division here
+    signals an implementation bug upstream, so every failure mode
+    (non-divisible coefficient, a remainder exponent an exact quotient cannot
+    reach, step overrun) raises ExactDivisionError rather than returning junk.
     """
     numerator._check(denominator)
     if not denominator:
         raise ExactDivisionError("division by zero polynomial")
-    ctx = numerator.context
-    d_exps, d_coeff = denominator.leading_term()
-    remainder = numerator
-    quotient_terms = {}
+    remainder = dict(numerator._pack())
+    den = denominator._pack()
+    reach = numerator._bound + 2 * denominator._bound
+    if reach >= _DIVISION_RANGE:
+        raise _overflow(reach)
+    layout = _layout(len(numerator.context))
+    d_key = max(den)
+    d_coeff = den[d_key]
+    rest = [(k, c) for k, c in den.items() if k != d_key]
+    heap = [-k for k in remainder]
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, remainder.get
+    quotient = {}
     steps = 0
     while remainder:
+        r_key = -pop(heap)
+        r_coeff = remainder.pop(r_key, 0)
+        if not r_coeff:
+            continue
         steps += 1
         if steps > DIVISION_STEP_LIMIT:
             raise ExactDivisionError("division did not terminate (inexact input?)")
-        r_exps, r_coeff = remainder.leading_term()
         q, r = divmod(r_coeff, d_coeff)
         if r:
             raise ExactDivisionError(
                 "leading coefficient %d not divisible by %d" % (r_coeff, d_coeff)
             )
-        t_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-        quotient_terms[t_exps] = quotient_terms.get(t_exps, 0) + q
-        t = LaurentPolynomial.monomial(ctx, t_exps, q)
-        remainder = remainder - t * denominator
-    return LaurentPolynomial(ctx, quotient_terms)
+        if not layout.within_half(r_key):
+            raise ExactDivisionError("remainder exponents out of reach (inexact input?)")
+        t_key = r_key - d_key
+        quotient[t_key] = q
+        for k, c in rest:
+            k += t_key
+            c *= q
+            old = get(k)
+            if old is None:
+                remainder[k] = -c
+                push(heap, -k)
+            elif old == c:
+                del remainder[k]
+            else:
+                remainder[k] = old - c
+    # The quotient's bound is measured, not estimated from the operands, so
+    # that bounds do not compound along a chain of divisions.
+    exps = [layout.decode(k) for k in quotient]
+    return LaurentPolynomial._build(
+        numerator.context,
+        terms=dict(zip(exps, quotient.values())),
+        packed=quotient,
+        bound=_exponent_bound(exps),
+    )

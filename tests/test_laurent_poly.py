@@ -1,14 +1,22 @@
 """Unit tests for exact Laurent-polynomial arithmetic.
 
 Tags: [TRIVIAL] direct arithmetic identities; [DERIVED] randomized ring-axiom
-and division properties with seeded RNG.
+and division properties with seeded RNG, and a derandomized hypothesis
+comparison of the packed-exponent arithmetic with the tuple-keyed reference
+in ``reference.py``.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import add_terms, divide_terms, leading_term, mul_terms
 
+from dimercluster import laurent_poly
 from dimercluster.laurent_poly import (
+    EXP_LIMIT,
     ContextError,
     ExactDivisionError,
     LaurentPolynomial,
@@ -198,3 +206,77 @@ def test_division_inverts_multiplication_random():
         if not d:
             continue
         assert divide_exact(q * d, d) == q
+
+
+# ---- [DERIVED] packed arithmetic against the tuple-keyed reference ---------
+
+
+def polys(ctx, min_terms=0):
+    exps = st.tuples(*[st.integers(-6, 6)] * len(ctx))
+    coeffs = st.integers(-5, 5).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=min_terms, max_size=6).map(
+        lambda terms: LaurentPolynomial(ctx, terms)
+    )
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in xy_context(n), n <= 14 (up to 28 variables); b != 0."""
+    ctx = xy_context(draw(st.integers(1, 14)))
+    return draw(polys(ctx)), draw(polys(ctx, min_terms=1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(poly_pairs())
+def test_packed_arithmetic_equals_reference(pair):
+    a, b = pair
+    assert (a * b).terms == mul_terms(a.terms, b.terms)
+    assert (a + b).terms == add_terms(a.terms, b.terms)
+    assert (a - b).terms == add_terms(a.terms, {e: -c for e, c in b.terms.items()})
+    assert b.leading_term() == leading_term(b.terms)
+    if a:
+        assert a.leading_term() == leading_term(a.terms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(poly_pairs())
+def test_divide_exact_inverts_multiplication(pair):
+    a, b = pair
+    product = a * b
+    assert divide_exact(product, b) == a
+    assert divide_terms(product.terms, b.terms) == a.terms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(poly_pairs())
+def test_inexact_division_raises(pair):
+    a, b = pair
+    if any(c % 2 for c in a.terms.values()):
+        # the quotient would be a / 2, which has a non-integer coefficient
+        with pytest.raises(ExactDivisionError):
+            divide_exact(a * b, 2 * b)
+    if len(b.terms) > 1:
+        # only monomials are units: no Laurent polynomial times b is one term.
+        # The remainder can descend for as many steps as the limit allows, so
+        # a lower limit keeps each example short.
+        with mock.patch.object(laurent_poly, "DIVISION_STEP_LIMIT", 2000):
+            with pytest.raises(ExactDivisionError):
+                divide_exact(LaurentPolynomial.one(b.context), b)
+
+
+def test_exponents_past_the_field_range_raise():
+    x0 = LaurentPolynomial.variable(CTX, "u0")
+    one = LaurentPolynomial.one(CTX)
+    with pytest.raises(OverflowError):
+        x0 ** (2**62)
+    top = LaurentPolynomial.monomial(CTX, (EXP_LIMIT, 0, -EXP_LIMIT))
+    assert (top * one).terms == {(EXP_LIMIT, 0, -EXP_LIMIT): 1}
+    for factor in (x0, LaurentPolynomial.monomial(CTX, (0, 0, -1)), top):
+        with pytest.raises(OverflowError):
+            top * factor
+    with pytest.raises(OverflowError):
+        LaurentPolynomial.monomial(CTX, (0, EXP_LIMIT + 1, 0)) + one
+    half = LaurentPolynomial.monomial(CTX, (EXP_LIMIT // 2, 0, 0))
+    assert (half * half).terms == {(2 * (EXP_LIMIT // 2), 0, 0): 1}
+    with pytest.raises(OverflowError):
+        divide_exact(top, one + x0)
