@@ -10,12 +10,7 @@ from dimercluster import parse_quiver
 from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.cluster_invariants import dimer_invariants
-from dimercluster.mixed_dimer import (
-    count_cycles,
-    is_flippable,
-    minimal_matching,
-    support_components,
-)
+from dimercluster.mixed_dimer import is_flippable, minimal_matching, support_summary
 from dimercluster.tran_oracle import tran_f_polynomial
 
 quiver = parse_quiver("n=5; 1>0,2>1,3>2,2>4")
@@ -32,11 +27,12 @@ print()
 
 print("=== breadth-first flips ===")
 poset = FlipPoset(quiver, d)
+coeffs = poset.coefficients()
 by_rank = {}
 for e in poset.elements:
     by_rank.setdefault(sum(e), []).append(e)
 for r in sorted(by_rank):
-    row = ["%s(c=%d)" % (",".join(map(str, e)), 2 ** count_cycles(poset.configs[e]))
+    row = ["%s(c=%d)" % (",".join(map(str, e)), coeffs[e])
            for e in by_rank[r]]
     print("  rank %d: %s" % (r, "  ".join(row)))
 print("rejected as polychromatic:",
@@ -46,10 +42,11 @@ print()
 print("=== why a configuration gets weight 2 ===")
 doubled = (1, 1, 1, 0, 1)
 config = poset.configs[doubled]
-for verts, edges in support_components(config):
-    shape = "cycle" if len(edges) == len(verts) else "path/tree"
-    print("  component with %d vertices, %d edges -> %s"
-          % (len(verts), len(edges), shape))
+doubled_edges = [edge for edge, m in config.items() if m == 2]
+print("  support: %d edges, %d of them doubled" % (len(config), len(doubled_edges)))
+monochromatic, cycles = support_summary(config, graph.node_labels(d))
+print("  monochromatic: %s; components that are simple cycles: %d -> coefficient %d"
+      % (monochromatic, cycles, 2 ** cycles))
 print()
 
 print("=== the F-polynomial, two independent ways ===")

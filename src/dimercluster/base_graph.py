@@ -93,6 +93,7 @@ class BaseGraph:
         self._build_tiles()
         self._index_edges()
         self._validate()
+        self._plan()
         self._assign_weights()
         self._mark_nodes()
         self._labels = {}  # root -> node_labels(root)
@@ -216,13 +217,30 @@ class BaseGraph:
     def shared_edge(self, i, j):
         return self._shared[tuple(sorted((i, j)))]
 
-    def tile_class_edges(self, tile_index, cls):
-        """All edges of the tile (interior and boundary) with the given class."""
-        return [
-            e
-            for e in self.tiles[tile_index].edges()
-            if self._edge_class[(e, tile_index)] == cls
-        ]
+    def _plan(self):
+        """Per-graph tables that configurations are read and built with.
+
+        ``bw_sides[i]``: the bw-side edges of tile i, all present in a
+        configuration that can flip at i.  ``flip_deltas[i]``: -1 on every
+        bw-side and +1 on every wb-side of tile i.  ``closed_form_plan``: one
+        (edge, tail, head) per edge, the edge being a bw-side of tile tail and
+        a wb-side of tile head; on a boundary edge the missing tile is the
+        outer face, index n.
+        """
+        n = self.n
+        self.bw_sides = tuple(
+            tuple(e for e in tile.edges() if self._edge_class[(e, tile.index)] == BW)
+            for tile in self.tiles
+        )
+        self.flip_deltas = tuple(
+            {e: -1 if self._edge_class[(e, tile.index)] == BW else 1 for e in tile.edges()}
+            for tile in self.tiles
+        )
+        plan = []
+        for e in self.edges:
+            ends = {self._edge_class[(e, i)]: i for i in self.edge_tiles[e]}
+            plan.append((e, ends.get(BW, n), ends.get(WB, n)))
+        self.closed_form_plan = tuple(plan)
 
     # ---- weights ---------------------------------------------------------------
 

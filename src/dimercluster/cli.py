@@ -30,6 +30,11 @@ from dimercluster.quiver_core import (
 EXIT_MISMATCH = 1
 EXIT_SEMANTIC = 3
 
+# The largest sweep `verify --n` runs, in instances: 2^(n-1) orientations
+# times the n(n-1) positive roots.  Rank 10 (46,080) is within it, rank 11
+# (112,640) is not.
+MAX_SWEEP_INSTANCES = 50_000
+
 
 def _semantic_error(message):
     click.echo("error: %s" % message, err=True)
@@ -349,6 +354,16 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
     else:
         if rank < 4:
             _semantic_error("rank must be at least 4")
+        # past the limit's bit length 2^(rank-1) alone exceeds it: a huge rank
+        # builds no huge int
+        if (
+            rank > MAX_SWEEP_INSTANCES.bit_length()
+            or 2 ** (rank - 1) * rank * (rank - 1) > MAX_SWEEP_INSTANCES
+        ):
+            _semantic_error(
+                "a rank-%d sweep is 2^%d orientations x %d roots, more than the "
+                "%d instances --n allows" % (rank, rank - 1, rank * (rank - 1), MAX_SWEEP_INSTANCES)
+            )
         quivers = all_orientations(rank)
     roots = None
     if root_spec is not None:

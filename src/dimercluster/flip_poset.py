@@ -9,26 +9,31 @@ Elements are exponent vectors (each standing for its configuration), built by
 breadth-first search upward from the minimal matching: a flip at tile i moves
 from e to e + unit_i when every bw-side of the tile is present, and the
 resulting configuration joins the poset only if its support keeps
-differently-marked corners apart.  Excluded configurations are remembered but
-never expanded.
+differently-marked corners apart.  That check and the configuration's cycle
+count come from one pass over its support, made once, when the flip first
+reaches it; the coefficient 2^cycles is stored then.  Excluded configurations
+are remembered but never expanded.
 
 The order is the reflexive-transitive closure of the recorded covers, which
 coincides with coordinatewise comparison of exponent vectors.  Meets and joins
 are computed order-theoretically (principal-ideal comparison over bitmasks);
 they equal coordinatewise min/max exactly when those vectors are themselves
 members, and drop past them otherwise (the source of pentagon sublattices).
+The bitmasks take O(m^2) bits for m elements, so they are built on the first
+order query (``index``, ``leq``, ``meet``, ``join``), not with the poset.
 """
 
 from __future__ import annotations
 
+import functools
+
 from dimercluster.base_graph import BaseGraph
 from dimercluster.mixed_dimer import (
     config_from_e,
-    count_cycles,
     flip,
     is_flippable,
-    is_monochromatic,
     minimal_matching,
+    support_summary,
 )
 from dimercluster.quiver_core import check_root
 
@@ -44,55 +49,61 @@ class FlipPoset:
         self.quiver = quiver
         self.d = check_root(quiver, d)
         self.graph = graph if graph is not None else BaseGraph(quiver)
-        self._coefficients = None
         self._build()
-        self._close_order()
 
     # ---- construction -------------------------------------------------------
 
     def _build(self):
         graph, d = self.graph, self.d
         n = graph.n
+        labels = graph.node_labels(d)
         bottom = (0,) * n
         start = minimal_matching(graph, d)
-        if not is_monochromatic(graph, d, start):
+        monochromatic, cycles = support_summary(start, labels)
+        if not monochromatic:
             raise AssertionError("minimal matching joins marked corners")
-        self.configs = {bottom: start}
-        self.excluded = set()
-        cover_sets = {bottom: set()}
+        configs = self.configs = {bottom: start}
+        coefficients = self._coefficients = {bottom: 2 ** cycles}
+        excluded = self.excluded = set()
+        ups = {bottom: []}
         frontier = [bottom]
         while frontier:
             nxt = []
             for e in frontier:
-                config = self.configs[e]
+                config = configs[e]
                 for i in range(n):
                     if not is_flippable(graph, d, config, i):
                         continue
-                    e2 = tuple(x + (k == i) for k, x in enumerate(e))
-                    if e2 in self.excluded:
+                    e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                    if e2 in excluded:
                         continue
-                    if e2 not in self.configs:
+                    if e2 not in configs:
                         config2 = flip(graph, config, i)
                         # the flip result must match the closed form
                         if config2 != config_from_e(graph, d, e2):
                             raise AssertionError(
                                 "flip at %d from %r disagrees with the closed form" % (i, e)
                             )
-                        if not is_monochromatic(graph, d, config2):
-                            self.excluded.add(e2)
+                        monochromatic, cycles = support_summary(config2, labels)
+                        if not monochromatic:
+                            excluded.add(e2)
                             continue
-                        self.configs[e2] = config2
-                        cover_sets[e2] = set()
+                        configs[e2] = config2
+                        coefficients[e2] = 2 ** cycles
+                        ups[e2] = []
                         nxt.append(e2)
-                    cover_sets[e].add(e2)
+                    ups[e].append(e2)
             frontier = nxt
-        self.elements = sorted(self.configs, key=_graded)
-        self.covers = {e: sorted(cover_sets[e], key=_graded) for e in self.elements}
+        self.elements = sorted(configs, key=_graded)
+        self.covers = {e: sorted(ups[e], key=_graded) for e in self.elements}
         self.bottom = bottom
 
-    def _close_order(self):
+    @functools.cached_property
+    def _order(self):
+        """(index, down, up), built on the first order query: element ->
+        position in ``elements``, and per position the bitmask of the
+        elements below it (down) and above it (up)."""
         index = {e: k for k, e in enumerate(self.elements)}
-        self._index = index
         m = len(self.elements)
         parents = {e: [] for e in self.elements}
         for u, ups in self.covers.items():
@@ -110,19 +121,20 @@ class FlipPoset:
             for v in self.covers[self.elements[k]]:
                 mask |= up[index[v]]
             up[k] = mask
-        self._down = down
-        self._up = up
+        return index, down, up
 
     # ---- order queries ---------------------------------------------------------
 
     def index(self, e):
-        return self._index[tuple(e)]
+        return self._order[0][tuple(e)]
 
     def leq(self, u, v):
-        return bool(self._down[self.index(v)] >> self.index(u) & 1)
+        index, down, _ = self._order
+        return bool(down[index[tuple(v)]] >> index[tuple(u)] & 1)
 
     def _bound(self, masks, u, v):
-        common = masks[self.index(u)] & masks[self.index(v)]
+        index = self._order[0]
+        common = masks[index[tuple(u)]] & masks[index[tuple(v)]]
         k = common
         while k:
             low = (k & -k).bit_length() - 1
@@ -133,11 +145,11 @@ class FlipPoset:
 
     def meet(self, u, v):
         """Greatest common lower bound, or None."""
-        return self._bound(self._down, u, v)
+        return self._bound(self._order[1], u, v)
 
     def join(self, u, v):
         """Least common upper bound, or None."""
-        return self._bound(self._up, u, v)
+        return self._bound(self._order[2], u, v)
 
     def is_lattice(self):
         """(True, None) or (False, offending pair)."""
@@ -214,10 +226,9 @@ class FlipPoset:
     def coefficients(self):
         """e -> 2^(number of cycle components of its configuration).
 
-        A fresh dict on every call; the cycles are counted once per poset.
+        A fresh dict on every call; the cycles are counted once per
+        configuration, by the support pass that also admits it to the poset.
         """
-        if self._coefficients is None:
-            self._coefficients = {e: 2 ** count_cycles(cfg) for e, cfg in self.configs.items()}
         return dict(self._coefficients)
 
     def hasse_dot(self):

@@ -94,6 +94,11 @@ class _Layout:
         biased = key + self.bias
         return ((biased >> 1) ^ biased) & self.guard == self.guard
 
+    def nonnegative(self, key):
+        """Whether every exponent of ``key`` is >= 0, for a key whose
+        exponents lie within the field range."""
+        return (key + self.bias) & self.bias == self.bias
+
 
 @functools.lru_cache(maxsize=None)
 def _layout(width):
@@ -360,10 +365,15 @@ def divide_exact(numerator, denominator):
     Repeatedly cancels the graded-lex leading term of one remainder dict,
     updated in place; leading terms come from a max-heap of packed keys, and
     a popped key no longer in the remainder has cancelled and is skipped.
+    An exact quotient has every exponent j within
+    ``[min_num_j - min_den_j, max_num_j - max_den_j]`` (the Newton polytope
+    of a product is the Minkowski sum of those of its factors), so a
+    quotient term outside that box ends an inexact division at once.
     Exchange relations always divide exactly; a non-exact division here
     signals an implementation bug upstream, so every failure mode
     (non-divisible coefficient, a remainder exponent an exact quotient cannot
-    reach, step overrun) raises ExactDivisionError rather than returning junk.
+    reach, a quotient term outside the box, step overrun) raises
+    ExactDivisionError rather than returning junk.
     """
     numerator._check(denominator)
     if not denominator:
@@ -374,6 +384,11 @@ def divide_exact(numerator, denominator):
     if reach >= _DIVISION_RANGE:
         raise _overflow(reach)
     layout = _layout(len(numerator.context))
+    if remainder:
+        num_cols = list(zip(*numerator.terms))
+        den_cols = list(zip(*denominator.terms))
+        low = layout.encode([min(a) - min(b) for a, b in zip(num_cols, den_cols)])
+        high = layout.encode([max(a) - max(b) for a, b in zip(num_cols, den_cols)])
     d_key = max(den)
     d_coeff = den[d_key]
     rest = [(k, c) for k, c in den.items() if k != d_key]
@@ -390,14 +405,16 @@ def divide_exact(numerator, denominator):
         steps += 1
         if steps > DIVISION_STEP_LIMIT:
             raise ExactDivisionError("division did not terminate (inexact input?)")
+        if not layout.within_half(r_key):
+            raise ExactDivisionError("remainder exponents out of reach (inexact input?)")
+        t_key = r_key - d_key
+        if not (layout.nonnegative(t_key - low) and layout.nonnegative(high - t_key)):
+            raise ExactDivisionError("quotient term outside the exponent box (inexact input)")
         q, r = divmod(r_coeff, d_coeff)
         if r:
             raise ExactDivisionError(
                 "leading coefficient %d not divisible by %d" % (r_coeff, d_coeff)
             )
-        if not layout.within_half(r_key):
-            raise ExactDivisionError("remainder exponents out of reach (inexact input?)")
-        t_key = r_key - d_key
         quotient[t_key] = q
         for k, c in rest:
             k += t_key

@@ -9,14 +9,19 @@ form gives one configuration:
 * a boundary bw-side of tile i has multiplicity ``d_i - e_i``;
 * a boundary wb-side of tile i has multiplicity ``e_i``.
 
-e is *realizable* exactly when all interior multiplicities are nonnegative
-(the box handles the boundary).  The minimal matching is the e = 0
+The base graph holds these formulas as one (edge, tail, head) plan per
+edge, a boundary side taking the outer face as its other tile.  e is
+*realizable* exactly when all interior multiplicities are nonnegative (the
+box handles the boundary).  The minimal matching is the e = 0
 configuration; it is computed independently as a sum over the regions
 ``G_k = {i : d_i >= k}`` of their boundary bw-sides, and both routes are
 checked against each other at runtime.
 
 A *flip* at tile i lowers every bw-side of the tile by one and raises every
 wb-side by one, sending the configuration for e to the one for ``e + unit_i``.
+``support_summary`` reads in one pass over the support both whether a
+configuration keeps differently-marked corners apart and how many of its
+support components are simple cycles (its coefficient is 2^cycles).
 The inverse recovery — from an edge multiset back to e — superimposes the
 configuration with the minimal matching and peels simple cycles off the
 superposition, crediting every tile a cycle encloses (an exact ray cast from
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import weakref
 
-from dimercluster.base_graph import BW, WB, edge_key
+from dimercluster.base_graph import BW, edge_key
 
 # graph -> {root: minimal matching}; an entry lives as long as its graph.
 _MINIMAL_MATCHINGS = weakref.WeakKeyDictionary()
@@ -62,34 +67,25 @@ def config_valences(config):
 # ---- closed form -------------------------------------------------------------
 
 
-def interior_multiplicity(d, e, tail, head):
-    return max(d[tail] - d[head], 0) + e[head] - e[tail]
-
-
 def config_from_e(graph, d, e):
-    """Configuration for an exponent vector, from the multiplicity formulas."""
+    """Configuration for an exponent vector, from the multiplicity formulas.
+
+    Every edge is read as the side an arrow ``tail -> head`` shares
+    (``graph.closed_form_plan``); a boundary side shares it with the outer
+    face, index n, where d and e are 0, so both boundary formulas are the
+    interior one.
+    """
+    dd = tuple(d) + (0,)
+    ee = tuple(e) + (0,)
     config = {}
-    for edge in graph.edges:
-        tiles = graph.edge_tiles[edge]
-        if len(tiles) == 2:
-            i, j = tiles
-            if graph.quiver.arrow_sign(i, j) == 1:
-                tail, head = i, j
-            else:
-                tail, head = j, i
-            m = interior_multiplicity(d, e, tail, head)
-        else:
-            (i,) = tiles
-            if graph.edge_class(edge, i) == BW:
-                m = d[i] - e[i]
-            else:
-                m = e[i]
-        if m < 0:
-            raise ValueError(
-                "exponent vector %r is not realizable (edge %r would have "
-                "multiplicity %d)" % (tuple(e), edge, m)
-            )
+    for edge, tail, head in graph.closed_form_plan:
+        m = max(dd[tail] - dd[head], 0) + ee[head] - ee[tail]
         if m:
+            if m < 0:
+                raise ValueError(
+                    "exponent vector %r is not realizable (edge %r would have "
+                    "multiplicity %d)" % (tuple(e), edge, m)
+                )
             config[edge] = m
     return config
 
@@ -133,82 +129,90 @@ def _region_minimal_matching(graph, d):
 
 def flip(graph, config, tile_index):
     """bw-sides of the tile drop by one, wb-sides rise by one."""
-    delta = {}
-    for edge in graph.tiles[tile_index].edges():
-        delta[edge] = 1 if graph.edge_class(edge, tile_index) == WB else -1
-    return add_configs(config, delta)
+    return add_configs(config, graph.flip_deltas[tile_index])
 
 
 def is_flippable(graph, d, config, tile_index):
     if d[tile_index] < 1:
         return False
-    return all(
-        config.get(edge, 0) >= 1
-        for edge in graph.tile_class_edges(tile_index, BW)
-    )
+    for edge in graph.bw_sides[tile_index]:
+        if config.get(edge, 0) < 1:
+            return False
+    return True
 
 
 # ---- support structure -----------------------------------------------------------
 
 
-def support_components(config):
-    """Connected components of the multiplicity-positive edge set, as
-    (vertices, edges) pairs."""
+def support_summary(config, labels):
+    """(monochromatic, cycles) of a configuration, from one pass over its
+    support (the edges of nonzero multiplicity).
+
+    labels maps marked corners to their colors (``BaseGraph.node_labels``).
+    The configuration is monochromatic when no support component holds two
+    differently-marked corners.  cycles counts the components that are
+    simple cycles: every vertex meets exactly two support edges (so the
+    edge and vertex counts agree), there are at least four, and not every
+    edge is doubled.
+    """
     adj = {}
+    odd_ends = set()  # the ends of odd-multiplicity edges
     for (p, q), m in config.items():
         if m:
-            adj.setdefault(p, set()).add(q)
-            adj.setdefault(q, set()).add(p)
+            if p in adj:
+                adj[p].append(q)
+            else:
+                adj[p] = [q]
+            if q in adj:
+                adj[q].append(p)
+            else:
+                adj[q] = [p]
+            if m % 2:
+                odd_ends.add(p)
+                odd_ends.add(q)
+    monochromatic = True
+    cycles = 0
     seen = set()
-    comps = []
-    for start in sorted(adj):
+    for start in adj:
         if start in seen:
             continue
-        verts = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in verts:
-                    verts.add(w)
-                    frontier.append(w)
-        seen |= verts
-        edges = {e for e in config if config[e] and e[0] in verts}
-        comps.append((verts, edges))
-    return comps
+        seen.add(start)
+        stack = [start]
+        size = 0
+        ring = True  # every vertex so far meets two support edges
+        odd = False
+        color = None
+        while stack:
+            v = stack.pop()
+            size += 1
+            ws = adj[v]
+            if len(ws) != 2:
+                ring = False
+            if v in odd_ends:
+                odd = True
+            c = labels.get(v)
+            if c is not None:
+                if color is None:
+                    color = c
+                elif c != color:
+                    monochromatic = False
+            for w in ws:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if ring and odd and size >= 4:
+            cycles += 1
+    return monochromatic, cycles
 
 
 def count_cycles(config):
-    """Components of the support that are simple cycles.
-
-    A component counts when every vertex meets exactly two distinct support
-    edges, the edge and vertex counts agree (at least 4), and not every edge
-    is doubled.
-    """
-    total = 0
-    for verts, edges in support_components(config):
-        if len(edges) != len(verts) or len(edges) < 4:
-            continue
-        degree = {}
-        for p, q in edges:
-            degree[p] = degree.get(p, 0) + 1
-            degree[q] = degree.get(q, 0) + 1
-        if any(deg != 2 for deg in degree.values()):
-            continue
-        if all(config[e] % 2 == 0 for e in edges):
-            continue
-        total += 1
-    return total
+    """Components of the support that are simple cycles (``support_summary``)."""
+    return support_summary(config, {})[1]
 
 
 def is_monochromatic(graph, d, config):
     """No support component touches two differently-marked corners."""
-    labels = graph.node_labels(d)
-    for verts, _ in support_components(config):
-        seen = {labels[v] for v in verts if v in labels}
-        if len(seen) > 1:
-            return False
-    return True
+    return support_summary(config, graph.node_labels(d))[0]
 
 
 # ---- exponent recovery -------------------------------------------------------------

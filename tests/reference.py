@@ -10,11 +10,18 @@ tests can compare the two:
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``add_terms``, ``mul_terms``, ``leading_term`` and ``divide_terms``: Laurent
   arithmetic on dicts keyed by exponent tuples, as the package did it before
-  exponents were packed into ints, against ``LaurentPolynomial``.
+  exponents were packed into ints, against ``LaurentPolynomial``;
+* ``support_components``, ``count_cycles``, ``is_monochromatic``,
+  ``config_from_e_by_classes`` and ``flip_poset_by_classes``: the flip poset
+  as the package built it before one support pass per configuration and the
+  per-graph plans, with the support decomposed component by component and
+  every edge's tiles, arrow sign and side class read afresh, against
+  ``support_summary`` and ``FlipPoset``.
 """
 
+from dimercluster.base_graph import BW, WB
 from dimercluster.laurent_poly import DIVISION_STEP_LIMIT, ExactDivisionError
-from dimercluster.mixed_dimer import flip, minimal_matching
+from dimercluster.mixed_dimer import add_configs, flip, minimal_matching
 from dimercluster.tran_oracle import _critical_charges, _s_components, tran_f_polynomial
 
 
@@ -102,3 +109,124 @@ def divide_terms(numerator, denominator):
         product = mul_terms({t_exps: -q}, denominator)
         remainder = add_terms(remainder, product)
     return quotient
+
+
+def support_components(config):
+    """Connected components of the multiplicity-positive edge set, as
+    (vertices, edges) pairs."""
+    adj = {}
+    for (p, q), m in config.items():
+        if m:
+            adj.setdefault(p, set()).add(q)
+            adj.setdefault(q, set()).add(p)
+    seen = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        verts = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in adj[v]:
+                if w not in verts:
+                    verts.add(w)
+                    frontier.append(w)
+        seen |= verts
+        edges = {e for e in config if config[e] and e[0] in verts}
+        comps.append((verts, edges))
+    return comps
+
+
+def count_cycles(config):
+    """Components of the support that are simple cycles: every vertex meets
+    exactly two distinct support edges, the edge and vertex counts agree (at
+    least 4), and not every edge is doubled."""
+    total = 0
+    for verts, edges in support_components(config):
+        if len(edges) != len(verts) or len(edges) < 4:
+            continue
+        degree = {}
+        for p, q in edges:
+            degree[p] = degree.get(p, 0) + 1
+            degree[q] = degree.get(q, 0) + 1
+        if any(deg != 2 for deg in degree.values()):
+            continue
+        if all(config[e] % 2 == 0 for e in edges):
+            continue
+        total += 1
+    return total
+
+
+def is_monochromatic(graph, d, config):
+    """No support component touches two differently-marked corners."""
+    labels = graph.node_labels(d)
+    for verts, _ in support_components(config):
+        seen = {labels[v] for v in verts if v in labels}
+        if len(seen) > 1:
+            return False
+    return True
+
+
+def config_from_e_by_classes(graph, d, e):
+    """The closed-form configuration, reading every edge's tiles, the sign of
+    its arrow and its side class afresh."""
+    config = {}
+    for edge in graph.edges:
+        tiles = graph.edge_tiles[edge]
+        if len(tiles) == 2:
+            i, j = tiles
+            tail, head = (i, j) if graph.quiver.arrow_sign(i, j) == 1 else (j, i)
+            m = max(d[tail] - d[head], 0) + e[head] - e[tail]
+        else:
+            (i,) = tiles
+            m = d[i] - e[i] if graph.edge_class(edge, i) == BW else e[i]
+        if m < 0:
+            raise ValueError("exponent vector %r is not realizable" % (tuple(e),))
+        if m:
+            config[edge] = m
+    return config
+
+
+def _tile_class_edges(graph, tile_index, cls):
+    return [e for e in graph.tiles[tile_index].edges() if graph.edge_class(e, tile_index) == cls]
+
+
+def _graded(e):
+    return (sum(e), e)
+
+
+def flip_poset_by_classes(graph, d):
+    """(elements, excluded, covers, coefficients) of the flip poset, by the
+    breadth-first build with the helpers above."""
+    bottom = (0,) * graph.n
+    configs = {bottom: minimal_matching(graph, d)}
+    excluded = set()
+    cover_sets = {bottom: set()}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            config = configs[e]
+            for i in range(graph.n):
+                if d[i] < 1 or any(config.get(x, 0) < 1 for x in _tile_class_edges(graph, i, BW)):
+                    continue
+                e2 = tuple(x + (k == i) for k, x in enumerate(e))
+                if e2 in excluded:
+                    continue
+                if e2 not in configs:
+                    delta = {x: 1 if graph.edge_class(x, i) == WB else -1 for x in graph.tiles[i].edges()}
+                    config2 = add_configs(config, delta)
+                    assert config2 == config_from_e_by_classes(graph, d, e2)
+                    if not is_monochromatic(graph, d, config2):
+                        excluded.add(e2)
+                        continue
+                    configs[e2] = config2
+                    cover_sets[e2] = set()
+                    nxt.append(e2)
+                cover_sets[e].add(e2)
+        frontier = nxt
+    elements = sorted(configs, key=_graded)
+    covers = {e: sorted(cover_sets[e], key=_graded) for e in elements}
+    coefficients = {e: 2 ** count_cycles(config) for e, config in configs.items()}
+    return elements, excluded, covers, coefficients

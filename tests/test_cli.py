@@ -1,7 +1,9 @@
 """Command-line interface: formats, exit codes, golden snippets."""
 
+import hashlib
 import json
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -367,3 +369,48 @@ def test_exit_3_on_semantic_errors(runner):
             result = runner.invoke(main, args)
             assert result.exit_code == 3, (args, result.output)
             assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("rank", ["11", "40", "1000000"])
+def test_verify_refuses_a_sweep_past_the_limit_at_once(runner, rank):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["verify", "--n", rank, "--jobs", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 3
+    assert result.output.startswith("error: a rank-%s sweep" % rank)
+    assert result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
+def test_sweep_limit_admits_rank_10():
+    assert 2**9 * 10 * 9 <= dimercluster.cli.MAX_SWEEP_INSTANCES < 2**10 * 11 * 10
+
+
+# sha256 of stdout, taken before the flip poset computed each configuration's
+# support once and closed its order lazily; the output must not move.  The
+# rank-9 and rank-10 instances are the alternating orientations with their
+# highest roots; the rank-5 poset has an N5 witness, so its lattice
+# diagnostics read the order closure.
+PINNED_STDOUT = [
+    (
+        ["compute", "-q", "n=9; 0>1, 2>1, 2>3, 4>3, 4>5, 6>5, 6>7, 6>8",
+         "-d", "1,2,2,2,2,2,2,1,1", "-f", "json", "--explain"],
+        "3ffe1b99ca522b9c8b8a3f53048b6a10306e059396a77d64201cb405b7ea16d1",
+    ),
+    (
+        ["compute", "-q", "n=10; 0>1, 2>1, 2>3, 4>3, 4>5, 6>5, 6>7, 8>7, 9>7",
+         "-d", "1,2,2,2,2,2,2,2,1,1", "-f", "json", "--explain"],
+        "97033609e9883609a87232a2095c115e76a764121fd0fd96616be043b6f4e611",
+    ),
+    (
+        ["poset", "-q", "n=5; 1>0, 2>1, 3>2, 2>4", "-d", "1,1,2,1,1", "-f", "text", "--lattice"],
+        "f510e2c2ead569ffe02a6a1e294e1175da89287cc955f812c1bfb2ab4f5134a2",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_STDOUT, ids=["compute-9", "compute-10", "poset-5"])
+def test_stdout_is_pinned(runner, args, digest):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest

@@ -58,6 +58,14 @@ def test_coefficients_returns_a_fresh_dict():
     assert poset.coefficients() == expected
 
 
+def test_order_closure_is_built_on_the_first_order_query():
+    poset = FlipPoset(QC, D5)
+    poset.coefficients()
+    assert "_order" not in vars(poset)
+    assert poset.leq((0, 0, 0, 0, 0), (1, 1, 2, 1, 1))
+    assert "_order" in vars(poset)
+
+
 def test_rank5_rank_profile(poset_qc):
     ranks = {}
     for e in poset_qc.elements:

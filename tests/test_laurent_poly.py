@@ -7,14 +7,12 @@ in ``reference.py``.
 """
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import add_terms, divide_terms, leading_term, mul_terms
 
-from dimercluster import laurent_poly
 from dimercluster.laurent_poly import (
     EXP_LIMIT,
     ContextError,
@@ -175,6 +173,10 @@ def test_divide_exact_rejects_inexact():
         divide_exact(one + u0, 2 * one)
     with pytest.raises(ExactDivisionError):
         divide_exact(one, P({}))
+    # u0^3 + 1 = (u0 + 2)(u0^2 - 2 u0 + 4) - 7: the long division would
+    # descend below u0^0, out of the box [0, 2] that an exact quotient fills
+    with pytest.raises(ExactDivisionError, match="outside the exponent box"):
+        divide_exact(u0**3 + one, u0 + 2 * one)
 
 
 # ---- [DERIVED] randomized properties ---------------------------------------
@@ -257,11 +259,10 @@ def test_inexact_division_raises(pair):
             divide_exact(a * b, 2 * b)
     if len(b.terms) > 1:
         # only monomials are units: no Laurent polynomial times b is one term.
-        # The remainder can descend for as many steps as the limit allows, so
-        # a lower limit keeps each example short.
-        with mock.patch.object(laurent_poly, "DIVISION_STEP_LIMIT", 2000):
-            with pytest.raises(ExactDivisionError):
-                divide_exact(LaurentPolynomial.one(b.context), b)
+        # The exponent box of 1 / b is empty in a coordinate where b's terms
+        # differ, so the first quotient term already falls outside it.
+        with pytest.raises(ExactDivisionError, match="outside the exponent box"):
+            divide_exact(LaurentPolynomial.one(b.context), b)
 
 
 def test_exponents_past_the_field_range_raise():

@@ -1,0 +1,121 @@
+"""The one support pass and the per-graph plans against what they replaced.
+
+``support_summary``, ``count_cycles``, ``is_monochromatic`` and
+``config_from_e`` are compared with frozen copies of the component-by-component
+helpers and the class-by-class closed form (``reference.py``) on random
+orientations at ranks 4-9, with e drawn from the box: realizable vectors
+(monochromatic or excluded) and arbitrary ones.  The flip poset is compared
+with a frozen copy of its old breadth-first build on every instance at ranks
+4-6.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from dimercluster.base_graph import BaseGraph
+from dimercluster.flip_poset import FlipPoset
+from dimercluster.mixed_dimer import (
+    config_from_e,
+    count_cycles,
+    is_monochromatic,
+    support_summary,
+)
+from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges, positive_roots
+
+
+@st.composite
+def instances(draw):
+    """(graph, d, realizable e, any e in the box) at ranks 4-9.
+
+    The root and both vectors come from a drawn seed, so that they spread
+    over the whole box rather than gather at its low corner; half the roots
+    have a doubled entry.  The realizable
+    e is drawn vertex by vertex along the diagram, each e_v from the interval
+    its arrow to the one earlier neighbour allows: every interior
+    multiplicity ``max(d_t - d_h, 0) + e_h - e_t`` is then >= 0.
+    """
+    n = draw(st.integers(4, 9))
+    arrows = [(b, a) if draw(st.booleans()) else (a, b) for a, b in dynkin_edges(n)]
+    quiver = Quiver(n, arrows)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    roots = positive_roots(n)
+    if draw(st.booleans()):  # roots with a doubled entry: green corners, cycles
+        roots = [r for r in roots if 2 in r]
+    d = rng.choice(roots)
+    e = [rng.randint(0, d[0])]
+    for v in range(1, n):
+        u = n - 3 if v == n - 1 else v - 1
+        if quiver.arrow_sign(u, v) == 1:
+            lo, hi = e[u] - max(d[u] - d[v], 0), d[v]
+        else:
+            lo, hi = 0, e[u] + max(d[v] - d[u], 0)
+        e.append(rng.randint(max(lo, 0), min(hi, d[v])))
+    free = tuple(rng.randint(0, x) for x in d)
+    return BaseGraph(quiver), d, tuple(e), free
+
+
+def square(m01, m12, m23, m30, at=0):
+    """A 4-cycle on the corners of the unit square at (at, 0)."""
+    a, b, c, d = (at, 0), (at, 1), (at + 1, 1), (at + 1, 0)
+    return {(a, b): m01, (b, c): m12, (d, c): m23, (a, d): m30}
+
+
+@pytest.mark.parametrize(
+    "config, labels, expected",
+    [
+        (square(1, 1, 1, 1), {}, (True, 1)),
+        (square(2, 1, 2, 1), {}, (True, 1)),
+        (square(2, 2, 2, 2), {}, (True, 0)),  # every edge doubled
+        ({**square(1, 1, 1, 1), ((0, 0), (0, 2)): 0}, {}, (True, 1)),  # a zero entry
+        ({**square(1, 1, 1, 1), ((1, 1), (1, 2)): 1}, {}, (True, 0)),  # a tail
+        ({((0, 0), (1, 1)): 1, ((1, 1), (2, 0)): 1, ((0, 0), (2, 0)): 1}, {}, (True, 0)),
+        ({**square(1, 1, 1, 1), **square(1, 1, 1, 1, at=5)}, {}, (True, 2)),
+        (square(1, 1, 1, 1), {(0, 0): "red", (1, 1): "red"}, (True, 1)),
+        (square(1, 1, 1, 1), {(0, 0): "red", (1, 1): "blue"}, (False, 1)),
+        (
+            {**square(1, 1, 1, 1), **square(1, 1, 1, 1, at=5)},
+            {(0, 0): "red", (5, 0): "blue", (9, 9): "green"},
+            (True, 2),
+        ),
+    ],
+    ids=["ring", "mixed", "doubled", "zero", "tail", "triangle", "two", "one-color",
+         "two-colors", "apart"],
+)
+def test_support_pass_on_small_supports(config, labels, expected):
+    assert support_summary(config, labels) == expected
+    assert count_cycles(config) == reference.count_cycles(config) == expected[1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(instances())
+def test_support_pass_matches_the_component_helpers(instance):
+    graph, d, e, free = instance
+    config = config_from_e(graph, d, e)
+    assert config == reference.config_from_e_by_classes(graph, d, e)
+    expected = (reference.is_monochromatic(graph, d, config), reference.count_cycles(config))
+    assert support_summary(config, graph.node_labels(d)) == expected
+    assert (is_monochromatic(graph, d, config), count_cycles(config)) == expected
+    try:
+        want = reference.config_from_e_by_classes(graph, d, free)
+    except ValueError:
+        with pytest.raises(ValueError):
+            config_from_e(graph, d, free)
+    else:
+        assert config_from_e(graph, d, free) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_flip_poset_matches_the_old_build(n):
+    for quiver in all_orientations(n):
+        graph = BaseGraph(quiver)
+        for d in positive_roots(n):
+            poset = FlipPoset(quiver, d, graph=graph)
+            elements, excluded, covers, coefficients = reference.flip_poset_by_classes(graph, d)
+            assert poset.elements == elements
+            assert poset.excluded == excluded
+            assert poset.covers == covers
+            assert poset.coefficients() == coefficients
