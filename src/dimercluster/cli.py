@@ -8,6 +8,7 @@ denote a quiver/root instance).  All JSON payloads carry ``"schema": 1``.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -25,7 +26,9 @@ from dimercluster.quiver_core import (
     format_quiver,
     is_positive_root,
     parse_quiver,
+    positive_roots,
 )
+from dimercluster.tran_oracle import arrow_valid_count
 
 EXIT_MISMATCH = 1
 EXIT_SEMANTIC = 3
@@ -34,6 +37,13 @@ EXIT_SEMANTIC = 3
 # times the n(n-1) positive roots.  Rank 10 (46,080) is within it, rank 11
 # (112,640) is not.
 MAX_SWEEP_INSTANCES = 50_000
+
+# The largest flip poset `compute`, `poset` and `verify -q` build, bounded
+# before the build by the count of exponent vectors that pass the box and
+# every arrow inequality (every poset element is one of them).  The
+# alternating rank-14 highest root (a bound of 55,215, 49,427 elements) is
+# within it, the alternating rank-15 one is not.
+MAX_POSET_ELEMENTS = 100_000
 
 
 def _semantic_error(message):
@@ -61,6 +71,21 @@ def _parse_root_opt(spec, n):
     if len(d) != n or not is_positive_root(n, d):
         _semantic_error("%r is not a positive root at rank %d" % (d, n))
     return d
+
+
+def _check_poset_sizes(quiver, roots):
+    """Exit 3, before any poset is built, when a root's poset could pass
+    MAX_POSET_ELEMENTS.  The vectors that pass the arrows lie in the box, so
+    a root whose box prod(d_i + 1) is within the limit is not counted."""
+    for d in roots:
+        if math.prod(x + 1 for x in d) <= MAX_POSET_ELEMENTS:
+            continue
+        bound = arrow_valid_count(quiver, d)
+        if bound > MAX_POSET_ELEMENTS:
+            _semantic_error(
+                "the flip poset of root %s may have up to %d elements, more than the "
+                "%d allowed" % (",".join(map(str, d)), bound, MAX_POSET_ELEMENTS)
+            )
 
 
 def _check_output(ctx, param, value):
@@ -175,6 +200,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     """F-polynomial, g-vector, and Laurent expansion for one root."""
     quiver = _parse_quiver_opt(quiver_spec)
     d = _parse_root_opt(root_spec, quiver.n)
+    _check_poset_sizes(quiver, [d])
     poset = FlipPoset(quiver, d)
     f, g, laurent = dimer_invariants(poset)
     coeffs = poset.coefficients()
@@ -241,6 +267,7 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
     """Hasse diagram of the flip poset for one root."""
     quiver = _parse_quiver_opt(quiver_spec)
     d = _parse_root_opt(root_spec, quiver.n)
+    _check_poset_sizes(quiver, [d])
     p = FlipPoset(quiver, d)
     diagnostics = None
     if lattice:
@@ -370,6 +397,9 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
         if quiver_spec is None:
             raise click.UsageError("--root requires --quiver")
         roots = [_parse_root_opt(root_spec, quivers[0].n)]
+    if quiver_spec is not None:
+        # no sweep needs the check: at rank 10, its largest, every bound is <= 2,166
+        _check_poset_sizes(quivers[0], roots or positive_roots(quivers[0].n))
     tasks = [(q.n, q.arrows, oracles, roots) for q in quivers]
     jobs = min(jobs or multiprocessing.cpu_count(), len(tasks))
     if jobs > 1:

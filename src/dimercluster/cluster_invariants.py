@@ -12,7 +12,8 @@ must agree exactly.
 ``verify_root(poset, oracles, atlas)`` compares every invariant against the
 requested independent oracles — the closed-form exponent-vector conditions
 and/or direct seed mutation — and reports the outcome per quantity, together
-with the ``e <-> configuration`` roundtrip over the whole poset.
+with the ``e <-> configuration`` roundtrip over the whole poset.  An oracle
+that disagrees also gets its differences named.
 ``verify_quiver(quiver)`` is the one per-orientation loop: it checks the
 oracle names, then builds one base graph, at most one mutation atlas, and one
 poset per root.
@@ -34,6 +35,9 @@ from dimercluster.quiver_core import positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 
 ORACLE_NAMES = ("tran", "mutation")
+
+# Entries kept in each list of named differences.
+MISMATCH_LIST_LIMIT = 5
 
 
 def dimer_invariants(poset):
@@ -62,6 +66,43 @@ def dimer_invariants(poset):
     return f, g, laurent
 
 
+def _mismatches(f, g, laurent, of, og, ol):
+    """The differences between the dimer model's (f, g, laurent) and an
+    oracle's (of, og, ol), as JSON-ready lists of at most MISMATCH_LIST_LIMIT
+    entries each, in graded-lex order of the exponents:
+
+    * "f": monomials whose coefficients differ, with both (0 when absent);
+    * "g": g-coordinates that differ, with both values;
+    * "laurent_dimer_only" / "laurent_oracle_only": Laurent terms whose
+      monomial the other side lacks.
+    """
+
+    def first(items):
+        return sorted(items, key=lambda e: (sum(e), e))[:MISMATCH_LIST_LIMIT]
+
+    dimer, oracle = f.terms, of.terms
+    differing = [e for e in dimer.keys() | oracle.keys() if dimer.get(e, 0) != oracle.get(e, 0)]
+    return {
+        "f": [
+            {"exponents": list(e), "dimer": dimer.get(e, 0), "oracle": oracle.get(e, 0)}
+            for e in first(differing)
+        ],
+        "g": [
+            {"coordinate": i, "dimer": a, "oracle": b}
+            for i, (a, b) in enumerate(zip(g, og))
+            if a != b
+        ][:MISMATCH_LIST_LIMIT],
+        "laurent_dimer_only": [
+            {"exponents": list(e), "coefficient": laurent.terms[e]}
+            for e in first(laurent.terms.keys() - ol.terms.keys())
+        ],
+        "laurent_oracle_only": [
+            {"exponents": list(e), "coefficient": ol.terms[e]}
+            for e in first(ol.terms.keys() - laurent.terms.keys())
+        ],
+    }
+
+
 def verify_root(poset, oracles, atlas):
     """Compare the dimer model against independent oracles for one instance.
 
@@ -69,7 +110,8 @@ def verify_root(poset, oracles, atlas):
     ``walk_cluster_variables`` result, read only for "mutation".  Returns a
     report dict with keys "quiver", "root", "ok", "f", "g", "laurent",
     "roundtrip" (e_from_config inverts every configuration of the poset),
-    and per-oracle match flags under "oracles".
+    and per-oracle match flags under "oracles".  The entry of an oracle that
+    disagrees also names the differences under "mismatches" (``_mismatches``).
     """
     quiver, d = poset.quiver, poset.d
     n = quiver.n
@@ -101,9 +143,10 @@ def verify_root(poset, oracles, atlas):
             "g_match": og == g,
             "laurent_match": ol == laurent,
         }
-        report["oracles"][name] = entry
         if not all(entry.values()):
+            entry["mismatches"] = _mismatches(f, g, laurent, of, og, ol)
             report["ok"] = False
+        report["oracles"][name] = entry
     return report
 
 

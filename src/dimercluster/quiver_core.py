@@ -190,14 +190,15 @@ def _roots(n):
     reflection at i sends d to d - (A d)_i e_i for the Cartan matrix A, and
     the positive roots are exactly the orbit elements with all entries >= 0.
     """
-    a = cartan_matrix(n)
+    # the nonzero entries of each row of A: at most four
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan_matrix(n)]
     simples = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     seen = set(simples)
     frontier = list(simples)
     while frontier:
         nxt = []
         for d in frontier:
-            ad = [sum(x * y for x, y in zip(row, d)) for row in a]
+            ad = [sum(x * d[j] for j, x in row) for row in rows]
             for i in range(n):
                 img = list(d)
                 img[i] -= ad[i]

@@ -8,6 +8,9 @@ tests can compare the two:
 * ``component_charges``: the closed-form oracle's charge count per component
   of S, against the cycle count of the dimer configuration;
 * ``acceptable_evectors``: the closed-form support, against the poset;
+* ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
+  computed it before the tree walk, scoring every vector of the box,
+  against ``tran_f_polynomial``;
 * ``add_terms``, ``mul_terms``, ``leading_term`` and ``divide_terms``: Laurent
   arithmetic on dicts keyed by exponent tuples, as the package did it before
   exponents were packed into ints, against ``LaurentPolynomial``;
@@ -19,10 +22,23 @@ tests can compare the two:
   ``support_summary`` and ``FlipPoset``.
 """
 
+import itertools
+
 from dimercluster.base_graph import BW, WB
-from dimercluster.laurent_poly import DIVISION_STEP_LIMIT, ExactDivisionError
+from dimercluster.laurent_poly import (
+    DIVISION_STEP_LIMIT,
+    ExactDivisionError,
+    LaurentPolynomial,
+    u_context,
+)
 from dimercluster.mixed_dimer import add_configs, flip, minimal_matching
-from dimercluster.tran_oracle import _critical_charges, _s_components, tran_f_polynomial
+from dimercluster.quiver_core import check_root
+from dimercluster.tran_oracle import (
+    _critical_charges,
+    _s_components,
+    coefficient_of,
+    tran_f_polynomial,
+)
 
 
 def config_from_e_by_flips(graph, d, e):
@@ -51,6 +67,18 @@ def component_charges(quiver, d, e):
 def acceptable_evectors(quiver, d):
     """All e with nonzero coefficient, ascending graded-lex."""
     return sorted(tran_f_polynomial(quiver, d).terms, key=lambda e: (sum(e), e))
+
+
+def tran_f_polynomial_by_box(quiver, d):
+    """The closed-form F-polynomial, scoring all prod(d_i + 1) vectors of the
+    box with ``coefficient_of``."""
+    d = check_root(quiver, d)
+    terms = {}
+    for e in itertools.product(*(range(x + 1) for x in d)):
+        c = coefficient_of(quiver, d, e)
+        if c:
+            terms[e] = c
+    return LaurentPolynomial(u_context(quiver.n), terms)
 
 
 def add_terms(a, b):

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 import dimercluster.cli
 from dimercluster.cli import main
 from dimercluster.flip_poset import FlipPoset
+from dimercluster.quiver_core import dynkin_edges, parse_quiver
+from dimercluster.tran_oracle import arrow_valid_count, tran_f_polynomial
 
 QC_SPEC = "n=5; 1>0,2>1,3>2,2>4"
 QC_ROOT = "1,1,2,1,1"
@@ -384,6 +386,91 @@ def test_verify_refuses_a_sweep_past_the_limit_at_once(runner, rank):
 
 def test_sweep_limit_admits_rank_10():
     assert 2**9 * 10 * 9 <= dimercluster.cli.MAX_SWEEP_INSTANCES < 2**10 * 11 * 10
+
+
+def alternating(n):
+    """The orientation with every even vertex a source, as quiver text."""
+    return "n=%d; %s" % (
+        n,
+        ", ".join("%d>%d" % ((a, b) if a % 2 == 0 else (b, a)) for a, b in dynkin_edges(n)),
+    )
+
+
+def linear(n):
+    return "n=%d; %s" % (n, ", ".join("%d>%d" % (b, a) for a, b in dynkin_edges(n)))
+
+
+def highest_root(n):
+    return ",".join(map(str, (1,) + (2,) * (n - 3) + (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "-q", alternating(30), "-d", highest_root(30)],
+        ["poset", "-q", alternating(30), "-d", highest_root(30)],
+        ["verify", "-q", alternating(30), "-d", highest_root(30), "--oracle", "tran"],
+        ["verify", "-q", alternating(30), "--oracle", "tran"],
+    ],
+    ids=["compute", "poset", "verify-root", "verify-all-roots"],
+)
+def test_a_poset_past_the_limit_is_refused_before_it_is_built(runner, monkeypatch, args):
+    def no_build(*a, **kw):
+        raise AssertionError("a flip poset was built")
+
+    monkeypatch.setattr(FlipPoset, "__init__", no_build)
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 3
+    assert result.output.startswith("error: the flip poset of root ")
+    assert result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
+def test_the_poset_limit_is_on_size_not_rank(runner):
+    # the linear rank-30 highest root: at most 521 elements
+    result = runner.invoke(main, ["compute", "-q", linear(30), "-d", highest_root(30)])
+    assert result.exit_code == 0
+    assert "poset size: " in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "-q", QC_SPEC, "-d", QC_ROOT],
+        ["poset", "-q", QC_SPEC, "-d", QC_ROOT],
+        ["verify", "-q", QC_SPEC, "--oracle", "tran"],
+    ],
+)
+def test_a_root_whose_box_is_within_the_limit_is_not_counted(runner, monkeypatch, args):
+    def no_count(*a, **kw):
+        raise AssertionError("the vectors were counted")
+
+    monkeypatch.setattr(dimercluster.cli, "arrow_valid_count", no_count)
+    assert runner.invoke(main, args).exit_code == 0
+
+
+def test_poset_limit_admits_the_alternating_rank_14_highest_root():
+    # 49,427 elements; the rank-15 one is refused
+    rank14 = arrow_valid_count(parse_quiver(alternating(14)), map(int, highest_root(14).split(",")))
+    rank15 = arrow_valid_count(parse_quiver(alternating(15)), map(int, highest_root(15).split(",")))
+    assert 49_427 <= rank14 <= dimercluster.cli.MAX_POSET_ELEMENTS < rank15
+
+
+def test_verify_names_the_mismatches_of_a_wrong_oracle(runner, monkeypatch):
+    def wrong_tran(quiver, d):
+        f = tran_f_polynomial(quiver, d)
+        return f + f
+
+    monkeypatch.setattr(dimercluster.cluster_invariants, "tran_f_polynomial", wrong_tran)
+    result = runner.invoke(main, ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "tran", "-f", "json"])
+    assert result.exit_code == 1
+    [failure] = json.loads(result.output)["failures"]
+    mismatches = failure["oracles"]["tran"]["mismatches"]
+    assert mismatches["f"][0] == {"exponents": [0, 0, 0, 0, 0], "dimer": 1, "oracle": 2}
+    assert len(mismatches["f"]) == dimercluster.cluster_invariants.MISMATCH_LIST_LIMIT
+    assert mismatches["g"] == mismatches["laurent_dimer_only"] == mismatches["laurent_oracle_only"] == []
 
 
 # sha256 of stdout, taken before the flip poset computed each configuration's

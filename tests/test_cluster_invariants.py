@@ -2,8 +2,10 @@
 
 import pytest
 
+import dimercluster.cluster_invariants
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import (
+    MISMATCH_LIST_LIMIT,
     ORACLE_NAMES,
     dimer_invariants,
     verify_quiver,
@@ -131,6 +133,69 @@ def test_verify_quiver_subset_of_roots():
     reports = verify_quiver(Quiver(4, [(1, 0), (1, 2), (1, 3)]), roots=roots)
     assert [r["root"] for r in reports] == roots
     assert all(r["ok"] for r in reports)
+
+
+def wrong_tran(monkeypatch, f_terms=None, g_shift=0):
+    """Make the tran oracle report F with the given terms overriding its own
+    and coordinate 0 of g moved by g_shift."""
+    tran_f, tran_g = tran_f_polynomial, tran_g_vector
+
+    def f(quiver, d):
+        terms = dict(tran_f(quiver, d).terms)
+        terms.update(f_terms or {})
+        return LaurentPolynomial(u_context(quiver.n), {e: c for e, c in terms.items() if c})
+
+    def g(quiver, d):
+        og = tran_g(quiver, d)
+        return (og[0] + g_shift,) + og[1:]
+
+    monkeypatch.setattr(dimercluster.cluster_invariants, "tran_f_polynomial", f)
+    monkeypatch.setattr(dimercluster.cluster_invariants, "tran_g_vector", g)
+
+
+def test_a_wrong_f_names_the_differing_monomials(monkeypatch):
+    # the coefficient-2 monomial read as 1, and an excluded vector as a term
+    doubled, excluded = (1, 1, 1, 0, 1), (0, 0, 1, 0, 0)
+    assert F_QC[doubled] == 2 and excluded not in F_QC
+    wrong_tran(monkeypatch, {doubled: 1, excluded: 1})
+    report = verify_root(FlipPoset(QC, D5), ORACLE_NAMES, walk_cluster_variables(QC))
+    assert report["ok"] is False
+    tran = report["oracles"]["tran"]
+    assert (tran["f_match"], tran["g_match"], tran["laurent_match"]) == (False, True, False)
+    extra = expansion_from_f_and_g(QC, LaurentPolynomial(u_context(5), {excluded: 1}), G_QC)
+    assert tran["mismatches"] == {
+        "f": [
+            {"exponents": [0, 0, 1, 0, 0], "dimer": 0, "oracle": 1},
+            {"exponents": [1, 1, 1, 0, 1], "dimer": 2, "oracle": 1},
+        ],
+        "g": [],
+        "laurent_dimer_only": [],
+        "laurent_oracle_only": [
+            {"exponents": list(e), "coefficient": c} for e, c in extra.terms.items()
+        ],
+    }
+    # the oracle that agrees names nothing
+    assert report["oracles"]["mutation"] == {
+        "f_match": True,
+        "g_match": True,
+        "laurent_match": True,
+    }
+
+
+def test_a_wrong_g_names_the_coordinate_and_caps_the_laurent_lists(monkeypatch):
+    wrong_tran(monkeypatch, g_shift=1)
+    report = verify_root(FlipPoset(QC, D5), ("tran",), None)
+    mismatches = report["oracles"]["tran"]["mismatches"]
+    assert mismatches["f"] == []
+    assert mismatches["g"] == [{"coordinate": 0, "dimer": G_QC[0], "oracle": G_QC[0] + 1}]
+    # every x-exponent moves, so each of the 13 terms is on one side only
+    dimer_only, oracle_only = mismatches["laurent_dimer_only"], mismatches["laurent_oracle_only"]
+    assert len(dimer_only) == len(oracle_only) == MISMATCH_LIST_LIMIT < len(F_QC)
+    dimer_laurent = dimer_invariants(FlipPoset(QC, D5))[2]
+    lowest = sorted(dimer_laurent.terms, key=lambda e: (sum(e), e))[:MISMATCH_LIST_LIMIT]
+    assert dimer_only == [
+        {"exponents": list(e), "coefficient": dimer_laurent.terms[e]} for e in lowest
+    ]
 
 
 # ---- input validation ----------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Unit tests for the closed-form exponent-vector oracle."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+
+import dimercluster.tran_oracle
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mutation_oracle import (
     f_polynomial_from_expansion,
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
+from dimercluster.quiver_core import Quiver, all_orientations, parse_quiver, positive_roots
 from dimercluster.tran_oracle import (
     arrow_conditions_hold,
+    arrow_valid_count,
     coefficient_of,
     tran_f_polynomial,
     tran_g_vector,
@@ -33,7 +38,8 @@ from frozen import (
     QB,
     QC,
 )
-from reference import acceptable_evectors
+from reference import acceptable_evectors, tran_f_polynomial_by_box
+from test_oracle_properties import instances
 
 
 # ---- [TRIVIAL] basic conditions ----------------------------------------------
@@ -142,3 +148,69 @@ def test_simple_root_f_is_binomial_like():
             assert f == LaurentPolynomial(
                 u_context(n), {(0,) * n: 1, d: 1}
             )
+
+
+# ---- the tree walk against the frozen box scan ----------------------------------
+
+
+def box_arrow_vectors(quiver, d):
+    """Every vector of the box that passes every arrow inequality, by scanning
+    the whole box."""
+    slack = [(t, h, max(d[t] - d[h], 0)) for t, h in quiver.arrows]
+    return {
+        e
+        for e in itertools.product(*(range(x + 1) for x in d))
+        if all(e[t] - e[h] <= s for t, h, s in slack)
+    }
+
+
+def test_tree_walk_equals_box_scan_ranks_4_to_7():
+    checked = 0
+    for n in (4, 5, 6, 7):
+        roots = positive_roots(n)
+        for q in all_orientations(n):
+            for d in roots:
+                assert tran_f_polynomial(q, d) == tran_f_polynomial_by_box(q, d), (q, d)
+                assert arrow_valid_count(q, d) == len(box_arrow_vectors(q, d)), (q, d)
+                checked += 1
+    assert checked == 4064  # every orientation x root instance
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(instances(8, 10))
+def test_tree_walk_equals_box_scan_ranks_8_to_10(instance):
+    quiver, d = instance
+    assert tran_f_polynomial(quiver, d) == tran_f_polynomial_by_box(quiver, d)
+    assert arrow_valid_count(quiver, d) == len(box_arrow_vectors(quiver, d))
+
+
+def test_rank13_scores_only_the_vectors_that_pass_every_arrow(monkeypatch):
+    # the linear orientation's highest root: a box of 472,392 vectors, 113 of
+    # which pass every arrow and 100 of which are terms
+    quiver = parse_quiver("n=13; 1>0, 2>1, 3>2, 4>3, 5>4, 6>5, 7>6, 8>7, 9>8, 10>9, 11>10, 12>10")
+    d = (1,) + (2,) * 10 + (1, 1)
+    scored = []
+    original = dimercluster.tran_oracle.coefficient_of
+
+    def counted(q, dd, e):
+        scored.append(e)
+        return original(q, dd, e)
+
+    monkeypatch.setattr(dimercluster.tran_oracle, "coefficient_of", counted)
+    f = tran_f_polynomial(quiver, d)
+    valid = box_arrow_vectors(quiver, d)
+    assert len(scored) == len(valid) == arrow_valid_count(quiver, d) == 113
+    assert set(scored) == valid
+    assert len(f.terms) == 100
+
+
+def test_arrow_valid_count_bounds_the_poset(sweep4, sweep5):
+    for sweep in (sweep4, sweep5):
+        for entry in sweep.entries:
+            for d, poset in entry.posets.items():
+                assert arrow_valid_count(entry.quiver, d) >= len(poset.elements)
+
+
+def test_arrow_valid_count_rejects_non_roots():
+    with pytest.raises(ValueError):
+        arrow_valid_count(QC, (1, 0, 0, 0, 1))
