@@ -45,6 +45,12 @@ MAX_SWEEP_INSTANCES = 50_000
 # within it, the alternating rank-15 one is not.
 MAX_POSET_ELEMENTS = 100_000
 
+# The largest flip poset `poset --lattice` diagnoses.  The witness searches
+# are cubic in the element count; the slowest lattices are the distributive
+# ones, where both run to the end: 2.3-2.4 s of CPU at 128 elements and
+# 4.0-4.6 s at 150 on a 2-core sandbox (all-ones roots at ranks 10-11).
+MAX_LATTICE_ELEMENTS = 128
+
 
 def _semantic_error(message):
     click.echo("error: %s" % message, err=True)
@@ -269,14 +275,22 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
     d = _parse_root_opt(root_spec, quiver.n)
     _check_poset_sizes(quiver, [d])
     p = FlipPoset(quiver, d)
+    if lattice and len(p.elements) > MAX_LATTICE_ELEMENTS:
+        _semantic_error(
+            "--lattice diagnoses posets of at most %d elements; this one has %d"
+            % (MAX_LATTICE_ELEMENTS, len(p.elements))
+        )
     diagnostics = None
     if lattice:
         ok, _ = p.is_lattice()
+        n5 = p.n5_witness() if ok else None
+        m3 = p.m3_witness() if ok else None
         diagnostics = {
             "is_lattice": ok,
-            "distributive": p.is_distributive() if ok else None,
-            "n5_witness": p.n5_witness() if ok else None,
-            "m3_witness": p.m3_witness() if ok else None,
+            # Birkhoff: a lattice is distributive iff it has neither witness
+            "distributive": (n5 is None and m3 is None) if ok else None,
+            "n5_witness": n5,
+            "m3_witness": m3,
         }
     if fmt == "dot":
         text = p.hasse_dot()

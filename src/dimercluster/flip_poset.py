@@ -20,7 +20,7 @@ are computed order-theoretically (principal-ideal comparison over bitmasks);
 they equal coordinatewise min/max exactly when those vectors are themselves
 members, and drop past them otherwise (the source of pentagon sublattices).
 The bitmasks take O(m^2) bits for m elements, so they are built on the first
-order query (``index``, ``leq``, ``meet``, ``join``), not with the poset.
+order query (``leq``, ``meet``, ``join``), not with the poset.
 """
 
 from __future__ import annotations
@@ -125,9 +125,6 @@ class FlipPoset:
 
     # ---- order queries ---------------------------------------------------------
 
-    def index(self, e):
-        return self._order[0][tuple(e)]
-
     def leq(self, u, v):
         index, down, _ = self._order
         return bool(down[index[tuple(v)]] >> index[tuple(u)] & 1)
@@ -165,15 +162,9 @@ class FlipPoset:
             raise ValueError("not a lattice: %r and %r have no meet or join" % pair)
 
     def is_distributive(self):
-        self.require_lattice()
-        for x in self.elements:
-            for y in self.elements:
-                for z in self.elements:
-                    lhs = self.meet(x, self.join(y, z))
-                    rhs = self.join(self.meet(x, y), self.meet(x, z))
-                    if lhs != rhs:
-                        return False
-        return True
+        """No pentagon and no diamond sublattice (Birkhoff's M3-N5 theorem);
+        ValueError unless the poset is a lattice."""
+        return self.n5_witness() is None and self.m3_witness() is None
 
     # ---- forbidden-sublattice witnesses ------------------------------------------
 

@@ -32,7 +32,8 @@ between branch vertices taken as single steps.  They are ranked once by
 (longest first, enclosed tiles, sorted edges), and each in turn is peeled
 for as long as all its edges stay positive.  Peeling only shrinks the
 support, so this is the same as re-choosing the least-ranked remaining cycle
-after every single peel.
+after every single peel.  A leftover even edge passes the peel, so the
+recovered vector's closed form must give the input back.
 """
 
 from __future__ import annotations
@@ -205,16 +206,6 @@ def support_summary(config, labels):
     return monochromatic, cycles
 
 
-def count_cycles(config):
-    """Components of the support that are simple cycles (``support_summary``)."""
-    return support_summary(config, {})[1]
-
-
-def is_monochromatic(graph, d, config):
-    """No support component touches two differently-marked corners."""
-    return support_summary(config, graph.node_labels(d))[0]
-
-
 # ---- exponent recovery -------------------------------------------------------------
 
 
@@ -307,8 +298,9 @@ def e_from_config(graph, d, config):
     """Recover the exponent vector by peeling cycles off config + minimal.
 
     Inverse of config_from_e; raises ValueError if the multiset is not a
-    valid configuration for the root, if a key is not an edge of the graph,
-    or if a multiplicity is negative.
+    valid configuration for the root (the peeled vector's closed form must
+    give it back), if a key is not an edge of the graph, or if a
+    multiplicity is negative.
     """
     for edge, m in config.items():
         if edge not in graph.edge_tiles:
@@ -333,7 +325,15 @@ def e_from_config(graph, d, config):
                 e[t] += times
     if any(m % 2 for m in total.values()):
         raise ValueError("leftover odd multiplicity after peeling")
-    return tuple(e)
+    e = tuple(e)
+    # a leftover even edge passes the peel, so the closed form has the last word
+    try:
+        closed = config_from_e(graph, d, e)
+    except ValueError:
+        closed = None
+    if closed != {edge: m for edge, m in config.items() if m}:
+        raise ValueError("not the configuration of the peeled exponent vector %r" % (e,))
+    return e
 
 
 # ---- weights -----------------------------------------------------------------------

@@ -18,17 +18,17 @@ coefficient-free term (y-part zero), and the F-polynomial is ``L`` with every
 ``x_i`` set to 1.  The converse, ``expansion_from_f_and_g``, relabels each
 term of F into one term of ``L``; the dimer model and the closed-form oracle
 use it too.
+
+The cluster variables come from ``walk_cluster_variables``, repeated source
+sweeps that touch O(n^2) seeds.  The breadth-first search over the whole
+exchange graph, which the walk is checked against at ranks 4-6, is a
+test reference (``tests/reference.py``), not part of the package.
 """
 
 from __future__ import annotations
 
-import os
-
 from dimercluster.laurent_poly import LaurentPolynomial, divide_exact, u_context, xy_context
 from dimercluster.quiver_core import is_positive_root
-
-DEFAULT_SEED_BUDGET = 100000
-SEED_BUDGET_ENV = "DIMERCLUSTER_SEED_BUDGET"
 
 
 class Seed:
@@ -178,62 +178,3 @@ def walk_cluster_variables(quiver):
     if stray:
         raise RuntimeError("denominator vectors outside the root system: %s" % stray)
     return atlas
-
-
-# ---- exhaustive seed enumeration -------------------------------------------
-
-
-def _poly_key(poly):
-    return tuple(sorted(poly.terms.items()))
-
-
-def _canonical_seed_key(seed):
-    """Seed key invariant under simultaneous relabeling of cluster positions.
-
-    Relabeling permutes cluster entries, the matrix columns, and the top rows
-    (the bottom rows are pinned to y0..y{n-1}).  Cluster entries in one seed
-    are pairwise distinct, so sorting them fixes a unique permutation.
-    """
-    n = seed.n
-    perm = sorted(range(n), key=lambda i: _poly_key(seed.cluster[i]))
-    ext = seed.ext
-    top = tuple(tuple(ext[i][j] for j in perm) for i in perm)
-    bottom = tuple(tuple(row[j] for j in perm) for row in ext[n:])
-    cluster_key = tuple(_poly_key(seed.cluster[i]) for i in perm)
-    return cluster_key, top, bottom
-
-
-def enumerate_cluster_variables(quiver):
-    """BFS over the whole exchange graph; returns (atlas, seed_count).
-
-    The atlas maps denominator vectors of non-initial variables to Laurent
-    expansions.  The number of distinct seeds visited is capped by
-    DIMERCLUSTER_SEED_BUDGET (default 100000) — exceeding it raises, because
-    these enumerations are meant to be exhaustive.
-    """
-    seed_budget = int(os.environ.get(SEED_BUDGET_ENV, DEFAULT_SEED_BUDGET))
-    n = quiver.n
-    start = initial_seed(quiver)
-    seen = {_canonical_seed_key(start)}
-    frontier = [start]
-    atlas = {}
-    while frontier:
-        nxt = []
-        for seed in frontier:
-            for k in range(n):
-                neighbor = mutate_seed(seed, k)
-                key = _canonical_seed_key(neighbor)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > seed_budget:
-                    raise RuntimeError(
-                        "seed budget %d exceeded; set %s to raise it"
-                        % (seed_budget, SEED_BUDGET_ENV)
-                    )
-                d = denominator_vector(neighbor.cluster[k], n)
-                if any(x > 0 for x in d) and d not in atlas:
-                    atlas[d] = neighbor.cluster[k]
-                nxt.append(neighbor)
-        frontier = nxt
-    return atlas, len(seen)

@@ -13,16 +13,19 @@ of two determined by local patterns around the entries with d_i = 2:
   charged twice or more kill the monomial; the coefficient is 2^(number of
   uncharged components).
 
-Each arrow inequality involves two adjacent vertices of a tree, so the
-vectors that pass the box and every arrow are enumerated by a walk along the
-vertex indices, a connected order of the diagram: every vertex v >= 1 has one
-earlier neighbour u (v - 1, or n - 3 for the fork tip n - 1), and given e_u
-the arrow between them leaves an interval of e_v, e_v >= e_u - max(d_u - d_v,
+The vertex indices are a connected order of the diagram: every vertex
+v >= 1 has one earlier neighbour, its parent u (v - 1, or n - 3 for the fork
+tip n - 1), and every arrow lies on one such parent edge.  Each arrow
+inequality involves a vertex and its parent, so the vectors that pass the box
+and every arrow are enumerated by a walk along the indices: given e_u the
+arrow between u and v leaves an interval of e_v, e_v >= e_u - max(d_u - d_v,
 0) for u -> v and e_v <= e_u + max(d_v - d_u, 0) for v -> u.  Cut to
 [0, d_v] that interval is never empty (e_v = d_v fits u -> v and e_v = 0
-fits v -> u), so the walk never dead-ends and visits only those vectors;
-``coefficient_of`` scores each one.  The same intervals, as transfer tables
-multiplied along the reversed order, count the vectors without listing them
+fits v -> u), so the walk never dead-ends and visits only those vectors.
+``coefficient_of`` scores each one by a pass over the same parent edges: the
+components of S are the runs of S joined by parent edges, and every critical
+arrow is a parent edge.  The intervals, as transfer tables multiplied along
+the reversed order, also count the vectors without listing them
 (``arrow_valid_count``).
 
 The g-vector is read off the root and the orientation alone: each arrow
@@ -32,7 +35,7 @@ t -> h contributes d_h to coordinate t on top of -d.
 from __future__ import annotations
 
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
-from dimercluster.quiver_core import check_root, dynkin_edges
+from dimercluster.quiver_core import check_root
 
 
 def arrow_conditions_hold(quiver, d, e):
@@ -45,63 +48,55 @@ def arrow_conditions_hold(quiver, d, e):
     return True
 
 
-def _s_components(n, d, e):
-    """Connected components (diagram adjacency) of {i : (d_i, e_i) = (2, 1)}."""
-    s = {i for i in range(n) if d[i] == 2 and e[i] == 1}
-    adj = {i: set() for i in s}
-    for a, b in dynkin_edges(n):
-        if a in s and b in s:
-            adj[a].add(b)
-            adj[b].add(a)
-    comps = []
-    todo = set(s)
-    while todo:
-        root = todo.pop()
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        todo -= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _critical_charges(quiver, d, e, comps):
-    """Number of critical arrows charged to each component of S."""
-    charges = {comp: 0 for comp in comps}
-    comp_of = {i: comp for comp in comps for i in comp}
-    for t, h in quiver.arrows:
-        if (d[t], e[t]) == (2, 1) and (d[h], e[h]) == (1, 0):
-            charges[comp_of[t]] += 1
-        elif (d[t], e[t]) == (1, 1) and (d[h], e[h]) == (2, 1):
-            charges[comp_of[h]] += 1
-    return charges
+def _parent(n, v):
+    """The one earlier neighbour of vertex v >= 1 in the index order: n - 3
+    for the fork tip n - 1, v - 1 otherwise.  Every edge of the diagram joins
+    a vertex to its parent."""
+    return n - 3 if v == n - 1 else v - 1
 
 
 def coefficient_of(quiver, d, e):
-    """Coefficient of u^e in the F-polynomial (0 if e is not supported)."""
+    """Coefficient of u^e in the F-polynomial (0 if e is not supported).
+
+    One pass over the parent edges in index order, parents first: a vertex of
+    S takes its parent's component label when the parent is in S too, and
+    starts a component (labelled by itself) otherwise; the arrow on the edge,
+    if critical, charges the label of its S end.
+    """
     e = tuple(int(x) for x in e)
     if not arrow_conditions_hold(quiver, d, e):
         return 0
-    comps = _s_components(quiver.n, d, e)
-    charges = _critical_charges(quiver, d, e, comps)
-    if any(c >= 2 for c in charges.values()):
-        return 0
-    return 2 ** sum(1 for c in charges.values() if c == 0)
+    n = quiver.n
+    label = [-1] * n  # the component of S holding v, -1 off S
+    charges = [0] * n  # per label
+    if d[0] == 2 and e[0] == 1:
+        label[0] = 0
+    for v in range(1, n):
+        u = _parent(n, v)
+        if d[v] == 2 and e[v] == 1:
+            label[v] = label[u] if label[u] >= 0 else v
+        t, h = (u, v) if (u, v) in quiver.arrows else (v, u)
+        if label[t] >= 0 and d[h] == 1 and e[h] == 0:
+            charges[label[t]] += 1
+        elif label[h] >= 0 and d[t] == 1 and e[t] == 1:
+            charges[label[h]] += 1
+    uncharged = 0
+    for v in range(n):
+        if label[v] == v:
+            if charges[v] >= 2:
+                return 0
+            uncharged += not charges[v]
+    return 2 ** uncharged
 
 
 def _tree_steps(quiver, d):
-    """(u, v, allowed) for v = 1..n-1: u is v's one earlier neighbour, and
+    """(u, v, allowed) for v = 1..n-1: u is v's parent, and
     allowed[x] is the range of e_v that the box and the arrow between u and v
     leave when e_u = x."""
     n = quiver.n
     steps = []
     for v in range(1, n):
-        u = n - 3 if v == n - 1 else v - 1
+        u = _parent(n, v)
         if (u, v) in quiver.arrows:
             slack = max(d[u] - d[v], 0)
             allowed = [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]

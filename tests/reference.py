@@ -7,10 +7,18 @@ tests can compare the two:
   from the minimal matching, against the closed-form multiplicities;
 * ``component_charges``: the closed-form oracle's charge count per component
   of S, against the cycle count of the dimer configuration;
+* ``coefficient_of``: the closed-form coefficient as the package computed it
+  before the pass over the parent edges, with S split into components by a
+  search over the diagram, against ``tran_oracle.coefficient_of``;
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
-  computed it before the tree walk, scoring every vector of the box,
-  against ``tran_f_polynomial``;
+  computed it before the tree walk, scoring every vector of the box with the
+  ``coefficient_of`` above, against ``tran_f_polynomial``;
+* ``enumerate_cluster_variables``: every cluster variable by a breadth-first
+  search over the whole exchange graph, against the source-sweep walk;
+* ``is_distributive``: distributivity of a flip lattice by the triple
+  meet/join loop, against ``FlipPoset.is_distributive`` (Birkhoff's
+  witnesses);
 * ``add_terms``, ``mul_terms``, ``leading_term`` and ``divide_terms``: Laurent
   arithmetic on dicts keyed by exponent tuples, as the package did it before
   exponents were packed into ints, against ``LaurentPolynomial``;
@@ -32,13 +40,9 @@ from dimercluster.laurent_poly import (
     u_context,
 )
 from dimercluster.mixed_dimer import add_configs, flip, minimal_matching
-from dimercluster.quiver_core import check_root
-from dimercluster.tran_oracle import (
-    _critical_charges,
-    _s_components,
-    coefficient_of,
-    tran_f_polynomial,
-)
+from dimercluster.mutation_oracle import denominator_vector, initial_seed, mutate_seed
+from dimercluster.quiver_core import check_root, dynkin_edges
+from dimercluster.tran_oracle import arrow_conditions_hold, tran_f_polynomial
 
 
 def config_from_e_by_flips(graph, d, e):
@@ -51,6 +55,55 @@ def config_from_e_by_flips(graph, d, e):
     if any(m < 0 for m in config.values()):
         raise ValueError("flip sequence for %r left negative multiplicities" % (e,))
     return config
+
+
+def _s_components(n, d, e):
+    """Connected components (diagram adjacency) of {i : (d_i, e_i) = (2, 1)}."""
+    s = {i for i in range(n) if d[i] == 2 and e[i] == 1}
+    adj = {i: set() for i in s}
+    for a, b in dynkin_edges(n):
+        if a in s and b in s:
+            adj[a].add(b)
+            adj[b].add(a)
+    comps = []
+    todo = set(s)
+    while todo:
+        root = todo.pop()
+        comp = {root}
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            for w in adj[v]:
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        todo -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _critical_charges(quiver, d, e, comps):
+    """Number of critical arrows charged to each component of S."""
+    charges = {comp: 0 for comp in comps}
+    comp_of = {i: comp for comp in comps for i in comp}
+    for t, h in quiver.arrows:
+        if (d[t], e[t]) == (2, 1) and (d[h], e[h]) == (1, 0):
+            charges[comp_of[t]] += 1
+        elif (d[t], e[t]) == (1, 1) and (d[h], e[h]) == (2, 1):
+            charges[comp_of[h]] += 1
+    return charges
+
+
+def coefficient_of(quiver, d, e):
+    """Coefficient of u^e in the F-polynomial (0 if e is not supported)."""
+    e = tuple(int(x) for x in e)
+    if not arrow_conditions_hold(quiver, d, e):
+        return 0
+    comps = _s_components(quiver.n, d, e)
+    charges = _critical_charges(quiver, d, e, comps)
+    if any(c >= 2 for c in charges.values()):
+        return 0
+    return 2 ** sum(1 for c in charges.values() if c == 0)
 
 
 def component_charges(quiver, d, e):
@@ -258,3 +311,71 @@ def flip_poset_by_classes(graph, d):
     covers = {e: sorted(cover_sets[e], key=_graded) for e in elements}
     coefficients = {e: 2 ** count_cycles(config) for e, config in configs.items()}
     return elements, excluded, covers, coefficients
+
+
+# The most seeds ``enumerate_cluster_variables`` visits; rank 6 has 672.
+SEED_BUDGET = 100_000
+
+
+def _poly_key(poly):
+    return tuple(sorted(poly.terms.items()))
+
+
+def _canonical_seed_key(seed):
+    """Seed key invariant under simultaneous relabeling of cluster positions.
+
+    Relabeling permutes cluster entries, the matrix columns, and the top rows
+    (the bottom rows are pinned to y0..y{n-1}).  Cluster entries in one seed
+    are pairwise distinct, so sorting them fixes a unique permutation.
+    """
+    n = seed.n
+    perm = sorted(range(n), key=lambda i: _poly_key(seed.cluster[i]))
+    ext = seed.ext
+    top = tuple(tuple(ext[i][j] for j in perm) for i in perm)
+    bottom = tuple(tuple(row[j] for j in perm) for row in ext[n:])
+    cluster_key = tuple(_poly_key(seed.cluster[i]) for i in perm)
+    return cluster_key, top, bottom
+
+
+def enumerate_cluster_variables(quiver):
+    """BFS over the whole exchange graph; returns (atlas, seed_count).
+
+    The atlas maps denominator vectors of non-initial variables to Laurent
+    expansions.  Visiting more than SEED_BUDGET distinct seeds raises,
+    because these enumerations are meant to be exhaustive.
+    """
+    n = quiver.n
+    start = initial_seed(quiver)
+    seen = {_canonical_seed_key(start)}
+    frontier = [start]
+    atlas = {}
+    while frontier:
+        nxt = []
+        for seed in frontier:
+            for k in range(n):
+                neighbor = mutate_seed(seed, k)
+                key = _canonical_seed_key(neighbor)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(seen) > SEED_BUDGET:
+                    raise RuntimeError("seed budget %d exceeded" % SEED_BUDGET)
+                d = denominator_vector(neighbor.cluster[k], n)
+                if any(x > 0 for x in d) and d not in atlas:
+                    atlas[d] = neighbor.cluster[k]
+                nxt.append(neighbor)
+        frontier = nxt
+    return atlas, len(seen)
+
+
+def is_distributive(poset):
+    """x ^ (y v z) == (x ^ y) v (x ^ z) for every triple of a lattice."""
+    poset.require_lattice()
+    for x in poset.elements:
+        for y in poset.elements:
+            for z in poset.elements:
+                lhs = poset.meet(x, poset.join(y, z))
+                rhs = poset.join(poset.meet(x, y), poset.meet(x, z))
+                if lhs != rhs:
+                    return False
+    return True

@@ -458,6 +458,36 @@ def test_poset_limit_admits_the_alternating_rank_14_highest_root():
     assert 49_427 <= rank14 <= dimercluster.cli.MAX_POSET_ELEMENTS < rank15
 
 
+def test_lattice_diagnostics_past_the_limit_are_refused_before_any_order_query(
+    runner, monkeypatch
+):
+    # the all-ones root of the rank-10 alternating orientation: a distributive
+    # lattice of 157 elements
+    args = ["poset", "-q", alternating(10), "-d", ",".join("1" * 10), "-f", "text"]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0
+    assert plain.output.startswith("elements (157):")
+    for name in ("is_lattice", "leq", "meet", "join", "n5_witness", "m3_witness"):
+        monkeypatch.setattr(FlipPoset, name, lambda *a, **kw: pytest.fail("order query ran"))
+    result = runner.invoke(main, args + ["--lattice"])
+    assert result.exit_code == 3
+    assert result.output == (
+        "error: --lattice diagnoses posets of at most %d elements; this one has 157\n"
+        % dimercluster.cli.MAX_LATTICE_ELEMENTS
+    )
+
+
+def test_lattice_limit_admits_a_poset_of_its_size(runner, monkeypatch):
+    # the rank-5 frozen poset has 13 elements
+    args = ["poset", "-q", QC_SPEC, "-d", QC_ROOT, "-f", "text", "--lattice"]
+    monkeypatch.setattr(dimercluster.cli, "MAX_LATTICE_ELEMENTS", 13)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "lattice: non-distributive" in result.output
+    monkeypatch.setattr(dimercluster.cli, "MAX_LATTICE_ELEMENTS", 12)
+    assert runner.invoke(main, args).exit_code == 3
+
+
 def test_verify_names_the_mismatches_of_a_wrong_oracle(runner, monkeypatch):
     def wrong_tran(quiver, d):
         f = tran_f_polynomial(quiver, d)

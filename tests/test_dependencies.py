@@ -1,5 +1,6 @@
 """Runtime dependencies: pyproject.toml declares exactly what the package
-imports, and the CLI runs in an interpreter where numpy cannot be imported."""
+imports, the CLI runs in an interpreter where numpy cannot be imported, and
+no module of the package reads an environment variable."""
 
 import ast
 import os
@@ -23,6 +24,25 @@ def _third_party_imports(directory, local=()):
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
     return names - set(sys.stdlib_module_names) - {"dimercluster"} - set(local)
+
+
+def _environment_reads(directory):
+    """(file, line) of every use of os.environ, os.getenv or a bare environ
+    or getenv name in *.py in directory."""
+    reads = []
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("environ", "getenv", "environb", "getenvb"):
+                reads.append((path.name, getattr(node, "lineno", None)))
+    return reads
 
 
 def _requirement_names(requirements):
@@ -49,6 +69,11 @@ def test_test_extra_is_what_the_suite_imports_beyond_runtime(project):
     assert _third_party_imports(tests, local) - runtime == _requirement_names(
         project["optional-dependencies"]["test"]
     )
+
+
+def test_the_package_reads_no_environment_variable():
+    # every knob is a command-line option or a named constant
+    assert _environment_reads(ROOT / "src" / "dimercluster") == []
 
 
 def test_cli_verifies_with_numpy_blocked():

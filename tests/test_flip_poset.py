@@ -1,6 +1,7 @@
 """Unit tests for the flip poset and its lattice structure."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
 from dimercluster.tran_oracle import coefficient_of, tran_f_polynomial
 
 from frozen import D5, D6, N5_WITNESS_QC, POLY_EXCLUDED_QA, POSET_COVERS_QC, QA, QC
+import reference
 from reference import acceptable_evectors
 
 
@@ -186,6 +188,26 @@ def test_birkhoff_consistency_rank4_doubled_roots():
         assert ok
         dist = poset.is_distributive()
         assert dist == (poset.n5_witness() is None and poset.m3_witness() is None)
+
+
+def test_distributive_equals_the_frozen_triple_loop(sweep4, sweep5):
+    # every lattice at ranks 4-5 and a seeded sample of rank-6 instances
+    posets = [
+        poset for sweep in (sweep4, sweep5) for entry in sweep.entries
+        for poset in entry.posets.values()
+    ]
+    rng = random.Random(1326)
+    rank6 = [(q, d) for q in all_orientations(6) for d in positive_roots(6)]
+    posets += [FlipPoset(q, d) for q, d in rng.sample(rank6, 60)]
+    verdicts = []
+    for poset in posets:
+        if poset.is_lattice()[0]:
+            verdicts.append(poset.is_distributive())
+            assert verdicts[-1] == reference.is_distributive(poset), (poset.quiver, poset.d)
+        else:
+            with pytest.raises(ValueError, match="not a lattice"):
+                poset.is_distributive()
+    assert (verdicts.count(False), verdicts.count(True)) == (63, 405)
 
 
 def test_hasse_dot_renders(poset_qc):

@@ -10,15 +10,14 @@ from dimercluster.mixed_dimer import (
     add_configs,
     config_from_e,
     config_valences,
-    count_cycles,
     e_from_config,
     flip,
     is_flippable,
-    is_monochromatic,
     minimal_matching,
+    support_summary,
     x_exponents,
 )
-from dimercluster.quiver_core import all_orientations, positive_roots
+from dimercluster.quiver_core import all_orientations, parse_quiver, positive_roots
 
 from frozen import (
     D5,
@@ -162,14 +161,14 @@ def test_cycle_counts_rank5(gc):
         (1, 1, 2, 0, 1): 0,
     }
     for e, expected in cases.items():
-        assert count_cycles(config_from_e(gc, D5, e)) == expected, e
+        assert support_summary(config_from_e(gc, D5, e), {})[1] == expected, e
 
 
 def test_cycle_count_matches_coefficient_everywhere(gc):
     from dimercluster.tran_oracle import coefficient_of
 
     for e in acceptable_evectors(QC, D5):
-        c = count_cycles(config_from_e(gc, D5, e))
+        c = support_summary(config_from_e(gc, D5, e), {})[1]
         assert 2 ** c == coefficient_of(QC, D5, e)
 
 
@@ -178,11 +177,13 @@ def test_cycle_count_matches_coefficient_everywhere(gc):
 
 def test_monochromatic_frozen_cases(ga, gc):
     # the brick flip from the rank-5 minimal matching joins green to red
+    labels = gc.node_labels(D5)
     bad = config_from_e(gc, D5, (0, 0, 1, 0, 0))
-    assert not is_monochromatic(gc, D5, bad)
-    assert is_monochromatic(gc, D5, minimal_matching(gc, D5))
+    assert not support_summary(bad, labels)[0]
+    assert support_summary(minimal_matching(gc, D5), labels)[0]
     # the excluded rank-6 vector joins marked corners too
-    assert not is_monochromatic(ga, D6, config_from_e(ga, D6, POLY_EXCLUDED_QA))
+    excluded = config_from_e(ga, D6, POLY_EXCLUDED_QA)
+    assert not support_summary(excluded, ga.node_labels(D6))[0]
 
 
 # ---- exponent recovery ----------------------------------------------------------------
@@ -202,6 +203,19 @@ def test_e_from_config_rejects_garbage(gc):
     broken[edge] += 1  # odd superimposed valence at both endpoints
     with pytest.raises(ValueError):
         e_from_config(gc, D5, broken)
+
+
+def test_e_from_config_rejects_a_leftover_even_edge():
+    # the peel passes over an edge of even multiplicity on no cycle, and once
+    # returned e = (0, 0, 0, 1) for this multiset
+    quiver = parse_quiver("n=4; 0>1, 1>2, 1>3")
+    graph = BaseGraph(quiver)
+    d = (0, 0, 0, 1)
+    config = config_from_e(graph, d, (0, 0, 0, 1))
+    assert e_from_config(graph, d, config) == (0, 0, 0, 1)
+    padded = add_configs(config, {((2, 1), (3, 1)): 4})
+    with pytest.raises(ValueError, match="not the configuration of the peeled"):
+        e_from_config(graph, d, padded)
 
 
 def test_e_from_config_rejects_keys_that_are_not_edges(gc):

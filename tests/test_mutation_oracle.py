@@ -7,7 +7,6 @@ from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mutation_oracle import (
     Seed,
     denominator_vector,
-    enumerate_cluster_variables,
     expansion_from_f_and_g,
     f_polynomial_from_expansion,
     g_vector_from_expansion,
@@ -34,6 +33,7 @@ from frozen import (
     SEED_COUNTS,
     YHAT_QC,
 )
+from reference import enumerate_cluster_variables
 
 
 def laurent_from_triples(n, triples):
@@ -208,6 +208,13 @@ def test_walk_matches_bfs_rank5_spot():
     bfs, seed_count = enumerate_cluster_variables(QC)
     assert walk == bfs
     assert seed_count == SEED_COUNTS[5]
+
+
+def test_walk_matches_bfs_rank6_spot():
+    walk = walk_cluster_variables(QA)
+    bfs, seed_count = enumerate_cluster_variables(QA)
+    assert walk == bfs
+    assert seed_count == SEED_COUNTS[6]
 
 
 def test_walk_atlas_properties_rank6():

@@ -6,8 +6,10 @@ edges)``.  Its cycle search, tile test and peel loop are kept below verbatim
 as the reference; the library must give the same exponent vector, or raise
 ``ValueError`` with the same message, on every rank-4 and rank-5 poset
 configuration and on seeded perturbations of them, and must enumerate the
-same cycles.  A perturbation that makes a multiplicity negative is the one
-exception: the reference peeled it anyway, the library raises ValueError.
+same cycles.  There are two exceptions, where the reference returned an
+exponent vector and the library raises ValueError: a perturbation that makes
+a multiplicity negative, and one whose peeled vector's closed form is not the
+input (the peel passes over a leftover even edge).
 """
 
 import random
@@ -18,6 +20,7 @@ from dimercluster.base_graph import edge_key
 from dimercluster.mixed_dimer import (
     _support_cycles,
     add_configs,
+    config_from_e,
     config_valences,
     e_from_config,
     minimal_matching,
@@ -131,6 +134,14 @@ def perturbed_inputs(graph, configs, rng):
         yield add_configs(config, rng.choice(configs))
 
 
+def maps_back(graph, d, e, config):
+    """Whether the closed form of e is config."""
+    try:
+        return config_from_e(graph, d, e) == config
+    except ValueError:
+        return False
+
+
 def assert_same_cycles(graph, d, config):
     total = add_configs(config, minimal_matching(graph, d))
     support = [edge for edge, m in total.items() if m > 0]
@@ -158,7 +169,7 @@ def test_peel_matches_reference_on_every_poset_configuration(request, rank):
 def test_peel_matches_reference_on_perturbed_inputs(request, rank):
     sweep = request.getfixturevalue("sweep%d" % rank)
     rng = random.Random(20200 + rank)
-    valid = invalid = negative = 0
+    valid = invalid = negative = leftover = 0
     for entry in sweep.entries:
         for d, poset in entry.posets.items():
             configs = list(poset.configs.values())
@@ -171,10 +182,20 @@ def test_peel_matches_reference_on_perturbed_inputs(request, rank):
                     negative += 1
                     continue
                 want = outcome(reference_e_from_config, entry.graph, d, config)
-                assert outcome(e_from_config, entry.graph, d, config) == want
+                got = outcome(e_from_config, entry.graph, d, config)
                 if want[0] == "ValueError":
+                    assert got == want
                     invalid += 1
+                    continue
+                valid += 1
+                if maps_back(entry.graph, d, want, config):
+                    assert got == want
                 else:
-                    valid += 1
-    # both outcomes are exercised in quantity
-    assert valid >= 100 and invalid >= 100 and negative > 0
+                    # the reference's vector belongs to another configuration
+                    assert got == (
+                        "ValueError",
+                        "not the configuration of the peeled exponent vector %r" % (want,),
+                    )
+                    leftover += 1
+    # every outcome is exercised, the reference's two in quantity
+    assert valid >= 100 and invalid >= 100 and negative > 0 and leftover > 0

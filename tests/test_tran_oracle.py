@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimercluster.tran_oracle
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
@@ -38,6 +39,7 @@ from frozen import (
     QB,
     QC,
 )
+import reference
 from reference import acceptable_evectors, tran_f_polynomial_by_box
 from test_oracle_properties import instances
 
@@ -90,6 +92,42 @@ def test_uncharged_component_doubles():
 def test_empty_s_gives_one():
     assert coefficient_of(QC, D5, (0, 0, 0, 0, 0)) == 1
     assert coefficient_of(QC, D5, D5) == 1
+
+
+# ---- the pass over the parent edges against the frozen component search -------
+
+
+def test_coefficient_equals_the_frozen_copy_ranks_4_to_6():
+    # every vector of the box at ranks 4-6, and a margin of one around it at
+    # ranks 4-5, where the box check answers
+    checked = 0
+    for n in (4, 5, 6):
+        margin = 1 if n < 6 else 0
+        roots = positive_roots(n)
+        for q in all_orientations(n):
+            for d in roots:
+                for e in itertools.product(*(range(-margin, x + 1 + margin) for x in d)):
+                    assert coefficient_of(q, d, e) == reference.coefficient_of(q, d, e), (q, d, e)
+                    checked += 1
+    assert checked == 249_920
+
+
+@st.composite
+def instances_with_vectors(draw):
+    quiver, d = draw(instances(7, 10))
+    vector = st.one_of(
+        st.tuples(*(st.integers(0, x) for x in d)),
+        st.tuples(*(st.integers(-1, x + 1) for x in d)),
+    )
+    return quiver, d, draw(st.lists(vector, min_size=1, max_size=30))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(instances_with_vectors())
+def test_coefficient_equals_the_frozen_copy_ranks_7_to_10(instance):
+    quiver, d, vectors = instance
+    for e in vectors:
+        assert coefficient_of(quiver, d, e) == reference.coefficient_of(quiver, d, e)
 
 
 # ---- frozen instances -----------------------------------------------------------
