@@ -225,7 +225,9 @@ class BaseGraph:
         bw-side and +1 on every wb-side of tile i.  ``closed_form_plan``: one
         (edge, tail, head) per edge, the edge being a bw-side of tile tail and
         a wb-side of tile head; on a boundary edge the missing tile is the
-        outer face, index n.
+        outer face, index n.  ``boundary_sides[i]``: (edge, is_wb) for one
+        boundary side of tile i, whose multiplicity is e_i on a wb-side and
+        d_i - e_i on a bw-side; every tile has one.
         """
         n = self.n
         self.bw_sides = tuple(
@@ -241,6 +243,13 @@ class BaseGraph:
             ends = {self._edge_class[(e, i)]: i for i in self.edge_tiles[e]}
             plan.append((e, ends.get(BW, n), ends.get(WB, n)))
         self.closed_form_plan = tuple(plan)
+        sides = []
+        for tile in self.tiles:
+            boundary = [e for e in tile.edges() if len(self.edge_tiles[e]) == 1]
+            if not boundary:
+                raise AssertionError("tile %d has no boundary side" % tile.index)
+            sides.append((boundary[0], self._edge_class[(boundary[0], tile.index)] == WB))
+        self.boundary_sides = tuple(sides)
 
     # ---- weights ---------------------------------------------------------------
 

@@ -109,8 +109,9 @@ def verify_root(poset, oracles, atlas):
     oracles are names from ORACLE_NAMES; atlas is the quiver's
     ``walk_cluster_variables`` result, read only for "mutation".  Returns a
     report dict with keys "quiver", "root", "ok", "f", "g", "laurent",
-    "roundtrip" (e_from_config inverts every configuration of the poset),
-    and per-oracle match flags under "oracles".  The entry of an oracle that
+    "roundtrip" (every configuration of the poset gives back its exponent
+    vector, read off one boundary side per tile by e_from_config), and
+    per-oracle match flags under "oracles".  The entry of an oracle that
     disagrees also names the differences under "mismatches" (``_mismatches``).
     """
     quiver, d = poset.quiver, poset.d

@@ -16,9 +16,10 @@ are remembered but never expanded.
 
 The order is the reflexive-transitive closure of the recorded covers, which
 coincides with coordinatewise comparison of exponent vectors.  Meets and joins
-are computed order-theoretically (principal-ideal comparison over bitmasks);
-they equal coordinatewise min/max exactly when those vectors are themselves
-members, and drop past them otherwise (the source of pentagon sublattices).
+are computed order-theoretically (principal-ideal comparison over bitmasks,
+one candidate each); they equal coordinatewise min/max exactly when those
+vectors are themselves members, and drop past them otherwise (the source of
+pentagon sublattices).
 The bitmasks take O(m^2) bits for m elements, so they are built on the first
 order query (``leq``, ``meet``, ``join``), not with the poset.
 """
@@ -129,24 +130,27 @@ class FlipPoset:
         index, down, _ = self._order
         return bool(down[index[tuple(v)]] >> index[tuple(u)] & 1)
 
-    def _bound(self, masks, u, v):
+    def _bound(self, masks, u, v, highest):
+        """The element whose mask is the common mask of u and v, or None.
+
+        Elements are in rank order, so only the highest bit of a common
+        down-set can be a meet and only the lowest bit of a common up-set a
+        join.
+        """
         index = self._order[0]
         common = masks[index[tuple(u)]] & masks[index[tuple(v)]]
-        k = common
-        while k:
-            low = (k & -k).bit_length() - 1
-            if masks[low] == common:
-                return self.elements[low]
-            k &= k - 1
-        return None
+        if not common:
+            return None
+        k = common.bit_length() - 1 if highest else (common & -common).bit_length() - 1
+        return self.elements[k] if masks[k] == common else None
 
     def meet(self, u, v):
         """Greatest common lower bound, or None."""
-        return self._bound(self._order[1], u, v)
+        return self._bound(self._order[1], u, v, True)
 
     def join(self, u, v):
         """Least common upper bound, or None."""
-        return self._bound(self._order[2], u, v)
+        return self._bound(self._order[2], u, v, False)
 
     def is_lattice(self):
         """(True, None) or (False, offending pair)."""

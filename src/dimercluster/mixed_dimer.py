@@ -22,25 +22,19 @@ wb-side by one, sending the configuration for e to the one for ``e + unit_i``.
 ``support_summary`` reads in one pass over the support both whether a
 configuration keeps differently-marked corners apart and how many of its
 support components are simple cycles (its coefficient is 2^cycles).
-The inverse recovery — from an edge multiset back to e — superimposes the
-configuration with the minimal matching and peels simple cycles off the
-superposition, crediting every tile a cycle encloses (an exact ray cast from
-the tile centre against the cycle's vertical sides).  The simple cycles are
-enumerated once per configuration, on the 2-core of its support (tails of
-degree-1 vertices lie on no cycle), with chains of degree-2 vertices
-between branch vertices taken as single steps.  They are ranked once by
-(longest first, enclosed tiles, sorted edges), and each in turn is peeled
-for as long as all its edges stay positive.  Peeling only shrinks the
-support, so this is the same as re-choosing the least-ranked remaining cycle
-after every single peel.  A leftover even edge passes the peel, so the
-recovered vector's closed form must give the input back.
+The inverse recovery — from an edge multiset back to e — is a height read.
+A configuration minus the minimal matching is the sum of e_i flips at each
+tile i, so e is its height function relative to the minimal matching, and
+every tile has a boundary side whose multiplicity is e_i (a wb-side) or
+d_i - e_i (a bw-side).  e is read off one such side per tile, and the
+closed form of that e must give the input back.
 """
 
 from __future__ import annotations
 
 import weakref
 
-from dimercluster.base_graph import BW, edge_key
+from dimercluster.base_graph import BW
 
 # graph -> {root: minimal matching}; an entry lives as long as its graph.
 _MINIMAL_MATCHINGS = weakref.WeakKeyDictionary()
@@ -55,14 +49,6 @@ def add_configs(a, b):
         elif e in out:
             del out[e]
     return out
-
-
-def config_valences(config):
-    val = {}
-    for (p, q), m in config.items():
-        val[p] = val.get(p, 0) + m
-        val[q] = val.get(q, 0) + m
-    return val
 
 
 # ---- closed form -------------------------------------------------------------
@@ -209,130 +195,30 @@ def support_summary(config, labels):
 # ---- exponent recovery -------------------------------------------------------------
 
 
-def _support_cycles(edges):
-    """Every simple cycle of at least four edges in an undirected edge set,
-    each as a list of canonical edges.
-
-    A vertex of degree 1 lies on no cycle, so those are stripped until the
-    2-core is left.  A component of the core without a branch vertex (degree
-    at least 3) is exactly one cycle.  Every other cycle passes through a
-    branch vertex: the core is cut into chains of degree-2 vertices between
-    branch vertices, and each cycle is found once, as a path of chains that
-    leaves and re-enters its least branch vertex.
-    """
-    adj = {}
-    for p, q in edges:
-        if p != q:  # a loop edge lies on no simple cycle
-            adj.setdefault(p, set()).add(q)
-            adj.setdefault(q, set()).add(p)
-    leaves = [v for v, ws in adj.items() if len(ws) == 1]
-    while leaves:
-        v = leaves.pop()
-        for w in adj.pop(v):
-            ws = adj[w]
-            ws.discard(v)
-            if len(ws) == 1:
-                leaves.append(w)
-
-    def walk(path):
-        """Extend path through degree-2 vertices up to a branch vertex or
-        back to its start."""
-        while len(adj[path[-1]]) == 2 and path[-1] != path[0]:
-            a, b = adj[path[-1]]
-            path.append(b if a == path[-2] else a)
-        return [edge_key(p, q) for p, q in zip(path, path[1:])]
-
-    cycles = []
-    branch = sorted(v for v, ws in adj.items() if len(ws) > 2)
-    links = {b: [] for b in branch}  # branch vertex -> [(chain index, far end)]
-    chains = []
-    walked = set()  # (far end, last step) of every chain: its reverse start
-    for b in branch:
-        for w in adj[b]:
-            if (b, w) in walked:
-                continue
-            path = [b, w]
-            chain = walk(path)
-            walked.add((path[-1], path[-2]))
-            if path[-1] == b:
-                cycles.append(chain)  # a loop through one branch vertex
-            else:
-                links[b].append((len(chains), path[-1]))
-                links[path[-1]].append((len(chains), b))
-                chains.append(chain)
-    on_chains = {v for chain in chains + cycles for edge in chain for v in edge}
-    for v in adj:
-        if v not in on_chains:  # a component that is one cycle
-            path = [v, next(iter(adj[v]))]
-            chain = walk(path)
-            on_chains.update(path)
-            cycles.append(chain)
-
-    for b0 in branch:
-        stack = [(b0, (), (b0,))]  # (vertex, chains taken, branch vertices met)
-        while stack:
-            v, route, seen = stack.pop()
-            for c, w in links[v]:
-                if w == b0:
-                    if route and route[0] < c:  # one of the two directions
-                        cycles.append([edge for i in route + (c,) for edge in chains[i]])
-                elif w > b0 and w not in seen:
-                    stack.append((w, route + (c,), seen + (w,)))
-    return [c for c in cycles if len(c) >= 4]
-
-
-def enclosed_tiles(graph, edges):
-    """Tiles whose first cell's centre lies inside the cycle with these
-    canonical edges: a ray cast east from the centre crosses an odd number of
-    the cycle's vertical sides."""
-    sides = [(p[0], p[1], q[1]) for p, q in edges if p[0] == q[0]]
-    out = []
-    for tile in graph.tiles:
-        a, b = tile.cells[0]
-        if sum(x > a and y1 <= b < y2 for x, y1, y2 in sides) % 2:
-            out.append(tile.index)
-    return tuple(out)
-
-
 def e_from_config(graph, d, config):
-    """Recover the exponent vector by peeling cycles off config + minimal.
+    """Read the exponent vector off one boundary side per tile.
 
-    Inverse of config_from_e; raises ValueError if the multiset is not a
-    valid configuration for the root (the peeled vector's closed form must
-    give it back), if a key is not an edge of the graph, or if a
-    multiplicity is negative.
+    Inverse of config_from_e: e_i is the multiplicity of the tile's boundary
+    side (``graph.boundary_sides``) on a wb-side, d_i minus it on a bw-side.
+    Raises ValueError if the multiset is not the configuration of the vector
+    read this way (its closed form must give the input back), if a key is
+    not an edge of the graph, or if a multiplicity is negative.
     """
     for edge, m in config.items():
         if edge not in graph.edge_tiles:
             raise ValueError("%r is not an edge of the base graph" % (edge,))
         if m < 0:
             raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
-    total = add_configs(config, minimal_matching(graph, d))
-    if any(m % 2 for m in config_valences(total).values()):
-        raise ValueError("superimposed valences are odd; not a configuration")
-    ranked = sorted(
-        (-len(edges), enclosed_tiles(graph, edges), tuple(sorted(edges)))
-        for edges in _support_cycles([edge for edge, m in total.items() if m > 0])
+    e = tuple(
+        config.get(edge, 0) if is_wb else d[i] - config.get(edge, 0)
+        for i, (edge, is_wb) in enumerate(graph.boundary_sides)
     )
-    e = [0] * graph.n
-    # a cycle passed over has lost an edge and stays dead: one walk suffices
-    for _, enclosed, edges in ranked:
-        times = min(total[edge] for edge in edges)
-        if times > 0:
-            for edge in edges:
-                total[edge] -= times
-            for t in enclosed:
-                e[t] += times
-    if any(m % 2 for m in total.values()):
-        raise ValueError("leftover odd multiplicity after peeling")
-    e = tuple(e)
-    # a leftover even edge passes the peel, so the closed form has the last word
     try:
         closed = config_from_e(graph, d, e)
     except ValueError:
         closed = None
     if closed != {edge: m for edge, m in config.items() if m}:
-        raise ValueError("not the configuration of the peeled exponent vector %r" % (e,))
+        raise ValueError("not the configuration of its boundary height %r" % (e,))
     return e
 
 

@@ -71,3 +71,8 @@ def sweep4():
 @pytest.fixture(scope="session")
 def sweep5():
     return build_sweep(5)
+
+
+@pytest.fixture(scope="session")
+def sweep6():
+    return build_sweep(6)

@@ -5,10 +5,12 @@ The three frozen instances were laid out fully by hand: tile positions,
 unless noted.
 """
 
+import random
+
 import pytest
 
 from dimercluster.base_graph import BW, WB, BaseGraph, edge_key
-from dimercluster.quiver_core import Quiver, all_orientations
+from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges
 
 from frozen import D5, D6, QA, QB, QC
 
@@ -141,6 +143,33 @@ def test_structure_all_orientations(n):
         # marked corners are disjoint and live on the graph
         labels = g.node_labels(tuple(2 if i == n - 3 else 1 for i in range(n)))
         assert set(labels) <= g.vertices
+
+
+def boundary_side_orientations():
+    """Every orientation at ranks 4-10, and 16 seeded ones at each of ranks
+    11-14."""
+    rng = random.Random(1411)
+    for n in range(4, 11):
+        yield from all_orientations(n)
+    for n in range(11, 15):
+        for _ in range(16):
+            arrows = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in dynkin_edges(n)]
+            yield Quiver(n, arrows)
+
+
+def test_every_tile_has_a_boundary_side():
+    count = 0
+    for q in boundary_side_orientations():
+        g = BaseGraph(q)  # asserts that every tile has a boundary side
+        assert len(g.boundary_sides) == q.n
+        plan = {edge: (tail, head) for edge, tail, head in g.closed_form_plan}
+        for tile, (edge, is_wb) in zip(g.tiles, g.boundary_sides):
+            assert edge in tile.edges() and g.edge_tiles[edge] == [tile.index]
+            assert g.edge_class(edge, tile.index) == (WB if is_wb else BW)
+            # the closed form reads e_i off a wb-side and d_i - e_i off a bw-side
+            assert plan[edge] == ((q.n, tile.index) if is_wb else (tile.index, q.n))
+        count += 1
+    assert count == sum(2 ** (n - 1) for n in range(4, 11)) + 4 * 16
 
 
 def test_hexagon_class_counts():

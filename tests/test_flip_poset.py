@@ -210,6 +210,23 @@ def test_distributive_equals_the_frozen_triple_loop(sweep4, sweep5):
     assert (verdicts.count(False), verdicts.count(True)) == (63, 405)
 
 
+def test_meet_and_join_equal_the_frozen_bit_walk(sweep4, sweep5):
+    # every pair of every poset at ranks 4-5, lattice or not
+    pairs = missing = 0
+    for sweep in (sweep4, sweep5):
+        for entry in sweep.entries:
+            for poset in entry.posets.values():
+                _, down, up = poset._order
+                for u in poset.elements:
+                    for v in poset.elements:
+                        meet, join = poset.meet(u, v), poset.join(u, v)
+                        assert meet == reference.bound_by_walk(poset, down, u, v)
+                        assert join == reference.bound_by_walk(poset, up, u, v)
+                        pairs += 1
+                        missing += (meet is None) + (join is None)
+    assert (pairs, missing) == (23446, 40)
+
+
 def test_hasse_dot_renders(poset_qc):
     dot = poset_qc.hasse_dot()
     assert dot.startswith("digraph hasse {")

@@ -9,7 +9,6 @@ from dimercluster.base_graph import BaseGraph, edge_key
 from dimercluster.mixed_dimer import (
     add_configs,
     config_from_e,
-    config_valences,
     e_from_config,
     flip,
     is_flippable,
@@ -30,7 +29,7 @@ from frozen import (
     WT_MIN_QA,
     WT_MIN_QB,
 )
-from reference import acceptable_evectors, config_from_e_by_flips
+from reference import acceptable_evectors, config_from_e_by_flips, config_valences
 
 
 def E(p, q):
@@ -206,15 +205,15 @@ def test_e_from_config_rejects_garbage(gc):
 
 
 def test_e_from_config_rejects_a_leftover_even_edge():
-    # the peel passes over an edge of even multiplicity on no cycle, and once
-    # returned e = (0, 0, 0, 1) for this multiset
+    # the cycle peel passed over an edge of even multiplicity on no cycle, and
+    # once returned e = (0, 0, 0, 1) for this multiset
     quiver = parse_quiver("n=4; 0>1, 1>2, 1>3")
     graph = BaseGraph(quiver)
     d = (0, 0, 0, 1)
     config = config_from_e(graph, d, (0, 0, 0, 1))
     assert e_from_config(graph, d, config) == (0, 0, 0, 1)
     padded = add_configs(config, {((2, 1), (3, 1)): 4})
-    with pytest.raises(ValueError, match="not the configuration of the peeled"):
+    with pytest.raises(ValueError, match="not the configuration of its boundary height"):
         e_from_config(graph, d, padded)
 
 

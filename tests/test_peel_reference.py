@@ -1,30 +1,32 @@
-"""The cycle peel of ``e_from_config`` against a frozen copy of the original.
+"""The height read of ``e_from_config`` against the cycle peels it replaced.
 
 The original recovery re-enumerated every simple cycle of the support before
 each peel and peeled the least by ``(-length, enclosed tiles, sorted
 edges)``.  Its cycle search, tile test and peel loop are kept below verbatim
-as the reference; the library must give the same exponent vector, or raise
-``ValueError`` with the same message, on every rank-4 and rank-5 poset
-configuration and on seeded perturbations of them, and must enumerate the
-same cycles.  There are two exceptions, where the reference returned an
-exponent vector and the library raises ValueError: a perturbation that makes
-a multiplicity negative, and one whose peeled vector's closed form is not the
-input (the peel passes over a leftover even edge).
+as the reference; the library must give the same exponent vector on every
+rank-4 and rank-5 poset configuration and on seeded perturbations of them
+where the reference's vector has the input as its closed form, and raise
+``ValueError`` everywhere else: where the reference raised, where a
+perturbation makes a multiplicity negative, and where the reference's
+vector's closed form is not the input (the peel passes over a leftover even
+edge).  The later peel (``reference.e_from_config_by_peel``) must enumerate
+the same cycles as the original, and the height read must equal it on every
+poset configuration at ranks 4-6.
 """
 
 import random
+import re
 
 import pytest
 
 from dimercluster.base_graph import edge_key
 from dimercluster.mixed_dimer import (
-    _support_cycles,
     add_configs,
     config_from_e,
-    config_valences,
     e_from_config,
     minimal_matching,
 )
+from reference import _support_cycles, config_valences, e_from_config_by_peel
 
 # ---- frozen reference (do not edit) ----------------------------------------------------
 
@@ -114,6 +116,9 @@ def reference_e_from_config(graph, d, config):
 
 # ---- comparisons -------------------------------------------------------------------------
 
+# the library's one refusal of a multiset that is not a configuration
+NOT_A_CONFIGURATION = re.compile(r"not the configuration of its boundary height \(")
+
 
 def outcome(recover, graph, d, config):
     try:
@@ -165,6 +170,19 @@ def test_peel_matches_reference_on_every_poset_configuration(request, rank):
                 assert_same_cycles(entry.graph, d, config)
 
 
+@pytest.mark.parametrize("rank,count", [(4, 384), (5, 1926), (6, 8928)])
+def test_height_equals_the_frozen_peel_on_every_poset_configuration(request, rank, count):
+    sweep = request.getfixturevalue("sweep%d" % rank)
+    seen = 0
+    for entry in sweep.entries:
+        for d, poset in entry.posets.items():
+            for e, config in poset.configs.items():
+                assert e_from_config(entry.graph, d, config) == e
+                assert e_from_config_by_peel(entry.graph, d, config) == e
+                seen += 1
+    assert seen == count
+
+
 @pytest.mark.parametrize("rank", [4, 5])
 def test_peel_matches_reference_on_perturbed_inputs(request, rank):
     sweep = request.getfixturevalue("sweep%d" % rank)
@@ -183,8 +201,10 @@ def test_peel_matches_reference_on_perturbed_inputs(request, rank):
                     continue
                 want = outcome(reference_e_from_config, entry.graph, d, config)
                 got = outcome(e_from_config, entry.graph, d, config)
+                by_peel = outcome(e_from_config_by_peel, entry.graph, d, config)
+                assert got == by_peel or got[0] == by_peel[0] == "ValueError"
                 if want[0] == "ValueError":
-                    assert got == want
+                    assert got[0] == "ValueError" and NOT_A_CONFIGURATION.match(got[1])
                     invalid += 1
                     continue
                 valid += 1
@@ -192,10 +212,7 @@ def test_peel_matches_reference_on_perturbed_inputs(request, rank):
                     assert got == want
                 else:
                     # the reference's vector belongs to another configuration
-                    assert got == (
-                        "ValueError",
-                        "not the configuration of the peeled exponent vector %r" % (want,),
-                    )
+                    assert got[0] == "ValueError" and NOT_A_CONFIGURATION.match(got[1])
                     leftover += 1
     # every outcome is exercised, the reference's two in quantity
     assert valid >= 100 and invalid >= 100 and negative > 0 and leftover > 0

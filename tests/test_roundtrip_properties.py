@@ -1,7 +1,8 @@
-"""Property test: the ``e <-> configuration`` roundtrip past the exhaustive
-rank-4/5 sweeps, on random orientations and roots at ranks 6-9.
+"""Property tests: the ``e <-> configuration`` roundtrip past the exhaustive
+rank-4/5/6 sweeps, on random orientations and roots at ranks 6-10, and the
+height read against the frozen cycle peel at ranks 7-10.
 
-The profile is derandomized, so every run draws the same instances.
+The profiles are derandomized, so every run draws the same instances.
 """
 
 from hypothesis import given, settings
@@ -11,21 +12,36 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import config_from_e, e_from_config
 from dimercluster.quiver_core import all_orientations, positive_roots
 
+from reference import e_from_config_by_peel
 
-@st.composite
-def instances(draw):
-    n = draw(st.integers(6, 9))
-    quiver = draw(st.sampled_from(all_orientations(n)))
-    # highest roots first, so the draws lean toward the larger posets
-    d = draw(st.sampled_from(sorted(positive_roots(n), key=sum, reverse=True)))
-    return quiver, d
+
+def instances(low, high):
+    @st.composite
+    def draw_instance(draw):
+        n = draw(st.integers(low, high))
+        quiver = draw(st.sampled_from(all_orientations(n)))
+        # highest roots first, so the draws lean toward the larger posets
+        d = draw(st.sampled_from(sorted(positive_roots(n), key=sum, reverse=True)))
+        return quiver, d
+
+    return draw_instance()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
-@given(instances())
+@given(instances(6, 9))
 def test_roundtrip_on_every_poset_element(instance):
     quiver, d = instance
     poset = FlipPoset(quiver, d)
     for e, config in poset.configs.items():
         assert e_from_config(poset.graph, d, config) == e
         assert config_from_e(poset.graph, d, e_from_config(poset.graph, d, config)) == config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(instances(7, 10))
+def test_height_equals_the_frozen_peel_ranks_7_to_10(instance):
+    quiver, d = instance
+    poset = FlipPoset(quiver, d)
+    for e, config in poset.configs.items():
+        assert e_from_config(poset.graph, d, config) == e
+        assert e_from_config_by_peel(poset.graph, d, config) == e
