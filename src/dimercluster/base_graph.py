@@ -96,7 +96,6 @@ class BaseGraph:
         self._plan()
         self._assign_weights()
         self._mark_nodes()
-        self._labels = {}  # root -> node_labels(root)
 
     # ---- colors and classes -------------------------------------------------
 
@@ -174,7 +173,6 @@ class BaseGraph:
         self.vertices = set()
         self.edge_tiles = {}
         self._edge_class = {}
-        self._side_of = {}
         for tile in self.tiles:
             for p, q in tile.sides():
                 self.vertices.add(p)
@@ -316,16 +314,8 @@ class BaseGraph:
         return frozenset({y, z})
 
     def node_labels(self, d):
-        """corner -> "red" | "blue" | "green" for the root d.
-
-        A fresh dict on every call; the labels are computed once per root.
-        """
-        d = tuple(d)
-        if d not in self._labels:
-            self._labels[d] = self._compute_node_labels(d)
-        return dict(self._labels[d])
-
-    def _compute_node_labels(self, d):
+        """corner -> "red" | "blue" | "green" for the root d, built afresh
+        on every call."""
         labels = {}
         for v in self.red_nodes:
             labels[v] = "red"

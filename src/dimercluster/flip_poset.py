@@ -165,11 +165,6 @@ class FlipPoset:
         if not ok:
             raise ValueError("not a lattice: %r and %r have no meet or join" % pair)
 
-    def is_distributive(self):
-        """No pentagon and no diamond sublattice (Birkhoff's M3-N5 theorem);
-        ValueError unless the poset is a lattice."""
-        return self.n5_witness() is None and self.m3_witness() is None
-
     # ---- forbidden-sublattice witnesses ------------------------------------------
 
     def n5_witness(self):

@@ -4,7 +4,9 @@ A polynomial is bound to a *context*: an ordered tuple of variable names such
 as ``("x0", ..., "x4", "y0", ..., "y4")``.  Its public view, ``terms``, is a
 sparse dict mapping exponent vectors (tuples of possibly-negative ints, one
 entry per context variable) to nonzero integer coefficients; ``coefficient``,
-``render`` and ``to_json`` read it.  All arithmetic is exact; coefficients are
+``render`` and ``to_json`` read it.  The arithmetic is what cluster variables
+need: ``+``, ``*`` of two polynomials, and ``divide_exact`` for the one exact
+division of an exchange relation.  All of it is exact; coefficients are
 arbitrary-precision ints.
 
 Arithmetic runs on a second, private view of the same terms, with each
@@ -116,7 +118,7 @@ def _overflow(bound):
 
 
 class LaurentPolynomial:
-    __slots__ = ("context", "_terms", "_packed", "_bound", "_hash")
+    __slots__ = ("context", "_terms", "_packed", "_bound")
 
     def __init__(self, context, terms):
         self.context = tuple(context)
@@ -135,7 +137,6 @@ class LaurentPolynomial:
         self._terms = clean
         self._packed = None
         self._bound = None
-        self._hash = None
 
     @classmethod
     def _build(cls, context, terms=None, packed=None, bound=None):
@@ -146,7 +147,6 @@ class LaurentPolynomial:
         poly._terms = terms
         poly._packed = packed
         poly._bound = bound
-        poly._hash = None
         return poly
 
     # ---- constructors -------------------------------------------------
@@ -155,10 +155,6 @@ class LaurentPolynomial:
     def one(cls, context):
         context = tuple(context)
         return cls._build(context, {(0,) * len(context): 1}, {0: 1}, 0)
-
-    @classmethod
-    def monomial(cls, context, exps, coeff=1):
-        return cls(context, {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, context, name):
@@ -200,11 +196,6 @@ class LaurentPolynomial:
             return NotImplemented
         return self.context == other.context and self.terms == other.terms
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.context, frozenset(self.terms.items())))
-        return self._hash
-
     def __repr__(self):
         return "LaurentPolynomial(%s)" % self.render()
 
@@ -219,12 +210,12 @@ class LaurentPolynomial:
 
     # ---- ring operations ----------------------------------------------
 
-    def _combine(self, other, sign):
+    def __add__(self, other):
         self._check(other)
         terms = dict(self._pack())
         get = terms.get
         for k, c in other._pack().items():
-            c = get(k, 0) + sign * c
+            c = get(k, 0) + c
             if c:
                 terms[k] = c
             else:
@@ -233,22 +224,7 @@ class LaurentPolynomial:
             self.context, packed=terms, bound=max(self._bound, other._bound)
         )
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def _scaled(self, factor):
-        packed = {k: c * factor for k, c in self._pack().items()} if factor else {}
-        return LaurentPolynomial._build(self.context, packed=packed, bound=self._bound)
-
-    def __neg__(self):
-        return self._scaled(-1)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other)
         self._check(other)
         a, b = self._pack(), other._pack()
         bound = self._bound + other._bound
@@ -270,25 +246,6 @@ class LaurentPolynomial:
             terms = {k: c for k, c in terms.items() if c}
         return LaurentPolynomial._build(self.context, packed=terms, bound=bound)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an int")
-        if k < 0:
-            raise ValueError("negative exponent %d" % k)
-        self._pack()
-        if self._bound * k > EXP_LIMIT:
-            raise _overflow(self._bound * k)
-        result = LaurentPolynomial.one(self.context)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     # ---- queries --------------------------------------------------------
 
     def min_exponents(self):
@@ -297,14 +254,6 @@ class LaurentPolynomial:
             return (0,) * len(self.context)
         cols = zip(*self.terms.keys())
         return tuple(min(col) for col in cols)
-
-    def leading_term(self):
-        """(exps, coeff) maximal in graded-lex order."""
-        packed = self._pack()
-        if not packed:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(packed)
-        return _layout(len(self.context)).decode(key), packed[key]
 
     # ---- rendering ------------------------------------------------------
 

@@ -32,12 +32,7 @@ closed form of that e must give the input back.
 
 from __future__ import annotations
 
-import weakref
-
 from dimercluster.base_graph import BW
-
-# graph -> {root: minimal matching}; an entry lives as long as its graph.
-_MINIMAL_MATCHINGS = weakref.WeakKeyDictionary()
 
 
 def add_configs(a, b):
@@ -80,20 +75,16 @@ def config_from_e(graph, d, e):
 def minimal_matching(graph, d):
     """The e = 0 configuration, computed two independent ways.
 
-    The routes are compared once per (graph, d); every call returns a fresh
-    dict.
+    Both routes run and are compared on every call, which returns the
+    closed-form dict.
     """
-    d = tuple(d)
-    per_root = _MINIMAL_MATCHINGS.setdefault(graph, {})
-    if d not in per_root:
-        closed = config_from_e(graph, d, (0,) * graph.n)
-        regional = _region_minimal_matching(graph, d)
-        if closed != regional:
-            raise AssertionError(
-                "minimal-matching routes disagree: %r vs %r" % (closed, regional)
-            )
-        per_root[d] = closed
-    return dict(per_root[d])
+    closed = config_from_e(graph, d, (0,) * graph.n)
+    regional = _region_minimal_matching(graph, d)
+    if closed != regional:
+        raise AssertionError(
+            "minimal-matching routes disagree: %r vs %r" % (closed, regional)
+        )
+    return closed
 
 
 def _region_minimal_matching(graph, d):

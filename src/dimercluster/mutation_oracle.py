@@ -76,8 +76,7 @@ def mutate_ext(ext, k):
 def mutate_seed(seed, k):
     n = seed.n
     ctx = seed.cluster[0].context
-    plus = LaurentPolynomial.one(ctx)
-    minus = LaurentPolynomial.one(ctx)
+    plus = minus = LaurentPolynomial.one(ctx)
     for i in range(2 * n):
         m = seed.ext[i][k]
         if not m:
@@ -86,10 +85,11 @@ def mutate_seed(seed, k):
             gen = seed.cluster[i]
         else:
             gen = LaurentPolynomial.variable(ctx, "y%d" % (i - n))
-        if m > 0:
-            plus = plus * gen ** m
-        else:
-            minus = minus * gen ** (-m)
+        # |m| is 1 in the top block and at most 2 in the bottom one
+        for _ in range(m):
+            plus = plus * gen
+        for _ in range(-m):
+            minus = minus * gen
     new_var = divide_exact(plus + minus, seed.cluster[k])
     cluster = list(seed.cluster)
     cluster[k] = new_var

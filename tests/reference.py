@@ -17,8 +17,8 @@ tests can compare the two:
 * ``enumerate_cluster_variables``: every cluster variable by a breadth-first
   search over the whole exchange graph, against the source-sweep walk;
 * ``is_distributive``: distributivity of a flip lattice by the triple
-  meet/join loop, against ``FlipPoset.is_distributive`` (Birkhoff's
-  witnesses);
+  meet/join loop, against the absence of both ``FlipPoset.n5_witness`` and
+  ``FlipPoset.m3_witness`` (Birkhoff's theorem);
 * ``add_terms``, ``mul_terms``, ``leading_term`` and ``divide_terms``: Laurent
   arithmetic on dicts keyed by exponent tuples, as the package did it before
   exponents were packed into ints, against ``LaurentPolynomial``;

@@ -12,13 +12,19 @@ strict-xfail test and the criterion line reports FAIL honestly.
 """
 
 import functools
+import random
 import time
 
 import pytest
 
 from conftest import record_ac
 from dimercluster.base_graph import BaseGraph
-from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_root
+from dimercluster.cluster_invariants import (
+    ORACLE_NAMES,
+    dimer_invariants,
+    verify_quiver,
+    verify_root,
+)
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import (
@@ -64,10 +70,14 @@ from reference import (
     component_charges,
     config_from_e_by_flips,
     enumerate_cluster_variables,
+    is_distributive,
 )
 
 # Wall-clock bound on building and verifying all 960 rank-6 instances.
 RANK6_SWEEP_BOUND_S = 30.0
+# Wall-clock bound on the rank-8 sample (512 instances against tran, 64 of
+# them against the mutation walk too), measured at 3.4-4.8 s.
+RANK8_SAMPLE_BOUND_S = 60.0
 
 
 def invariants(quiver, d):
@@ -131,7 +141,7 @@ def test_ac2_rank5_golden_triple():
     assert [
         expansion_from_f_and_g(QC, LaurentPolynomial.variable(u_context(5), "u%d" % i), (0,) * 5)
         for i in range(5)
-    ] == [LaurentPolynomial.monomial(xy_context(5), exps) for exps in YHAT_QC]
+    ] == [LaurentPolynomial(xy_context(5), {exps: 1}) for exps in YHAT_QC]
     expected = LaurentPolynomial(xy_context(5), {x + y: c for x, y, c in LAURENT_QC})
     assert laurent == expected
     elapsed = time.perf_counter() - start
@@ -195,6 +205,31 @@ def test_ac4_extended_rank6_sweep(sweep6):
             count += 1
     assert count == 32 * 30
     assert time.perf_counter() - start + sweep6.build_seconds < RANK6_SWEEP_BOUND_S
+
+
+def test_ac4_rank8_sample():
+    # every rank-8 orientation with 4 seeded roots against tran, and the
+    # roots of 16 seeded orientations against the mutation walk as well
+    start = time.perf_counter()
+    rng = random.Random(8)
+    roots = positive_roots(8)
+    quivers = all_orientations(8)
+    walked = set(rng.sample(range(len(quivers)), 16))
+    checked = {name: 0 for name in ORACLE_NAMES}
+    mismatches = []
+    for k, quiver in enumerate(quivers):
+        oracles = ORACLE_NAMES if k in walked else ("tran",)
+        for report in verify_quiver(quiver, oracles, rng.sample(roots, 4)):
+            d = report["root"]
+            if not report["roundtrip"]:
+                mismatches.append((quiver, d, "roundtrip"))
+            for name, entry in report["oracles"].items():
+                checked[name] += 1
+                if "mismatches" in entry:
+                    mismatches.append((quiver, d, name, entry["mismatches"]))
+    assert mismatches == []
+    assert checked == {"tran": 128 * 4, "mutation": 16 * 4}
+    assert time.perf_counter() - start < RANK8_SAMPLE_BOUND_S
 
 
 # ---- AC5: bijection roundtrips ---------------------------------------------------------
@@ -288,12 +323,13 @@ def test_ac8_poset_lattice_properties(sweep4, sweep5):
                 # boolean roots give distributive lattices
                 if max(d) == 1:
                     ok, _ = poset.is_lattice()
-                    assert ok and poset.is_distributive()
+                    assert ok
+                    assert poset.n5_witness() is None and poset.m3_witness() is None
     # the rank-5 frozen instance is a non-distributive lattice with a pentagon
     poset = FlipPoset(QC, D5)
     ok, _ = poset.is_lattice()
     assert ok
-    assert not poset.is_distributive()
+    assert not is_distributive(poset)
     witness = poset.n5_witness()
     assert witness is not None
     u, v, w = witness["u"], witness["v"], witness["w"]

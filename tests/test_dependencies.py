@@ -1,6 +1,7 @@
 """Runtime dependencies: pyproject.toml declares exactly what the package
-imports, the CLI runs in an interpreter where numpy cannot be imported, and
-no module of the package reads an environment variable."""
+imports, the CLI runs in an interpreter where numpy cannot be imported, no
+module of the package reads an environment variable, and every public name
+of the package is used somewhere in the package."""
 
 import ast
 import os
@@ -45,6 +46,53 @@ def _environment_reads(directory):
     return reads
 
 
+def _is_click_command(node):
+    """Whether a def is registered on the CLI group by ``@main.command(...)``."""
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "command"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "main"
+        ):
+            return True
+    return False
+
+
+def _unused_public_names(directory):
+    """Public module-level functions and classes, and public methods of
+    module-level classes, of *.py in directory that no code in directory
+    names outside their own definition.  A use is a ``Name`` id, an
+    ``Attribute`` attr or an import alias; CLI commands are exempt."""
+    defs = []  # (label, name, node)
+    uses = []  # (name, node)
+    for path in sorted(directory.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and not _is_click_command(node):
+                defs.append((node.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defs.append(("%s.%s" % (node.name, item.name), item.name, item))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, node))
+            elif isinstance(node, ast.alias):
+                uses.append((node.name.split(".")[-1], node))
+    unused = []
+    for label, name, definition in defs:
+        own = set(map(id, ast.walk(definition)))
+        if not any(used == name and id(node) not in own for used, node in uses):
+            unused.append(label)
+    return sorted(unused)
+
+
 def _requirement_names(requirements):
     return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
 
@@ -74,6 +122,12 @@ def test_test_extra_is_what_the_suite_imports_beyond_runtime(project):
 def test_the_package_reads_no_environment_variable():
     # every knob is a command-line option or a named constant
     assert _environment_reads(ROOT / "src" / "dimercluster") == []
+
+
+def test_every_public_name_is_used_in_the_package():
+    # no dead or test-only public API: the tests reach the package only
+    # through names the package itself calls
+    assert _unused_public_names(ROOT / "src" / "dimercluster") == []
 
 
 def test_cli_verifies_with_numpy_blocked():

@@ -82,7 +82,7 @@ def test_rank5_excluded_brick_flip(poset_qc):
 def test_rank5_is_nondistributive_lattice_with_pentagon(poset_qc):
     ok, pair = poset_qc.is_lattice()
     assert ok and pair is None
-    assert not poset_qc.is_distributive()
+    assert not reference.is_distributive(poset_qc)
     w = poset_qc.n5_witness()
     assert w is not None
     # the frozen pentagon is a valid witness; the search may find it or an
@@ -174,7 +174,7 @@ def test_boolean_roots_give_distributive_lattices():
             poset = FlipPoset(quiver, d)
             ok, _ = poset.is_lattice()
             assert ok
-            assert poset.is_distributive()
+            assert reference.is_distributive(poset)
             assert poset.n5_witness() is None
             assert poset.m3_witness() is None
 
@@ -186,7 +186,7 @@ def test_birkhoff_consistency_rank4_doubled_roots():
         poset = FlipPoset(q, d)
         ok, _ = poset.is_lattice()
         assert ok
-        dist = poset.is_distributive()
+        dist = reference.is_distributive(poset)
         assert dist == (poset.n5_witness() is None and poset.m3_witness() is None)
 
 
@@ -202,11 +202,13 @@ def test_distributive_equals_the_frozen_triple_loop(sweep4, sweep5):
     verdicts = []
     for poset in posets:
         if poset.is_lattice()[0]:
-            verdicts.append(poset.is_distributive())
+            verdicts.append(poset.n5_witness() is None and poset.m3_witness() is None)
             assert verdicts[-1] == reference.is_distributive(poset), (poset.quiver, poset.d)
         else:
             with pytest.raises(ValueError, match="not a lattice"):
-                poset.is_distributive()
+                poset.n5_witness()
+            with pytest.raises(ValueError, match="not a lattice"):
+                poset.m3_witness()
     assert (verdicts.count(False), verdicts.count(True)) == (63, 405)
 
 
