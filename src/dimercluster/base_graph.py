@@ -53,21 +53,16 @@ def edge_key(p, q):
 
 
 class Tile:
-    __slots__ = ("index", "kind", "cells", "corners")
+    __slots__ = ("index", "kind", "cells", "corners", "sides", "edges")
 
     def __init__(self, index, kind, cells, corners):
         self.index = index
         self.kind = kind  # "square" | "hexagon"
         self.cells = tuple(cells)
-        self.corners = tuple(corners)  # clockwise, interior on the right
-
-    def sides(self):
-        """Directed sides (P, Q) in clockwise order."""
-        c = self.corners
-        return [(c[i], c[(i + 1) % len(c)]) for i in range(len(c))]
-
-    def edges(self):
-        return [edge_key(p, q) for p, q in self.sides()]
+        c = self.corners = tuple(corners)  # clockwise, interior on the right
+        # directed sides (P, Q) in clockwise order, and their edge keys
+        self.sides = tuple(zip(c, c[1:] + c[:1]))
+        self.edges = tuple(edge_key(p, q) for p, q in self.sides)
 
 
 def _square_corners(cell):
@@ -155,7 +150,7 @@ class BaseGraph:
                 n - 2: [(1, (a - 1, b + 1)), (2, (a, b + 2))],  # west-high, north
                 n - 1: [(3, (a + 1, b + 1)), (4, (a + 1, b))],  # east-high, east-low
             }
-        hex_sides = hexagon.sides()
+        hex_sides = hexagon.sides
         for t in (n - 2, n - 1):
             sign = q.arrow_sign(n - 3, t)
             needed = BW if sign == 1 else WB  # class w.r.t. the brick (arrow tail: bw)
@@ -174,7 +169,7 @@ class BaseGraph:
         self.edge_tiles = {}
         self._edge_class = {}
         for tile in self.tiles:
-            for p, q in tile.sides():
+            for p, q in tile.sides:
                 self.vertices.add(p)
                 self.vertices.add(q)
                 e = edge_key(p, q)
@@ -229,11 +224,11 @@ class BaseGraph:
         """
         n = self.n
         self.bw_sides = tuple(
-            tuple(e for e in tile.edges() if self._edge_class[(e, tile.index)] == BW)
+            tuple(e for e in tile.edges if self._edge_class[(e, tile.index)] == BW)
             for tile in self.tiles
         )
         self.flip_deltas = tuple(
-            {e: -1 if self._edge_class[(e, tile.index)] == BW else 1 for e in tile.edges()}
+            {e: -1 if self._edge_class[(e, tile.index)] == BW else 1 for e in tile.edges}
             for tile in self.tiles
         )
         plan = []
@@ -243,7 +238,7 @@ class BaseGraph:
         self.closed_form_plan = tuple(plan)
         sides = []
         for tile in self.tiles:
-            boundary = [e for e in tile.edges() if len(self.edge_tiles[e]) == 1]
+            boundary = [e for e in tile.edges if len(self.edge_tiles[e]) == 1]
             if not boundary:
                 raise AssertionError("tile %d has no boundary side" % tile.index)
             sides.append((boundary[0], self._edge_class[(boundary[0], tile.index)] == WB))
@@ -259,7 +254,7 @@ class BaseGraph:
             if not neighbors:
                 continue
             start_edge = self.shared_edge(i, neighbors[0])
-            tile_edges = tile.edges()
+            tile_edges = tile.edges
             start = tile_edges.index(start_edge)
             ring = tile_edges[start:] + tile_edges[:start]
             for j in neighbors:

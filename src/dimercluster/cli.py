@@ -7,13 +7,13 @@ denote a quiver/root instance).  All JSON payloads carry ``"schema": 1``.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
 import sys
 
 import click
+from json.encoder import encode_basestring_ascii
 
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_quiver
@@ -47,8 +47,8 @@ MAX_POSET_ELEMENTS = 100_000
 
 # The largest flip poset `poset --lattice` diagnoses.  The witness searches
 # are cubic in the element count; the slowest lattices are the distributive
-# ones, where both run to the end: 2.3-2.4 s of CPU at 128 elements and
-# 4.0-4.6 s at 150 on a 2-core sandbox (all-ones roots at ranks 10-11).
+# ones, where both run to the end: 1.4 s of CPU at 128 elements and 2.4 s at
+# 150 on a 2-vCPU virtual machine (all-ones roots at ranks 10-11, best of 3).
 MAX_LATTICE_ELEMENTS = 128
 
 
@@ -106,6 +106,61 @@ def _check_output(ctx, param, value):
 _output_option = click.option(
     "-o", "--output", default=None, type=click.Path(dir_okay=False), callback=_check_output
 )
+
+
+def _json_text(value):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
+    str, int, bool, None, dict, list and tuple trees the commands print.
+
+    The stdlib encoder falls back to pure Python whenever an indent is set;
+    here each list of plain ints (the exponent vectors, nearly all of the
+    bytes) is one join.  Any other type, and a non-str dict key, raises
+    TypeError."""
+    chunks = []
+    _write_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(value, newline, put):
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            put("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def _emit(text, out):
@@ -190,7 +245,7 @@ def basegraph(quiver_spec, root_spec, fmt, output):
                 {"corner": list(v), "color": c}
                 for v, c in sorted(graph.node_labels(d).items())
             ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True), output)
+        _emit(_json_text(payload), output)
 
 
 # ---- compute -------------------------------------------------------------------------
@@ -234,7 +289,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
                 }
                 for e in poset.elements
             ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True), output)
+        _emit(_json_text(payload), output)
         return
     lines = [
         "quiver: %s" % format_quiver(quiver),
@@ -348,7 +403,7 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
                 if diagnostics["m3_witness"]
                 else None,
             }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), output)
+        _emit(_json_text(payload), output)
 
 
 # ---- verify --------------------------------------------------------------------------
@@ -432,7 +487,7 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
         }
         if explain:
             payload["results"] = results
-        _emit(json.dumps(payload, indent=2, sort_keys=True), output)
+        _emit(_json_text(payload), output)
     else:
         lines = []
         if explain:
@@ -454,7 +509,7 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             )
         )
         if failures:
-            lines.append(json.dumps({"schema": 1, "failures": failures}, indent=2, sort_keys=True))
+            lines.append(_json_text({"schema": 1, "failures": failures}))
         _emit("\n".join(lines), output)
     if failures:
         sys.exit(EXIT_MISMATCH)

@@ -211,6 +211,8 @@ class LaurentPolynomial:
     # ---- ring operations ----------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         self._check(other)
         terms = dict(self._pack())
         get = terms.get
@@ -225,6 +227,8 @@ class LaurentPolynomial:
         )
 
     def __mul__(self, other):
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         self._check(other)
         a, b = self._pack(), other._pack()
         bound = self._bound + other._bound

@@ -93,7 +93,7 @@ def _region_minimal_matching(graph, d):
     for k in (1, 2):
         region = {i for i in range(graph.n) if d[i] >= k}
         for i in region:
-            for edge in graph.tiles[i].edges():
+            for edge in graph.tiles[i].edges:
                 others = [t for t in graph.edge_tiles[edge] if t != i]
                 if others and others[0] in region:
                     continue  # interior to the region

@@ -277,7 +277,7 @@ def config_from_e_by_classes(graph, d, e):
 
 
 def _tile_class_edges(graph, tile_index, cls):
-    return [e for e in graph.tiles[tile_index].edges() if graph.edge_class(e, tile_index) == cls]
+    return [e for e in graph.tiles[tile_index].edges if graph.edge_class(e, tile_index) == cls]
 
 
 def _graded(e):
@@ -303,7 +303,7 @@ def flip_poset_by_classes(graph, d):
                 if e2 in excluded:
                     continue
                 if e2 not in configs:
-                    delta = {x: 1 if graph.edge_class(x, i) == WB else -1 for x in graph.tiles[i].edges()}
+                    delta = {x: 1 if graph.edge_class(x, i) == WB else -1 for x in graph.tiles[i].edges}
                     config2 = add_configs(config, delta)
                     assert config2 == config_from_e_by_classes(graph, d, e2)
                     if not is_monochromatic(graph, d, config2):

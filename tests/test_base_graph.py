@@ -129,8 +129,7 @@ def test_structure_all_orientations(n):
         assert len(g.vertices) == 2 * n + 4
         # every tile alternates side classes around its boundary
         for tile in g.tiles:
-            sides = tile.sides()
-            classes = [g.side_class(p, qq) for p, qq in sides]
+            classes = [g.side_class(p, qq) for p, qq in tile.sides]
             assert all(
                 classes[i] != classes[(i + 1) % len(classes)]
                 for i in range(len(classes))
@@ -164,7 +163,7 @@ def test_every_tile_has_a_boundary_side():
         assert len(g.boundary_sides) == q.n
         plan = {edge: (tail, head) for edge, tail, head in g.closed_form_plan}
         for tile, (edge, is_wb) in zip(g.tiles, g.boundary_sides):
-            assert edge in tile.edges() and g.edge_tiles[edge] == [tile.index]
+            assert edge in tile.edges and g.edge_tiles[edge] == [tile.index]
             assert g.edge_class(edge, tile.index) == (WB if is_wb else BW)
             # the closed form reads e_i off a wb-side and d_i - e_i off a bw-side
             assert plan[edge] == ((q.n, tile.index) if is_wb else (tile.index, q.n))
@@ -177,7 +176,7 @@ def test_hexagon_class_counts():
     for q in all_orientations(5):
         g = BaseGraph(q)
         hexa = g.tiles[2]
-        classes = [g.side_class(p, qq) for p, qq in hexa.sides()]
+        classes = [g.side_class(p, qq) for p, qq in hexa.sides]
         assert classes.count(BW) == 3 and classes.count(WB) == 3
 
 

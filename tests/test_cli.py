@@ -7,6 +7,8 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimercluster.cli
 from dimercluster.cli import main
@@ -488,12 +490,18 @@ def test_lattice_limit_admits_a_poset_of_its_size(runner, monkeypatch):
     assert runner.invoke(main, args).exit_code == 3
 
 
-def test_verify_names_the_mismatches_of_a_wrong_oracle(runner, monkeypatch):
-    def wrong_tran(quiver, d):
+@pytest.fixture()
+def wrong_tran(monkeypatch):
+    """Make the tran oracle's F-polynomial twice the true one."""
+
+    def doubled(quiver, d):
         f = tran_f_polynomial(quiver, d)
         return f + f
 
-    monkeypatch.setattr(dimercluster.cluster_invariants, "tran_f_polynomial", wrong_tran)
+    monkeypatch.setattr(dimercluster.cluster_invariants, "tran_f_polynomial", doubled)
+
+
+def test_verify_names_the_mismatches_of_a_wrong_oracle(runner, wrong_tran):
     result = runner.invoke(main, ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "tran", "-f", "json"])
     assert result.exit_code == 1
     [failure] = json.loads(result.output)["failures"]
@@ -503,11 +511,13 @@ def test_verify_names_the_mismatches_of_a_wrong_oracle(runner, monkeypatch):
     assert mismatches["g"] == mismatches["laurent_dimer_only"] == mismatches["laurent_oracle_only"] == []
 
 
-# sha256 of stdout, taken before the flip poset computed each configuration's
-# support once and closed its order lazily; the output must not move.  The
-# rank-9 and rank-10 instances are the alternating orientations with their
-# highest roots; the rank-5 poset has an N5 witness, so its lattice
-# diagnostics read the order closure.
+# sha256 of stdout; the output must not move.  The first three were taken
+# before the flip poset computed each configuration's support once and closed
+# its order lazily, the rest before the indented JSON of every command was
+# written by ``cli._json_text`` instead of ``json.dumps``.  The rank-9, -10
+# and -12 instances are the alternating orientations with their highest
+# roots; the rank-5 poset has an N5 witness, so its lattice diagnostics read
+# the order closure.
 PINNED_STDOUT = [
     (
         ["compute", "-q", "n=9; 0>1, 2>1, 2>3, 4>3, 4>5, 6>5, 6>7, 6>8",
@@ -523,11 +533,75 @@ PINNED_STDOUT = [
         ["poset", "-q", "n=5; 1>0, 2>1, 3>2, 2>4", "-d", "1,1,2,1,1", "-f", "text", "--lattice"],
         "f510e2c2ead569ffe02a6a1e294e1175da89287cc955f812c1bfb2ab4f5134a2",
     ),
+    (
+        ["compute", "-q", "n=12; 0>1, 2>1, 2>3, 4>3, 4>5, 6>5, 6>7, 8>7, 8>9, 10>9, 11>9",
+         "-d", "1,2,2,2,2,2,2,2,2,2,1,1", "-f", "json", "--explain"],
+        "b14a69b89e360416bb69b4253075f966773117915904cbd8cc0753c26c2a6148",
+    ),
+    (
+        ["basegraph", "-q", QC_SPEC, "-d", QC_ROOT, "-f", "json"],
+        "6b946f8a036210f29cb43fdeb1446ee9c86bf2c5a13fe51d4b1579fbba0410c6",
+    ),
+    (
+        ["poset", "-q", QC_SPEC, "-d", QC_ROOT, "-f", "json", "--lattice"],
+        "e93f378c0a92342cbae73f40017146c33d8b86c23cb443b8daba5f876de2f026",
+    ),
+    (
+        ["verify", "-q", QC_SPEC, "-f", "json", "--explain"],
+        "042d125a32d60fca88cdda6c3030da45cb25b11a16300d09ebe0ff6d7aee4cf6",
+    ),
 ]
 
 
-@pytest.mark.parametrize("args, digest", PINNED_STDOUT, ids=["compute-9", "compute-10", "poset-5"])
+@pytest.mark.parametrize(
+    "args, digest",
+    PINNED_STDOUT,
+    ids=[
+        "compute-9", "compute-10", "poset-5",
+        "compute-12", "basegraph-5", "poset-json-5", "verify-json-5",
+    ],
+)
 def test_stdout_is_pinned(runner, args, digest):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+def test_mismatch_text_is_pinned(runner, wrong_tran):
+    # the text report appends the failures as indented JSON
+    result = runner.invoke(main, ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "tran"])
+    assert result.exit_code == 1
+    assert (
+        hashlib.sha256(result.output.encode()).hexdigest()
+        == "734ff140f41db9b643e0d8c0d34441e5b6b9ad12be1b51abc05e29438651b6ed"
+    )
+
+
+# ---- indented JSON -------------------------------------------------------------------
+
+_json_strings = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x08\t\n\x1f\x7f", "\u00e9\u2028\ud800\U0001f600", ""]
+)
+_json_ints = st.integers(min_value=-(2**80), max_value=2**80)
+_json_trees = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_strings,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.lists(_json_ints | st.booleans(), max_size=5)
+    | st.dictionaries(_json_strings, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_json_trees)
+def test_json_text_is_json_dumps_byte_for_byte(tree):
+    assert dimercluster.cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {1, 2}, {1: 2}, [{"a": [0, 0.5]}]], ids=["float", "set", "int-key", "nested-float"]
+)
+def test_json_text_refuses_what_the_commands_never_print(value):
+    with pytest.raises(TypeError):
+        dimercluster.cli._json_text(value)

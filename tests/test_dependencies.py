@@ -1,7 +1,8 @@
 """Runtime dependencies: pyproject.toml declares exactly what the package
 imports, the CLI runs in an interpreter where numpy cannot be imported, no
-module of the package reads an environment variable, and every public name
-of the package is used somewhere in the package."""
+module of the package reads an environment variable, no module writes
+indented JSON through ``json.dumps``, and every public name of the package is
+used somewhere in the package."""
 
 import ast
 import os
@@ -44,6 +45,20 @@ def _environment_reads(directory):
             if name in ("environ", "getenv", "environb", "getenvb"):
                 reads.append((path.name, getattr(node, "lineno", None)))
     return reads
+
+
+def _indented_json_calls(directory):
+    """(file, line) of every ``json.dumps`` or ``json.dump`` call given an
+    ``indent=`` keyword in *.py in directory."""
+    calls = []
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in ("dumps", "dump") and any(kw.arg == "indent" for kw in node.keywords):
+                calls.append((path.name, node.lineno))
+    return calls
 
 
 def _is_click_command(node):
@@ -122,6 +137,12 @@ def test_test_extra_is_what_the_suite_imports_beyond_runtime(project):
 def test_the_package_reads_no_environment_variable():
     # every knob is a command-line option or a named constant
     assert _environment_reads(ROOT / "src" / "dimercluster") == []
+
+
+def test_indented_json_has_one_writer():
+    # an indent sends json.dumps to its pure-Python encoder; every command
+    # writes indented JSON through cli._json_text, which gives the same bytes
+    assert _indented_json_calls(ROOT / "src" / "dimercluster") == []
 
 
 def test_every_public_name_is_used_in_the_package():

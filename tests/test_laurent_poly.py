@@ -86,6 +86,19 @@ def test_context_mismatch_raises():
     q = LaurentPolynomial.one(u_context(2))
     with pytest.raises(ContextError):
         P({}) + q
+    with pytest.raises(ContextError):
+        P({}) * q
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda p: p + 1, lambda p: 1 + p, lambda p: p * 3, lambda p: 3 * p],
+    ids=["p+1", "1+p", "p*3", "3*p"],
+)
+def test_an_int_operand_is_a_type_error(op):
+    # both operand orders fail alike: the int is not coerced
+    with pytest.raises(TypeError):
+        op(LaurentPolynomial.one(CTX))
 
 
 # ---- [TRIVIAL] queries -----------------------------------------------------
