@@ -10,7 +10,12 @@ from dimercluster import parse_quiver
 from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.cluster_invariants import dimer_invariants
-from dimercluster.mixed_dimer import is_flippable, minimal_matching, support_summary
+from dimercluster.mixed_dimer import (
+    config_from_e,
+    is_flippable,
+    minimal_matching,
+    support_summary,
+)
 from dimercluster.tran_oracle import tran_f_polynomial
 
 quiver = parse_quiver("n=5; 1>0,2>1,3>2,2>4")
@@ -41,7 +46,7 @@ print()
 
 print("=== why a configuration gets weight 2 ===")
 doubled = (1, 1, 1, 0, 1)
-config = poset.configs[doubled]
+config = config_from_e(poset.graph, poset.d, doubled)
 doubled_edges = [edge for edge, m in config.items() if m == 2]
 print("  support: %d edges, %d of them doubled" % (len(config), len(doubled_edges)))
 monochromatic, cycles = support_summary(config, graph.node_labels(d))

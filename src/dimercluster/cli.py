@@ -18,7 +18,6 @@ from json.encoder import encode_basestring_ascii
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_quiver
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.mixed_dimer import x_exponents
 from dimercluster.quiver_core import (
     Quiver,
     QuiverSyntaxError,
@@ -282,11 +281,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
         }
         if explain:
             payload["configurations"] = [
-                {
-                    "e": list(e),
-                    "coefficient": coeffs[e],
-                    "x_exponents": list(x_exponents(poset.graph, poset.configs[e])),
-                }
+                {"e": list(e), "coefficient": coeffs[e], "x_exponents": list(poset.weights[e])}
                 for e in poset.elements
             ]
         _emit(_json_text(payload), output)
@@ -304,14 +299,8 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     if explain:
         lines.append("configurations (e | coefficient | weight exponents):")
         for e in poset.elements:
-            lines.append(
-                "  %s | %d | %s"
-                % (
-                    ",".join(map(str, e)),
-                    coeffs[e],
-                    ",".join(map(str, x_exponents(poset.graph, poset.configs[e]))),
-                )
-            )
+            row = (",".join(map(str, e)), coeffs[e], ",".join(map(str, poset.weights[e])))
+            lines.append("  %s | %d | %s" % row)
     _emit("\n".join(lines), output)
 
 

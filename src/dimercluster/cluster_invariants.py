@@ -11,9 +11,10 @@ must agree exactly.
 
 ``verify_root(poset, oracles, atlas)`` compares every invariant against the
 requested independent oracles — the closed-form exponent-vector conditions
-and/or direct seed mutation — and reports the outcome per quantity, together
-with the ``e <-> configuration`` roundtrip over the whole poset.  An oracle
-that disagrees also gets its differences named.
+and/or direct seed mutation — and reports the outcome per quantity.  The
+``e <-> configuration`` roundtrip is checked as the poset admits each
+configuration, so a built poset has passed it.  An oracle that disagrees
+also gets its differences named.
 ``verify_quiver(quiver)`` is the one per-orientation loop: it checks the
 oracle names, then builds one base graph, at most one mutation atlas, and one
 poset per root.
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
-from dimercluster.mixed_dimer import e_from_config, x_exponents
 from dimercluster.mutation_oracle import (
     expansion_from_f_and_g,
     f_polynomial_from_expansion,
@@ -47,17 +47,15 @@ def dimer_invariants(poset):
     of ``2^cycles * x^(wt - d) * y^e`` over the configurations must equal it
     exactly.
     """
-    quiver, d, graph = poset.quiver, poset.d, poset.graph
+    quiver, d = poset.quiver, poset.d
     coeffs = poset.coefficients()
     f = LaurentPolynomial(u_context(quiver.n), coeffs)
-    wt = x_exponents(graph, poset.configs[poset.bottom])
-    g = tuple(w - x for w, x in zip(wt, d))
+    g = tuple(w - x for w, x in zip(poset.weights[poset.bottom], d))
     laurent = expansion_from_f_and_g(quiver, f, g)
 
-    termwise = {}
-    for e, config in poset.configs.items():
-        wt = x_exponents(graph, config)
-        termwise[tuple(w - x for w, x in zip(wt, d)) + e] = coeffs[e]
+    termwise = {
+        tuple(w - x for w, x in zip(wt, d)) + e: coeffs[e] for e, wt in poset.weights.items()
+    }
     if termwise != laurent.terms:
         raise AssertionError(
             "termwise configuration weights disagree with x^g * F(yhat) "
@@ -109,26 +107,23 @@ def verify_root(poset, oracles, atlas):
     oracles are names from ORACLE_NAMES; atlas is the quiver's
     ``walk_cluster_variables`` result, read only for "mutation".  Returns a
     report dict with keys "quiver", "root", "ok", "f", "g", "laurent",
-    "roundtrip" (every configuration of the poset gives back its exponent
-    vector, read off one boundary side per tile by e_from_config), and
+    "roundtrip" (always true, kept for schema 1: ``FlipPoset`` raises unless
+    every configuration it admits reads back to its exponent vector), and
     per-oracle match flags under "oracles".  The entry of an oracle that
     disagrees also names the differences under "mismatches" (``_mismatches``).
     """
     quiver, d = poset.quiver, poset.d
     n = quiver.n
     f, g, laurent = dimer_invariants(poset)
-    roundtrip = all(
-        e_from_config(poset.graph, d, config) == e for e, config in poset.configs.items()
-    )
     report = {
         "quiver": quiver,
         "root": d,
         "f": f,
         "g": g,
         "laurent": laurent,
-        "roundtrip": roundtrip,
+        "roundtrip": True,
         "oracles": {},
-        "ok": roundtrip,
+        "ok": True,
     }
     for name in oracles:
         if name == "tran":

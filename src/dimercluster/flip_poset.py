@@ -1,18 +1,21 @@
 """The poset of monochromatic configurations under flips.
 
 One poset is one instance (quiver, positive root d): it holds the quiver, d,
-the base graph and every configuration, and F, g and the Laurent expansion
-are read off it (``cluster_invariants.dimer_invariants``).  The constructor
-is where the root is checked.
+the base graph and each element's coefficient and x-weight, and F, g and the
+Laurent expansion are read off it (``cluster_invariants.dimer_invariants``).
+The constructor is where the root is checked.
 
-Elements are exponent vectors (each standing for its configuration), built by
-breadth-first search upward from the minimal matching: a flip at tile i moves
-from e to e + unit_i when every bw-side of the tile is present, and the
-resulting configuration joins the poset only if its support keeps
-differently-marked corners apart.  That check and the configuration's cycle
-count come from one pass over its support, made once, when the flip first
-reaches it; the coefficient 2^cycles is stored then.  Excluded configurations
-are remembered but never expanded.
+Elements are exponent vectors (each standing for its configuration, the
+closed form ``config_from_e``), built by breadth-first search upward from the
+minimal matching: a flip at tile i moves from e to e + unit_i when every
+bw-side of the tile is present.  A configuration a flip first reaches is read
+back to its own e (``e_from_config``), one check that the flip agrees with
+the closed form and that the roundtrip holds (the minimal matching is read
+back to 0).  It joins the poset only if its support keeps differently-marked
+corners apart; that check and its cycle count come from one pass over its
+support, and its coefficient 2^cycles and x-weight are stored then.
+Excluded configurations are remembered but never expanded, and a
+configuration is kept only while its rank level is being expanded.
 
 The order is the reflexive-transitive closure of the recorded covers, which
 coincides with coordinatewise comparison of exponent vectors.  Meets and joins
@@ -30,11 +33,12 @@ import functools
 
 from dimercluster.base_graph import BaseGraph
 from dimercluster.mixed_dimer import (
-    config_from_e,
+    e_from_config,
     flip,
     is_flippable,
     minimal_matching,
     support_summary,
+    x_exponents,
 )
 from dimercluster.quiver_core import check_root
 
@@ -58,30 +62,37 @@ class FlipPoset:
         graph, d = self.graph, self.d
         n = graph.n
         labels = graph.node_labels(d)
+
+        def reads_back(config, e):
+            try:
+                return e_from_config(graph, d, config) == e
+            except ValueError:
+                return False
         bottom = (0,) * n
         start = minimal_matching(graph, d)
+        if not reads_back(start, bottom):
+            raise AssertionError("minimal matching disagrees with the closed form")
         monochromatic, cycles = support_summary(start, labels)
         if not monochromatic:
             raise AssertionError("minimal matching joins marked corners")
-        configs = self.configs = {bottom: start}
         coefficients = self._coefficients = {bottom: 2 ** cycles}
+        weights = self.weights = {bottom: x_exponents(graph, start)}
         excluded = self.excluded = set()
         ups = {bottom: []}
-        frontier = [bottom]
+        frontier = {bottom: start}
         while frontier:
-            nxt = []
-            for e in frontier:
-                config = configs[e]
+            nxt = {}
+            for e, config in frontier.items():
                 for i in range(n):
                     if not is_flippable(graph, d, config, i):
                         continue
                     e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
                     if e2 in excluded:
                         continue
-                    if e2 not in configs:
+                    if e2 not in ups:
                         config2 = flip(graph, config, i)
-                        # the flip result must match the closed form
-                        if config2 != config_from_e(graph, d, e2):
+                        # one read-back checks the flip and the roundtrip
+                        if not reads_back(config2, e2):
                             raise AssertionError(
                                 "flip at %d from %r disagrees with the closed form" % (i, e)
                             )
@@ -89,13 +100,13 @@ class FlipPoset:
                         if not monochromatic:
                             excluded.add(e2)
                             continue
-                        configs[e2] = config2
                         coefficients[e2] = 2 ** cycles
+                        weights[e2] = x_exponents(graph, config2)
                         ups[e2] = []
-                        nxt.append(e2)
+                        nxt[e2] = config2
                     ups[e].append(e2)
             frontier = nxt
-        self.elements = sorted(configs, key=_graded)
+        self.elements = sorted(ups, key=_graded)
         self.covers = {e: sorted(ups[e], key=_graded) for e in self.elements}
         self.bottom = bottom
 

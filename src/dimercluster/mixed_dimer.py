@@ -27,7 +27,8 @@ A configuration minus the minimal matching is the sum of e_i flips at each
 tile i, so e is its height function relative to the minimal matching, and
 every tile has a boundary side whose multiplicity is e_i (a wb-side) or
 d_i - e_i (a bw-side).  e is read off one such side per tile, and the
-closed form of that e must give the input back.
+closed form of that e must give the input back.  The flip poset reads each
+configuration it makes back this way, once, as its flip check.
 """
 
 from __future__ import annotations
@@ -191,15 +192,12 @@ def e_from_config(graph, d, config):
 
     Inverse of config_from_e: e_i is the multiplicity of the tile's boundary
     side (``graph.boundary_sides``) on a wb-side, d_i minus it on a bw-side.
-    Raises ValueError if the multiset is not the configuration of the vector
-    read this way (its closed form must give the input back), if a key is
-    not an edge of the graph, or if a multiplicity is negative.
+    A configuration equal to the closed form of that vector is returned at
+    once.  Otherwise raises ValueError: if a key is not an edge of the graph,
+    if a multiplicity is negative, or if the multiset is not the
+    configuration of the vector read this way (its closed form must give the
+    input back).
     """
-    for edge, m in config.items():
-        if edge not in graph.edge_tiles:
-            raise ValueError("%r is not an edge of the base graph" % (edge,))
-        if m < 0:
-            raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
     e = tuple(
         config.get(edge, 0) if is_wb else d[i] - config.get(edge, 0)
         for i, (edge, is_wb) in enumerate(graph.boundary_sides)
@@ -208,6 +206,13 @@ def e_from_config(graph, d, config):
         closed = config_from_e(graph, d, e)
     except ValueError:
         closed = None
+    if closed == config:
+        return e
+    for edge, m in config.items():
+        if edge not in graph.edge_tiles:
+            raise ValueError("%r is not an edge of the base graph" % (edge,))
+        if m < 0:
+            raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
     if closed != {edge: m for edge, m in config.items() if m}:
         raise ValueError("not the configuration of its boundary height %r" % (e,))
     return e

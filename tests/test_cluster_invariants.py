@@ -1,8 +1,11 @@
 """End-to-end invariants: F-polynomials, g-vectors, Laurent expansions, reports."""
 
+import sys
+
 import pytest
 
 import dimercluster.cluster_invariants
+import dimercluster.mixed_dimer
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import (
     MISMATCH_LIST_LIMIT,
@@ -15,7 +18,7 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import minimal_matching, x_exponents
 from dimercluster.mutation_oracle import expansion_from_f_and_g, walk_cluster_variables
-from dimercluster.quiver_core import Quiver, positive_roots
+from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 from frozen import (
     COEFF2_E_QB,
@@ -126,6 +129,34 @@ def test_verify_quiver_rank4_all_roots():
     reports = verify_quiver(q)
     assert len(reports) == len(positive_roots(4))
     assert all(r["ok"] for r in reports)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``mixed_dimer.<name>`` through every module of the
+    package that binds it; returns a one-entry list holding the count."""
+    original = getattr(dimercluster.mixed_dimer, name)
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("dimercluster") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def test_the_rank5_sweep_makes_one_closed_form_per_configuration(monkeypatch):
+    # Per instance the minimal matching and its read-back, and one read-back
+    # per flip result: a second closed form per configuration shows up here.
+    closed_forms = count_calls(monkeypatch, "config_from_e")
+    flips = count_calls(monkeypatch, "flip")
+    instances = 0
+    for quiver in all_orientations(5):
+        instances += len(verify_quiver(quiver))
+    assert (instances, flips[0]) == (16 * 20, 1799)
+    assert closed_forms[0] == 2 * instances + flips[0] == 2439
 
 
 def test_verify_quiver_subset_of_roots():

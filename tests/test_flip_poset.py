@@ -1,12 +1,15 @@
 """Unit tests for the flip poset and its lattice structure."""
 
+import copy
 import itertools
 import random
 import re
 
 import pytest
 
+from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
+from dimercluster.mixed_dimer import is_flippable, minimal_matching
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
 from dimercluster.tran_oracle import coefficient_of, tran_f_polynomial
 
@@ -58,6 +61,37 @@ def test_coefficients_returns_a_fresh_dict():
     coeffs[poset.bottom] = 99
     coeffs[(9, 9, 9, 9, 9)] = 1
     assert poset.coefficients() == expected
+
+
+def with_table(graph, name, i, value):
+    """A copy of graph whose table ``name`` has value at position i."""
+    clone = copy.copy(graph)
+    table = list(getattr(graph, name))
+    table[i] = value
+    setattr(clone, name, tuple(table))
+    return clone
+
+
+def test_a_flip_that_disagrees_with_the_closed_form_is_refused():
+    graph = BaseGraph(QC)
+    start = minimal_matching(graph, D5)
+    i = next(i for i in range(5) if is_flippable(graph, D5, start, i))
+    delta = dict(graph.flip_deltas[i])
+    wb_side = next(edge for edge, m in delta.items() if m == 1)
+    delta[wb_side] = 2
+    broken = with_table(graph, "flip_deltas", i, delta)
+    message = "flip at %d from %r disagrees with the closed form" % (i, (0,) * 5)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        FlipPoset(QC, D5, graph=broken)
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_a_minimal_matching_that_does_not_read_back_to_zero_is_refused(i):
+    graph = BaseGraph(QC)
+    edge, is_wb = graph.boundary_sides[i]
+    broken = with_table(graph, "boundary_sides", i, (edge, not is_wb))
+    with pytest.raises(AssertionError, match="minimal matching disagrees with the closed form"):
+        FlipPoset(QC, D5, graph=broken)
 
 
 def test_order_closure_is_built_on_the_first_order_query():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reference
 from dimercluster.base_graph import BaseGraph
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.mixed_dimer import config_from_e, support_summary
+from dimercluster.mixed_dimer import config_from_e, support_summary, x_exponents
 from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges, positive_roots
 
 
@@ -112,3 +112,7 @@ def test_flip_poset_matches_the_old_build(n):
             assert poset.excluded == excluded
             assert poset.covers == covers
             assert poset.coefficients() == coefficients
+            assert poset.weights == {
+                e: x_exponents(graph, reference.config_from_e_by_classes(graph, d, e))
+                for e in elements
+            }
