@@ -23,9 +23,10 @@ d = (1, 1, 2, 1, 1)
 graph = BaseGraph(quiver)
 
 print("=== the minimal matching ===")
-m = minimal_matching(graph, d)
-for edge in sorted(m):
-    print("  %s -- %s  x%d" % (edge[0], edge[1], m[edge]))
+m = minimal_matching(graph, d)  # one multiplicity per edge of graph.edges
+for edge, mult in zip(graph.edges, m):
+    if mult:
+        print("  %s -- %s  x%d" % (edge[0], edge[1], mult))
 print("tiles flippable from here:",
       [i for i in range(5) if is_flippable(graph, d, m, i)])
 print()
@@ -47,9 +48,11 @@ print()
 print("=== why a configuration gets weight 2 ===")
 doubled = (1, 1, 1, 0, 1)
 config = config_from_e(poset.graph, poset.d, doubled)
-doubled_edges = [edge for edge, m in config.items() if m == 2]
-print("  support: %d edges, %d of them doubled" % (len(config), len(doubled_edges)))
-monochromatic, cycles = support_summary(config, graph.node_labels(d))
+support = [mult for mult in config if mult]
+print("  support: %d edges, %d of them doubled" % (len(support), support.count(2)))
+labels = graph.node_labels(d)
+marks = [labels.get(v) for v in graph.corners]
+monochromatic, cycles = support_summary(graph, config, marks)
 print("  monochromatic: %s; components that are simple cycles: %d -> coefficient %d"
       % (monochromatic, cycles, 2 ** cycles))
 print()

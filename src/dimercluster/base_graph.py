@@ -88,8 +88,8 @@ class BaseGraph:
         self._build_tiles()
         self._index_edges()
         self._validate()
-        self._plan()
         self._assign_weights()
+        self._plan()
         self._mark_nodes()
 
     # ---- colors and classes -------------------------------------------------
@@ -213,36 +213,52 @@ class BaseGraph:
     def _plan(self):
         """Per-graph tables that configurations are read and built with.
 
-        ``bw_sides[i]``: the bw-side edges of tile i, all present in a
-        configuration that can flip at i.  ``flip_deltas[i]``: -1 on every
-        bw-side and +1 on every wb-side of tile i.  ``closed_form_plan``: one
-        (edge, tail, head) per edge, the edge being a bw-side of tile tail and
-        a wb-side of tile head; on a boundary edge the missing tile is the
-        outer face, index n.  ``boundary_sides[i]``: (edge, is_wb) for one
-        boundary side of tile i, whose multiplicity is e_i on a wb-side and
-        d_i - e_i on a bw-side; every tile has one.
+        A configuration is a tuple of multiplicities indexed like ``edges``;
+        every table below names an edge by its position there
+        (``edge_index``) and a corner by its position in ``corners``.
+        ``incidence[c]``: (edge, other corner) for every edge at corner c.
+        ``bw_sides[i]``: the bw-sides of tile i, all present in a
+        configuration that can flip at i.  ``flip_deltas[i]``: (edge, -1) for
+        every bw-side and (edge, +1) for every wb-side of tile i.
+        ``closed_form_plan[k]``: (tail, head), edge k being a bw-side of tile
+        tail and a wb-side of tile head; on a boundary edge the missing tile
+        is the outer face, index n.  ``boundary_sides[i]``: (edge, is_wb) for
+        one boundary side of tile i, whose multiplicity is e_i on a wb-side
+        and d_i - e_i on a bw-side; every tile has one.
+        ``weighted_edges``: (edge, label) for every labeled edge.
         """
         n = self.n
-        self.bw_sides = tuple(
-            tuple(e for e in tile.edges if self._edge_class[(e, tile.index)] == BW)
+        index = self.edge_index = {e: k for k, e in enumerate(self.edges)}
+        self.corners = sorted(self.vertices)
+        corner = {v: c for c, v in enumerate(self.corners)}
+        incidence = [[] for _ in self.corners]
+        for k, (p, q) in enumerate(self.edges):
+            incidence[corner[p]].append((k, corner[q]))
+            incidence[corner[q]].append((k, corner[p]))
+        self.incidence = tuple(map(tuple, incidence))
+        classes = [
+            [(index[e], self._edge_class[(e, tile.index)] == BW) for e in tile.edges]
             for tile in self.tiles
-        )
+        ]
+        self.bw_sides = tuple(tuple(k for k, bw in sides if bw) for sides in classes)
         self.flip_deltas = tuple(
-            {e: -1 if self._edge_class[(e, tile.index)] == BW else 1 for e in tile.edges}
-            for tile in self.tiles
+            tuple((k, -1 if bw else 1) for k, bw in sides) for sides in classes
         )
         plan = []
         for e in self.edges:
             ends = {self._edge_class[(e, i)]: i for i in self.edge_tiles[e]}
-            plan.append((e, ends.get(BW, n), ends.get(WB, n)))
+            plan.append((ends.get(BW, n), ends.get(WB, n)))
         self.closed_form_plan = tuple(plan)
         sides = []
         for tile in self.tiles:
             boundary = [e for e in tile.edges if len(self.edge_tiles[e]) == 1]
             if not boundary:
                 raise AssertionError("tile %d has no boundary side" % tile.index)
-            sides.append((boundary[0], self._edge_class[(boundary[0], tile.index)] == WB))
+            sides.append((index[boundary[0]], self._edge_class[(boundary[0], tile.index)] == WB))
         self.boundary_sides = tuple(sides)
+        self.weighted_edges = tuple(
+            (index[e], label) for e, label in self.edge_weights.items()
+        )
 
     # ---- weights ---------------------------------------------------------------
 

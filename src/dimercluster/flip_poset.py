@@ -15,7 +15,8 @@ back to 0).  It joins the poset only if its support keeps differently-marked
 corners apart; that check and its cycle count come from one pass over its
 support, and its coefficient 2^cycles and x-weight are stored then.
 Excluded configurations are remembered but never expanded, and a
-configuration is kept only while its rank level is being expanded.
+configuration (a tuple of edge multiplicities) is kept only while its rank
+level is being expanded.
 
 The order is the reflexive-transitive closure of the recorded covers, which
 coincides with coordinatewise comparison of exponent vectors.  Meets and joins
@@ -62,6 +63,7 @@ class FlipPoset:
         graph, d = self.graph, self.d
         n = graph.n
         labels = graph.node_labels(d)
+        marks = [labels.get(v) for v in graph.corners]
 
         def reads_back(config, e):
             try:
@@ -72,7 +74,7 @@ class FlipPoset:
         start = minimal_matching(graph, d)
         if not reads_back(start, bottom):
             raise AssertionError("minimal matching disagrees with the closed form")
-        monochromatic, cycles = support_summary(start, labels)
+        monochromatic, cycles = support_summary(graph, start, marks)
         if not monochromatic:
             raise AssertionError("minimal matching joins marked corners")
         coefficients = self._coefficients = {bottom: 2 ** cycles}
@@ -96,7 +98,7 @@ class FlipPoset:
                             raise AssertionError(
                                 "flip at %d from %r disagrees with the closed form" % (i, e)
                             )
-                        monochromatic, cycles = support_summary(config2, labels)
+                        monochromatic, cycles = support_summary(graph, config2, marks)
                         if not monochromatic:
                             excluded.add(e2)
                             continue

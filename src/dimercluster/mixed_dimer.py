@@ -1,16 +1,17 @@
 """Mixed configurations on a base graph: multisets of edges with flips.
 
-A configuration is a map ``edge -> multiplicity`` (zero entries dropped).
-For a root d and an exponent vector e in the box ``0 <= e <= d``, the closed
-form gives one configuration:
+A configuration is a tuple of multiplicities indexed like ``graph.edges``,
+zeros kept.  For a root d and an exponent vector e in the box
+``0 <= e <= d``, the closed form gives one configuration:
 
 * the edge shared by an arrow ``t -> h`` has multiplicity
   ``max(d_t - d_h, 0) + e_h - e_t``;
 * a boundary bw-side of tile i has multiplicity ``d_i - e_i``;
 * a boundary wb-side of tile i has multiplicity ``e_i``.
 
-The base graph holds these formulas as one (edge, tail, head) plan per
-edge, a boundary side taking the outer face as its other tile.  e is
+The base graph holds these formulas as one (tail, head) plan per edge, a
+boundary side taking the outer face as its other tile, and every other
+per-graph table in edge and corner indices (``BaseGraph._plan``).  e is
 *realizable* exactly when all interior multiplicities are nonnegative (the
 box handles the boundary).  The minimal matching is the e = 0
 configuration; it is computed independently as a sum over the regions
@@ -19,10 +20,11 @@ checked against each other at runtime.
 
 A *flip* at tile i lowers every bw-side of the tile by one and raises every
 wb-side by one, sending the configuration for e to the one for ``e + unit_i``.
-``support_summary`` reads in one pass over the support both whether a
-configuration keeps differently-marked corners apart and how many of its
-support components are simple cycles (its coefficient is 2^cycles).
-The inverse recovery — from an edge multiset back to e — is a height read.
+``support_summary`` reads in one pass over the support, walking the graph's
+per-corner incidence, both whether a configuration keeps differently-marked
+corners apart and how many of its support components are simple cycles (its
+coefficient is 2^cycles).
+The inverse recovery — from a configuration back to e — is a height read.
 A configuration minus the minimal matching is the sum of e_i flips at each
 tile i, so e is its height function relative to the minimal matching, and
 every tile has a boundary side whose multiplicity is e_i (a wb-side) or
@@ -34,17 +36,6 @@ configuration it makes back this way, once, as its flip check.
 from __future__ import annotations
 
 from dimercluster.base_graph import BW
-
-
-def add_configs(a, b):
-    out = dict(a)
-    for e, m in b.items():
-        m2 = out.get(e, 0) + m
-        if m2:
-            out[e] = m2
-        elif e in out:
-            del out[e]
-    return out
 
 
 # ---- closed form -------------------------------------------------------------
@@ -60,16 +51,16 @@ def config_from_e(graph, d, e):
     """
     dd = tuple(d) + (0,)
     ee = tuple(e) + (0,)
-    config = {}
-    for edge, tail, head in graph.closed_form_plan:
-        m = max(dd[tail] - dd[head], 0) + ee[head] - ee[tail]
-        if m:
-            if m < 0:
-                raise ValueError(
-                    "exponent vector %r is not realizable (edge %r would have "
-                    "multiplicity %d)" % (tuple(e), edge, m)
-                )
-            config[edge] = m
+    config = tuple([
+        dd[t] - dd[h] + ee[h] - ee[t] if dd[t] > dd[h] else ee[h] - ee[t]
+        for t, h in graph.closed_form_plan
+    ])
+    if min(config) < 0:
+        k, m = next((k, m) for k, m in enumerate(config) if m < 0)
+        raise ValueError(
+            "exponent vector %r is not realizable (edge %r would have "
+            "multiplicity %d)" % (tuple(e), graph.edges[k], m)
+        )
     return config
 
 
@@ -77,7 +68,7 @@ def minimal_matching(graph, d):
     """The e = 0 configuration, computed two independent ways.
 
     Both routes run and are compared on every call, which returns the
-    closed-form dict.
+    closed-form tuple.
     """
     closed = config_from_e(graph, d, (0,) * graph.n)
     regional = _region_minimal_matching(graph, d)
@@ -90,7 +81,7 @@ def minimal_matching(graph, d):
 
 def _region_minimal_matching(graph, d):
     """Sum over k of the bw-sides of the region {i : d_i >= k}."""
-    config = {}
+    config = [0] * len(graph.edges)
     for k in (1, 2):
         region = {i for i in range(graph.n) if d[i] >= k}
         for i in region:
@@ -99,8 +90,8 @@ def _region_minimal_matching(graph, d):
                 if others and others[0] in region:
                     continue  # interior to the region
                 if graph.edge_class(edge, i) == BW:
-                    config[edge] = config.get(edge, 0) + 1
-    return config
+                    config[graph.edge_index[edge]] += 1
+    return tuple(config)
 
 
 # ---- flips ---------------------------------------------------------------------
@@ -108,14 +99,17 @@ def _region_minimal_matching(graph, d):
 
 def flip(graph, config, tile_index):
     """bw-sides of the tile drop by one, wb-sides rise by one."""
-    return add_configs(config, graph.flip_deltas[tile_index])
+    out = list(config)
+    for k, delta in graph.flip_deltas[tile_index]:
+        out[k] += delta
+    return tuple(out)
 
 
 def is_flippable(graph, d, config, tile_index):
     if d[tile_index] < 1:
         return False
-    for edge in graph.bw_sides[tile_index]:
-        if config.get(edge, 0) < 1:
+    for k in graph.bw_sides[tile_index]:
+        if config[k] < 1:
             return False
     return True
 
@@ -123,62 +117,52 @@ def is_flippable(graph, d, config, tile_index):
 # ---- support structure -----------------------------------------------------------
 
 
-def support_summary(config, labels):
+def support_summary(graph, config, marks):
     """(monochromatic, cycles) of a configuration, from one pass over its
     support (the edges of nonzero multiplicity).
 
-    labels maps marked corners to their colors (``BaseGraph.node_labels``).
-    The configuration is monochromatic when no support component holds two
-    differently-marked corners.  cycles counts the components that are
-    simple cycles: every vertex meets exactly two support edges (so the
-    edge and vertex counts agree), there are at least four, and not every
-    edge is doubled.
+    marks[c] is the color of corner c (``graph.corners``), None when it is
+    unmarked.  The configuration is monochromatic when no support component
+    holds two differently-marked corners.  cycles counts the components
+    that are simple cycles: every vertex meets exactly two support edges (so
+    the edge and vertex counts agree), there are at least four, and not
+    every edge is doubled.  A corner on no support edge is a component of
+    its own that is neither.
     """
-    adj = {}
-    odd_ends = set()  # the ends of odd-multiplicity edges
-    for (p, q), m in config.items():
-        if m:
-            if p in adj:
-                adj[p].append(q)
-            else:
-                adj[p] = [q]
-            if q in adj:
-                adj[q].append(p)
-            else:
-                adj[q] = [p]
-            if m % 2:
-                odd_ends.add(p)
-                odd_ends.add(q)
+    incidence = graph.incidence
     monochromatic = True
     cycles = 0
-    seen = set()
-    for start in adj:
-        if start in seen:
+    seen = [False] * len(incidence)
+    for start in range(len(incidence)):
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = True
         stack = [start]
         size = 0
         ring = True  # every vertex so far meets two support edges
-        odd = False
+        odd = False  # an odd-multiplicity edge so far
         color = None
         while stack:
             v = stack.pop()
             size += 1
-            ws = adj[v]
-            if len(ws) != 2:
+            degree = 0
+            for k, w in incidence[v]:
+                m = config[k]
+                if m:
+                    degree += 1
+                    if m % 2:
+                        odd = True
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            if degree != 2:
                 ring = False
-            if v in odd_ends:
-                odd = True
-            c = labels.get(v)
+            c = marks[v]
             if c is not None:
                 if color is None:
                     color = c
                 elif c != color:
                     monochromatic = False
-            for w in ws:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
         if ring and odd and size >= 4:
             cycles += 1
     return monochromatic, cycles
@@ -193,29 +177,30 @@ def e_from_config(graph, d, config):
     Inverse of config_from_e: e_i is the multiplicity of the tile's boundary
     side (``graph.boundary_sides``) on a wb-side, d_i minus it on a bw-side.
     A configuration equal to the closed form of that vector is returned at
-    once.  Otherwise raises ValueError: if a key is not an edge of the graph,
-    if a multiplicity is negative, or if the multiset is not the
-    configuration of the vector read this way (its closed form must give the
-    input back).
+    once.  Otherwise raises ValueError: if config is not a tuple with one
+    multiplicity per edge, if a multiplicity is negative, or if the tuple is
+    not the configuration of the vector read this way (its closed form must
+    give the input back).
     """
-    e = tuple(
-        config.get(edge, 0) if is_wb else d[i] - config.get(edge, 0)
-        for i, (edge, is_wb) in enumerate(graph.boundary_sides)
-    )
+    e = None
     try:
-        closed = config_from_e(graph, d, e)
-    except ValueError:
-        closed = None
-    if closed == config:
-        return e
-    for edge, m in config.items():
-        if edge not in graph.edge_tiles:
-            raise ValueError("%r is not an edge of the base graph" % (edge,))
+        e = tuple([
+            config[k] if is_wb else d[i] - config[k]
+            for i, (k, is_wb) in enumerate(graph.boundary_sides)
+        ])
+        if config_from_e(graph, d, e) == config:
+            return e
+    except (LookupError, TypeError, ValueError):  # malformed input, or e unrealizable
+        pass
+    if type(config) is not tuple or len(config) != len(graph.edges):
+        raise ValueError(
+            "a configuration is a tuple of %d multiplicities, one per edge"
+            % len(graph.edges)
+        )
+    for edge, m in zip(graph.edges, config):
         if m < 0:
             raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
-    if closed != {edge: m for edge, m in config.items() if m}:
-        raise ValueError("not the configuration of its boundary height %r" % (e,))
-    return e
+    raise ValueError("not the configuration of its boundary height %r" % (e,))
 
 
 # ---- weights -----------------------------------------------------------------------
@@ -224,8 +209,6 @@ def e_from_config(graph, d, config):
 def x_exponents(graph, config):
     """Exponent vector of the product of labeled edge weights."""
     out = [0] * graph.n
-    for edge, m in config.items():
-        label = graph.edge_weights.get(edge)
-        if label is not None:
-            out[label] += m
+    for k, label in graph.weighted_edges:
+        out[label] += config[k]
     return tuple(out)

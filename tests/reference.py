@@ -1,7 +1,13 @@
 """Reference routes that only the tests use.
 
 Each restates, by a second route, a quantity the package computes, so that
-tests can compare the two:
+tests can compare the two.  The package holds a configuration as a tuple of
+multiplicities indexed like ``graph.edges``; the frozen routes below hold it
+as the dict ``edge -> multiplicity`` with zeros dropped that the package used
+before, and ``as_dict`` turns the one into the other (``corner_marks``
+gives the marked corners in the package's form).
+
+* ``add_configs``: the sum of two dict configurations;
 
 * ``config_from_e_by_flips``: the configuration for e by a flip sequence
   from the minimal matching, against the closed-form multiplicities;
@@ -22,6 +28,9 @@ tests can compare the two:
 * ``add_terms``, ``mul_terms``, ``leading_term`` and ``divide_terms``: Laurent
   arithmetic on dicts keyed by exponent tuples, as the package did it before
   exponents were packed into ints, against ``LaurentPolynomial``;
+* ``support_summary_by_dict``: the one support pass as the package ran it
+  on dict configurations, with an adjacency dict built per configuration,
+  against ``support_summary``;
 * ``support_components``, ``count_cycles``, ``is_monochromatic``,
   ``config_from_e_by_classes`` and ``flip_poset_by_classes``: the flip poset
   as the package built it before one support pass per configuration and the
@@ -46,10 +55,34 @@ from dimercluster.laurent_poly import (
     LaurentPolynomial,
     u_context,
 )
-from dimercluster.mixed_dimer import add_configs, config_from_e, flip, minimal_matching
+from dimercluster.mixed_dimer import config_from_e, flip, minimal_matching
 from dimercluster.mutation_oracle import denominator_vector, initial_seed, mutate_seed
 from dimercluster.quiver_core import check_root, dynkin_edges
 from dimercluster.tran_oracle import arrow_conditions_hold, tran_f_polynomial
+
+
+def as_dict(graph, config):
+    """The dict ``edge -> multiplicity`` (zeros dropped) of a configuration."""
+    return {edge: m for edge, m in zip(graph.edges, config) if m}
+
+
+def corner_marks(graph, d):
+    """The colors of the graph's corners for the root d, indexed like
+    ``graph.corners`` (None where unmarked), as ``support_summary`` reads
+    them."""
+    labels = graph.node_labels(d)
+    return [labels.get(v) for v in graph.corners]
+
+
+def add_configs(a, b):
+    out = dict(a)
+    for e, m in b.items():
+        m2 = out.get(e, 0) + m
+        if m2:
+            out[e] = m2
+        elif e in out:
+            del out[e]
+    return out
 
 
 def config_from_e_by_flips(graph, d, e):
@@ -59,7 +92,7 @@ def config_from_e_by_flips(graph, d, e):
     for i in range(graph.n):
         for _ in range(e[i]):
             config = flip(graph, config, i)
-    if any(m < 0 for m in config.values()):
+    if any(m < 0 for m in config):
         raise ValueError("flip sequence for %r left negative multiplicities" % (e,))
     return config
 
@@ -199,6 +232,59 @@ def divide_terms(numerator, denominator):
     return quotient
 
 
+def support_summary_by_dict(config, labels):
+    """(monochromatic, cycles) of a dict configuration, from one pass over
+    its support; labels maps marked corners to their colors."""
+    adj = {}
+    odd_ends = set()  # the ends of odd-multiplicity edges
+    for (p, q), m in config.items():
+        if m:
+            if p in adj:
+                adj[p].append(q)
+            else:
+                adj[p] = [q]
+            if q in adj:
+                adj[q].append(p)
+            else:
+                adj[q] = [p]
+            if m % 2:
+                odd_ends.add(p)
+                odd_ends.add(q)
+    monochromatic = True
+    cycles = 0
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        size = 0
+        ring = True  # every vertex so far meets two support edges
+        odd = False
+        color = None
+        while stack:
+            v = stack.pop()
+            size += 1
+            ws = adj[v]
+            if len(ws) != 2:
+                ring = False
+            if v in odd_ends:
+                odd = True
+            c = labels.get(v)
+            if c is not None:
+                if color is None:
+                    color = c
+                elif c != color:
+                    monochromatic = False
+            for w in ws:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if ring and odd and size >= 4:
+            cycles += 1
+    return monochromatic, cycles
+
+
 def support_components(config):
     """Connected components of the multiplicity-positive edge set, as
     (vertices, edges) pairs."""
@@ -288,7 +374,7 @@ def flip_poset_by_classes(graph, d):
     """(elements, excluded, covers, coefficients) of the flip poset, by the
     breadth-first build with the helpers above."""
     bottom = (0,) * graph.n
-    configs = {bottom: minimal_matching(graph, d)}
+    configs = {bottom: as_dict(graph, minimal_matching(graph, d))}
     excluded = set()
     cover_sets = {bottom: set()}
     frontier = [bottom]
@@ -509,7 +595,7 @@ def e_from_config_by_peel(graph, d, config):
             raise ValueError("%r is not an edge of the base graph" % (edge,))
         if m < 0:
             raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
-    total = add_configs(config, minimal_matching(graph, d))
+    total = add_configs(config, as_dict(graph, minimal_matching(graph, d)))
     if any(m % 2 for m in config_valences(total).values()):
         raise ValueError("superimposed valences are odd; not a configuration")
     ranked = sorted(
@@ -530,7 +616,7 @@ def e_from_config_by_peel(graph, d, config):
     e = tuple(e)
     # a leftover even edge passes the peel, so the closed form has the last word
     try:
-        closed = config_from_e(graph, d, e)
+        closed = as_dict(graph, config_from_e(graph, d, e))
     except ValueError:
         closed = None
     if closed != {edge: m for edge, m in config.items() if m}:

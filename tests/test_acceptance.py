@@ -69,6 +69,7 @@ from reference import (
     acceptable_evectors,
     component_charges,
     config_from_e_by_flips,
+    corner_marks,
     enumerate_cluster_variables,
     is_distributive,
 )
@@ -265,7 +266,7 @@ def test_ac6_excluded_configuration():
     step2 = flip(graph, step1, 3)
     assert step2 == config_from_e(graph, D6, POLY_EXCLUDED_QA)
     # the reached configuration joins differently-colored nodes
-    assert not support_summary(step2, graph.node_labels(D6))[0]
+    assert not support_summary(graph, step2, corner_marks(graph, D6))[0]
     # u2*u3 is absent from F
     assert invariants(QA, D6)[0].coefficient(POLY_EXCLUDED_QA) == 0
     assert coefficient_of(QA, D6, POLY_EXCLUDED_QA) == 0
@@ -291,7 +292,7 @@ def test_ac7_coefficient_law(sweep4, sweep5):
                     config = config_from_e(graph, d, e)
                     charges = component_charges(quiver, d, e)
                     uncharged = sum(1 for c in charges.values() if c == 0)
-                    cycles = support_summary(config, {})[1]
+                    cycles = support_summary(graph, config, [None] * len(graph.corners))[1]
                     assert cycles == uncharged, (quiver.arrows, d, e)
                     assert coeffs[e] == 2 ** cycles == coefficient_of(quiver, d, e)
 

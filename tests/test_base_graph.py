@@ -161,8 +161,9 @@ def test_every_tile_has_a_boundary_side():
     for q in boundary_side_orientations():
         g = BaseGraph(q)  # asserts that every tile has a boundary side
         assert len(g.boundary_sides) == q.n
-        plan = {edge: (tail, head) for edge, tail, head in g.closed_form_plan}
-        for tile, (edge, is_wb) in zip(g.tiles, g.boundary_sides):
+        plan = dict(zip(g.edges, g.closed_form_plan))
+        for tile, (k, is_wb) in zip(g.tiles, g.boundary_sides):
+            edge = g.edges[k]
             assert edge in tile.edges and g.edge_tiles[edge] == [tile.index]
             assert g.edge_class(edge, tile.index) == (WB if is_wb else BW)
             # the closed form reads e_i off a wb-side and d_i - e_i off a bw-side

@@ -150,13 +150,17 @@ def count_calls(monkeypatch, name):
 def test_the_rank5_sweep_makes_one_closed_form_per_configuration(monkeypatch):
     # Per instance the minimal matching and its read-back, and one read-back
     # per flip result: a second closed form per configuration shows up here.
+    # The support pass runs once on the minimal matching and once on each
+    # flip result.
     closed_forms = count_calls(monkeypatch, "config_from_e")
     flips = count_calls(monkeypatch, "flip")
+    support_passes = count_calls(monkeypatch, "support_summary")
     instances = 0
     for quiver in all_orientations(5):
         instances += len(verify_quiver(quiver))
     assert (instances, flips[0]) == (16 * 20, 1799)
     assert closed_forms[0] == 2 * instances + flips[0] == 2439
+    assert support_passes[0] == instances + flips[0] == 2119
 
 
 def test_verify_quiver_subset_of_roots():

@@ -79,7 +79,7 @@ def test_a_flip_that_disagrees_with_the_closed_form_is_refused():
     delta = dict(graph.flip_deltas[i])
     wb_side = next(edge for edge, m in delta.items() if m == 1)
     delta[wb_side] = 2
-    broken = with_table(graph, "flip_deltas", i, delta)
+    broken = with_table(graph, "flip_deltas", i, tuple(delta.items()))
     message = "flip at %d from %r disagrees with the closed form" % (i, (0,) * 5)
     with pytest.raises(AssertionError, match=re.escape(message)):
         FlipPoset(QC, D5, graph=broken)

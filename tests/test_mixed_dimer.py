@@ -2,12 +2,12 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 from dimercluster.base_graph import BaseGraph, edge_key
 from dimercluster.mixed_dimer import (
-    add_configs,
     config_from_e,
     e_from_config,
     flip,
@@ -29,11 +29,22 @@ from frozen import (
     WT_MIN_QA,
     WT_MIN_QB,
 )
-from reference import acceptable_evectors, config_from_e_by_flips, config_valences
+from reference import (
+    acceptable_evectors,
+    add_configs,
+    as_dict,
+    config_from_e_by_flips,
+    config_valences,
+    corner_marks,
+)
 
 
 def E(p, q):
     return edge_key(tuple(p), tuple(q))
+
+
+def unmarked(graph):
+    return [None] * len(graph.corners)
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +65,12 @@ def gc():
 # ---- [DERIVED] frozen minimal matchings -----------------------------------------
 
 
-def test_minimal_matching_returns_a_fresh_dict():
+def test_minimal_matching_is_a_tuple_indexed_like_the_edges():
     graph = BaseGraph(QC)
     m = minimal_matching(graph, D5)
-    expected = dict(m)
-    m[next(iter(m))] += 5
-    m[E((99, 99), (99, 100))] = 1
-    assert minimal_matching(graph, D5) == expected
-    assert e_from_config(graph, D5, expected) == (0,) * 5
+    assert type(m) is tuple and len(m) == len(graph.edges)
+    assert minimal_matching(graph, D5) == m
+    assert e_from_config(graph, D5, m) == (0,) * 5
 
 
 def test_rank5_minimal_matching(gc):
@@ -76,7 +85,7 @@ def test_rank5_minimal_matching(gc):
         E((1, 1), (2, 1)): 1,  # brick south (shared with tile 1)
         E((2, 2), (2, 3)): 1,  # brick east-high (shared with tile 4)
     }
-    assert minimal_matching(gc, D5) == expected
+    assert as_dict(gc, minimal_matching(gc, D5)) == expected
 
 
 def test_rank5_weight_and_g(gc):
@@ -110,14 +119,14 @@ def test_flip_raises_exponent(gc):
     assert stepped == config_from_e(gc, D5, (1, 0, 0, 0, 0))
     # flipping where a bw-side is absent goes negative (hence not allowable)
     assert not is_flippable(gc, D5, m, 1)
-    assert any(v < 0 for v in flip(gc, m, 1).values())
+    assert any(v < 0 for v in flip(gc, m, 1))
 
 
 def test_flip_preserves_valences(gc):
     m = minimal_matching(gc, D5)
-    base = config_valences(m)
+    base = config_valences(as_dict(gc, m))
     for i in (0, 2, 4):
-        assert config_valences(flip(gc, m, i)) == base
+        assert config_valences(as_dict(gc, flip(gc, m, i))) == base
 
 
 @pytest.mark.parametrize("quiver,d", [(QC, D5), (QA, D6), (QB, D6)])
@@ -160,14 +169,14 @@ def test_cycle_counts_rank5(gc):
         (1, 1, 2, 0, 1): 0,
     }
     for e, expected in cases.items():
-        assert support_summary(config_from_e(gc, D5, e), {})[1] == expected, e
+        assert support_summary(gc, config_from_e(gc, D5, e), unmarked(gc))[1] == expected, e
 
 
 def test_cycle_count_matches_coefficient_everywhere(gc):
     from dimercluster.tran_oracle import coefficient_of
 
     for e in acceptable_evectors(QC, D5):
-        c = support_summary(config_from_e(gc, D5, e), {})[1]
+        c = support_summary(gc, config_from_e(gc, D5, e), unmarked(gc))[1]
         assert 2 ** c == coefficient_of(QC, D5, e)
 
 
@@ -176,13 +185,13 @@ def test_cycle_count_matches_coefficient_everywhere(gc):
 
 def test_monochromatic_frozen_cases(ga, gc):
     # the brick flip from the rank-5 minimal matching joins green to red
-    labels = gc.node_labels(D5)
+    colors = corner_marks(gc, D5)
     bad = config_from_e(gc, D5, (0, 0, 1, 0, 0))
-    assert not support_summary(bad, labels)[0]
-    assert support_summary(minimal_matching(gc, D5), labels)[0]
+    assert not support_summary(gc, bad, colors)[0]
+    assert support_summary(gc, minimal_matching(gc, D5), colors)[0]
     # the excluded rank-6 vector joins marked corners too
     excluded = config_from_e(ga, D6, POLY_EXCLUDED_QA)
-    assert not support_summary(excluded, ga.node_labels(D6))[0]
+    assert not support_summary(ga, excluded, corner_marks(ga, D6))[0]
 
 
 # ---- exponent recovery ----------------------------------------------------------------
@@ -197,9 +206,8 @@ def test_e_from_config_roundtrip(quiver, d):
 
 def test_e_from_config_rejects_garbage(gc):
     m = minimal_matching(gc, D5)
-    broken = dict(m)
-    edge = next(iter(broken))
-    broken[edge] += 1  # odd superimposed valence at both endpoints
+    k = next(k for k, mult in enumerate(m) if mult)
+    broken = m[:k] + (m[k] + 1,) + m[k + 1 :]  # odd superimposed valence at both endpoints
     with pytest.raises(ValueError):
         e_from_config(gc, D5, broken)
 
@@ -212,21 +220,30 @@ def test_e_from_config_rejects_a_leftover_even_edge():
     d = (0, 0, 0, 1)
     config = config_from_e(graph, d, (0, 0, 0, 1))
     assert e_from_config(graph, d, config) == (0, 0, 0, 1)
-    padded = add_configs(config, {((2, 1), (3, 1)): 4})
+    k = graph.edge_index[((2, 1), (3, 1))]
+    padded = config[:k] + (config[k] + 4,) + config[k + 1 :]
     with pytest.raises(ValueError, match="not the configuration of its boundary height"):
         e_from_config(graph, d, padded)
 
 
-def test_e_from_config_rejects_keys_that_are_not_edges(gc):
+def test_e_from_config_refuses_what_is_not_a_tuple_per_edge(gc):
     golden = config_from_e(gc, D5, (1, 1, 1, 0, 1))
-    reversed_keys = {(q, p): m for (p, q), m in golden.items()}
-    with pytest.raises(ValueError, match=r"\(\(0, 1\), \(0, 0\)\) is not an edge"):
-        e_from_config(gc, D5, reversed_keys)
-    foreign = dict(golden)
-    foreign[((99, 99), (100, 99))] = 2
-    with pytest.raises(ValueError, match=r"\(\(99, 99\), \(100, 99\)\) is not an edge"):
-        e_from_config(gc, D5, foreign)
+    message = "a configuration is a tuple of %d multiplicities, one per edge" % len(gc.edges)
+    for wrong in (golden[:-1], golden + (0,), golden[:3], (), list(golden),
+                  as_dict(gc, golden), None):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            e_from_config(gc, D5, wrong)
     assert e_from_config(gc, D5, golden) == (1, 1, 1, 0, 1)
+
+
+def test_config_from_e_names_an_unrealizable_edge_by_its_corners(gc):
+    # e_1 = 1 with e_0 = 0 takes tile 1's side shared with tile 0 below zero
+    message = (
+        "exponent vector (0, 1, 0, 0, 0) is not realizable (edge ((1, 0), (1, 1)) "
+        "would have multiplicity -1)"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_e(gc, D5, (0, 1, 0, 0, 0))
 
 
 def test_e_from_config_rejects_negative_multiplicities(gc):
@@ -236,10 +253,12 @@ def test_e_from_config_rejects_negative_multiplicities(gc):
     negative = 0
     for edge in gc.edges:
         for step in (1, 2):
-            m = golden.get(edge, 0) - step
+            m = golden[gc.edge_index[edge]] - step
             if m < 0:
-                with pytest.raises(ValueError, match="negative multiplicity %d" % m):
-                    e_from_config(gc, D5, {**golden, edge: m})
+                k = gc.edge_index[edge]
+                message = "edge %r has negative multiplicity %d" % (edge, m)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    e_from_config(gc, D5, golden[:k] + (m,) + golden[k + 1 :])
                 negative += 1
     assert negative == 26
 
@@ -258,9 +277,9 @@ def test_roundtrip_random_quivers():
 
 
 def test_valences_constant_across_configs(gb):
-    base = config_valences(minimal_matching(gb, D6))
+    base = config_valences(as_dict(gb, minimal_matching(gb, D6)))
     for e in acceptable_evectors(QB, D6):
-        assert config_valences(config_from_e(gb, D6, e)) == base
+        assert config_valences(as_dict(gb, config_from_e(gb, D6, e))) == base
 
 
 def test_add_configs_cancels():

