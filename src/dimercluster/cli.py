@@ -263,7 +263,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     _check_poset_sizes(quiver, [d])
     poset = FlipPoset(quiver, d)
     f, g, laurent = dimer_invariants(poset)
-    coeffs = poset.coefficients()
+    coeffs = f.terms  # the poset's coefficients, one term per element
     histogram = {}
     for coeff in coeffs.values():
         c = coeff.bit_length() - 1  # coeff is 2^cycles

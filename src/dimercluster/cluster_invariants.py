@@ -31,7 +31,7 @@ from dimercluster.mutation_oracle import (
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import positive_roots
+from dimercluster.quiver_core import graded_lex_key, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 
 ORACLE_NAMES = ("tran", "mutation")
@@ -53,10 +53,11 @@ def dimer_invariants(poset):
     g = tuple(w - x for w, x in zip(poset.weights[poset.bottom], d))
     laurent = expansion_from_f_and_g(quiver, f, g)
 
-    termwise = {
-        tuple(w - x for w, x in zip(wt, d)) + e: coeffs[e] for e, wt in poset.weights.items()
-    }
-    if termwise != laurent.terms:
+    terms = laurent.terms
+    if len(terms) != len(coeffs) or any(
+        terms.get(tuple(w - x for w, x in zip(wt, d)) + e) != coeffs[e]
+        for e, wt in poset.weights.items()
+    ):
         raise AssertionError(
             "termwise configuration weights disagree with x^g * F(yhat) "
             "for root %r" % (d,)
@@ -76,7 +77,7 @@ def _mismatches(f, g, laurent, of, og, ol):
     """
 
     def first(items):
-        return sorted(items, key=lambda e: (sum(e), e))[:MISMATCH_LIST_LIMIT]
+        return sorted(items, key=graded_lex_key)[:MISMATCH_LIST_LIMIT]
 
     dimer, oracle = f.terms, of.terms
     differing = [e for e in dimer.keys() | oracle.keys() if dimer.get(e, 0) != oracle.get(e, 0)]

@@ -16,9 +16,10 @@ corners apart; that check and its cycle count come from one pass over its
 support, and its coefficient 2^cycles and x-weight are stored then.
 Excluded configurations are remembered but never expanded, and a
 configuration (a tuple of edge multiplicities) is kept only while its rank
-level is being expanded.
+level is being expanded.  A cover is one flip, e -> e + unit_i, so the
+covers are read off the vectors on first use, not recorded by the search.
 
-The order is the reflexive-transitive closure of the recorded covers, which
+The order is the reflexive-transitive closure of the covers, which
 coincides with coordinatewise comparison of exponent vectors.  Meets and joins
 are computed order-theoretically (principal-ideal comparison over bitmasks,
 one candidate each); they equal coordinatewise min/max exactly when those
@@ -41,11 +42,7 @@ from dimercluster.mixed_dimer import (
     support_summary,
     x_exponents,
 )
-from dimercluster.quiver_core import check_root
-
-
-def _graded(e):
-    return (sum(e), e)
+from dimercluster.quiver_core import check_root, graded_lex_key
 
 
 class FlipPoset:
@@ -80,7 +77,6 @@ class FlipPoset:
         coefficients = self._coefficients = {bottom: 2 ** cycles}
         weights = self.weights = {bottom: x_exponents(graph, start)}
         excluded = self.excluded = set()
-        ups = {bottom: []}
         frontier = {bottom: start}
         while frontier:
             nxt = {}
@@ -89,28 +85,38 @@ class FlipPoset:
                     if not is_flippable(graph, d, config, i):
                         continue
                     e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                    if e2 in excluded:
+                    if e2 in excluded or e2 in weights:
                         continue
-                    if e2 not in ups:
-                        config2 = flip(graph, config, i)
-                        # one read-back checks the flip and the roundtrip
-                        if not reads_back(config2, e2):
-                            raise AssertionError(
-                                "flip at %d from %r disagrees with the closed form" % (i, e)
-                            )
-                        monochromatic, cycles = support_summary(graph, config2, marks)
-                        if not monochromatic:
-                            excluded.add(e2)
-                            continue
-                        coefficients[e2] = 2 ** cycles
-                        weights[e2] = x_exponents(graph, config2)
-                        ups[e2] = []
-                        nxt[e2] = config2
-                    ups[e].append(e2)
+                    config2 = flip(graph, config, i)
+                    # one read-back checks the flip and the roundtrip
+                    if not reads_back(config2, e2):
+                        raise AssertionError(
+                            "flip at %d from %r disagrees with the closed form" % (i, e)
+                        )
+                    monochromatic, cycles = support_summary(graph, config2, marks)
+                    if not monochromatic:
+                        excluded.add(e2)
+                        continue
+                    coefficients[e2] = 2 ** cycles
+                    weights[e2] = x_exponents(graph, config2)
+                    nxt[e2] = config2
             frontier = nxt
-        self.elements = sorted(ups, key=_graded)
-        self.covers = {e: sorted(ups[e], key=_graded) for e in self.elements}
+        self.elements = sorted(weights, key=graded_lex_key)
         self.bottom = bottom
+
+    @functools.cached_property
+    def covers(self):
+        """element -> its members e + unit_i, i descending (graded-lex order),
+        read off the vectors on first use.  A member e + unit_i has every
+        bw-side of tile i present in e's configuration, so each is one flip
+        from e."""
+        def ups(e):
+            for i in range(len(e) - 1, -1, -1):
+                v = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                if v in self.weights:
+                    yield v
+
+        return {e: list(ups(e)) for e in self.elements}
 
     @functools.cached_property
     def _order(self):
@@ -118,23 +124,14 @@ class FlipPoset:
         position in ``elements``, and per position the bitmask of the
         elements below it (down) and above it (up)."""
         index = {e: k for k, e in enumerate(self.elements)}
-        m = len(self.elements)
-        parents = {e: [] for e in self.elements}
-        for u, ups in self.covers.items():
-            for v in ups:
-                parents[v].append(u)
-        down = [0] * m
-        for k, e in enumerate(self.elements):  # ascending rank order
-            mask = 1 << k
-            for u in parents[e]:
-                mask |= down[index[u]]
-            down[k] = mask
-        up = [0] * m
-        for k in range(m - 1, -1, -1):
-            mask = 1 << k
+        down = [1 << k for k in range(len(index))]
+        up = down[:]
+        for k, e in enumerate(self.elements):  # ascending rank: down[k] is complete
+            for v in self.covers[e]:
+                down[index[v]] |= down[k]
+        for k in range(len(index) - 1, -1, -1):
             for v in self.covers[self.elements[k]]:
-                mask |= up[index[v]]
-            up[k] = mask
+                up[k] |= up[index[v]]
         return index, down, up
 
     # ---- order queries ---------------------------------------------------------

@@ -36,6 +36,8 @@ import functools
 import heapq
 import struct
 
+from dimercluster.quiver_core import graded_lex_key
+
 
 class ContextError(ValueError):
     """Raised when operands live in different variable contexts."""
@@ -51,11 +53,6 @@ def u_context(n):
 
 def xy_context(n):
     return tuple("x%d" % i for i in range(n)) + tuple("y%d" % i for i in range(n))
-
-
-def _graded_lex_key(exps):
-    # graded lexicographic: first by total degree, then lexicographically.
-    return (sum(exps), exps)
 
 
 # ---- packed exponent vectors -------------------------------------------------
@@ -263,7 +260,7 @@ class LaurentPolynomial:
 
     def sorted_terms(self):
         """Terms in ascending graded-lex order, as (exps, coeff) pairs."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_graded_lex_key)]
+        return [(e, self.terms[e]) for e in sorted(self.terms, key=graded_lex_key)]
 
     def render(self):
         """Deterministic text form, e.g. ``1 + u0 + 2*u0*u1*u2^2``."""

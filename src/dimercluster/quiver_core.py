@@ -17,6 +17,11 @@ import functools
 MIN_RANK = 4
 
 
+def graded_lex_key(e):
+    """Sort key of graded-lex order: total degree first, then lexicographic."""
+    return (sum(e), e)
+
+
 def _check_rank(n):
     if n < MIN_RANK:
         raise ValueError("rank must be at least %d, got %d" % (MIN_RANK, n))
@@ -208,7 +213,7 @@ def _roots(n):
                     nxt.append(img)
         frontier = nxt
     roots = [d for d in seen if all(x >= 0 for x in d) and any(d)]
-    roots.sort(key=lambda d: (sum(d), d))
+    roots.sort(key=graded_lex_key)
     return tuple(roots)
 
 

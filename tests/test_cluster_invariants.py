@@ -73,6 +73,15 @@ def test_rank5_all_routes_agree():
     assert dimer == tran == walk_cluster_variables(QC)[D5]
 
 
+def test_a_shifted_configuration_weight_fails_the_termwise_check():
+    poset = FlipPoset(QC, D5)
+    top = poset.elements[-1]
+    wt = poset.weights[top]
+    poset.weights[top] = (wt[0] + 1,) + wt[1:]
+    with pytest.raises(AssertionError, match="termwise configuration weights disagree"):
+        dimer_invariants(poset)
+
+
 # ---- frozen rank-6 instances -------------------------------------------------------
 
 

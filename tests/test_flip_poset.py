@@ -8,6 +8,7 @@ import re
 import pytest
 
 from dimercluster.base_graph import BaseGraph
+from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import is_flippable, minimal_matching
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
@@ -95,11 +96,17 @@ def test_a_minimal_matching_that_does_not_read_back_to_zero_is_refused(i):
 
 
 def test_order_closure_is_built_on_the_first_order_query():
-    poset = FlipPoset(QC, D5)
-    poset.coefficients()
-    assert "_order" not in vars(poset)
-    assert poset.leq((0, 0, 0, 0, 0), (1, 1, 2, 1, 1))
-    assert "_order" in vars(poset)
+    queries = {
+        "_order": lambda poset: poset.leq((0, 0, 0, 0, 0), (1, 1, 2, 1, 1)),
+        "covers": lambda poset: poset.covers,
+    }
+    for name, query in queries.items():
+        poset = FlipPoset(QC, D5)
+        poset.coefficients()
+        dimer_invariants(poset)
+        assert name not in vars(poset)
+        assert query(poset)
+        assert name in vars(poset)
 
 
 def test_rank5_rank_profile(poset_qc):
