@@ -33,7 +33,7 @@ print()
 
 print("=== breadth-first flips ===")
 poset = FlipPoset(quiver, d)
-coeffs = poset.coefficients()
+coeffs = poset.coefficients
 by_rank = {}
 for e in poset.elements:
     by_rank.setdefault(sum(e), []).append(e)

@@ -34,7 +34,9 @@ EXIT_SEMANTIC = 3
 
 # The largest sweep `verify --n` runs, in instances: 2^(n-1) orientations
 # times the n(n-1) positive roots.  Rank 10 (46,080) is within it, rank 11
-# (112,640) is not.
+# (112,640) is not.  `verify -q` without `-d` runs the n(n-1) roots of one
+# quiver under the same limit: rank 224 (49,952) is within it, rank 225
+# (50,400) is not.
 MAX_SWEEP_INSTANCES = 50_000
 
 # The largest flip poset `compute`, `poset` and `verify -q` build, bounded
@@ -348,7 +350,7 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
         _emit(text, output)
     elif fmt == "text":
         lines = ["elements (%d):" % len(p.elements)]
-        coeffs = p.coefficients()
+        coeffs = p.coefficients
         for e in p.elements:
             ups = " ".join(",".join(map(str, v)) for v in p.covers[e])
             lines.append(
@@ -378,7 +380,7 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
             },
             "excluded": [list(e) for e in sorted(p.excluded)],
             "coefficients": {
-                ",".join(map(str, e)): c for e, c in sorted(p.coefficients().items())
+                ",".join(map(str, e)): c for e, c in sorted(p.coefficients.items())
             },
         }
         if diagnostics is not None:
@@ -456,8 +458,14 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             raise click.UsageError("--root requires --quiver")
         roots = [_parse_root_opt(root_spec, quivers[0].n)]
     if quiver_spec is not None:
+        n = quivers[0].n
+        if roots is None and n * (n - 1) > MAX_SWEEP_INSTANCES:
+            _semantic_error(
+                "a rank-%d quiver has %d roots, more than the %d instances -q allows "
+                "without -d" % (n, n * (n - 1), MAX_SWEEP_INSTANCES)
+            )
         # no sweep needs the check: at rank 10, its largest, every bound is <= 2,166
-        _check_poset_sizes(quivers[0], roots or positive_roots(quivers[0].n))
+        _check_poset_sizes(quivers[0], roots or positive_roots(n))
     tasks = [(q.n, q.arrows, oracles, roots) for q in quivers]
     jobs = min(jobs or multiprocessing.cpu_count(), len(tasks))
     if jobs > 1:

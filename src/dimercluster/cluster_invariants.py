@@ -48,7 +48,7 @@ def dimer_invariants(poset):
     exactly.
     """
     quiver, d = poset.quiver, poset.d
-    coeffs = poset.coefficients()
+    coeffs = poset.coefficients
     f = LaurentPolynomial(u_context(quiver.n), coeffs)
     g = tuple(w - x for w, x in zip(poset.weights[poset.bottom], d))
     laurent = expansion_from_f_and_g(quiver, f, g)

@@ -1,8 +1,9 @@
 """The poset of monochromatic configurations under flips.
 
 One poset is one instance (quiver, positive root d): it holds the quiver, d,
-the base graph and each element's coefficient and x-weight, and F, g and the
-Laurent expansion are read off it (``cluster_invariants.dimer_invariants``).
+the base graph and each element's coefficient and x-weight (the dicts
+``coefficients`` and ``weights``, keyed by e), and F, g and the Laurent
+expansion are read off it (``cluster_invariants.dimer_invariants``).
 The constructor is where the root is checked.
 
 Elements are exponent vectors (each standing for its configuration, the
@@ -74,7 +75,7 @@ class FlipPoset:
         monochromatic, cycles = support_summary(graph, start, marks)
         if not monochromatic:
             raise AssertionError("minimal matching joins marked corners")
-        coefficients = self._coefficients = {bottom: 2 ** cycles}
+        coefficients = self.coefficients = {bottom: 2 ** cycles}
         weights = self.weights = {bottom: x_exponents(graph, start)}
         excluded = self.excluded = set()
         frontier = {bottom: start}
@@ -222,14 +223,6 @@ class FlipPoset:
         return None
 
     # ---- derived data ---------------------------------------------------------------
-
-    def coefficients(self):
-        """e -> 2^(number of cycle components of its configuration).
-
-        A fresh dict on every call; the cycles are counted once per
-        configuration, by the support pass that also admits it to the poset.
-        """
-        return dict(self._coefficients)
 
     def hasse_dot(self):
         out = ["digraph hasse {", "  rankdir=BT;"]

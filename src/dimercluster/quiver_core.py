@@ -8,11 +8,17 @@ is a path ``0 - 1 - ... - (n-3)`` with two extra edges ``(n-3) - (n-2)`` and
 A quiver here is an orientation of that tree, so it is automatically acyclic.
 Sign convention used throughout the package: ``b[i][j] = +1`` exactly when
 there is an arrow ``i -> j``.
+
+The n(n-1) positive roots are listed from their closed form (``_roots``),
+not as the reflection orbit of the simple roots, and ``is_positive_root``
+tests one vector against that form in O(n), so a long quiver's root is
+checked without listing the roots.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 MIN_RANK = 4
 
@@ -33,14 +39,6 @@ def dynkin_edges(n):
     edges = [(i, i + 1) for i in range(n - 2)]
     edges.append((n - 3, n - 1))
     return [tuple(sorted(e)) for e in edges]
-
-
-def cartan_matrix(n):
-    """The Cartan matrix as a tuple of row tuples."""
-    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    for i, j in dynkin_edges(n):
-        a[i][j] = a[j][i] = -1
-    return tuple(map(tuple, a))
 
 
 class Quiver:
@@ -189,44 +187,50 @@ def positive_roots(n):
 
 @functools.lru_cache(maxsize=None)
 def _roots(n):
-    """The positive roots as a tuple, memoized per rank.
-
-    Computed as the reflection-orbit closure of the simple roots: the simple
-    reflection at i sends d to d - (A d)_i e_i for the Cartan matrix A, and
-    the positive roots are exactly the orbit elements with all entries >= 0.
-    """
-    # the nonzero entries of each row of A: at most four
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan_matrix(n)]
-    simples = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for d in frontier:
-            ad = [sum(x * d[j] for j, x in row) for row in rows]
-            for i in range(n):
-                img = list(d)
-                img[i] -= ad[i]
-                img = tuple(img)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    roots = [d for d in seen if all(x >= 0 for x in d) and any(d)]
+    """The positive roots as a tuple, memoized per rank, from the closed
+    form: the 0/1 vectors whose support is connected in the diagram, and for
+    0 <= i < j <= n - 3 the vector with 1 on [i, j), 2 on [j, n - 3] and 1 on
+    both fork tips."""
+    _check_rank(n)
+    roots = [  # supports within the path 0 - ... - (n-2)
+        (0,) * i + (1,) * (j - i) + (0,) * (n - j) for i in range(n - 1) for j in range(i + 1, n)
+    ]
+    roots.append((0,) * (n - 1) + (1,))  # the tip n - 1 alone
+    for i in range(n - 2):
+        # 1 on [i, n - 3] and the tip n - 1, without and with the tip n - 2,
+        # then 2 on [j, n - 3] for each j past i
+        roots.append((0,) * i + (1,) * (n - 2 - i) + (0, 1))
+        roots.append((0,) * i + (1,) * (n - 2 - i) + (1, 1))
+        roots.extend(
+            (0,) * i + (1,) * (j - i) + (2,) * (n - 2 - j) + (1, 1) for j in range(i + 1, n - 2)
+        )
     roots.sort(key=graded_lex_key)
     return tuple(roots)
 
 
-@functools.lru_cache(maxsize=None)
-def _root_set(n):
-    return frozenset(_roots(n))
+# The value runs of d_0 .. d_{n-3}, leading zeros dropped, that each pair of
+# fork-tip entries (d_{n-2}, d_{n-1}) admits in a positive root: without a
+# tip, one run of 1s; with one tip, none or one ending at n - 3; with both,
+# 1s ending at n - 3 or 1s then 2s up to n - 3.
+_PATH_RUNS = {
+    (0, 0): ((1,), (1, 0)),
+    (1, 0): ((), (1,)),
+    (0, 1): ((), (1,)),
+    (1, 1): ((1,), (1, 2)),
+}
 
 
 def is_positive_root(n, d):
+    """Whether d is a positive root of the rank-n system, in O(n) from the
+    closed form (``_roots``), without listing the roots."""
+    _check_rank(n)
     d = tuple(int(x) for x in d)
     if len(d) != n:
         return False
-    return d in _root_set(n)
+    runs = tuple(x for x, _ in itertools.groupby(d[: n - 2]))
+    if runs[:1] == (0,):
+        runs = runs[1:]
+    return runs in _PATH_RUNS.get(d[n - 2 :], ())
 
 
 def check_root(quiver, d):

@@ -22,11 +22,11 @@ arrow between u and v leaves an interval of e_v, e_v >= e_u - max(d_u - d_v,
 0) for u -> v and e_v <= e_u + max(d_v - d_u, 0) for v -> u.  Cut to
 [0, d_v] that interval is never empty (e_v = d_v fits u -> v and e_v = 0
 fits v -> u), so the walk never dead-ends and visits only those vectors.
-``coefficient_of`` scores each one by a pass over the same parent edges: the
-components of S are the runs of S joined by parent edges, and every critical
-arrow is a parent edge.  The intervals, as transfer tables multiplied along
-the reversed order, also count the vectors without listing them
-(``arrow_valid_count``).
+Each one is scored by a pass over the same parent edges, whose arrow
+directions are fixed once per instance: the components of S are the runs of
+S joined by parent edges, and every critical arrow is a parent edge.  The
+intervals, as transfer tables multiplied along the reversed order, also
+count the vectors without listing them (``arrow_valid_count``).
 
 The g-vector is read off the root and the orientation alone: each arrow
 t -> h contributes d_h to coordinate t on top of -d.
@@ -38,16 +38,6 @@ from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.quiver_core import check_root
 
 
-def arrow_conditions_hold(quiver, d, e):
-    """Box constraint plus the per-arrow inequality (no coefficient logic)."""
-    if any(not (0 <= e[i] <= d[i]) for i in range(quiver.n)):
-        return False
-    for t, h in quiver.arrows:
-        if e[t] - e[h] > max(d[t] - d[h], 0):
-            return False
-    return True
-
-
 def _parent(n, v):
     """The one earlier neighbour of vertex v >= 1 in the index order: n - 3
     for the fork tip n - 1, v - 1 otherwise.  Every edge of the diagram joins
@@ -55,27 +45,22 @@ def _parent(n, v):
     return n - 3 if v == n - 1 else v - 1
 
 
-def coefficient_of(quiver, d, e):
-    """Coefficient of u^e in the F-polynomial (0 if e is not supported).
+def _coefficient(steps, d, e):
+    """Coefficient of u^e for a vector e the tree walk visits.
 
     One pass over the parent edges in index order, parents first: a vertex of
     S takes its parent's component label when the parent is in S too, and
-    starts a component (labelled by itself) otherwise; the arrow on the edge,
-    if critical, charges the label of its S end.
+    starts a component (labelled by itself) otherwise; the arrow t -> h on
+    the edge, if critical, charges the label of its S end.
     """
-    e = tuple(int(x) for x in e)
-    if not arrow_conditions_hold(quiver, d, e):
-        return 0
-    n = quiver.n
+    n = len(d)
     label = [-1] * n  # the component of S holding v, -1 off S
     charges = [0] * n  # per label
     if d[0] == 2 and e[0] == 1:
         label[0] = 0
-    for v in range(1, n):
-        u = _parent(n, v)
+    for u, v, t, h, _ in steps:
         if d[v] == 2 and e[v] == 1:
             label[v] = label[u] if label[u] >= 0 else v
-        t, h = (u, v) if (u, v) in quiver.arrows else (v, u)
         if label[t] >= 0 and d[h] == 1 and e[h] == 0:
             charges[label[t]] += 1
         elif label[h] >= 0 and d[t] == 1 and e[t] == 1:
@@ -90,9 +75,9 @@ def coefficient_of(quiver, d, e):
 
 
 def _tree_steps(quiver, d):
-    """(u, v, allowed) for v = 1..n-1: u is v's parent, and
-    allowed[x] is the range of e_v that the box and the arrow between u and v
-    leave when e_u = x."""
+    """(u, v, t, h, allowed) for v = 1..n-1: u is v's parent, t -> h is the
+    arrow between them, and allowed[x] is the range of e_v that the box and
+    that arrow leave when e_u = x."""
     n = quiver.n
     steps = []
     for v in range(1, n):
@@ -100,10 +85,11 @@ def _tree_steps(quiver, d):
         if (u, v) in quiver.arrows:
             slack = max(d[u] - d[v], 0)
             allowed = [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]
+            steps.append((u, v, u, v, allowed))
         else:
             slack = max(d[v] - d[u], 0)
             allowed = [range(min(x + slack, d[v]) + 1) for x in range(d[u] + 1)]
-        steps.append((u, v, allowed))
+            steps.append((u, v, v, u, allowed))
     return steps
 
 
@@ -118,22 +104,23 @@ def arrow_valid_count(quiver, d):
     """
     d = check_root(quiver, d)
     ways = [[1] * (x + 1) for x in d]
-    for u, v, allowed in reversed(_tree_steps(quiver, d)):
+    for u, v, _, _, allowed in reversed(_tree_steps(quiver, d)):
         below = ways[v]
         ways[u] = [w * sum(below[y] for y in allowed[x]) for x, w in enumerate(ways[u])]
     return sum(ways[0])
 
 
 def tran_f_polynomial(quiver, d):
-    """The sum of coefficient_of(e) * u^e over the vectors the tree walk
+    """The sum of coefficient(e) * u^e over the vectors the tree walk
     visits: those in the box that pass every arrow inequality."""
     d = check_root(quiver, d)
+    steps = _tree_steps(quiver, d)
     vectors = [(x,) for x in range(d[0] + 1)]
-    for u, _, allowed in _tree_steps(quiver, d):
+    for u, _, _, _, allowed in steps:
         vectors = [e + (x,) for e in vectors for x in allowed[e[u]]]
     terms = {}
     for e in vectors:
-        c = coefficient_of(quiver, d, e)
+        c = _coefficient(steps, d, e)
         if c:
             terms[e] = c
     return LaurentPolynomial(u_context(quiver.n), terms)

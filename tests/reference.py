@@ -13,13 +13,20 @@ gives the marked corners in the package's form).
   from the minimal matching, against the closed-form multiplicities;
 * ``component_charges``: the closed-form oracle's charge count per component
   of S, against the cycle count of the dimer configuration;
-* ``coefficient_of``: the closed-form coefficient as the package computed it
-  before the pass over the parent edges, with S split into components by a
-  search over the diagram, against ``tran_oracle.coefficient_of``;
+* ``arrow_conditions_hold``: the box and every arrow inequality, checked on
+  one vector as the package did before its tree walk listed only the
+  vectors that pass them;
+* ``coefficient_of``: the closed-form coefficient of any vector, as the
+  package computed it before the pass over the parent edges, with S split
+  into components by a search over the diagram, against
+  ``tran_f_polynomial``;
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
   computed it before the tree walk, scoring every vector of the box with the
   ``coefficient_of`` above, against ``tran_f_polynomial``;
+* ``cartan_matrix`` and ``roots_by_reflection``: the positive roots as the
+  package listed them before the closed form, by closing the reflection
+  orbit of the simple roots, against ``positive_roots``;
 * ``enumerate_cluster_variables``: every cluster variable by a breadth-first
   search over the whole exchange graph, against the source-sweep walk;
 * ``is_distributive``: distributivity of a flip lattice by the triple
@@ -58,7 +65,7 @@ from dimercluster.laurent_poly import (
 from dimercluster.mixed_dimer import config_from_e, flip, minimal_matching
 from dimercluster.mutation_oracle import denominator_vector, initial_seed, mutate_seed
 from dimercluster.quiver_core import check_root, dynkin_edges
-from dimercluster.tran_oracle import arrow_conditions_hold, tran_f_polynomial
+from dimercluster.tran_oracle import tran_f_polynomial
 
 
 def as_dict(graph, config):
@@ -95,6 +102,16 @@ def config_from_e_by_flips(graph, d, e):
     if any(m < 0 for m in config):
         raise ValueError("flip sequence for %r left negative multiplicities" % (e,))
     return config
+
+
+def arrow_conditions_hold(quiver, d, e):
+    """Box constraint plus the per-arrow inequality (no coefficient logic)."""
+    if any(not (0 <= e[i] <= d[i]) for i in range(quiver.n)):
+        return False
+    for t, h in quiver.arrows:
+        if e[t] - e[h] > max(d[t] - d[h], 0):
+            return False
+    return True
 
 
 def _s_components(n, d, e):
@@ -172,6 +189,41 @@ def tran_f_polynomial_by_box(quiver, d):
         if c:
             terms[e] = c
     return LaurentPolynomial(u_context(quiver.n), terms)
+
+
+def cartan_matrix(n):
+    """The Cartan matrix as a tuple of row tuples."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in dynkin_edges(n):
+        a[i][j] = a[j][i] = -1
+    return tuple(map(tuple, a))
+
+
+def roots_by_reflection(n):
+    """The positive roots in ascending graded-lex order, as the reflection-orbit
+    closure of the simple roots: the simple reflection at i sends d to
+    d - (A d)_i e_i for the Cartan matrix A, and the positive roots are
+    exactly the orbit elements with all entries >= 0."""
+    # the nonzero entries of each row of A: at most four
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan_matrix(n)]
+    simples = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for d in frontier:
+            ad = [sum(x * d[j] for j, x in row) for row in rows]
+            for i in range(n):
+                img = list(d)
+                img[i] -= ad[i]
+                img = tuple(img)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    roots = [d for d in seen if all(x >= 0 for x in d) and any(d)]
+    roots.sort(key=lambda d: (sum(d), d))
+    return roots
 
 
 def add_terms(a, b):

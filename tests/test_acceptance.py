@@ -42,8 +42,8 @@ from dimercluster.mutation_oracle import (
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import all_orientations, positive_roots
-from dimercluster.tran_oracle import coefficient_of, tran_f_polynomial, tran_g_vector
+from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges, positive_roots
+from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 from frozen import (
     COEFF2_E_QB,
     D5,
@@ -79,6 +79,9 @@ RANK6_SWEEP_BOUND_S = 30.0
 # Wall-clock bound on the rank-8 sample (512 instances against tran, 64 of
 # them against the mutation walk too), measured at 3.4-4.8 s.
 RANK8_SAMPLE_BOUND_S = 60.0
+# Wall-clock bound on the rank-11 to -13 sample (96 instances against tran),
+# measured at 0.9-1.0 s.
+RANK11_TO_13_SAMPLE_BOUND_S = 60.0
 
 
 def invariants(quiver, d):
@@ -233,6 +236,28 @@ def test_ac4_rank8_sample():
     assert time.perf_counter() - start < RANK8_SAMPLE_BOUND_S
 
 
+def test_ac4_rank11_to_13_sample():
+    # 8 seeded orientations per rank, each with 4 seeded roots, against tran
+    start = time.perf_counter()
+    rng = random.Random(1113)
+    checked = 0
+    mismatches = []
+    for n in (11, 12, 13):
+        roots = positive_roots(n)
+        edges = dynkin_edges(n)
+        for _ in range(8):
+            mask = rng.getrandbits(n - 1)
+            arrows = [(b, a) if mask >> k & 1 else (a, b) for k, (a, b) in enumerate(edges)]
+            quiver = Quiver(n, arrows)
+            for report in verify_quiver(quiver, ("tran",), rng.sample(roots, 4)):
+                checked += 1
+                if not report["ok"]:
+                    mismatches.append((quiver, report["root"], report["oracles"]))
+    assert mismatches == []
+    assert checked == 3 * 8 * 4
+    assert time.perf_counter() - start < RANK11_TO_13_SAMPLE_BOUND_S
+
+
 # ---- AC5: bijection roundtrips ---------------------------------------------------------
 
 
@@ -269,7 +294,7 @@ def test_ac6_excluded_configuration():
     assert not support_summary(graph, step2, corner_marks(graph, D6))[0]
     # u2*u3 is absent from F
     assert invariants(QA, D6)[0].coefficient(POLY_EXCLUDED_QA) == 0
-    assert coefficient_of(QA, D6, POLY_EXCLUDED_QA) == 0
+    assert tran_f_polynomial(QA, D6).coefficient(POLY_EXCLUDED_QA) == 0
     # the condition oracle charges component {2, 3} twice
     assert component_charges(QA, D6, POLY_EXCLUDED_QA) == {(2, 3): 2}
     # and the poset never admits it
@@ -287,14 +312,15 @@ def test_ac7_coefficient_law(sweep4, sweep5):
         for entry in sweep.entries:
             quiver, graph = entry.quiver, entry.graph
             for d, poset in entry.posets.items():
-                coeffs = poset.coefficients()
+                coeffs = poset.coefficients
+                f = tran_f_polynomial(quiver, d)
                 for e in poset.elements:
                     config = config_from_e(graph, d, e)
                     charges = component_charges(quiver, d, e)
                     uncharged = sum(1 for c in charges.values() if c == 0)
                     cycles = support_summary(graph, config, [None] * len(graph.corners))[1]
                     assert cycles == uncharged, (quiver.arrows, d, e)
-                    assert coeffs[e] == 2 ** cycles == coefficient_of(quiver, d, e)
+                    assert coeffs[e] == 2 ** cycles == f.coefficient(e)
 
 
 # ---- AC8: poset and lattice properties ---------------------------------------------------
@@ -305,7 +331,7 @@ def test_ac8_poset_lattice_properties(sweep4, sweep5):
     for sweep in (sweep4, sweep5):
         for entry in sweep.entries:
             for d, poset in entry.posets.items():
-                coeffs = poset.coefficients()
+                coeffs = poset.coefficients
                 # unique bottom and top with coefficient 1
                 zero = (0,) * poset.graph.n
                 assert poset.elements[0] == zero and coeffs[zero] == 1

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import dimercluster.cli
 from dimercluster.cli import main
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.quiver_core import dynkin_edges, parse_quiver
+from dimercluster.quiver_core import (
+    all_orientations,
+    dynkin_edges,
+    format_quiver,
+    parse_quiver,
+    positive_roots,
+)
 from dimercluster.tran_oracle import arrow_valid_count, tran_f_polynomial
 
 QC_SPEC = "n=5; 1>0,2>1,3>2,2>4"
@@ -406,6 +412,33 @@ def highest_root(n):
     return ",".join(map(str, (1,) + (2,) * (n - 3) + (1, 1)))
 
 
+def test_verify_q_refuses_all_roots_past_the_sweep_limit_before_listing_them(
+    runner, monkeypatch
+):
+    def no_roots(n):
+        raise AssertionError("the roots were listed")
+
+    monkeypatch.setattr(dimercluster.cli, "positive_roots", no_roots)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["verify", "-q", linear(225)])
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 3
+    assert result.output == (
+        "error: a rank-225 quiver has 50400 roots, more than the 50000 instances "
+        "-q allows without -d\n"
+    )
+    # rank 224 is within the limit
+    assert 224 * 223 <= dimercluster.cli.MAX_SWEEP_INSTANCES < 225 * 224
+
+
+def test_compute_checks_a_long_quiver_root_without_listing_the_roots(runner):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["compute", "-q", linear(300), "-d", "1" + ",0" * 299])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 0
+    assert "poset size: 2" in result.output
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -514,10 +547,11 @@ def test_verify_names_the_mismatches_of_a_wrong_oracle(runner, wrong_tran):
 # sha256 of stdout; the output must not move.  The first three were taken
 # before the flip poset computed each configuration's support once and closed
 # its order lazily, the rest before the indented JSON of every command was
-# written by ``cli._json_text`` instead of ``json.dumps``.  The rank-9, -10
-# and -12 instances are the alternating orientations with their highest
-# roots; the rank-5 poset has an N5 witness, so its lattice diagnostics read
-# the order closure.
+# written by ``cli._json_text`` instead of ``json.dumps``, the last before
+# the closed-form roots and Tran's one-pass scorer.  The rank-9, -10 and -12
+# instances are the alternating orientations with their highest roots; the
+# rank-5 poset has an N5 witness, so its lattice diagnostics read the order
+# closure.
 PINNED_STDOUT = [
     (
         ["compute", "-q", "n=9; 0>1, 2>1, 2>3, 4>3, 4>5, 6>5, 6>7, 6>8",
@@ -550,6 +584,10 @@ PINNED_STDOUT = [
         ["verify", "-q", QC_SPEC, "-f", "json", "--explain"],
         "042d125a32d60fca88cdda6c3030da45cb25b11a16300d09ebe0ff6d7aee4cf6",
     ),
+    (
+        ["verify", "--n", "5", "--explain", "-f", "json", "--jobs", "1"],
+        "7b20f86aad81e976192903f15d926d5abec6d37d505b6263f35a31b42ba32dc0",
+    ),
 ]
 
 
@@ -558,13 +596,33 @@ PINNED_STDOUT = [
     PINNED_STDOUT,
     ids=[
         "compute-9", "compute-10", "poset-5",
-        "compute-12", "basegraph-5", "poset-json-5", "verify-json-5",
+        "compute-12", "basegraph-5", "poset-json-5", "verify-json-5", "verify-n5",
     ],
 )
 def test_stdout_is_pinned(runner, args, digest):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+def test_rank5_lattice_output_is_pinned(runner):
+    # poset --lattice in every format for every rank-5 orientation and root
+    # with an entry 2, one digest over the concatenated stdout
+    digest = hashlib.sha256()
+    count = 0
+    for quiver in all_orientations(5):
+        for d in positive_roots(5):
+            if 2 not in d:
+                continue
+            for fmt in ("json", "text", "dot"):
+                root = ",".join(map(str, d))
+                args = ["poset", "-q", format_quiver(quiver), "-d", root, "-f", fmt, "--lattice"]
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0
+                digest.update(result.output.encode())
+            count += 1
+    assert count == 48
+    assert digest.hexdigest() == "36592f6bb34cf89d2b3627f7c2e79afe11c8b9898fcbbaae5d9c0b271b729f11"
 
 
 def test_mismatch_text_is_pinned(runner, wrong_tran):

@@ -12,7 +12,7 @@ from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import is_flippable, minimal_matching
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
-from dimercluster.tran_oracle import coefficient_of, tran_f_polynomial
+from dimercluster.tran_oracle import tran_f_polynomial
 
 from frozen import D5, D6, N5_WITNESS_QC, POLY_EXCLUDED_QA, POSET_COVERS_QC, QA, QC
 import reference
@@ -55,13 +55,10 @@ def test_rejects_non_roots(d):
         FlipPoset(QC, d)
 
 
-def test_coefficients_returns_a_fresh_dict():
+def test_coefficients_are_one_dict_keyed_like_the_weights():
     poset = FlipPoset(QC, D5)
-    coeffs = poset.coefficients()
-    expected = dict(coeffs)
-    coeffs[poset.bottom] = 99
-    coeffs[(9, 9, 9, 9, 9)] = 1
-    assert poset.coefficients() == expected
+    assert set(poset.coefficients) == set(poset.weights) == set(poset.elements)
+    assert dimer_invariants(poset)[0].terms == poset.coefficients
 
 
 def with_table(graph, name, i, value):
@@ -102,7 +99,7 @@ def test_order_closure_is_built_on_the_first_order_query():
     }
     for name, query in queries.items():
         poset = FlipPoset(QC, D5)
-        poset.coefficients()
+        poset.coefficients
         dimer_invariants(poset)
         assert name not in vars(poset)
         assert query(poset)
@@ -148,7 +145,7 @@ def test_rank6_poset_matches_conditions(poset_qa):
 
 
 def test_rank6_f_from_coefficients(poset_qa):
-    coeffs = poset_qa.coefficients()
+    coeffs = poset_qa.coefficients
     f = tran_f_polynomial(QA, D6)
     assert coeffs == f.terms
 
@@ -283,8 +280,9 @@ def test_rank4_elements_match_conditions_everywhere():
     for quiver in all_orientations(4):
         for d in positive_roots(4):
             poset = FlipPoset(quiver, d)
-            expect = {e: coefficient_of(quiver, d, e) for e in acceptable_evectors(quiver, d)}
-            assert poset.coefficients() == expect
+            f = tran_f_polynomial(quiver, d)
+            expect = {e: f.coefficient(e) for e in acceptable_evectors(quiver, d)}
+            assert poset.coefficients == expect
 
 
 def test_rank5_spot_elements_match_conditions():
@@ -294,5 +292,6 @@ def test_rank5_spot_elements_match_conditions():
             if max(d) != 2:
                 continue
             poset = FlipPoset(quiver, d)
-            expect = {e: coefficient_of(quiver, d, e) for e in acceptable_evectors(quiver, d)}
-            assert poset.coefficients() == expect
+            f = tran_f_polynomial(quiver, d)
+            expect = {e: f.coefficient(e) for e in acceptable_evectors(quiver, d)}
+            assert poset.coefficients == expect

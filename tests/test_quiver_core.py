@@ -8,13 +8,13 @@ import pytest
 from dimercluster.quiver_core import (
     Quiver,
     all_orientations,
-    cartan_matrix,
     dynkin_edges,
     format_quiver,
     is_positive_root,
     parse_quiver,
     positive_roots,
 )
+from reference import cartan_matrix, roots_by_reflection
 
 
 # ---- [TRIVIAL] diagram shape ------------------------------------------------
@@ -132,6 +132,20 @@ def test_positive_roots_match_quadratic_form_oracle(n):
     assert positive_roots(n) == brute_force_roots(n)
 
 
+def test_positive_roots_equal_the_reflection_closure_ranks_4_to_30():
+    for n in range(4, 31):
+        assert positive_roots(n) == roots_by_reflection(n), n
+
+
+def test_is_positive_root_equals_membership_ranks_4_to_7():
+    # every vector with entries -1..3 at ranks 4-6, and 0..2 at rank 7
+    for n in (4, 5, 6, 7):
+        roots = set(positive_roots(n))
+        values = range(3) if n == 7 else range(-1, 4)
+        for d in itertools.product(values, repeat=n):
+            assert is_positive_root(n, d) == (d in roots), d
+
+
 def test_root_counts():
     # [PAPER] the rank-n system has n(n-1) positive roots
     for n in (4, 5, 6, 7):
@@ -158,6 +172,9 @@ def test_is_positive_root():
     assert not is_positive_root(6, (0, 1, 0, 2, 1, 1))
     assert not is_positive_root(6, (0, 1, 1, 2, 1))
     assert not is_positive_root(4, (0, 0, 0, 0))
+    # a rank far past any list of the roots
+    assert is_positive_root(3000, (1,) + (2,) * 2997 + (1, 1))
+    assert not is_positive_root(3000, (2,) * 2998 + (1, 1))
 
 
 def test_roots_entries_bounded_random():

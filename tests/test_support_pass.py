@@ -160,7 +160,7 @@ def test_flip_poset_matches_the_old_build(n):
             assert poset.elements == elements
             assert poset.excluded == excluded
             assert poset.covers == covers
-            assert poset.coefficients() == coefficients
+            assert poset.coefficients == coefficients
             assert poset.weights == {
                 e: x_exponents(graph, frozen_tuple(graph, d, e)) for e in elements
             }
