@@ -3,6 +3,8 @@
 Exit codes are a stable contract: 0 success, 1 verification mismatch,
 2 parse/usage error, 3 semantic input error (well-formed values that do not
 denote a quiver/root instance).  All JSON payloads carry ``"schema": 1``.
+``verify -q`` with the mutation oracle exits 3 before any work on a quiver
+of rank past MAX_WALK_RANK, whose walk would run for minutes.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ MAX_SWEEP_INSTANCES = 50_000
 # alternating rank-14 highest root (a bound of 55,215, 49,427 elements) is
 # within it, the alternating rank-15 one is not.
 MAX_POSET_ELEMENTS = 100_000
+
+# The largest rank `verify -q` walks for the mutation oracle, as `--n` does.
+# The alternating orientation walks slowest: 1.6 s of CPU at rank 9, 10.7 s
+# and 127 MB at rank 10, 47 s and 366 MB at rank 11 (2-vCPU virtual machine,
+# one run each); the linear one walks rank 10 in 0.1 s and rank 20 in 3.9 s.
+MAX_WALK_RANK = 10
 
 # The largest flip poset `poset --lattice` diagnoses.  The witness searches
 # are cubic in the element count; the slowest lattices are the distributive
@@ -109,20 +117,15 @@ _output_option = click.option(
 )
 
 
-def _json_text(value):
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
-    str, int, bool, None, dict, list and tuple trees the commands print.
+def _write_json(value, newline, put):
+    """Put ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    the str, int, bool, None, dict, list and tuple trees the commands print.
 
     The stdlib encoder falls back to pure Python whenever an indent is set;
     here each list of plain ints (the exponent vectors, nearly all of the
-    bytes) is one join.  Any other type, and a non-str dict key, raises
+    bytes) is one join.  ``newline`` is the line break and the indent of the
+    current depth.  Any other type, and a non-str dict key, raises
     TypeError."""
-    chunks = []
-    _write_json(value, "\n", chunks.append)
-    return "".join(chunks)
-
-
-def _write_json(value, newline, put):
     if isinstance(value, str):
         put(encode_basestring_ascii(value))
     elif value is None:
@@ -164,15 +167,28 @@ def _write_json(value, newline, put):
         raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
-def _emit(text, out):
+def _emit(out, parts):
+    """Write each part and a newline straight to stdout, or to the file
+    ``out`` (opened only now that the output is computed).  A str part is
+    written as it is, any other part as indented JSON."""
     if out is None:
-        click.echo(text)
+        _write_parts(parts, sys.stdout.write)
+        sys.stdout.flush()
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            _write_parts(parts, fh.write)
     except OSError as exc:
         raise click.UsageError("cannot write %s: %s" % (out, exc.strerror))
+
+
+def _write_parts(parts, put):
+    for part in parts:
+        if isinstance(part, str):
+            put(part)
+        else:
+            _write_json(part, "\n", put)
+        put("\n")
 
 
 def _oracle_list(spec):
@@ -208,32 +224,27 @@ def basegraph(quiver_spec, root_spec, fmt, output):
     graph = BaseGraph(quiver)
     d = _parse_root_opt(root_spec, quiver.n) if root_spec else None
     if fmt == "dot":
-        _emit(graph.to_dot(d), output)
+        _emit(output, [graph.to_dot(d)])
     elif fmt == "text":
-        text = graph.describe()
+        parts = [graph.describe()]
         if d is not None:
             labels = graph.node_labels(d)
-            text += "\nnodes for d=%s: %s" % (
+            parts.append("nodes for d=%s: %s" % (
                 ",".join(map(str, d)),
                 " ".join("%s=%s" % (v, c) for v, c in sorted(labels.items())),
-            )
-        _emit(text, output)
+            ))
+        _emit(output, parts)
     else:
         payload = {
             "schema": 1,
             "quiver": format_quiver(quiver),
             "tiles": [
-                {
-                    "index": t.index,
-                    "kind": t.kind,
-                    "cells": [list(c) for c in t.cells],
-                    "corners": [list(c) for c in t.corners],
-                }
+                {"index": t.index, "kind": t.kind, "cells": t.cells, "corners": t.corners}
                 for t in graph.tiles
             ],
             "edges": [
                 {
-                    "ends": [list(e[0]), list(e[1])],
+                    "ends": e,
                     "tiles": sorted(graph.edge_tiles[e]),
                     "weight": graph.edge_weights.get(e),
                 }
@@ -243,10 +254,9 @@ def basegraph(quiver_spec, root_spec, fmt, output):
         }
         if d is not None:
             payload["nodes"] = [
-                {"corner": list(v), "color": c}
-                for v, c in sorted(graph.node_labels(d).items())
+                {"corner": v, "color": c} for v, c in sorted(graph.node_labels(d).items())
             ]
-        _emit(_json_text(payload), output)
+        _emit(output, [payload])
 
 
 # ---- compute -------------------------------------------------------------------------
@@ -274,19 +284,19 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
         payload = {
             "schema": 1,
             "quiver": format_quiver(quiver),
-            "root": list(d),
+            "root": d,
             "f_polynomial": f.to_json(),
-            "g_vector": list(g),
+            "g_vector": g,
             "laurent_expansion": laurent.to_json(),
             "poset_size": len(poset.elements),
             "cycle_histogram": {str(k): v for k, v in sorted(histogram.items())},
         }
         if explain:
             payload["configurations"] = [
-                {"e": list(e), "coefficient": coeffs[e], "x_exponents": list(poset.weights[e])}
+                {"e": e, "coefficient": coeffs[e], "x_exponents": poset.weights[e]}
                 for e in poset.elements
             ]
-        _emit(_json_text(payload), output)
+        _emit(output, [payload])
         return
     lines = [
         "quiver: %s" % format_quiver(quiver),
@@ -303,7 +313,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
         for e in poset.elements:
             row = (",".join(map(str, e)), coeffs[e], ",".join(map(str, poset.weights[e])))
             lines.append("  %s | %d | %s" % row)
-    _emit("\n".join(lines), output)
+    _emit(output, lines)
 
 
 # ---- poset ---------------------------------------------------------------------------
@@ -339,15 +349,14 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
             "m3_witness": m3,
         }
     if fmt == "dot":
-        text = p.hasse_dot()
+        lines = [p.hasse_dot()]
         if diagnostics is not None:
-            text += "\n// lattice: %s, distributive: %s" % (
-                diagnostics["is_lattice"],
-                diagnostics["distributive"],
+            lines.append(
+                "// lattice: %(is_lattice)s, distributive: %(distributive)s" % diagnostics
             )
             if diagnostics["n5_witness"]:
-                text += "\n// N5 witness: %s" % (diagnostics["n5_witness"],)
-        _emit(text, output)
+                lines.append("// N5 witness: %s" % (diagnostics["n5_witness"],))
+        _emit(output, lines)
     elif fmt == "text":
         lines = ["elements (%d):" % len(p.elements)]
         coeffs = p.coefficients
@@ -368,33 +377,22 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
                 lines.append("lattice: distributive")
             else:
                 lines.append("not a lattice")
-        _emit("\n".join(lines), output)
+        _emit(output, lines)
     else:
         payload = {
             "schema": 1,
             "quiver": format_quiver(quiver),
-            "root": list(d),
-            "elements": [list(e) for e in p.elements],
-            "covers": {
-                ",".join(map(str, e)): [list(v) for v in p.covers[e]] for e in p.elements
-            },
-            "excluded": [list(e) for e in sorted(p.excluded)],
+            "root": d,
+            "elements": p.elements,
+            "covers": {",".join(map(str, e)): p.covers[e] for e in p.elements},
+            "excluded": sorted(p.excluded),
             "coefficients": {
                 ",".join(map(str, e)): c for e, c in sorted(p.coefficients.items())
             },
         }
         if diagnostics is not None:
-            payload["lattice"] = {
-                "is_lattice": diagnostics["is_lattice"],
-                "distributive": diagnostics["distributive"],
-                "n5_witness": {k: list(v) for k, v in diagnostics["n5_witness"].items()}
-                if diagnostics["n5_witness"]
-                else None,
-                "m3_witness": {k: list(v) for k, v in diagnostics["m3_witness"].items()}
-                if diagnostics["m3_witness"]
-                else None,
-            }
-        _emit(_json_text(payload), output)
+            payload["lattice"] = diagnostics
+        _emit(output, [payload])
 
 
 # ---- verify --------------------------------------------------------------------------
@@ -408,7 +406,7 @@ def _verify_one_orientation(args):
     return [
         {
             "quiver": format_quiver(quiver),
-            "root": list(report["root"]),
+            "root": report["root"],
             "ok": report["ok"],
             "roundtrip": report["roundtrip"],
             "oracles": report["oracles"],
@@ -464,6 +462,11 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
                 "a rank-%d quiver has %d roots, more than the %d instances -q allows "
                 "without -d" % (n, n * (n - 1), MAX_SWEEP_INSTANCES)
             )
+        if "mutation" in oracles and n > MAX_WALK_RANK:
+            _semantic_error(
+                "the mutation oracle walks quivers of rank at most %d; this one has "
+                "rank %d" % (MAX_WALK_RANK, n)
+            )
         # no sweep needs the check: at rank 10, its largest, every bound is <= 2,166
         _check_poset_sizes(quivers[0], roots or positive_roots(n))
     tasks = [(q.n, q.arrows, oracles, roots) for q in quivers]
@@ -478,13 +481,13 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
     if fmt == "json":
         payload = {
             "schema": 1,
-            "oracles": list(oracles),
+            "oracles": oracles,
             "instances": len(results),
             "failures": failures,
         }
         if explain:
             payload["results"] = results
-        _emit(_json_text(payload), output)
+        _emit(output, [payload])
     else:
         lines = []
         if explain:
@@ -506,8 +509,8 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             )
         )
         if failures:
-            lines.append(_json_text({"schema": 1, "failures": failures}))
-        _emit("\n".join(lines), output)
+            lines.append({"schema": 1, "failures": failures})
+        _emit(output, lines)
     if failures:
         sys.exit(EXIT_MISMATCH)
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import dimercluster.cli
 from dimercluster.cli import main
+from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.quiver_core import (
     all_orientations,
@@ -275,12 +277,32 @@ def test_verify_runs_each_oracle_once(runner, monkeypatch, spec, oracles):
 
 
 def test_output_file_flag(runner, tmp_path):
-    target = tmp_path / "graph.dot"
-    result = runner.invoke(
-        main, ["basegraph", "-q", QC_SPEC, "-f", "dot", "-o", str(target)]
-    )
-    assert result.exit_code == 0
-    assert target.read_text().startswith("graph basegraph {")
+    # -o writes exactly the bytes the same command prints, for every command
+    # and format
+    qd = ["-q", QC_SPEC, "-d", QC_ROOT]
+    cases = [["basegraph"] + qd + ["-f", fmt] for fmt in ("text", "json", "dot")]
+    for explain in ([], ["--explain"]):
+        cases += [["compute"] + qd + ["-f", fmt] + explain for fmt in ("text", "json")]
+        cases += [["verify", "-q", QC_SPEC, "-f", fmt] + explain for fmt in ("text", "json")]
+    for lattice in ([], ["--lattice"]):
+        cases += [["poset"] + qd + ["-f", fmt] + lattice for fmt in ("dot", "text", "json")]
+    target = tmp_path / "out"
+    for args in cases:
+        printed = runner.invoke(main, args)
+        written = runner.invoke(main, args + ["-o", str(target)])
+        assert printed.exit_code == written.exit_code == 0, args
+        assert written.stdout_bytes == b"", args
+        assert target.read_bytes() == printed.stdout_bytes, args
+
+
+def test_output_file_holds_the_mismatch_report(runner, tmp_path, wrong_tran):
+    args = ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "tran"]
+    target = tmp_path / "out"
+    printed = runner.invoke(main, args)
+    written = runner.invoke(main, args + ["-o", str(target)])
+    assert printed.exit_code == written.exit_code == 1
+    assert target.read_bytes() == printed.stdout_bytes
+    assert b'"failures": [' in target.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -523,6 +545,32 @@ def test_lattice_limit_admits_a_poset_of_its_size(runner, monkeypatch):
     assert runner.invoke(main, args).exit_code == 3
 
 
+def test_verify_q_refuses_the_walk_past_its_rank_before_any_work(runner, monkeypatch):
+    def no_walk(quiver):
+        raise AssertionError("the quiver was walked")
+
+    monkeypatch.setattr(dimercluster.cluster_invariants, "walk_cluster_variables", no_walk)
+    rank = dimercluster.cli.MAX_WALK_RANK + 1
+    args = ["verify", "-q", linear(rank), "-d", "1" + ",0" * (rank - 1)]
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 3
+    assert result.output == (
+        "error: the mutation oracle walks quivers of rank at most %d; this one has rank %d\n"
+        % (rank - 1, rank)
+    )
+    assert runner.invoke(main, args + ["--oracle", "tran"]).exit_code == 0
+
+
+def test_walk_limit_admits_a_quiver_of_its_rank(runner, monkeypatch):
+    args = ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "mutation"]
+    monkeypatch.setattr(dimercluster.cli, "MAX_WALK_RANK", 5)
+    assert runner.invoke(main, args).exit_code == 0
+    monkeypatch.setattr(dimercluster.cli, "MAX_WALK_RANK", 4)
+    assert runner.invoke(main, args).exit_code == 3
+
+
 @pytest.fixture()
 def wrong_tran(monkeypatch):
     """Make the tran oracle's F-polynomial twice the true one."""
@@ -547,7 +595,7 @@ def test_verify_names_the_mismatches_of_a_wrong_oracle(runner, wrong_tran):
 # sha256 of stdout; the output must not move.  The first three were taken
 # before the flip poset computed each configuration's support once and closed
 # its order lazily, the rest before the indented JSON of every command was
-# written by ``cli._json_text`` instead of ``json.dumps``, the last before
+# written by ``cli._write_json`` instead of ``json.dumps``, the last before
 # the closed-form roots and Tran's one-pass scorer.  The rank-9, -10 and -12
 # instances are the alternating orientations with their highest roots; the
 # rank-5 poset has an N5 witness, so its lattice diagnostics read the order
@@ -653,13 +701,34 @@ _json_trees = st.recursive(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(_json_trees)
-def test_json_text_is_json_dumps_byte_for_byte(tree):
-    assert dimercluster.cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+def test_write_json_is_json_dumps_byte_for_byte(tree):
+    chunks = []
+    dimercluster.cli._write_json(tree, "\n", chunks.append)
+    assert "".join(chunks) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
     "value", [1.5, {1, 2}, {1: 2}, [{"a": [0, 0.5]}]], ids=["float", "set", "int-key", "nested-float"]
 )
-def test_json_text_refuses_what_the_commands_never_print(value):
+def test_write_json_refuses_what_the_commands_never_print(value):
     with pytest.raises(TypeError):
-        dimercluster.cli._json_text(value)
+        dimercluster.cli._write_json(value, "\n", [].append)
+
+
+def test_the_output_is_written_as_it_is_made(tmp_path):
+    # the compute payload of the alternating rank-10 highest root, 1.1 MB of
+    # JSON, goes to the file without being held whole in memory: the writer
+    # peaks at 0.03x the file, a joined string at 3.3x
+    poset = FlipPoset(parse_quiver(alternating(10)), tuple(map(int, highest_root(10).split(","))))
+    f, _, laurent = dimer_invariants(poset)
+    payload = {"f_polynomial": f.to_json(), "laurent_expansion": laurent.to_json()}
+    target = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        dimercluster.cli._emit(str(target), [payload])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 10

@@ -141,7 +141,7 @@ def test_the_package_reads_no_environment_variable():
 
 def test_indented_json_has_one_writer():
     # an indent sends json.dumps to its pure-Python encoder; every command
-    # writes indented JSON through cli._json_text, which gives the same bytes
+    # writes indented JSON through cli._write_json, which gives the same bytes
     assert _indented_json_calls(ROOT / "src" / "dimercluster") == []
 
 
