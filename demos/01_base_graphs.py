@@ -26,4 +26,4 @@ for q in all_orientations(4):
     g = BaseGraph(q)
     kinds = ["%d:%s" % (t.index, t.kind[:3]) for t in g.tiles]
     print("  %-28s -> %s, %d vertices, %d edges"
-          % (q, " ".join(kinds), len(g.vertices), len(g.edges)))
+          % (q, " ".join(kinds), len(g.corners), len(g.edges)))

@@ -34,7 +34,7 @@ print("coordinatewise min of v and w would be %s -> excluded: %s"
 print()
 
 print("=== Hasse diagram (DOT) ===")
-print(poset.hasse_dot())
+print("\n".join(poset.hasse_dot()))
 print()
 
 print("=== distributivity census at rank 4 ===")

@@ -16,8 +16,20 @@ parity, with the global color choice pinned by the orientation of the first
 diagram edge.  Every tile's boundary then alternates between two classes of
 sides — "bw" and "wb", read clockwise — and the defining compatibility holds:
 the edge shared by an arrow ``i -> j`` is a bw-side of tile ``i`` and a
-wb-side of tile ``j``.  The constructor verifies this invariant, the expected
-vertex count ``2n + 4``, and the tile adjacency structure.
+wb-side of tile ``j``.
+
+Per-edge record
+---------------
+Every edge is a side of one or two tiles, and a side of one tile in each
+class at most.  ``closed_form_plan[k]`` is the pair (bw, wb) for
+``edges[k]``: the tile that has it as a bw-side and the tile that has it as
+a wb-side, the outer face ``n`` standing in for the missing tile of a
+boundary edge.  The record is built in one pass over the tile sides, and
+every other table (side classes, flips, boundary sides, weight labels) is
+read from it.  The constructor checks the ``2n + 4`` corners, and that the
+pairs without the outer face are exactly the arrows of the quiver: one
+comparison that covers the tile adjacencies, one shared edge per adjacent
+pair, and the class compatibility.
 
 Weights
 -------
@@ -102,7 +114,7 @@ class BaseGraph:
         return BW if self.color(p) == BLACK else WB
 
     def edge_class(self, edge, tile_index):
-        return self._edge_class[(edge, tile_index)]
+        return BW if self.closed_form_plan[self.edge_index[edge]][0] == tile_index else WB
 
     # ---- construction ---------------------------------------------------------
 
@@ -165,53 +177,44 @@ class BaseGraph:
         self.tiles = tiles
 
     def _index_edges(self):
-        self.vertices = set()
-        self.edge_tiles = {}
-        self._edge_class = {}
+        """The per-edge record: ``closed_form_plan[k]`` = (bw, wb) for
+        ``edges[k]``, the tile that has it as a bw-side and the tile that has
+        it as a wb-side, the outer face n standing in for a missing one."""
+        n = self.n
+        slots = {}
         for tile in self.tiles:
             for p, q in tile.sides:
-                self.vertices.add(p)
-                self.vertices.add(q)
-                e = edge_key(p, q)
-                self.edge_tiles.setdefault(e, []).append(tile.index)
-                self._edge_class[(e, tile.index)] = self.side_class(p, q)
-        self.edges = sorted(self.edge_tiles)
+                pair = slots.setdefault(edge_key(p, q), [n, n])
+                slot = self.side_class(p, q) == WB
+                if pair[slot] != n:
+                    raise AssertionError(
+                        "edge %r is a side of tiles %d and %d in one class"
+                        % (edge_key(p, q), pair[slot], tile.index)
+                    )
+                pair[slot] = tile.index
+        self.edges = sorted(slots)
+        self.edge_index = {e: k for k, e in enumerate(self.edges)}
+        self.closed_form_plan = tuple(tuple(slots[e]) for e in self.edges)
+        self.corners = sorted({v for e in self.edges for v in e})
 
     def _validate(self):
         n = self.n
-        if len(self.vertices) != 2 * n + 4:
+        if len(self.corners) != 2 * n + 4:
             raise AssertionError(
-                "expected %d corners, built %d" % (2 * n + 4, len(self.vertices))
+                "expected %d corners, built %d" % (2 * n + 4, len(self.corners))
             )
-        # tiles sharing an edge must be exactly the diagram adjacencies
-        shared = {}
-        for e, tiles in self.edge_tiles.items():
-            if len(tiles) > 2:
-                raise AssertionError("edge %r lies on %d tiles" % (e, len(tiles)))
-            if len(tiles) == 2:
-                pair = tuple(sorted(tiles))
-                if pair in shared:
-                    raise AssertionError("tiles %r share two edges" % (pair,))
-                shared[pair] = e
-        diagram = {tuple(sorted(a)) for a in self.quiver.arrows}
-        if set(shared) != diagram:
+        # one edge per arrow i -> j, a bw-side of tile i and a wb-side of tile j,
+        # and no other edge shared: the tile adjacencies are the diagram's
+        shared = sorted((t, h) for t, h in self.closed_form_plan if t < n and h < n)
+        if shared != sorted(self.quiver.arrows):
             raise AssertionError(
-                "tile adjacencies %s do not match the diagram %s"
-                % (sorted(shared), sorted(diagram))
+                "shared edges %s do not match the arrows %s"
+                % (shared, sorted(self.quiver.arrows))
             )
-        self._shared = shared
-        # the defining class compatibility: arrow i -> j meets its shared edge
-        # as a bw-side of tile i and a wb-side of tile j
-        for t, h in self.quiver.arrows:
-            e = shared[tuple(sorted((t, h)))]
-            if self.edge_class(e, t) != BW or self.edge_class(e, h) != WB:
-                raise AssertionError("arrow %d->%d violates side classes" % (t, h))
-
-    def shared_edge(self, i, j):
-        return self._shared[tuple(sorted((i, j)))]
 
     def _plan(self):
-        """Per-graph tables that configurations are read and built with.
+        """Per-graph tables that configurations are read and built with, all
+        read from the per-edge record ``closed_form_plan``.
 
         A configuration is a tuple of multiplicities indexed like ``edges``;
         every table below names an edge by its position there
@@ -220,42 +223,33 @@ class BaseGraph:
         ``bw_sides[i]``: the bw-sides of tile i, all present in a
         configuration that can flip at i.  ``flip_deltas[i]``: (edge, -1) for
         every bw-side and (edge, +1) for every wb-side of tile i.
-        ``closed_form_plan[k]``: (tail, head), edge k being a bw-side of tile
-        tail and a wb-side of tile head; on a boundary edge the missing tile
-        is the outer face, index n.  ``boundary_sides[i]``: (edge, is_wb) for
-        one boundary side of tile i, whose multiplicity is e_i on a wb-side
-        and d_i - e_i on a bw-side; every tile has one.
+        ``boundary_sides[i]``: (edge, is_wb) for the first boundary side of
+        tile i clockwise, whose multiplicity is e_i on a wb-side and
+        d_i - e_i on a bw-side; every tile has one.
         ``weighted_edges``: (edge, label) for every labeled edge.
         """
         n = self.n
-        index = self.edge_index = {e: k for k, e in enumerate(self.edges)}
-        self.corners = sorted(self.vertices)
+        index, plan = self.edge_index, self.closed_form_plan
         corner = {v: c for c, v in enumerate(self.corners)}
         incidence = [[] for _ in self.corners]
         for k, (p, q) in enumerate(self.edges):
             incidence[corner[p]].append((k, corner[q]))
             incidence[corner[q]].append((k, corner[p]))
         self.incidence = tuple(map(tuple, incidence))
-        classes = [
-            [(index[e], self._edge_class[(e, tile.index)] == BW) for e in tile.edges]
-            for tile in self.tiles
-        ]
-        self.bw_sides = tuple(tuple(k for k, bw in sides if bw) for sides in classes)
-        self.flip_deltas = tuple(
-            tuple((k, -1 if bw else 1) for k, bw in sides) for sides in classes
+        sides = [[index[e] for e in tile.edges] for tile in self.tiles]
+        self.bw_sides = tuple(
+            tuple(k for k in ks if plan[k][0] == i) for i, ks in enumerate(sides)
         )
-        plan = []
-        for e in self.edges:
-            ends = {self._edge_class[(e, i)]: i for i in self.edge_tiles[e]}
-            plan.append((ends.get(BW, n), ends.get(WB, n)))
-        self.closed_form_plan = tuple(plan)
-        sides = []
-        for tile in self.tiles:
-            boundary = [e for e in tile.edges if len(self.edge_tiles[e]) == 1]
-            if not boundary:
-                raise AssertionError("tile %d has no boundary side" % tile.index)
-            sides.append((index[boundary[0]], self._edge_class[(boundary[0], tile.index)] == WB))
-        self.boundary_sides = tuple(sides)
+        self.flip_deltas = tuple(
+            tuple((k, -1 if plan[k][0] == i else 1) for k in ks) for i, ks in enumerate(sides)
+        )
+        boundary = []
+        for i, ks in enumerate(sides):
+            k = next((k for k in ks if n in plan[k]), None)
+            if k is None:
+                raise AssertionError("tile %d has no boundary side" % i)
+            boundary.append((k, plan[k][1] == i))
+        self.boundary_sides = tuple(boundary)
         self.weighted_edges = tuple(
             (index[e], label) for e, label in self.edge_weights.items()
         )
@@ -263,29 +257,25 @@ class BaseGraph:
     # ---- weights ---------------------------------------------------------------
 
     def _assign_weights(self):
+        n = self.n
+        index, plan = self.edge_index, self.closed_form_plan
         weights = {}
         for tile in self.tiles:
             i = tile.index
             neighbors = self.quiver.neighbors(i)
-            if not neighbors:
-                continue
-            start_edge = self.shared_edge(i, neighbors[0])
             tile_edges = tile.edges
-            start = tile_edges.index(start_edge)
+            start = next(s for s, e in enumerate(tile_edges) if neighbors[0] in plan[index[e]])
             ring = tile_edges[start:] + tile_edges[:start]
             for j in neighbors:
+                # a free side is a boundary side, its record (n, i) or (i, n)
                 needed = WB if self.quiver.arrow_sign(i, j) == 1 else BW
-                for e in ring:
-                    if len(self.edge_tiles[e]) != 1:
-                        continue
-                    if self._edge_class[(e, i)] != needed or e in weights:
-                        continue
-                    weights[e] = j
-                    break
-                else:
+                free = (n, i) if needed == WB else (i, n)
+                e = next((e for e in ring if plan[index[e]] == free and e not in weights), None)
+                if e is None:
                     raise AssertionError(
                         "no free %s-side on tile %d for neighbor %d" % (needed, i, j)
                     )
+                weights[e] = j
         self.edge_weights = weights
 
     # ---- marked nodes ------------------------------------------------------------
@@ -348,8 +338,8 @@ class BaseGraph:
                 % (tile.index, tile.kind, list(tile.cells), list(tile.corners))
             )
         lines.append("edges (weight 1 unless noted):")
-        for e in self.edges:
-            tiles = ",".join(str(t) for t in self.edge_tiles[e])
+        for e, pair in zip(self.edges, self.closed_form_plan):
+            tiles = ",".join(str(t) for t in sorted(pair) if t < self.n)
             w = self.edge_weights.get(e)
             note = " weight=x%d" % w if w is not None else ""
             lines.append("  %s -- %s  tiles=%s%s" % (e[0], e[1], tiles, note))
@@ -361,7 +351,7 @@ class BaseGraph:
     def to_dot(self, d=None):
         labels = self.node_labels(d) if d is not None else {}
         out = ["graph basegraph {"]
-        for v in sorted(self.vertices):
+        for v in self.corners:
             color = labels.get(v)
             attrs = ' [color=%s, style=filled]' % color if color else ""
             out.append('  "%s,%s"%s;' % (v[0], v[1], attrs))

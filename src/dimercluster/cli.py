@@ -9,6 +9,7 @@ of rank past MAX_WALK_RANK, whose walk would run for minutes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -245,10 +246,10 @@ def basegraph(quiver_spec, root_spec, fmt, output):
             "edges": [
                 {
                     "ends": e,
-                    "tiles": sorted(graph.edge_tiles[e]),
+                    "tiles": [t for t in sorted(pair) if t < quiver.n],
                     "weight": graph.edge_weights.get(e),
                 }
-                for e in graph.edges
+                for e, pair in zip(graph.edges, graph.closed_form_plan)
             ],
             "nodes": None,
         }
@@ -349,14 +350,14 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
             "m3_witness": m3,
         }
     if fmt == "dot":
-        lines = [p.hasse_dot()]
+        lines = []
         if diagnostics is not None:
             lines.append(
                 "// lattice: %(is_lattice)s, distributive: %(distributive)s" % diagnostics
             )
             if diagnostics["n5_witness"]:
                 lines.append("// N5 witness: %s" % (diagnostics["n5_witness"],))
-        _emit(output, lines)
+        _emit(output, itertools.chain(p.hasse_dot(), lines))
     elif fmt == "text":
         lines = ["elements (%d):" % len(p.elements)]
         coeffs = p.coefficients
@@ -402,17 +403,7 @@ def _verify_one_orientation(args):
     """Worker: verification of one orientation (picklable payload); roots=None
     means every positive root."""
     n, arrows, oracles, roots = args
-    quiver = Quiver(n, arrows)
-    return [
-        {
-            "quiver": format_quiver(quiver),
-            "root": report["root"],
-            "ok": report["ok"],
-            "roundtrip": report["roundtrip"],
-            "oracles": report["oracles"],
-        }
-        for report in verify_quiver(quiver, oracles=oracles, roots=roots)
-    ]
+    return verify_quiver(Quiver(n, arrows), oracles=oracles, roots=roots)
 
 
 @main.command()

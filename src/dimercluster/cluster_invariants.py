@@ -31,7 +31,7 @@ from dimercluster.mutation_oracle import (
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import graded_lex_key, positive_roots
+from dimercluster.quiver_core import format_quiver, graded_lex_key, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 
 ORACLE_NAMES = ("tran", "mutation")
@@ -106,22 +106,20 @@ def verify_root(poset, oracles, atlas):
     """Compare the dimer model against independent oracles for one instance.
 
     oracles are names from ORACLE_NAMES; atlas is the quiver's
-    ``walk_cluster_variables`` result, read only for "mutation".  Returns a
-    report dict with keys "quiver", "root", "ok", "f", "g", "laurent",
+    ``walk_cluster_variables`` result, read only for "mutation".  Returns the
+    report ``verify`` prints: "quiver" (its text form), "root", "ok",
     "roundtrip" (always true, kept for schema 1: ``FlipPoset`` raises unless
     every configuration it admits reads back to its exponent vector), and
     per-oracle match flags under "oracles".  The entry of an oracle that
     disagrees also names the differences under "mismatches" (``_mismatches``).
+    The invariants themselves are ``dimer_invariants(poset)``.
     """
     quiver, d = poset.quiver, poset.d
     n = quiver.n
     f, g, laurent = dimer_invariants(poset)
     report = {
-        "quiver": quiver,
+        "quiver": format_quiver(quiver),
         "root": d,
-        "f": f,
-        "g": g,
-        "laurent": laurent,
         "roundtrip": True,
         "oracles": {},
         "ok": True,

@@ -225,14 +225,12 @@ class FlipPoset:
     # ---- derived data ---------------------------------------------------------------
 
     def hasse_dot(self):
-        out = ["digraph hasse {", "  rankdir=BT;"]
+        """The lines of the Hasse diagram in DOT, one at a time."""
+        yield "digraph hasse {"
+        yield "  rankdir=BT;"
         for e in self.elements:
-            out.append('  "%s";' % ",".join(map(str, e)))
+            yield '  "%s";' % ",".join(map(str, e))
         for u, ups in self.covers.items():
             for v in ups:
-                out.append(
-                    '  "%s" -> "%s";'
-                    % (",".join(map(str, u)), ",".join(map(str, v)))
-                )
-        out.append("}")
-        return "\n".join(out)
+                yield '  "%s" -> "%s";' % (",".join(map(str, u)), ",".join(map(str, v)))
+        yield "}"

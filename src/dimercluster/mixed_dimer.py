@@ -86,9 +86,9 @@ def _region_minimal_matching(graph, d):
         region = {i for i in range(graph.n) if d[i] >= k}
         for i in region:
             for edge in graph.tiles[i].edges:
-                others = [t for t in graph.edge_tiles[edge] if t != i]
-                if others and others[0] in region:
-                    continue  # interior to the region
+                t, h = graph.closed_form_plan[graph.edge_index[edge]]
+                if (h if t == i else t) in region:
+                    continue  # interior to the region (the outer face n never is)
                 if graph.edge_class(edge, i) == BW:
                     config[graph.edge_index[edge]] += 1
     return tuple(config)

@@ -152,8 +152,9 @@ def walk_cluster_variables(quiver):
     Mutates along the topological order of the quiver (every vertex is a
     source of the current quiver when its turn comes, and a full sweep
     restores the original tree orientation), sweeping repeatedly (at most
-    4n + 4 times) until no new denominator vectors appear.  This touches O(n^2) seeds instead of the
-    full exchange graph, which matters for the exhaustive cross-checks.
+    4n + 4 times) and returning at the mutation that finds the n(n - 1)-th
+    denominator vector.  This touches O(n^2) seeds instead of the full
+    exchange graph, which matters for the exhaustive cross-checks.
     """
     n = quiver.n
     order = quiver.topological_order()
@@ -161,20 +162,16 @@ def walk_cluster_variables(quiver):
     atlas = {}
     seed = initial_seed(quiver)
     for _ in range(4 * n + 4):
-        new = 0
         for k in order:
             seed = mutate_seed(seed, k)
             d = denominator_vector(seed.cluster[k], n)
             if any(x > 0 for x in d) and d not in atlas:
                 atlas[d] = seed.cluster[k]
-                new += 1
-        if not new and len(atlas) == expected:
-            break
-    if len(atlas) != expected:
-        raise RuntimeError(
-            "sweep walk found %d of %d variables" % (len(atlas), expected)
-        )
-    stray = [d for d in atlas if not is_positive_root(n, d)]
-    if stray:
-        raise RuntimeError("denominator vectors outside the root system: %s" % stray)
-    return atlas
+                if len(atlas) == expected:
+                    stray = [d for d in atlas if not is_positive_root(n, d)]
+                    if stray:
+                        raise RuntimeError(
+                            "denominator vectors outside the root system: %s" % stray
+                        )
+                    return atlas
+    raise RuntimeError("sweep walk found %d of %d variables" % (len(atlas), expected))

@@ -48,6 +48,10 @@ gives the marked corners in the package's form).
   and ``enclosed_tiles``): the exponent vector of a configuration as the
   package recovered it before the height read, by peeling the simple cycles
   of config + minimal matching, against ``e_from_config``;
+* ``FrozenTables``: the per-graph tables (edges, corners, incidence, flip
+  tables, closed-form plan, boundary sides, weights) as ``BaseGraph`` built
+  them before its one per-edge record, from the corner set, the tiles of
+  every edge and a class per (edge, tile), against ``BaseGraph``;
 * ``bound_by_walk``: a meet or join found by walking every bit of the common
   down- or up-set, as ``FlipPoset`` did before its one-bit check, against
   ``FlipPoset.meet`` and ``FlipPoset.join``.
@@ -399,7 +403,7 @@ def config_from_e_by_classes(graph, d, e):
     its arrow and its side class afresh."""
     config = {}
     for edge in graph.edges:
-        tiles = graph.edge_tiles[edge]
+        tiles = [tile.index for tile in graph.tiles if edge in tile.edges]
         if len(tiles) == 2:
             i, j = tiles
             tail, head = (i, j) if graph.quiver.arrow_sign(i, j) == 1 else (j, i)
@@ -643,7 +647,7 @@ def e_from_config_by_peel(graph, d, config):
     multiplicity is negative.
     """
     for edge, m in config.items():
-        if edge not in graph.edge_tiles:
+        if edge not in graph.edge_index:
             raise ValueError("%r is not an edge of the base graph" % (edge,))
         if m < 0:
             raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
@@ -674,3 +678,148 @@ def e_from_config_by_peel(graph, d, config):
     if closed != {edge: m for edge, m in config.items() if m}:
         raise ValueError("not the configuration of the peeled exponent vector %r" % (e,))
     return e
+
+
+class FrozenTables:
+    """The per-graph tables of a base graph as ``BaseGraph`` built them
+    before its one per-edge record: the corner set ``vertices``, the tiles of
+    every edge ``edge_tiles``, a class per (edge, tile) and the shared edge
+    of every adjacent pair, each re-derived by ``_plan``.  The methods are
+    the package's, unchanged; the tiles, the coloring and the quiver come
+    from ``graph``.
+    """
+
+    def __init__(self, graph):
+        self.quiver = graph.quiver
+        self.n = graph.n
+        self.tiles = graph.tiles
+        self.side_class = graph.side_class
+        self._index_edges()
+        self._validate()
+        self._assign_weights()
+        self._plan()
+
+    def edge_class(self, edge, tile_index):
+        return self._edge_class[(edge, tile_index)]
+
+    def _index_edges(self):
+        self.vertices = set()
+        self.edge_tiles = {}
+        self._edge_class = {}
+        for tile in self.tiles:
+            for p, q in tile.sides:
+                self.vertices.add(p)
+                self.vertices.add(q)
+                e = edge_key(p, q)
+                self.edge_tiles.setdefault(e, []).append(tile.index)
+                self._edge_class[(e, tile.index)] = self.side_class(p, q)
+        self.edges = sorted(self.edge_tiles)
+
+    def _validate(self):
+        n = self.n
+        if len(self.vertices) != 2 * n + 4:
+            raise AssertionError(
+                "expected %d corners, built %d" % (2 * n + 4, len(self.vertices))
+            )
+        # tiles sharing an edge must be exactly the diagram adjacencies
+        shared = {}
+        for e, tiles in self.edge_tiles.items():
+            if len(tiles) > 2:
+                raise AssertionError("edge %r lies on %d tiles" % (e, len(tiles)))
+            if len(tiles) == 2:
+                pair = tuple(sorted(tiles))
+                if pair in shared:
+                    raise AssertionError("tiles %r share two edges" % (pair,))
+                shared[pair] = e
+        diagram = {tuple(sorted(a)) for a in self.quiver.arrows}
+        if set(shared) != diagram:
+            raise AssertionError(
+                "tile adjacencies %s do not match the diagram %s"
+                % (sorted(shared), sorted(diagram))
+            )
+        self._shared = shared
+        # the defining class compatibility: arrow i -> j meets its shared edge
+        # as a bw-side of tile i and a wb-side of tile j
+        for t, h in self.quiver.arrows:
+            e = shared[tuple(sorted((t, h)))]
+            if self.edge_class(e, t) != BW or self.edge_class(e, h) != WB:
+                raise AssertionError("arrow %d->%d violates side classes" % (t, h))
+
+    def shared_edge(self, i, j):
+        return self._shared[tuple(sorted((i, j)))]
+
+    def _plan(self):
+        """Per-graph tables that configurations are read and built with.
+
+        A configuration is a tuple of multiplicities indexed like ``edges``;
+        every table below names an edge by its position there
+        (``edge_index``) and a corner by its position in ``corners``.
+        ``incidence[c]``: (edge, other corner) for every edge at corner c.
+        ``bw_sides[i]``: the bw-sides of tile i, all present in a
+        configuration that can flip at i.  ``flip_deltas[i]``: (edge, -1) for
+        every bw-side and (edge, +1) for every wb-side of tile i.
+        ``closed_form_plan[k]``: (tail, head), edge k being a bw-side of tile
+        tail and a wb-side of tile head; on a boundary edge the missing tile
+        is the outer face, index n.  ``boundary_sides[i]``: (edge, is_wb) for
+        one boundary side of tile i, whose multiplicity is e_i on a wb-side
+        and d_i - e_i on a bw-side; every tile has one.
+        ``weighted_edges``: (edge, label) for every labeled edge.
+        """
+        n = self.n
+        index = self.edge_index = {e: k for k, e in enumerate(self.edges)}
+        self.corners = sorted(self.vertices)
+        corner = {v: c for c, v in enumerate(self.corners)}
+        incidence = [[] for _ in self.corners]
+        for k, (p, q) in enumerate(self.edges):
+            incidence[corner[p]].append((k, corner[q]))
+            incidence[corner[q]].append((k, corner[p]))
+        self.incidence = tuple(map(tuple, incidence))
+        classes = [
+            [(index[e], self._edge_class[(e, tile.index)] == BW) for e in tile.edges]
+            for tile in self.tiles
+        ]
+        self.bw_sides = tuple(tuple(k for k, bw in sides if bw) for sides in classes)
+        self.flip_deltas = tuple(
+            tuple((k, -1 if bw else 1) for k, bw in sides) for sides in classes
+        )
+        plan = []
+        for e in self.edges:
+            ends = {self._edge_class[(e, i)]: i for i in self.edge_tiles[e]}
+            plan.append((ends.get(BW, n), ends.get(WB, n)))
+        self.closed_form_plan = tuple(plan)
+        sides = []
+        for tile in self.tiles:
+            boundary = [e for e in tile.edges if len(self.edge_tiles[e]) == 1]
+            if not boundary:
+                raise AssertionError("tile %d has no boundary side" % tile.index)
+            sides.append((index[boundary[0]], self._edge_class[(boundary[0], tile.index)] == WB))
+        self.boundary_sides = tuple(sides)
+        self.weighted_edges = tuple(
+            (index[e], label) for e, label in self.edge_weights.items()
+        )
+
+    def _assign_weights(self):
+        weights = {}
+        for tile in self.tiles:
+            i = tile.index
+            neighbors = self.quiver.neighbors(i)
+            if not neighbors:
+                continue
+            start_edge = self.shared_edge(i, neighbors[0])
+            tile_edges = tile.edges
+            start = tile_edges.index(start_edge)
+            ring = tile_edges[start:] + tile_edges[:start]
+            for j in neighbors:
+                needed = WB if self.quiver.arrow_sign(i, j) == 1 else BW
+                for e in ring:
+                    if len(self.edge_tiles[e]) != 1:
+                        continue
+                    if self._edge_class[(e, i)] != needed or e in weights:
+                        continue
+                    weights[e] = j
+                    break
+                else:
+                    raise AssertionError(
+                        "no free %s-side on tile %d for neighbor %d" % (needed, i, j)
+                    )
+        self.edge_weights = weights

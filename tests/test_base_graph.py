@@ -13,6 +13,7 @@ from dimercluster.base_graph import BW, WB, BaseGraph, edge_key
 from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges
 
 from frozen import D5, D6, QA, QB, QC
+from reference import FrozenTables
 
 
 def E(p, q):
@@ -126,7 +127,7 @@ def test_rank6_branch_heavy_variant():
 def test_structure_all_orientations(n):
     for q in all_orientations(n):
         g = BaseGraph(q)  # constructor runs the class/adjacency validations
-        assert len(g.vertices) == 2 * n + 4
+        assert len(g.corners) == 2 * n + 4
         # every tile alternates side classes around its boundary
         for tile in g.tiles:
             classes = [g.side_class(p, qq) for p, qq in tile.sides]
@@ -138,10 +139,10 @@ def test_structure_all_orientations(n):
         assert len(g.edge_weights) == 2 * len(q.arrows)
         # weights sit on boundary edges only
         for e in g.edge_weights:
-            assert len(g.edge_tiles[e]) == 1
+            assert n in g.closed_form_plan[g.edge_index[e]]
         # marked corners are disjoint and live on the graph
         labels = g.node_labels(tuple(2 if i == n - 3 else 1 for i in range(n)))
-        assert set(labels) <= g.vertices
+        assert set(labels) <= set(g.corners)
 
 
 def boundary_side_orientations():
@@ -164,12 +165,33 @@ def test_every_tile_has_a_boundary_side():
         plan = dict(zip(g.edges, g.closed_form_plan))
         for tile, (k, is_wb) in zip(g.tiles, g.boundary_sides):
             edge = g.edges[k]
-            assert edge in tile.edges and g.edge_tiles[edge] == [tile.index]
+            assert edge in tile.edges and q.n in plan[edge]
             assert g.edge_class(edge, tile.index) == (WB if is_wb else BW)
             # the closed form reads e_i off a wb-side and d_i - e_i off a bw-side
             assert plan[edge] == ((q.n, tile.index) if is_wb else (tile.index, q.n))
         count += 1
     assert count == sum(2 ** (n - 1) for n in range(4, 11)) + 4 * 16
+
+
+def test_tables_match_the_frozen_builder():
+    # every table the package reads, against the builder that kept the
+    # corner set, each edge's tiles and a class per (edge, tile)
+    names = (
+        "edges", "edge_index", "corners", "incidence", "bw_sides", "flip_deltas",
+        "closed_form_plan", "boundary_sides", "edge_weights", "weighted_edges",
+    )
+    for q in boundary_side_orientations():
+        g = BaseGraph(q)
+        frozen = FrozenTables(g)
+        for name in names:
+            assert getattr(g, name) == getattr(frozen, name), name
+        assert g.corners == sorted(frozen.vertices)
+        for e in g.edges:
+            assert sorted(t for t in g.closed_form_plan[g.edge_index[e]] if t < q.n) == sorted(
+                frozen.edge_tiles[e]
+            )
+            for i in frozen.edge_tiles[e]:
+                assert g.edge_class(e, i) == frozen.edge_class(e, i)
 
 
 def test_hexagon_class_counts():

@@ -673,6 +673,28 @@ def test_rank5_lattice_output_is_pinned(runner):
     assert digest.hexdigest() == "36592f6bb34cf89d2b3627f7c2e79afe11c8b9898fcbbaae5d9c0b271b729f11"
 
 
+def test_rank4_and_rank5_basegraph_output_is_pinned(runner):
+    # basegraph in every format for every rank-4 and rank-5 orientation, with
+    # no root and with each root that has an entry 2, one digest over the
+    # concatenated stdout; taken before the per-edge record replaced the
+    # corner set, each edge's tile list and the per-(edge, tile) classes
+    digest = hashlib.sha256()
+    count = 0
+    for n in (4, 5):
+        for quiver in all_orientations(n):
+            for d in [None] + [d for d in positive_roots(n) if 2 in d]:
+                for fmt in ("text", "json", "dot"):
+                    args = ["basegraph", "-q", format_quiver(quiver), "-f", fmt]
+                    if d is not None:
+                        args += ["-d", ",".join(map(str, d))]
+                    result = runner.invoke(main, args)
+                    assert result.exit_code == 0
+                    digest.update(result.output.encode())
+                count += 1
+    assert count == 80
+    assert digest.hexdigest() == "71b63e44c61c139080d681fbe09ba89247b68e72ff85743f24e9cd289b1c6363"
+
+
 def test_mismatch_text_is_pinned(runner, wrong_tran):
     # the text report appends the failures as indented JSON
     result = runner.invoke(main, ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "tran"])
@@ -716,19 +738,26 @@ def test_write_json_refuses_what_the_commands_never_print(value):
 
 
 def test_the_output_is_written_as_it_is_made(tmp_path):
-    # the compute payload of the alternating rank-10 highest root, 1.1 MB of
-    # JSON, goes to the file without being held whole in memory: the writer
-    # peaks at 0.03x the file, a joined string at 3.3x
-    poset = FlipPoset(parse_quiver(alternating(10)), tuple(map(int, highest_root(10).split(","))))
-    f, _, laurent = dimer_invariants(poset)
+    # the compute payload of the alternating rank-10 highest root (1.1 MB of
+    # JSON) and the Hasse diagram of the rank-11 one (1.3 MB of DOT) go to the
+    # file without being held whole in memory: the writer peaks at 0.03x the
+    # file (about 40 KB of buffers), a joined string at 3.1x.  The parts are
+    # made inside the trace, so a diagram built as one string shows.
+    def instance(n):
+        return FlipPoset(parse_quiver(alternating(n)), tuple(map(int, highest_root(n).split(","))))
+
+    f, _, laurent = dimer_invariants(instance(10))
     payload = {"f_polynomial": f.to_json(), "laurent_expansion": laurent.to_json()}
-    target = tmp_path / "out.json"
-    tracemalloc.start()
-    try:
-        dimercluster.cli._emit(str(target), [payload])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    size = target.stat().st_size
-    assert size > 1_000_000
-    assert peak < size / 10
+    hasse = instance(11)
+    hasse.covers  # the poset's own table, read before the write is traced
+    for name, make_parts in (("compute.json", lambda: [payload]), ("hasse.dot", hasse.hasse_dot)):
+        target = tmp_path / name
+        tracemalloc.start()
+        try:
+            dimercluster.cli._emit(str(target), make_parts())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 1_000_000, name
+        assert peak < size / 10, name

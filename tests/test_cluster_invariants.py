@@ -18,7 +18,7 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import minimal_matching, x_exponents
 from dimercluster.mutation_oracle import expansion_from_f_and_g, walk_cluster_variables
-from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
+from dimercluster.quiver_core import Quiver, all_orientations, format_quiver, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 from frozen import (
     COEFF2_E_QB,
@@ -118,10 +118,13 @@ def test_rank6_branch_heavy_doubled_coefficient():
 
 
 def test_verify_root_report_structure():
-    report = verify_root(FlipPoset(QC, D5), ORACLE_NAMES, walk_cluster_variables(QC))
+    poset = FlipPoset(QC, D5)
+    report = verify_root(poset, ORACLE_NAMES, walk_cluster_variables(QC))
+    assert set(report) == {"quiver", "root", "ok", "roundtrip", "oracles"}
     assert report["ok"] is True
+    assert report["quiver"] == format_quiver(QC)
     assert report["root"] == D5
-    assert report["g"] == G_QC
+    assert dimer_invariants(poset)[1] == G_QC
     assert set(report["oracles"]) == {"tran", "mutation"}
     for entry in report["oracles"].values():
         assert entry == {"f_match": True, "g_match": True, "laurent_match": True}

@@ -268,7 +268,7 @@ def test_meet_and_join_equal_the_frozen_bit_walk(sweep4, sweep5):
 
 
 def test_hasse_dot_renders(poset_qc):
-    dot = poset_qc.hasse_dot()
+    dot = "\n".join(poset_qc.hasse_dot())
     assert dot.startswith("digraph hasse {")
     assert '"0,0,0,0,0" -> "1,0,0,0,0"' in dot
 

@@ -1,8 +1,10 @@
 """Unit tests for the seed-mutation engine."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dimercluster.mutation_oracle
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mutation_oracle import (
     Seed,
@@ -215,6 +217,23 @@ def test_walk_matches_bfs_rank6_spot():
     bfs, seed_count = enumerate_cluster_variables(QA)
     assert walk == bfs
     assert seed_count == SEED_COUNTS[6]
+
+
+@pytest.mark.parametrize("n, mutations", [(5, 338), (6, 960)])
+def test_walk_returns_once_the_atlas_is_full(monkeypatch, n, mutations):
+    # mutations over every orientation: the walk returns at the one that finds
+    # the n(n - 1)-th variable (finishing the sweep took 440 at rank 5 and
+    # 1,152 at rank 6)
+    calls = []
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate_seed(seed, k)
+
+    monkeypatch.setattr(dimercluster.mutation_oracle, "mutate_seed", counted)
+    for q in all_orientations(n):
+        assert set(walk_cluster_variables(q)) == set(positive_roots(n))
+    assert len(calls) == mutations
 
 
 def test_walk_atlas_properties_rank6():
