@@ -70,13 +70,12 @@ class _Layout:
     which is how keys are decoded and range-checked.
     """
 
-    __slots__ = ("shift", "low_mask", "bias", "guard", "fields", "nbytes")
+    __slots__ = ("shift", "low_mask", "bias", "fields", "nbytes")
 
     def __init__(self, width):
         self.shift = 16 * width
         self.low_mask = (1 << self.shift) - 1
         self.bias = sum(1 << (16 * i + 15) for i in range(width))
-        self.guard = self.bias >> 1  # bit 14 of every field
         self.fields = struct.Struct(">%dh" % width)
         self.nbytes = 2 * width
 
@@ -87,11 +86,6 @@ class _Layout:
     def decode(self, key):
         low = ((key + self.bias) & self.low_mask) ^ self.bias
         return self.fields.unpack(low.to_bytes(self.nbytes, "big"))
-
-    def within_half(self, key):
-        """Whether every exponent of ``key`` lies in [-2^14, 2^14)."""
-        biased = key + self.bias
-        return ((biased >> 1) ^ biased) & self.guard == self.guard
 
     def nonnegative(self, key):
         """Whether every exponent of ``key`` is >= 0, for a key whose
@@ -303,9 +297,11 @@ class LaurentPolynomial:
 
 DIVISION_STEP_LIMIT = 200000
 
-# Division needs numerator bound + 2 * denominator bound below this, so that
-# an exact quotient's remainder never leaves [-2^14, 2^14) and any update of
-# a remainder in that range stays within a field.
+# Division needs its reach, numerator bound + 2 * denominator bound, below
+# this.  A popped key is a numerator key or a denominator key plus a quotient
+# term inside the box (exponents at most numerator + denominator bound), so
+# no remainder exponent needs a test per step: each lies within the reach,
+# and a candidate quotient term minus a box corner within twice the reach.
 _DIVISION_RANGE = 1 << 14
 
 
@@ -321,9 +317,8 @@ def divide_exact(numerator, denominator):
     quotient term outside that box ends an inexact division at once.
     Exchange relations always divide exactly; a non-exact division here
     signals an implementation bug upstream, so every failure mode
-    (non-divisible coefficient, a remainder exponent an exact quotient cannot
-    reach, a quotient term outside the box, step overrun) raises
-    ExactDivisionError rather than returning junk.
+    (non-divisible coefficient, a quotient term outside the box, step
+    overrun) raises ExactDivisionError rather than returning junk.
     """
     numerator._check(denominator)
     if not denominator:
@@ -332,7 +327,10 @@ def divide_exact(numerator, denominator):
     den = denominator._pack()
     reach = numerator._bound + 2 * denominator._bound
     if reach >= _DIVISION_RANGE:
-        raise _overflow(reach)
+        raise OverflowError(
+            "division reach %d (numerator bound + 2 * denominator bound) must be below %d"
+            % (reach, _DIVISION_RANGE)
+        )
     layout = _layout(len(numerator.context))
     if remainder:
         num_cols = list(zip(*numerator.terms))
@@ -355,8 +353,6 @@ def divide_exact(numerator, denominator):
         steps += 1
         if steps > DIVISION_STEP_LIMIT:
             raise ExactDivisionError("division did not terminate (inexact input?)")
-        if not layout.within_half(r_key):
-            raise ExactDivisionError("remainder exponents out of reach (inexact input?)")
         t_key = r_key - d_key
         if not (layout.nonnegative(t_key - low) and layout.nonnegative(high - t_key)):
             raise ExactDivisionError("quotient term outside the exponent box (inexact input)")

@@ -9,10 +9,10 @@ A quiver here is an orientation of that tree, so it is automatically acyclic.
 Sign convention used throughout the package: ``b[i][j] = +1`` exactly when
 there is an arrow ``i -> j``.
 
-The n(n-1) positive roots are listed from their closed form (``_roots``),
-not as the reflection orbit of the simple roots, and ``is_positive_root``
-tests one vector against that form in O(n), so a long quiver's root is
-checked without listing the roots.
+The n(n-1) positive roots have a closed form, stated once in the table
+``_PATH_RUNS``: ``_roots`` lists them from it, not as the reflection orbit of
+the simple roots, and ``is_positive_root`` tests one vector against it in
+O(n), so a long quiver's root is checked without listing the roots.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ def _check_rank(n):
 
 
 def dynkin_edges(n):
-    """Undirected edges of the rank-n diagram as sorted tuples."""
+    """Undirected edges of the rank-n diagram as ascending pairs (u, v), one
+    per vertex v >= 1 in index order: u is v's one earlier neighbour, v - 1,
+    or n - 3 for the fork tip n - 1."""
     _check_rank(n)
     edges = [(i, i + 1) for i in range(n - 2)]
     edges.append((n - 3, n - 1))
-    return [tuple(sorted(e)) for e in edges]
+    return edges
 
 
 class Quiver:
@@ -76,8 +78,7 @@ class Quiver:
         return hash((self.n, self.arrows))
 
     def __repr__(self):
-        body = ", ".join("%d>%d" % a for a in sorted(self.arrows))
-        return "Quiver(n=%d; %s)" % (self.n, body)
+        return "Quiver(%s)" % format_quiver(self)
 
     def arrow_sign(self, i, j):
         """+1 if i -> j, -1 if j -> i, 0 if i and j are not adjacent."""
@@ -185,29 +186,6 @@ def positive_roots(n):
     return list(_roots(n))
 
 
-@functools.lru_cache(maxsize=None)
-def _roots(n):
-    """The positive roots as a tuple, memoized per rank, from the closed
-    form: the 0/1 vectors whose support is connected in the diagram, and for
-    0 <= i < j <= n - 3 the vector with 1 on [i, j), 2 on [j, n - 3] and 1 on
-    both fork tips."""
-    _check_rank(n)
-    roots = [  # supports within the path 0 - ... - (n-2)
-        (0,) * i + (1,) * (j - i) + (0,) * (n - j) for i in range(n - 1) for j in range(i + 1, n)
-    ]
-    roots.append((0,) * (n - 1) + (1,))  # the tip n - 1 alone
-    for i in range(n - 2):
-        # 1 on [i, n - 3] and the tip n - 1, without and with the tip n - 2,
-        # then 2 on [j, n - 3] for each j past i
-        roots.append((0,) * i + (1,) * (n - 2 - i) + (0, 1))
-        roots.append((0,) * i + (1,) * (n - 2 - i) + (1, 1))
-        roots.extend(
-            (0,) * i + (1,) * (j - i) + (2,) * (n - 2 - j) + (1, 1) for j in range(i + 1, n - 2)
-        )
-    roots.sort(key=graded_lex_key)
-    return tuple(roots)
-
-
 # The value runs of d_0 .. d_{n-3}, leading zeros dropped, that each pair of
 # fork-tip entries (d_{n-2}, d_{n-1}) admits in a positive root: without a
 # tip, one run of 1s; with one tip, none or one ending at n - 3; with both,
@@ -220,11 +198,32 @@ _PATH_RUNS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _roots(n):
+    """The positive roots as a tuple, memoized per rank: for each tip pair
+    and each run pattern it admits in ``_PATH_RUNS``, every placement of the
+    pattern's runs, each non-empty, after any leading zeros so that the last
+    run ends at n - 3."""
+    _check_rank(n)
+    m = n - 2  # the entries d_0 .. d_{n-3}
+    roots = []
+    for tips, patterns in _PATH_RUNS.items():
+        for runs in patterns:
+            for starts in itertools.combinations(range(m), len(runs)):
+                path = (0,) * m
+                for s, x in zip(starts, runs):
+                    path = path[:s] + (x,) * (m - s)
+                roots.append(path + tips)
+    roots.sort(key=graded_lex_key)
+    return tuple(roots)
+
+
 def is_positive_root(n, d):
     """Whether d is a positive root of the rank-n system, in O(n) from the
-    closed form (``_roots``), without listing the roots."""
+    closed form (``_PATH_RUNS``), without listing the roots.  The entries
+    are tested as given: a non-integral one is no root."""
     _check_rank(n)
-    d = tuple(int(x) for x in d)
+    d = tuple(d)
     if len(d) != n:
         return False
     runs = tuple(x for x, _ in itertools.groupby(d[: n - 2]))
@@ -235,7 +234,7 @@ def is_positive_root(n, d):
 
 def check_root(quiver, d):
     """``d`` as a tuple of ints; ValueError unless it is a positive root."""
-    d = tuple(int(x) for x in d)
+    d = tuple(d)
     if not is_positive_root(quiver.n, d):
         raise ValueError("%r is not a positive root of the rank-%d system" % (d, quiver.n))
-    return d
+    return tuple(map(int, d))

@@ -15,11 +15,12 @@ of two determined by local patterns around the entries with d_i = 2:
 
 The vertex indices are a connected order of the diagram: every vertex
 v >= 1 has one earlier neighbour, its parent u (v - 1, or n - 3 for the fork
-tip n - 1), and every arrow lies on one such parent edge.  Each arrow
-inequality involves a vertex and its parent, so the vectors that pass the box
-and every arrow are enumerated by a walk along the indices: given e_u the
-arrow between u and v leaves an interval of e_v, e_v >= e_u - max(d_u - d_v,
-0) for u -> v and e_v <= e_u + max(d_v - d_u, 0) for v -> u.  Cut to
+tip n - 1), and the parent edges (u, v) are ``dynkin_edges(n)``, in order,
+so every arrow lies on one of them.  Each arrow inequality involves a vertex
+and its parent, so the vectors that pass the box and every arrow are
+enumerated by a walk along the indices: given e_u the arrow between u and v
+leaves an interval of e_v, e_v >= e_u - max(d_u - d_v, 0) for u -> v and
+e_v <= e_u + max(d_v - d_u, 0) for v -> u.  Cut to
 [0, d_v] that interval is never empty (e_v = d_v fits u -> v and e_v = 0
 fits v -> u), so the walk never dead-ends and visits only those vectors.
 Each one is scored by a pass over the same parent edges, whose arrow
@@ -35,14 +36,7 @@ t -> h contributes d_h to coordinate t on top of -d.
 from __future__ import annotations
 
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
-from dimercluster.quiver_core import check_root
-
-
-def _parent(n, v):
-    """The one earlier neighbour of vertex v >= 1 in the index order: n - 3
-    for the fork tip n - 1, v - 1 otherwise.  Every edge of the diagram joins
-    a vertex to its parent."""
-    return n - 3 if v == n - 1 else v - 1
+from dimercluster.quiver_core import check_root, dynkin_edges
 
 
 def _coefficient(steps, d, e):
@@ -78,10 +72,8 @@ def _tree_steps(quiver, d):
     """(u, v, t, h, allowed) for v = 1..n-1: u is v's parent, t -> h is the
     arrow between them, and allowed[x] is the range of e_v that the box and
     that arrow leave when e_u = x."""
-    n = quiver.n
     steps = []
-    for v in range(1, n):
-        u = _parent(n, v)
+    for u, v in dynkin_edges(quiver.n):
         if (u, v) in quiver.arrows:
             slack = max(d[u] - d[v], 0)
             allowed = [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]

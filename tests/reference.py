@@ -27,6 +27,9 @@ gives the marked corners in the package's form).
 * ``cartan_matrix`` and ``roots_by_reflection``: the positive roots as the
   package listed them before the closed form, by closing the reflection
   orbit of the simple roots, against ``positive_roots``;
+* ``roots_by_ranges``: the positive roots as the package listed them before
+  it read the closed form off its one run table, from explicit index
+  ranges, against ``positive_roots``;
 * ``enumerate_cluster_variables``: every cluster variable by a breadth-first
   search over the whole exchange graph, against the source-sweep walk;
 * ``is_distributive``: distributivity of a flip lattice by the triple
@@ -226,6 +229,27 @@ def roots_by_reflection(n):
                     nxt.append(img)
         frontier = nxt
     roots = [d for d in seen if all(x >= 0 for x in d) and any(d)]
+    roots.sort(key=lambda d: (sum(d), d))
+    return roots
+
+
+def roots_by_ranges(n):
+    """The positive roots in ascending graded-lex order, from the closed
+    form: the 0/1 vectors whose support is connected in the diagram, and for
+    0 <= i < j <= n - 3 the vector with 1 on [i, j), 2 on [j, n - 3] and 1 on
+    both fork tips."""
+    roots = [  # supports within the path 0 - ... - (n-2)
+        (0,) * i + (1,) * (j - i) + (0,) * (n - j) for i in range(n - 1) for j in range(i + 1, n)
+    ]
+    roots.append((0,) * (n - 1) + (1,))  # the tip n - 1 alone
+    for i in range(n - 2):
+        # 1 on [i, n - 3] and the tip n - 1, without and with the tip n - 2,
+        # then 2 on [j, n - 3] for each j past i
+        roots.append((0,) * i + (1,) * (n - 2 - i) + (0, 1))
+        roots.append((0,) * i + (1,) * (n - 2 - i) + (1, 1))
+        roots.extend(
+            (0,) * i + (1,) * (j - i) + (2,) * (n - 2 - j) + (1, 1) for j in range(i + 1, n - 2)
+        )
     roots.sort(key=lambda d: (sum(d), d))
     return roots
 

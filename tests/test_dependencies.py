@@ -1,8 +1,8 @@
 """Runtime dependencies: pyproject.toml declares exactly what the package
 imports, the CLI runs in an interpreter where numpy cannot be imported, no
 module of the package reads an environment variable, no module writes
-indented JSON through ``json.dumps``, and every public name of the package is
-used somewhere in the package."""
+indented JSON through ``json.dumps``, and every function, class and method
+of the package, public or private, is used somewhere in the package."""
 
 import ast
 import os
@@ -75,11 +75,15 @@ def _is_click_command(node):
     return False
 
 
-def _unused_public_names(directory):
-    """Public module-level functions and classes, and public methods of
-    module-level classes, of *.py in directory that no code in directory
-    names outside their own definition.  A use is a ``Name`` id, an
-    ``Attribute`` attr or an import alias; CLI commands are exempt."""
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unused_names(directory):
+    """Module-level functions and classes, and methods of module-level
+    classes, of *.py in directory that no code in directory names outside
+    their own definition.  A use is a ``Name`` id, an ``Attribute`` attr or
+    an import alias; CLI commands and dunder methods are exempt."""
     defs = []  # (label, name, node)
     uses = []  # (name, node)
     for path in sorted(directory.glob("*.py")):
@@ -87,11 +91,11 @@ def _unused_public_names(directory):
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") and not _is_click_command(node):
+            if not _is_click_command(node):
                 defs.append((node.name, node.name, node))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                         defs.append(("%s.%s" % (node.name, item.name), item.name, item))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -145,10 +149,21 @@ def test_indented_json_has_one_writer():
     assert _indented_json_calls(ROOT / "src" / "dimercluster") == []
 
 
+def _is_private(label):
+    return label.split(".")[-1].startswith("_")
+
+
 def test_every_public_name_is_used_in_the_package():
     # no dead or test-only public API: the tests reach the package only
     # through names the package itself calls
-    assert _unused_public_names(ROOT / "src" / "dimercluster") == []
+    unused = _unused_names(ROOT / "src" / "dimercluster")
+    assert [label for label in unused if not _is_private(label)] == []
+
+
+def test_every_private_name_is_used_in_the_package():
+    # no private helper or method left behind once its callers are gone
+    unused = _unused_names(ROOT / "src" / "dimercluster")
+    assert [label for label in unused if _is_private(label)] == []
 
 
 def test_cli_verifies_with_numpy_blocked():

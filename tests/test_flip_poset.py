@@ -47,6 +47,7 @@ def test_rank5_elements_and_covers(poset_qc):
         (0, 0, 0, 0, 0),
         (3, 0, 0, 0, 0),
         (1, 1, 2, 1, 1, 1),  # a rank-5 root with one entry too many
+        (1.5, 1, 2, 1, 1),  # truncates to a root, but is none
     ],
 )
 def test_rejects_non_roots(d):

@@ -7,6 +7,7 @@ in ``reference.py``.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -259,3 +260,21 @@ def test_exponents_past_the_field_range_raise():
     assert (half * half).terms == {(2 * (EXP_LIMIT // 2), 0, 0): 1}
     with pytest.raises(OverflowError):
         divide_exact(top, one + x0)
+
+
+def test_division_overflow_names_its_own_limit():
+    ctx = xy_context(1)
+    num = LaurentPolynomial(ctx, {(10000, 0): 1, (0, 1): 1})
+    den = LaurentPolynomial(ctx, {(3500, 0): 1, (0, 0): 1})
+    message = "division reach 17000 (numerator bound + 2 * denominator bound) must be below 16384"
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        divide_exact(num, den)
+
+
+def test_division_at_the_largest_reach_returns_its_quotient():
+    # reach 16381 + 2 * 1 = 2^14 - 1; the numerator is built from its terms,
+    # since as a product it would carry the summed bound 16382 and be refused
+    ctx = xy_context(1)
+    num = LaurentPolynomial(ctx, {(16381, 0): 1, (16381, 1): 1})
+    den = LaurentPolynomial(ctx, {(0, 0): 1, (0, 1): 1})
+    assert divide_exact(num, den).terms == {(16381, 0): 1}

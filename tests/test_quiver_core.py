@@ -14,7 +14,7 @@ from dimercluster.quiver_core import (
     parse_quiver,
     positive_roots,
 )
-from reference import cartan_matrix, roots_by_reflection
+from reference import cartan_matrix, roots_by_ranges, roots_by_reflection
 
 
 # ---- [TRIVIAL] diagram shape ------------------------------------------------
@@ -135,6 +135,9 @@ def test_positive_roots_match_quadratic_form_oracle(n):
 def test_positive_roots_equal_the_reflection_closure_ranks_4_to_30():
     for n in range(4, 31):
         assert positive_roots(n) == roots_by_reflection(n), n
+    # and the explicit-range builder, which is cheap enough to go further
+    for n in range(4, 61):
+        assert positive_roots(n) == roots_by_ranges(n), n
 
 
 def test_is_positive_root_equals_membership_ranks_4_to_7():
@@ -172,6 +175,8 @@ def test_is_positive_root():
     assert not is_positive_root(6, (0, 1, 0, 2, 1, 1))
     assert not is_positive_root(6, (0, 1, 1, 2, 1))
     assert not is_positive_root(4, (0, 0, 0, 0))
+    # entries are tested as given, not truncated to (1, 1, 2, 1, 1)
+    assert not is_positive_root(5, (1.9, 1, 2, 1, 1))
     # a rank far past any list of the roots
     assert is_positive_root(3000, (1,) + (2,) * 2997 + (1, 1))
     assert not is_positive_root(3000, (2,) * 2998 + (1, 1))
