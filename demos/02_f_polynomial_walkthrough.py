@@ -58,7 +58,7 @@ print("  monochromatic: %s; components that are simple cycles: %d -> coefficient
 print()
 
 print("=== the F-polynomial, two independent ways ===")
-f_dimer, _, _ = dimer_invariants(poset)
+f_dimer, _ = dimer_invariants(poset)
 f_cond = tran_f_polynomial(quiver, d)
 print("poset route:     F =", f_dimer.render())
 print("condition route: F =", f_cond.render())

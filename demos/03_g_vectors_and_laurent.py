@@ -4,8 +4,9 @@ The weight of the minimal matching divided by x^d gives the g-vector.  Each
 hatted coefficient yhat_i is a monomial, so the full cluster variable
 x^g * F(yhat) is F with every term c * u^e relabeled to one term
 c * x^(g + Yhat e) * y^e.  Termwise, it is also the sum of
-2^cycles * x^(wt - d) * y^e over poset elements; the library checks that
-the two agree and refuses to return anything if they do not.
+2^cycles * x^(wt - d) * y^e over poset elements: the flip poset checks, once
+per base graph, that a flip at tile i changes the weight by column i of
+Yhat, and refuses to build if it does not.
 """
 
 from dimercluster import parse_quiver
@@ -19,7 +20,8 @@ from dimercluster.mutation_oracle import expansion_from_f_and_g, walk_cluster_va
 quiver = parse_quiver("n=5; 1>0,2>1,3>2,2>4")
 d = (1, 1, 2, 1, 1)
 graph = BaseGraph(quiver)
-f, g, var = dimer_invariants(FlipPoset(quiver, d, graph=graph))
+f, g = dimer_invariants(FlipPoset(quiver, d, graph=graph))
+var = expansion_from_f_and_g(quiver, f, g)
 
 print("=== weight of the minimal matching ===")
 wt = x_exponents(graph, minimal_matching(graph, d))

@@ -25,7 +25,7 @@ class at most.  ``closed_form_plan[k]`` is the pair (bw, wb) for
 ``edges[k]``: the tile that has it as a bw-side and the tile that has it as
 a wb-side, the outer face ``n`` standing in for the missing tile of a
 boundary edge.  The record is built in one pass over the tile sides, and
-every other table (side classes, flips, boundary sides, weight labels) is
+every other table (side classes, flips, weight labels) is
 read from it.  The constructor checks the ``2n + 4`` corners, and that the
 pairs without the outer face are exactly the arrows of the quiver: one
 comparison that covers the tile adjacencies, one shared edge per adjacent
@@ -223,12 +223,8 @@ class BaseGraph:
         ``bw_sides[i]``: the bw-sides of tile i, all present in a
         configuration that can flip at i.  ``flip_deltas[i]``: (edge, -1) for
         every bw-side and (edge, +1) for every wb-side of tile i.
-        ``boundary_sides[i]``: (edge, is_wb) for the first boundary side of
-        tile i clockwise, whose multiplicity is e_i on a wb-side and
-        d_i - e_i on a bw-side; every tile has one.
         ``weighted_edges``: (edge, label) for every labeled edge.
         """
-        n = self.n
         index, plan = self.edge_index, self.closed_form_plan
         corner = {v: c for c, v in enumerate(self.corners)}
         incidence = [[] for _ in self.corners]
@@ -243,13 +239,6 @@ class BaseGraph:
         self.flip_deltas = tuple(
             tuple((k, -1 if plan[k][0] == i else 1) for k in ks) for i, ks in enumerate(sides)
         )
-        boundary = []
-        for i, ks in enumerate(sides):
-            k = next((k for k in ks if n in plan[k]), None)
-            if k is None:
-                raise AssertionError("tile %d has no boundary side" % i)
-            boundary.append((k, plan[k][1] == i))
-        self.boundary_sides = tuple(boundary)
         self.weighted_edges = tuple(
             (index[e], label) for e, label in self.edge_weights.items()
         )

@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_quiver
 from dimercluster.flip_poset import FlipPoset
+from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import (
     Quiver,
     QuiverSyntaxError,
@@ -275,8 +276,11 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     d = _parse_root_opt(root_spec, quiver.n)
     _check_poset_sizes(quiver, [d])
     poset = FlipPoset(quiver, d)
-    f, g, laurent = dimer_invariants(poset)
+    f, g = dimer_invariants(poset)
+    laurent = expansion_from_f_and_g(quiver, f, g)
     coeffs = f.terms  # the poset's coefficients, one term per element
+    if explain:  # e's term is x^(wt - d) * y^e, so its x-part plus d is e's weight
+        weights = {x[quiver.n:]: tuple(a + b for a, b in zip(x, d)) for x in laurent.terms}
     histogram = {}
     for coeff in coeffs.values():
         c = coeff.bit_length() - 1  # coeff is 2^cycles
@@ -294,7 +298,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
         }
         if explain:
             payload["configurations"] = [
-                {"e": e, "coefficient": coeffs[e], "x_exponents": poset.weights[e]}
+                {"e": e, "coefficient": coeffs[e], "x_exponents": weights[e]}
                 for e in poset.elements
             ]
         _emit(output, [payload])
@@ -312,7 +316,7 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     if explain:
         lines.append("configurations (e | coefficient | weight exponents):")
         for e in poset.elements:
-            row = (",".join(map(str, e)), coeffs[e], ",".join(map(str, poset.weights[e])))
+            row = (",".join(map(str, e)), coeffs[e], ",".join(map(str, weights[e])))
             lines.append("  %s | %d | %s" % row)
     _emit(output, lines)
 

@@ -1,20 +1,22 @@
 """Cluster-variable invariants from the dimer model, with cross-validation.
 
 An instance (quiver, positive root d) is its flip poset,
-``FlipPoset(quiver, d)``, and ``dimer_invariants(poset)`` reads
-``(F, g, laurent)`` off it.  The F-polynomial sums ``2^cycles * u^e`` over
-the poset, the g-vector is the weight of the minimal matching (the poset's
-bottom) divided by ``x^d``, and the Laurent expansion ``x^g * F(yhat)`` is
-F with each term relabeled (``expansion_from_f_and_g``).  Every configuration
-also gives its term directly, ``2^cycles * x^(wt - d) * y^e``, and the two
-must agree exactly.
+``FlipPoset(quiver, d)``, and ``dimer_invariants(poset)`` reads ``(F, g)``
+off it.  The F-polynomial sums ``2^cycles * u^e`` over the poset, and the
+g-vector is the weight of the minimal matching (the poset's bottom) divided
+by ``x^d``.  The Laurent expansion ``x^g * F(yhat)`` is F with each term
+relabeled, ``expansion_from_f_and_g(quiver, f, g)``; a caller that prints or
+compares it builds it.  Its term for e is ``2^cycles * x^(wt - d) * y^e``,
+the configuration's own weight: the poset proves, once per graph, that the
+x-weight of a flip changes by Ŷ's column (``FlipPoset._check_graph``).
 
 ``verify_root(poset, oracles, atlas)`` compares every invariant against the
 requested independent oracles — the closed-form exponent-vector conditions
 and/or direct seed mutation — and reports the outcome per quantity.  The
-``e <-> configuration`` roundtrip is checked as the poset admits each
-configuration, so a built poset has passed it.  An oracle that disagrees
-also gets its differences named.
+closed-form oracle gives F and g, and its expansion is the same relabel of
+them, so its Laurent match is its F match and its g match; the mutation
+oracle gives an expansion, compared with the dimer model's.  An oracle that
+disagrees also gets its differences named.
 ``verify_quiver(quiver)`` is the one per-orientation loop: it checks the
 oracle names, then builds one base graph, at most one mutation atlas, and one
 poset per root.
@@ -41,44 +43,32 @@ MISMATCH_LIST_LIMIT = 5
 
 
 def dimer_invariants(poset):
-    """F, g and the Laurent expansion of the instance the poset holds.
-
-    The expansion is F relabeled term by term as ``x^g * F(yhat)``.  The sum
-    of ``2^cycles * x^(wt - d) * y^e`` over the configurations must equal it
-    exactly.
-    """
-    quiver, d = poset.quiver, poset.d
-    coeffs = poset.coefficients
-    f = LaurentPolynomial(u_context(quiver.n), coeffs)
-    g = tuple(w - x for w, x in zip(poset.weights[poset.bottom], d))
-    laurent = expansion_from_f_and_g(quiver, f, g)
-
-    terms = laurent.terms
-    if len(terms) != len(coeffs) or any(
-        terms.get(tuple(w - x for w, x in zip(wt, d)) + e) != coeffs[e]
-        for e, wt in poset.weights.items()
-    ):
-        raise AssertionError(
-            "termwise configuration weights disagree with x^g * F(yhat) "
-            "for root %r" % (d,)
-        )
-    return f, g, laurent
+    """F and g of the instance the poset holds."""
+    f = LaurentPolynomial(u_context(poset.quiver.n), poset.coefficients)
+    g = tuple(w - x for w, x in zip(poset.bottom_weight, poset.d))
+    return f, g
 
 
-def _mismatches(f, g, laurent, of, og, ol):
-    """The differences between the dimer model's (f, g, laurent) and an
-    oracle's (of, og, ol), as JSON-ready lists of at most MISMATCH_LIST_LIMIT
-    entries each, in graded-lex order of the exponents:
+def _mismatches(quiver, f, g, of, og, ol):
+    """The differences between the dimer model's (f, g) and an oracle's
+    (of, og), as JSON-ready lists of at most MISMATCH_LIST_LIMIT entries
+    each, in graded-lex order of the exponents:
 
     * "f": monomials whose coefficients differ, with both (0 when absent);
     * "g": g-coordinates that differ, with both values;
     * "laurent_dimer_only" / "laurent_oracle_only": Laurent terms whose
       monomial the other side lacks.
+
+    The dimer model's expansion is built here, and so is the oracle's when
+    ol is None (the closed-form oracle's is the relabel of (of, og)).
     """
 
     def first(items):
         return sorted(items, key=graded_lex_key)[:MISMATCH_LIST_LIMIT]
 
+    laurent = expansion_from_f_and_g(quiver, f, g)
+    if ol is None:
+        ol = expansion_from_f_and_g(quiver, of, og)
     dimer, oracle = f.terms, of.terms
     differing = [e for e in dimer.keys() | oracle.keys() if dimer.get(e, 0) != oracle.get(e, 0)]
     return {
@@ -108,15 +98,19 @@ def verify_root(poset, oracles, atlas):
     oracles are names from ORACLE_NAMES; atlas is the quiver's
     ``walk_cluster_variables`` result, read only for "mutation".  Returns the
     report ``verify`` prints: "quiver" (its text form), "root", "ok",
-    "roundtrip" (always true, kept for schema 1: ``FlipPoset`` raises unless
-    every configuration it admits reads back to its exponent vector), and
-    per-oracle match flags under "oracles".  The entry of an oracle that
-    disagrees also names the differences under "mismatches" (``_mismatches``).
-    The invariants themselves are ``dimer_invariants(poset)``.
+    "roundtrip" (always true, kept for schema 1: ``FlipPoset`` proves once per
+    graph that every configuration it reaches is the closed form of its
+    exponent vector), and per-oracle match flags under "oracles".  The
+    closed-form oracle's "laurent_match" is its "f_match" and "g_match"
+    together: both expansions relabel their (F, g) alike, with e as the
+    y-part and the constant term 1, so they agree exactly when F and g do.
+    The entry of an oracle that disagrees also names the differences under
+    "mismatches" (``_mismatches``).  The invariants themselves are
+    ``dimer_invariants(poset)``.
     """
     quiver, d = poset.quiver, poset.d
     n = quiver.n
-    f, g, laurent = dimer_invariants(poset)
+    f, g = dimer_invariants(poset)
     report = {
         "quiver": format_quiver(quiver),
         "root": d,
@@ -126,20 +120,16 @@ def verify_root(poset, oracles, atlas):
     }
     for name in oracles:
         if name == "tran":
-            of = tran_f_polynomial(quiver, d)
-            og = tran_g_vector(quiver, d)
-            ol = expansion_from_f_and_g(quiver, of, og)
+            of, og, ol = tran_f_polynomial(quiver, d), tran_g_vector(quiver, d), None
+            laurent_match = of == f and og == g
         else:
             ol = atlas[d]
             of = f_polynomial_from_expansion(ol, n)
             og = g_vector_from_expansion(ol, n)
-        entry = {
-            "f_match": of == f,
-            "g_match": og == g,
-            "laurent_match": ol == laurent,
-        }
+            laurent_match = ol == expansion_from_f_and_g(quiver, f, g)
+        entry = {"f_match": of == f, "g_match": og == g, "laurent_match": laurent_match}
         if not all(entry.values()):
-            entry["mismatches"] = _mismatches(f, g, laurent, of, og, ol)
+            entry["mismatches"] = _mismatches(quiver, f, g, of, og, ol)
             report["ok"] = False
         report["oracles"][name] = entry
     return report

@@ -1,20 +1,23 @@
 """The poset of monochromatic configurations under flips.
 
 One poset is one instance (quiver, positive root d): it holds the quiver, d,
-the base graph and each element's coefficient and x-weight (the dicts
-``coefficients`` and ``weights``, keyed by e), and F, g and the Laurent
-expansion are read off it (``cluster_invariants.dimer_invariants``).
+the base graph, each element's coefficient (the dict ``coefficients``, keyed
+by e) and the x-weight of the minimal matching (``bottom_weight``), and F and
+g are read off it (``cluster_invariants.dimer_invariants``).
 The constructor is where the root is checked.
 
 Elements are exponent vectors (each standing for its configuration, the
 closed form ``config_from_e``), built by breadth-first search upward from the
 minimal matching: a flip at tile i moves from e to e + unit_i when every
-bw-side of the tile is present.  A configuration a flip first reaches is read
-back to its own e (``e_from_config``), one check that the flip agrees with
-the closed form and that the roundtrip holds (the minimal matching is read
-back to 0).  It joins the poset only if its support keeps differently-marked
+bw-side of the tile is present.  Before the search, one check per graph
+(``_check_graph``) proves that a flip at i adds column i of the closed form
+and changes the labelled weight by column i of Ŷ.  The minimal matching is
+the closed form at e = 0 (both of its routes agree), so by induction along
+the search every configuration reached is the closed form of its e, and its
+x-weight is ``wt(0) + Ŷ·e``; nothing is re-checked per element.
+A configuration joins the poset only if its support keeps differently-marked
 corners apart; that check and its cycle count come from one pass over its
-support, and its coefficient 2^cycles and x-weight are stored then.
+support, and its coefficient 2^cycles is stored then.
 Excluded configurations are remembered but never expanded, and a
 configuration (a tuple of edge multiplicities) is kept only while its rank
 level is being expanded.  A cover is one flip, e -> e + unit_i, so the
@@ -35,14 +38,15 @@ from __future__ import annotations
 import functools
 
 from dimercluster.base_graph import BaseGraph
+from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mixed_dimer import (
-    e_from_config,
     flip,
     is_flippable,
     minimal_matching,
     support_summary,
     x_exponents,
 )
+from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import check_root, graded_lex_key
 
 
@@ -57,26 +61,59 @@ class FlipPoset:
 
     # ---- construction -------------------------------------------------------
 
+    def _check_graph(self):
+        """The per-graph identities that make a configuration and its x-weight
+        affine in e.  For every tile i:
+
+        * the flip at i adds column i of the closed form: -1 on each edge
+          whose bw slot is tile i (``closed_form_plan``), +1 where it is the
+          wb slot, and it needs exactly those bw-sides present;
+        * its change in labelled weight (``weighted_edges``) is column i of
+          Ŷ, the x-exponents of ŷ_i.  ``expansion_from_f_and_g`` of
+          u_0 + ... + u_{n-1} with g = 0 has one term per ŷ_i, its y-part
+          the unit vector of i.
+
+        AssertionError names the first tile that fails either.
+        """
+        graph, n = self.graph, self.graph.n
+        plan = graph.closed_form_plan
+        # rows n collect the outer face's entries
+        columns = [{} for _ in range(n + 1)]
+        changes = [[0] * n for _ in range(n + 1)]
+        for k, (t, h) in enumerate(plan):
+            columns[t][k], columns[h][k] = -1, 1
+        for k, label in graph.weighted_edges:
+            t, h = plan[k]
+            changes[t][label] -= 1
+            changes[h][label] += 1
+        units = {(0,) * i + (1,) + (0,) * (n - 1 - i): 1 for i in range(n)}
+        u = LaurentPolynomial(u_context(n), units)
+        terms = expansion_from_f_and_g(self.quiver, u, (0,) * n).terms
+        yhat = {x[n:].index(1): list(x[:n]) for x in terms}
+        for i, deltas in enumerate(graph.flip_deltas):
+            column = columns[i]
+            bw = [k for k, m in column.items() if m < 0]
+            if sorted(deltas) != list(column.items()) or sorted(graph.bw_sides[i]) != bw:
+                raise AssertionError("the flip at tile %d disagrees with the closed form" % i)
+            if changes[i] != yhat[i]:
+                raise AssertionError(
+                    "the flip at tile %d changes the x-weight by %r, not by yhat_%d's %r"
+                    % (i, tuple(changes[i]), i, tuple(yhat[i]))
+                )
+
     def _build(self):
+        self._check_graph()
         graph, d = self.graph, self.d
         n = graph.n
         labels = graph.node_labels(d)
         marks = [labels.get(v) for v in graph.corners]
-
-        def reads_back(config, e):
-            try:
-                return e_from_config(graph, d, config) == e
-            except ValueError:
-                return False
         bottom = (0,) * n
         start = minimal_matching(graph, d)
-        if not reads_back(start, bottom):
-            raise AssertionError("minimal matching disagrees with the closed form")
         monochromatic, cycles = support_summary(graph, start, marks)
         if not monochromatic:
             raise AssertionError("minimal matching joins marked corners")
+        self.bottom_weight = x_exponents(graph, start)
         coefficients = self.coefficients = {bottom: 2 ** cycles}
-        weights = self.weights = {bottom: x_exponents(graph, start)}
         excluded = self.excluded = set()
         frontier = {bottom: start}
         while frontier:
@@ -86,23 +123,17 @@ class FlipPoset:
                     if not is_flippable(graph, d, config, i):
                         continue
                     e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                    if e2 in excluded or e2 in weights:
+                    if e2 in excluded or e2 in coefficients:
                         continue
                     config2 = flip(graph, config, i)
-                    # one read-back checks the flip and the roundtrip
-                    if not reads_back(config2, e2):
-                        raise AssertionError(
-                            "flip at %d from %r disagrees with the closed form" % (i, e)
-                        )
                     monochromatic, cycles = support_summary(graph, config2, marks)
                     if not monochromatic:
                         excluded.add(e2)
                         continue
                     coefficients[e2] = 2 ** cycles
-                    weights[e2] = x_exponents(graph, config2)
                     nxt[e2] = config2
             frontier = nxt
-        self.elements = sorted(weights, key=graded_lex_key)
+        self.elements = sorted(coefficients, key=graded_lex_key)
         self.bottom = bottom
 
     @functools.cached_property
@@ -114,7 +145,7 @@ class FlipPoset:
         def ups(e):
             for i in range(len(e) - 1, -1, -1):
                 v = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                if v in self.weights:
+                if v in self.coefficients:
                     yield v
 
         return {e: list(ups(e)) for e in self.elements}

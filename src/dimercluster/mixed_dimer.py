@@ -24,13 +24,10 @@ wb-side by one, sending the configuration for e to the one for ``e + unit_i``.
 per-corner incidence, both whether a configuration keeps differently-marked
 corners apart and how many of its support components are simple cycles (its
 coefficient is 2^cycles).
-The inverse recovery — from a configuration back to e — is a height read.
-A configuration minus the minimal matching is the sum of e_i flips at each
-tile i, so e is its height function relative to the minimal matching, and
-every tile has a boundary side whose multiplicity is e_i (a wb-side) or
-d_i - e_i (a bw-side).  e is read off one such side per tile, and the
-closed form of that e must give the input back.  The flip poset reads each
-configuration it makes back this way, once, as its flip check.
+``x_exponents`` is a configuration's labelled weight.  The closed form and
+the weight are both affine in e, with per-graph columns, so the flip poset
+checks those columns once per graph and reads no configuration back to its
+e; it weighs only the minimal matching, for g.
 """
 
 from __future__ import annotations
@@ -166,41 +163,6 @@ def support_summary(graph, config, marks):
         if ring and odd and size >= 4:
             cycles += 1
     return monochromatic, cycles
-
-
-# ---- exponent recovery -------------------------------------------------------------
-
-
-def e_from_config(graph, d, config):
-    """Read the exponent vector off one boundary side per tile.
-
-    Inverse of config_from_e: e_i is the multiplicity of the tile's boundary
-    side (``graph.boundary_sides``) on a wb-side, d_i minus it on a bw-side.
-    A configuration equal to the closed form of that vector is returned at
-    once.  Otherwise raises ValueError: if config is not a tuple with one
-    multiplicity per edge, if a multiplicity is negative, or if the tuple is
-    not the configuration of the vector read this way (its closed form must
-    give the input back).
-    """
-    e = None
-    try:
-        e = tuple([
-            config[k] if is_wb else d[i] - config[k]
-            for i, (k, is_wb) in enumerate(graph.boundary_sides)
-        ])
-        if config_from_e(graph, d, e) == config:
-            return e
-    except (LookupError, TypeError, ValueError):  # malformed input, or e unrealizable
-        pass
-    if type(config) is not tuple or len(config) != len(graph.edges):
-        raise ValueError(
-            "a configuration is a tuple of %d multiplicities, one per edge"
-            % len(graph.edges)
-        )
-    for edge, m in zip(graph.edges, config):
-        if m < 0:
-            raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
-    raise ValueError("not the configuration of its boundary height %r" % (e,))
 
 
 # ---- weights -----------------------------------------------------------------------

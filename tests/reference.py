@@ -51,6 +51,12 @@ gives the marked corners in the package's form).
   and ``enclosed_tiles``): the exponent vector of a configuration as the
   package recovered it before the height read, by peeling the simple cycles
   of config + minimal matching, against ``e_from_config``;
+* ``e_from_config`` (with ``boundary_sides``, the table it reads) and
+  ``flip_poset_by_read_back``: the height read, and the flip poset as the
+  package built it while it read every configuration back to its e and
+  weighed every element, before one check per graph proved the closed form
+  and the weighting affine in e, against ``config_from_e`` and
+  ``FlipPoset`` with the weights read off its Laurent terms;
 * ``FrozenTables``: the per-graph tables (edges, corners, incidence, flip
   tables, closed-form plan, boundary sides, weights) as ``BaseGraph`` built
   them before its one per-edge record, from the corner set, the tiles of
@@ -69,9 +75,16 @@ from dimercluster.laurent_poly import (
     LaurentPolynomial,
     u_context,
 )
-from dimercluster.mixed_dimer import config_from_e, flip, minimal_matching
+from dimercluster.mixed_dimer import (
+    config_from_e,
+    flip,
+    is_flippable,
+    minimal_matching,
+    support_summary,
+    x_exponents,
+)
 from dimercluster.mutation_oracle import denominator_vector, initial_seed, mutate_seed
-from dimercluster.quiver_core import check_root, dynkin_edges
+from dimercluster.quiver_core import check_root, dynkin_edges, graded_lex_key
 from dimercluster.tran_oracle import tran_f_polynomial
 
 
@@ -702,6 +715,105 @@ def e_from_config_by_peel(graph, d, config):
     if closed != {edge: m for edge, m in config.items() if m}:
         raise ValueError("not the configuration of the peeled exponent vector %r" % (e,))
     return e
+
+
+def boundary_sides(graph):
+    """(edge, is_wb) for the first boundary side of each tile clockwise,
+    whose multiplicity is e_i on a wb-side and d_i - e_i on a bw-side; every
+    tile has one.  ``BaseGraph._plan`` built this table until the flip poset
+    stopped reading configurations back (``e_from_config``)."""
+    n = graph.n
+    index, plan = graph.edge_index, graph.closed_form_plan
+    sides = [[index[e] for e in tile.edges] for tile in graph.tiles]
+    boundary = []
+    for i, ks in enumerate(sides):
+        k = next((k for k in ks if n in plan[k]), None)
+        if k is None:
+            raise AssertionError("tile %d has no boundary side" % i)
+        boundary.append((k, plan[k][1] == i))
+    return tuple(boundary)
+
+
+def e_from_config(graph, d, config):
+    """Read the exponent vector off one boundary side per tile.
+
+    Inverse of config_from_e: e_i is the multiplicity of the tile's boundary
+    side (``boundary_sides``) on a wb-side, d_i minus it on a bw-side.
+    A configuration equal to the closed form of that vector is returned at
+    once.  Otherwise raises ValueError: if config is not a tuple with one
+    multiplicity per edge, if a multiplicity is negative, or if the tuple is
+    not the configuration of the vector read this way (its closed form must
+    give the input back).
+    """
+    e = None
+    try:
+        e = tuple([
+            config[k] if is_wb else d[i] - config[k]
+            for i, (k, is_wb) in enumerate(boundary_sides(graph))
+        ])
+        if config_from_e(graph, d, e) == config:
+            return e
+    except (LookupError, TypeError, ValueError):  # malformed input, or e unrealizable
+        pass
+    if type(config) is not tuple or len(config) != len(graph.edges):
+        raise ValueError(
+            "a configuration is a tuple of %d multiplicities, one per edge"
+            % len(graph.edges)
+        )
+    for edge, m in zip(graph.edges, config):
+        if m < 0:
+            raise ValueError("edge %r has negative multiplicity %d" % (edge, m))
+    raise ValueError("not the configuration of its boundary height %r" % (e,))
+
+
+def flip_poset_by_read_back(graph, d):
+    """(elements, excluded, coefficients, weights) of the flip poset, by the
+    breadth-first build that read every configuration back to its own e
+    (``e_from_config``) and weighed every element (``x_exponents``)."""
+    n = graph.n
+    labels = graph.node_labels(d)
+    marks = [labels.get(v) for v in graph.corners]
+
+    def reads_back(config, e):
+        try:
+            return e_from_config(graph, d, config) == e
+        except ValueError:
+            return False
+    bottom = (0,) * n
+    start = minimal_matching(graph, d)
+    if not reads_back(start, bottom):
+        raise AssertionError("minimal matching disagrees with the closed form")
+    monochromatic, cycles = support_summary(graph, start, marks)
+    if not monochromatic:
+        raise AssertionError("minimal matching joins marked corners")
+    coefficients = {bottom: 2 ** cycles}
+    weights = {bottom: x_exponents(graph, start)}
+    excluded = set()
+    frontier = {bottom: start}
+    while frontier:
+        nxt = {}
+        for e, config in frontier.items():
+            for i in range(n):
+                if not is_flippable(graph, d, config, i):
+                    continue
+                e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                if e2 in excluded or e2 in weights:
+                    continue
+                config2 = flip(graph, config, i)
+                # one read-back checks the flip and the roundtrip
+                if not reads_back(config2, e2):
+                    raise AssertionError(
+                        "flip at %d from %r disagrees with the closed form" % (i, e)
+                    )
+                monochromatic, cycles = support_summary(graph, config2, marks)
+                if not monochromatic:
+                    excluded.add(e2)
+                    continue
+                coefficients[e2] = 2 ** cycles
+                weights[e2] = x_exponents(graph, config2)
+                nxt[e2] = config2
+        frontier = nxt
+    return sorted(weights, key=graded_lex_key), excluded, coefficients, weights
 
 
 class FrozenTables:

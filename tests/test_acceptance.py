@@ -29,7 +29,6 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import (
     config_from_e,
-    e_from_config,
     flip,
     is_flippable,
     minimal_matching,
@@ -70,6 +69,7 @@ from reference import (
     component_charges,
     config_from_e_by_flips,
     corner_marks,
+    e_from_config,
     enumerate_cluster_variables,
     is_distributive,
 )
@@ -86,7 +86,8 @@ RANK11_TO_13_SAMPLE_BOUND_S = 60.0
 
 def invariants(quiver, d):
     """(F, g, laurent) of one instance, from the dimer model."""
-    return dimer_invariants(FlipPoset(quiver, d))
+    f, g = dimer_invariants(FlipPoset(quiver, d))
+    return f, g, expansion_from_f_and_g(quiver, f, g)
 
 
 def criterion(k, budget=None):

@@ -15,6 +15,7 @@ import dimercluster.cli
 from dimercluster.cli import main
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
+from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import (
     all_orientations,
     dynkin_edges,
@@ -746,7 +747,9 @@ def test_the_output_is_written_as_it_is_made(tmp_path):
     def instance(n):
         return FlipPoset(parse_quiver(alternating(n)), tuple(map(int, highest_root(n).split(","))))
 
-    f, _, laurent = dimer_invariants(instance(10))
+    poset = instance(10)
+    f, g = dimer_invariants(poset)
+    laurent = expansion_from_f_and_g(poset.quiver, f, g)
     payload = {"f_polynomial": f.to_json(), "laurent_expansion": laurent.to_json()}
     hasse = instance(11)
     hasse.covers  # the poset's own table, read before the write is traced

@@ -6,6 +6,7 @@ import pytest
 
 import dimercluster.cluster_invariants
 import dimercluster.mixed_dimer
+import dimercluster.mutation_oracle
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import (
     MISMATCH_LIST_LIMIT,
@@ -42,7 +43,8 @@ from frozen import (
 
 
 def invariants(quiver, d):
-    return dimer_invariants(FlipPoset(quiver, d))
+    f, g = dimer_invariants(FlipPoset(quiver, d))
+    return f, g, expansion_from_f_and_g(quiver, f, g)
 
 
 # ---- frozen rank-5 instance ------------------------------------------------------
@@ -71,15 +73,6 @@ def test_rank5_all_routes_agree():
     dimer = invariants(QC, D5)[2]
     tran = expansion_from_f_and_g(QC, tran_f_polynomial(QC, D5), tran_g_vector(QC, D5))
     assert dimer == tran == walk_cluster_variables(QC)[D5]
-
-
-def test_a_shifted_configuration_weight_fails_the_termwise_check():
-    poset = FlipPoset(QC, D5)
-    top = poset.elements[-1]
-    wt = poset.weights[top]
-    poset.weights[top] = (wt[0] + 1,) + wt[1:]
-    with pytest.raises(AssertionError, match="termwise configuration weights disagree"):
-        dimer_invariants(poset)
 
 
 # ---- frozen rank-6 instances -------------------------------------------------------
@@ -143,36 +136,53 @@ def test_verify_quiver_rank4_all_roots():
     assert all(r["ok"] for r in reports)
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls of ``mixed_dimer.<name>`` through every module of the
-    package that binds it; returns a one-entry list holding the count."""
-    original = getattr(dimercluster.mixed_dimer, name)
-    count = [0]
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.<name>`` through each module of the
+    package that binds it; returns the dict module name -> count."""
+    original = getattr(owner, name)
+    counts = {}
 
-    def counted(*args):
-        count[0] += 1
-        return original(*args)
+    def counted(module_name):
+        def call(*args):
+            counts[module_name] += 1
+            return original(*args)
+
+        return call
 
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("dimercluster") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return count
+            counts[module_name] = 0
+            monkeypatch.setattr(module, name, counted(module_name))
+    return counts
 
 
-def test_the_rank5_sweep_makes_one_closed_form_per_configuration(monkeypatch):
-    # Per instance the minimal matching and its read-back, and one read-back
-    # per flip result: a second closed form per configuration shows up here.
-    # The support pass runs once on the minimal matching and once on each
-    # flip result.
-    closed_forms = count_calls(monkeypatch, "config_from_e")
-    flips = count_calls(monkeypatch, "flip")
-    support_passes = count_calls(monkeypatch, "support_summary")
+def test_the_rank5_sweep_makes_one_closed_form_per_instance(monkeypatch):
+    # Per instance the minimal matching's closed form, and no configuration
+    # read back: a closed form per flip result shows up here.  The support
+    # pass runs once on the minimal matching and once on each flip result.
+    # Each build reads Ŷ off one expansion for its per-graph check; verify
+    # builds the dimer model's expansion only for the mutation oracle, and
+    # with the closed-form oracle alone, where everything matches, none.
+    closed_forms = count_calls(monkeypatch, dimercluster.mixed_dimer, "config_from_e")
+    flips = count_calls(monkeypatch, dimercluster.mixed_dimer, "flip")
+    support_passes = count_calls(monkeypatch, dimercluster.mixed_dimer, "support_summary")
+    expansions = count_calls(monkeypatch, dimercluster.mutation_oracle, "expansion_from_f_and_g")
     instances = 0
     for quiver in all_orientations(5):
         instances += len(verify_quiver(quiver))
-    assert (instances, flips[0]) == (16 * 20, 1799)
-    assert closed_forms[0] == 2 * instances + flips[0] == 2439
-    assert support_passes[0] == instances + flips[0] == 2119
+    assert (instances, sum(flips.values())) == (16 * 20, 1799)
+    assert sum(closed_forms.values()) == instances == 320
+    assert sum(support_passes.values()) == instances + 1799 == 2119
+    assert {name: count for name, count in expansions.items() if count} == {
+        "dimercluster.flip_poset": instances,
+        "dimercluster.cluster_invariants": instances,
+    }
+    expansions.update(dict.fromkeys(expansions, 0))
+    reports = [r for quiver in all_orientations(5) for r in verify_quiver(quiver, ("tran",))]
+    assert len(reports) == instances and all(r["ok"] for r in reports)
+    assert {name: count for name, count in expansions.items() if count} == {
+        "dimercluster.flip_poset": instances,
+    }
 
 
 def test_verify_quiver_subset_of_roots():
@@ -238,7 +248,7 @@ def test_a_wrong_g_names_the_coordinate_and_caps_the_laurent_lists(monkeypatch):
     # every x-exponent moves, so each of the 13 terms is on one side only
     dimer_only, oracle_only = mismatches["laurent_dimer_only"], mismatches["laurent_oracle_only"]
     assert len(dimer_only) == len(oracle_only) == MISMATCH_LIST_LIMIT < len(F_QC)
-    dimer_laurent = dimer_invariants(FlipPoset(QC, D5))[2]
+    dimer_laurent = invariants(QC, D5)[2]
     lowest = sorted(dimer_laurent.terms, key=lambda e: (sum(e), e))[:MISMATCH_LIST_LIMIT]
     assert dimer_only == [
         {"exponents": list(e), "coefficient": dimer_laurent.terms[e]} for e in lowest

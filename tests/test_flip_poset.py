@@ -11,6 +11,7 @@ from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import is_flippable, minimal_matching
+from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial
 
@@ -57,9 +58,12 @@ def test_rejects_non_roots(d):
 
 
 def test_coefficients_are_one_dict_keyed_like_the_weights():
+    # the weights are read off the Laurent terms x^(wt - d) * y^e, keyed by e
     poset = FlipPoset(QC, D5)
-    assert set(poset.coefficients) == set(poset.weights) == set(poset.elements)
-    assert dimer_invariants(poset)[0].terms == poset.coefficients
+    f, g = dimer_invariants(poset)
+    weights = {x[5:]: x[:5] for x in expansion_from_f_and_g(QC, f, g).terms}
+    assert set(poset.coefficients) == set(weights) == set(poset.elements)
+    assert f.terms == poset.coefficients
 
 
 def with_table(graph, name, i, value):
@@ -79,18 +83,44 @@ def test_a_flip_that_disagrees_with_the_closed_form_is_refused():
     wb_side = next(edge for edge, m in delta.items() if m == 1)
     delta[wb_side] = 2
     broken = with_table(graph, "flip_deltas", i, tuple(delta.items()))
-    message = "flip at %d from %r disagrees with the closed form" % (i, (0,) * 5)
+    message = "the flip at tile %d disagrees with the closed form" % i
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        FlipPoset(QC, D5, graph=broken)
+
+
+def test_a_flip_that_needs_too_few_sides_is_refused():
+    # with one bw-side dropped from the table, a flip at tile 2 could take
+    # that side to multiplicity -1
+    graph = BaseGraph(QC)
+    broken = with_table(graph, "bw_sides", 2, graph.bw_sides[2][1:])
+    message = "the flip at tile 2 disagrees with the closed form"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        FlipPoset(QC, D5, graph=broken)
+
+
+def test_a_swapped_weight_label_fails_the_per_graph_check():
+    # a weighted edge is a boundary side of one tile, whose flip then moves
+    # the weight along the wrong variable
+    graph = BaseGraph(QC)
+    k, label = graph.weighted_edges[0]
+    tile = next(i for i, deltas in enumerate(graph.flip_deltas) if k in dict(deltas))
+    broken = with_table(graph, "weighted_edges", 0, (k, (label + 1) % 5))
+    message = "the flip at tile %d changes the x-weight by" % tile
     with pytest.raises(AssertionError, match=re.escape(message)):
         FlipPoset(QC, D5, graph=broken)
 
 
 @pytest.mark.parametrize("i", range(5))
-def test_a_minimal_matching_that_does_not_read_back_to_zero_is_refused(i):
+def test_a_minimal_matching_that_does_not_read_back_to_zero_is_refused(monkeypatch, i):
+    # the frozen read-back build, with the boundary side it reads tile i off
+    # read in the other class
     graph = BaseGraph(QC)
-    edge, is_wb = graph.boundary_sides[i]
-    broken = with_table(graph, "boundary_sides", i, (edge, not is_wb))
+    sides = reference.boundary_sides(graph)
+    edge, is_wb = sides[i]
+    broken = sides[:i] + ((edge, not is_wb),) + sides[i + 1 :]
+    monkeypatch.setattr(reference, "boundary_sides", lambda _graph: broken)
     with pytest.raises(AssertionError, match="minimal matching disagrees with the closed form"):
-        FlipPoset(QC, D5, graph=broken)
+        reference.flip_poset_by_read_back(graph, D5)
 
 
 def test_order_closure_is_built_on_the_first_order_query():

@@ -9,7 +9,6 @@ import pytest
 from dimercluster.base_graph import BaseGraph, edge_key
 from dimercluster.mixed_dimer import (
     config_from_e,
-    e_from_config,
     flip,
     is_flippable,
     minimal_matching,
@@ -36,6 +35,7 @@ from reference import (
     config_from_e_by_flips,
     config_valences,
     corner_marks,
+    e_from_config,
 )
 
 

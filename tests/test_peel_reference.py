@@ -20,12 +20,13 @@ import re
 import pytest
 
 from dimercluster.base_graph import edge_key
-from dimercluster.mixed_dimer import config_from_e, e_from_config, minimal_matching
+from dimercluster.mixed_dimer import config_from_e, minimal_matching
 from reference import (
     _support_cycles,
     add_configs,
     as_dict,
     config_valences,
+    e_from_config,
     e_from_config_by_peel,
 )
 

@@ -7,7 +7,8 @@ helpers, the dict-keyed support pass and the class-by-class closed form
 the box (realizable vectors, monochromatic or excluded, and arbitrary ones),
 and on every configuration the flip BFS reaches at ranks 4-6.  The flip
 poset is compared with a frozen copy of its old breadth-first build on every
-instance at ranks 4-6.
+instance at ranks 4-6, and its Laurent terms with the frozen closed form's
+weights.
 """
 
 import random
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 
 import reference
 from dimercluster.base_graph import BaseGraph
+from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import config_from_e, support_summary, x_exponents
+from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges, positive_roots
 
 
@@ -161,6 +164,11 @@ def test_flip_poset_matches_the_old_build(n):
             assert poset.excluded == excluded
             assert poset.covers == covers
             assert poset.coefficients == coefficients
-            assert poset.weights == {
-                e: x_exponents(graph, frozen_tuple(graph, d, e)) for e in elements
+            # the frozen termwise check: each Laurent term is its element's
+            # 2^cycles * x^(wt - d) * y^e, weighed on the frozen closed form
+            f, g = dimer_invariants(poset)
+            assert expansion_from_f_and_g(quiver, f, g).terms == {
+                tuple(w - x for w, x in zip(x_exponents(graph, frozen_tuple(graph, d, e)), d))
+                + e: c
+                for e, c in coefficients.items()
             }
