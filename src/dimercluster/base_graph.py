@@ -29,7 +29,8 @@ every other table (side classes, flips, weight labels) is
 read from it.  The constructor checks the ``2n + 4`` corners, and that the
 pairs without the outer face are exactly the arrows of the quiver: one
 comparison that covers the tile adjacencies, one shared edge per adjacent
-pair, and the class compatibility.
+pair, and the class compatibility.  Last, once per graph, it checks each
+tile's flip and weight columns (``_check_flips``), which every poset trusts.
 
 Weights
 -------
@@ -50,6 +51,9 @@ support joins differently-marked corners are excluded from the flip lattice.
 """
 
 from __future__ import annotations
+
+from dimercluster.laurent_poly import LaurentPolynomial, u_context
+from dimercluster.mutation_oracle import expansion_from_f_and_g
 
 BLACK = "black"
 WHITE = "white"
@@ -102,6 +106,7 @@ class BaseGraph:
         self._validate()
         self._assign_weights()
         self._plan()
+        self._check_flips()
         self._mark_nodes()
 
     # ---- colors and classes -------------------------------------------------
@@ -242,6 +247,45 @@ class BaseGraph:
         self.weighted_edges = tuple(
             (index[e], label) for e, label in self.edge_weights.items()
         )
+
+    def _check_flips(self):
+        """The per-graph identities that make a configuration and its x-weight
+        affine in e, checked once at construction.  For every tile i:
+
+        * the flip at i adds column i of the closed form: -1 on each edge
+          whose bw slot is tile i (``closed_form_plan``), +1 where it is the
+          wb slot, and it needs exactly those bw-sides present;
+        * its change in labelled weight (``weighted_edges``) is column i of
+          Ŷ, the x-exponents of ŷ_i.  ``expansion_from_f_and_g`` of
+          u_0 + ... + u_{n-1} with g = 0 has one term per ŷ_i, its y-part
+          the unit vector of i.
+
+        AssertionError names the first tile that fails either.
+        """
+        n, plan = self.n, self.closed_form_plan
+        # rows n collect the outer face's entries
+        columns = [{} for _ in range(n + 1)]
+        changes = [[0] * n for _ in range(n + 1)]
+        for k, (t, h) in enumerate(plan):
+            columns[t][k], columns[h][k] = -1, 1
+        for k, label in self.weighted_edges:
+            t, h = plan[k]
+            changes[t][label] -= 1
+            changes[h][label] += 1
+        units = {(0,) * i + (1,) + (0,) * (n - 1 - i): 1 for i in range(n)}
+        u = LaurentPolynomial(u_context(n), units)
+        terms = expansion_from_f_and_g(self.quiver, u, (0,) * n).terms
+        yhat = {x[n:].index(1): list(x[:n]) for x in terms}
+        for i, deltas in enumerate(self.flip_deltas):
+            column = columns[i]
+            bw = [k for k, m in column.items() if m < 0]
+            if sorted(deltas) != list(column.items()) or sorted(self.bw_sides[i]) != bw:
+                raise AssertionError("the flip at tile %d disagrees with the closed form" % i)
+            if changes[i] != yhat[i]:
+                raise AssertionError(
+                    "the flip at tile %d changes the x-weight by %r, not by yhat_%d's %r"
+                    % (i, tuple(changes[i]), i, tuple(yhat[i]))
+                )
 
     # ---- weights ---------------------------------------------------------------
 

@@ -51,9 +51,10 @@ MAX_SWEEP_INSTANCES = 50_000
 MAX_POSET_ELEMENTS = 100_000
 
 # The largest rank `verify -q` walks for the mutation oracle, as `--n` does.
-# The alternating orientation walks slowest: 1.6 s of CPU at rank 9, 10.7 s
-# and 127 MB at rank 10, 47 s and 366 MB at rank 11 (2-vCPU virtual machine,
-# one run each); the linear one walks rank 10 in 0.1 s and rank 20 in 3.9 s.
+# The alternating orientation walks slowest: 0.8-0.9 s of CPU at rank 9,
+# 4.5-5.6 s and 53 MB at rank 10, 27-37 s and 159 MB at rank 11 (2-vCPU
+# virtual machine, 2-4 runs each); the linear one walks rank 10 in 0.04 s and
+# rank 20 in 1.8 s.
 MAX_WALK_RANK = 10
 
 # The largest flip poset `poset --lattice` diagnoses.  The witness searches

@@ -7,8 +7,9 @@ g-vector is the weight of the minimal matching (the poset's bottom) divided
 by ``x^d``.  The Laurent expansion ``x^g * F(yhat)`` is F with each term
 relabeled, ``expansion_from_f_and_g(quiver, f, g)``; a caller that prints or
 compares it builds it.  Its term for e is ``2^cycles * x^(wt - d) * y^e``,
-the configuration's own weight: the poset proves, once per graph, that the
-x-weight of a flip changes by Ŷ's column (``FlipPoset._check_graph``).
+the configuration's own weight: the base graph proves once, at
+construction, that the x-weight of a flip changes by Ŷ's column
+(``BaseGraph._check_flips``).
 
 ``verify_root(poset, oracles, atlas)`` compares every invariant against the
 requested independent oracles — the closed-form exponent-vector conditions
@@ -98,10 +99,10 @@ def verify_root(poset, oracles, atlas):
     oracles are names from ORACLE_NAMES; atlas is the quiver's
     ``walk_cluster_variables`` result, read only for "mutation".  Returns the
     report ``verify`` prints: "quiver" (its text form), "root", "ok",
-    "roundtrip" (always true, kept for schema 1: ``FlipPoset`` proves once per
-    graph that every configuration it reaches is the closed form of its
-    exponent vector), and per-oracle match flags under "oracles".  The
-    closed-form oracle's "laurent_match" is its "f_match" and "g_match"
+    "roundtrip" (always true, kept for schema 1: the base graph's check at
+    construction makes every configuration ``FlipPoset`` reaches the closed
+    form of its exponent vector), and per-oracle match flags under
+    "oracles".  The closed-form oracle's "laurent_match" is its "f_match" and "g_match"
     together: both expansions relabel their (F, g) alike, with e as the
     y-part and the constant term 1, so they agree exactly when F and g do.
     The entry of an oracle that disagrees also names the differences under

@@ -16,8 +16,12 @@ degree.  Int order is then graded-lex order, and the exponents of a product
 of monomials are the sum of their keys.  A polynomial built from tuples
 (``LaurentPolynomial(ctx, terms)``) is packed the first time arithmetic
 touches it; one built by arithmetic decodes its tuple view the first time it
-is read.  Each packed polynomial carries a bound on its largest absolute
-exponent, so an operation whose result could leave the field range raises
+is read.  Each polynomial carries its exponent box, the least and greatest
+exponent of each variable over its terms: ``*`` adds the boxes (the Newton
+polytope of a product is the Minkowski sum of its factors'), ``+`` takes
+their componentwise min and max, and a sum whose terms cancel reads its box
+off its terms when next asked.  The largest absolute exponent is read off
+the box, so an operation whose result could leave the field range raises
 OverflowError instead of wrapping.
 
 ``divide_exact`` cancels leading terms in place in one remainder dict, taking
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import operator
 import struct
 
 from dimercluster.quiver_core import graded_lex_key
@@ -98,8 +103,9 @@ def _layout(width):
     return _Layout(width)
 
 
-def _exponent_bound(vectors):
-    return max((max(map(abs, e), default=0) for e in vectors), default=0)
+def _box_bound(box):
+    """The largest absolute exponent in an exponent box."""
+    return max(map(abs, box[0] + box[1]), default=0)
 
 
 def _overflow(bound):
@@ -109,7 +115,7 @@ def _overflow(bound):
 
 
 class LaurentPolynomial:
-    __slots__ = ("context", "_terms", "_packed", "_bound")
+    __slots__ = ("context", "_terms", "_packed", "_box")
 
     def __init__(self, context, terms):
         self.context = tuple(context)
@@ -127,17 +133,17 @@ class LaurentPolynomial:
             clean[exps] = coeff
         self._terms = clean
         self._packed = None
-        self._bound = None
+        self._box = None
 
     @classmethod
-    def _build(cls, context, terms=None, packed=None, bound=None):
-        """A polynomial from a clean tuple view, a packed view with its bound,
-        or both; nothing is re-validated."""
+    def _build(cls, context, terms=None, packed=None, box=None):
+        """A polynomial from a clean tuple view, a packed view, or both, with
+        its exponent box when known; nothing is re-validated."""
         poly = object.__new__(cls)
         poly.context = context
         poly._terms = terms
         poly._packed = packed
-        poly._bound = bound
+        poly._box = box
         return poly
 
     # ---- constructors -------------------------------------------------
@@ -145,7 +151,8 @@ class LaurentPolynomial:
     @classmethod
     def one(cls, context):
         context = tuple(context)
-        return cls._build(context, {(0,) * len(context): 1}, {0: 1}, 0)
+        zero = (0,) * len(context)
+        return cls._build(context, {zero: 1}, {0: 1}, (zero, zero))
 
     @classmethod
     def variable(cls, context, name):
@@ -154,7 +161,7 @@ class LaurentPolynomial:
         exps[context.index(name)] = 1
         exps = tuple(exps)
         key = _layout(len(context)).encode(exps)
-        return cls._build(context, {exps: 1}, {key: 1}, 1)
+        return cls._build(context, {exps: 1}, {key: 1}, (exps, exps))
 
     # ---- the two views ------------------------------------------------
 
@@ -169,13 +176,21 @@ class LaurentPolynomial:
     def _pack(self):
         """{packed key: coefficient}, encoded once from the tuple view."""
         if self._packed is None:
-            bound = _exponent_bound(self._terms)
+            bound = _box_bound(self._exponent_box())
             if bound > EXP_LIMIT:
                 raise _overflow(bound)
             encode = _layout(len(self.context)).encode
             self._packed = {encode(e): c for e, c in self._terms.items()}
-            self._bound = bound
         return self._packed
+
+    def _exponent_box(self):
+        """(low, high): each variable's least and greatest exponent over the
+        terms, zeros for the zero polynomial; read off the terms once when
+        not carried."""
+        if self._box is None:
+            cols = list(zip(*self.terms)) or [(0,)] * len(self.context)
+            self._box = (tuple(map(min, cols)), tuple(map(max, cols)))
+        return self._box
 
     # ---- basic structure ----------------------------------------------
 
@@ -207,22 +222,27 @@ class LaurentPolynomial:
         self._check(other)
         terms = dict(self._pack())
         get = terms.get
+        box = None
+        if self and other:  # a zero operand's box of zeros holds no extreme
+            (la, ha), (lb, hb) = self._exponent_box(), other._exponent_box()
+            box = (tuple(map(min, la, lb)), tuple(map(max, ha, hb)))
         for k, c in other._pack().items():
             c = get(k, 0) + c
             if c:
                 terms[k] = c
             else:
                 del terms[k]
-        return LaurentPolynomial._build(
-            self.context, packed=terms, bound=max(self._bound, other._bound)
-        )
+                box = None  # a cancelled term may have held an extreme
+        return LaurentPolynomial._build(self.context, packed=terms, box=box)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check(other)
         a, b = self._pack(), other._pack()
-        bound = self._bound + other._bound
+        (la, ha), (lb, hb) = self._exponent_box(), other._exponent_box()
+        box = (tuple(map(operator.add, la, lb)), tuple(map(operator.add, ha, hb)))
+        bound = _box_bound(box)
         if bound > EXP_LIMIT:
             raise _overflow(bound)
         if len(a) < len(b):
@@ -239,16 +259,14 @@ class LaurentPolynomial:
                     k += kb
                     terms[k] = get(k, 0) + c * cb
             terms = {k: c for k, c in terms.items() if c}
-        return LaurentPolynomial._build(self.context, packed=terms, bound=bound)
+        # a nonzero product attains the summed box; a zero one reads zeros
+        return LaurentPolynomial._build(self.context, packed=terms, box=box if terms else None)
 
     # ---- queries --------------------------------------------------------
 
     def min_exponents(self):
         """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
-        if not self.terms:
-            return (0,) * len(self.context)
-        cols = zip(*self.terms.keys())
-        return tuple(min(col) for col in cols)
+        return self._exponent_box()[0]
 
     # ---- rendering ------------------------------------------------------
 
@@ -314,7 +332,9 @@ def divide_exact(numerator, denominator):
     An exact quotient has every exponent j within
     ``[min_num_j - min_den_j, max_num_j - max_den_j]`` (the Newton polytope
     of a product is the Minkowski sum of those of its factors), so a
-    quotient term outside that box ends an inexact division at once.
+    quotient term outside that box ends an inexact division at once.  Both
+    operands' boxes are the ones they carry, so no term is decoded but the
+    quotient's.
     Exchange relations always divide exactly; a non-exact division here
     signals an implementation bug upstream, so every failure mode
     (non-divisible coefficient, a quotient term outside the box, step
@@ -325,18 +345,16 @@ def divide_exact(numerator, denominator):
         raise ExactDivisionError("division by zero polynomial")
     remainder = dict(numerator._pack())
     den = denominator._pack()
-    reach = numerator._bound + 2 * denominator._bound
+    num_box, den_box = numerator._exponent_box(), denominator._exponent_box()
+    reach = _box_bound(num_box) + 2 * _box_bound(den_box)
     if reach >= _DIVISION_RANGE:
         raise OverflowError(
             "division reach %d (numerator bound + 2 * denominator bound) must be below %d"
             % (reach, _DIVISION_RANGE)
         )
     layout = _layout(len(numerator.context))
-    if remainder:
-        num_cols = list(zip(*numerator.terms))
-        den_cols = list(zip(*denominator.terms))
-        low = layout.encode([min(a) - min(b) for a, b in zip(num_cols, den_cols)])
-        high = layout.encode([max(a) - max(b) for a, b in zip(num_cols, den_cols)])
+    low = layout.encode([a - b for a, b in zip(num_box[0], den_box[0])])
+    high = layout.encode([a - b for a, b in zip(num_box[1], den_box[1])])
     d_key = max(den)
     d_coeff = den[d_key]
     rest = [(k, c) for k, c in den.items() if k != d_key]
@@ -373,12 +391,8 @@ def divide_exact(numerator, denominator):
                 del remainder[k]
             else:
                 remainder[k] = old - c
-    # The quotient's bound is measured, not estimated from the operands, so
-    # that bounds do not compound along a chain of divisions.
-    exps = [layout.decode(k) for k in quotient]
+    # decoded once, here; the quotient's box is read off these terms when asked
+    exps = map(layout.decode, quotient)
     return LaurentPolynomial._build(
-        numerator.context,
-        terms=dict(zip(exps, quotient.values())),
-        packed=quotient,
-        bound=_exponent_bound(exps),
+        numerator.context, terms=dict(zip(exps, quotient.values())), packed=quotient
     )

@@ -25,9 +25,9 @@ per-corner incidence, both whether a configuration keeps differently-marked
 corners apart and how many of its support components are simple cycles (its
 coefficient is 2^cycles).
 ``x_exponents`` is a configuration's labelled weight.  The closed form and
-the weight are both affine in e, with per-graph columns, so the flip poset
-checks those columns once per graph and reads no configuration back to its
-e; it weighs only the minimal matching, for g.
+the weight are both affine in e, with per-graph columns, which the base
+graph checks once, at construction; the flip poset reads no configuration
+back to its e and weighs only the minimal matching, for g.
 """
 
 from __future__ import annotations

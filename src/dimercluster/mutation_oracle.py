@@ -131,7 +131,8 @@ def expansion_from_f_and_g(quiver, f_poly, g_vec):
     ŷ_i = y_i * prod_{i->j} x_j / prod_{j->i} x_j is a monomial; let column i
     of Ŷ hold its x-exponents.  The term c * u^e of F then becomes the one
     term c * x^(g + Ŷe) * y^e, and as its y-part is e itself, no two terms
-    meet (the separation formula).  No polynomial arithmetic is involved.
+    meet (the separation formula).  No polynomial arithmetic is involved,
+    and F's terms are nonzero and of width n, so none is re-validated.
     """
     terms = {}
     for e, c in f_poly.terms.items():
@@ -140,7 +141,7 @@ def expansion_from_f_and_g(quiver, f_poly, g_vec):
             x[h] += e[t]
             x[t] -= e[h]
         terms[tuple(x) + e] = c
-    return LaurentPolynomial(xy_context(quiver.n), terms)
+    return LaurentPolynomial._build(xy_context(quiver.n), terms)
 
 
 # ---- source-sweep walk ------------------------------------------------------

@@ -197,6 +197,19 @@ def test_tables_match_the_frozen_builder():
                 assert g.edge_class(e, i) == frozen.edge_class(e, i)
 
 
+def test_construction_refuses_a_flip_table_off_the_closed_form(monkeypatch):
+    # the flip and weight columns are checked last, on the finished tables
+    plan = BaseGraph._plan
+
+    def corrupted(graph):
+        plan(graph)
+        graph.bw_sides = ((),) + graph.bw_sides[1:]
+
+    monkeypatch.setattr(BaseGraph, "_plan", corrupted)
+    with pytest.raises(AssertionError, match="the flip at tile 0 disagrees with the closed form"):
+        BaseGraph(QC)
+
+
 def test_hexagon_class_counts():
     # the brick always offers exactly 3 bw and 3 wb sides
     for q in all_orientations(5):

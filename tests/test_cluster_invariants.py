@@ -160,9 +160,10 @@ def test_the_rank5_sweep_makes_one_closed_form_per_instance(monkeypatch):
     # Per instance the minimal matching's closed form, and no configuration
     # read back: a closed form per flip result shows up here.  The support
     # pass runs once on the minimal matching and once on each flip result.
-    # Each build reads Ŷ off one expansion for its per-graph check; verify
-    # builds the dimer model's expansion only for the mutation oracle, and
-    # with the closed-form oracle alone, where everything matches, none.
+    # Each base graph reads Ŷ off one expansion for its check, once per
+    # orientation; verify builds the dimer model's expansion only for the
+    # mutation oracle, and with the closed-form oracle alone, where
+    # everything matches, none.
     closed_forms = count_calls(monkeypatch, dimercluster.mixed_dimer, "config_from_e")
     flips = count_calls(monkeypatch, dimercluster.mixed_dimer, "flip")
     support_passes = count_calls(monkeypatch, dimercluster.mixed_dimer, "support_summary")
@@ -174,14 +175,14 @@ def test_the_rank5_sweep_makes_one_closed_form_per_instance(monkeypatch):
     assert sum(closed_forms.values()) == instances == 320
     assert sum(support_passes.values()) == instances + 1799 == 2119
     assert {name: count for name, count in expansions.items() if count} == {
-        "dimercluster.flip_poset": instances,
+        "dimercluster.base_graph": 16,
         "dimercluster.cluster_invariants": instances,
     }
     expansions.update(dict.fromkeys(expansions, 0))
     reports = [r for quiver in all_orientations(5) for r in verify_quiver(quiver, ("tran",))]
     assert len(reports) == instances and all(r["ok"] for r in reports)
     assert {name: count for name, count in expansions.items() if count} == {
-        "dimercluster.flip_poset": instances,
+        "dimercluster.base_graph": 16,
     }
 
 

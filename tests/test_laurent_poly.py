@@ -272,9 +272,63 @@ def test_division_overflow_names_its_own_limit():
 
 
 def test_division_at_the_largest_reach_returns_its_quotient():
-    # reach 16381 + 2 * 1 = 2^14 - 1; the numerator is built from its terms,
-    # since as a product it would carry the summed bound 16382 and be refused
+    # reach 16381 + 2 * 1 = 2^14 - 1, for the numerator built from its terms
+    # and for the same numerator as a product, whose summed box is exact
     ctx = xy_context(1)
     num = LaurentPolynomial(ctx, {(16381, 0): 1, (16381, 1): 1})
     den = LaurentPolynomial(ctx, {(0, 0): 1, (0, 1): 1})
     assert divide_exact(num, den).terms == {(16381, 0): 1}
+    product = LaurentPolynomial(ctx, {(16381, 0): 1}) * den
+    assert divide_exact(product, den).terms == {(16381, 0): 1}
+
+
+# ---- [DERIVED] the carried exponent box --------------------------------------
+
+
+def extremes(poly):
+    """Each variable's least and greatest exponent over the terms, zeros for
+    the zero polynomial."""
+    width = len(poly.context)
+    if not poly.terms:
+        return (0,) * width, (0,) * width
+    low = tuple(min(e[j] for e in poly.terms) for j in range(width))
+    high = tuple(max(e[j] for e in poly.terms) for j in range(width))
+    return low, high
+
+
+def test_a_cancelling_sum_reads_its_box_off_its_terms():
+    p = P({(1, 0, 0): 1, (0, -2, 3): 1}) + P({(0, -2, 3): -1})
+    assert p._box is None
+    assert p.min_exponents() == (1, 0, 0)
+    assert p._box == ((1, 0, 0), (1, 0, 0))
+
+
+@st.composite
+def programs(draw):
+    """Polynomials in xy_context(n), n <= 3, and a list of (op, i, j): the
+    value op applies to values i and j (mod the count so far) is appended."""
+    ctx = xy_context(draw(st.integers(1, 3)))
+    values = draw(st.lists(polys(ctx), min_size=2, max_size=4))
+    step = st.tuples(st.sampled_from("+*"), st.integers(0, 15), st.integers(0, 15))
+    return values, draw(st.lists(step, max_size=8))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(programs())
+def test_the_carried_box_is_each_variables_extreme_exponents(program):
+    values, steps = program
+    for op, i, j in steps:
+        a, b = values[i % len(values)], values[j % len(values)]
+        value = a + b if op == "+" else a * b
+        # a nonzero product carries its box, and so does a sum of two nonzero
+        # operands where no term cancels
+        kept = value.terms.keys() == a.terms.keys() | b.terms.keys()
+        carried = bool(value) and (op == "*" or bool(a and b and kept))
+        assert (value._box is not None) == carried
+        if value._box is not None:
+            assert value._box == extremes(value)
+        values.append(value)
+        if b and op == "*":
+            quotient = divide_exact(value, b)
+            assert quotient == a
+            assert quotient._exponent_box() == extremes(a)

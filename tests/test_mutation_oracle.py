@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimercluster.mutation_oracle
-from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
+from dimercluster import laurent_poly
+from dimercluster.laurent_poly import LaurentPolynomial, divide_exact, u_context, xy_context
 from dimercluster.mutation_oracle import (
     Seed,
     denominator_vector,
@@ -234,6 +235,29 @@ def test_walk_returns_once_the_atlas_is_full(monkeypatch, n, mutations):
     for q in all_orientations(n):
         assert set(walk_cluster_variables(q)) == set(positive_roots(n))
     assert len(calls) == mutations
+
+
+def test_the_rank6_walks_decode_only_quotient_terms(monkeypatch):
+    # the division reads both operands' exponent boxes as they are carried,
+    # so the walk decodes one key per quotient term and no numerator key
+    # (reading the numerators' boxes off their terms decoded 55,674 more)
+    decode = laurent_poly._Layout.decode
+    counts = {"decodes": 0, "quotient terms": 0}
+
+    def counted_decode(layout, key):
+        counts["decodes"] += 1
+        return decode(layout, key)
+
+    def counted_divide(numerator, denominator):
+        quotient = divide_exact(numerator, denominator)
+        counts["quotient terms"] += len(quotient.terms)
+        return quotient
+
+    monkeypatch.setattr(laurent_poly._Layout, "decode", counted_decode)
+    monkeypatch.setattr(dimercluster.mutation_oracle, "divide_exact", counted_divide)
+    for q in all_orientations(6):
+        walk_cluster_variables(q)
+    assert counts == {"decodes": 8928, "quotient terms": 8928}
 
 
 def test_walk_atlas_properties_rank6():
