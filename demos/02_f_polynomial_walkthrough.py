@@ -12,7 +12,6 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.mixed_dimer import (
     config_from_e,
-    is_flippable,
     minimal_matching,
     support_summary,
 )
@@ -27,8 +26,9 @@ m = minimal_matching(graph, d)  # one multiplicity per edge of graph.edges
 for edge, mult in zip(graph.edges, m):
     if mult:
         print("  %s -- %s  x%d" % (edge[0], edge[1], mult))
+# a flip at tile i needs d_i >= 1 and every bw-side of the tile present
 print("tiles flippable from here:",
-      [i for i in range(5) if is_flippable(graph, d, m, i)])
+      [i for i in range(5) if d[i] and all(m[k] for k in graph.bw_sides[i])])
 print()
 
 print("=== breadth-first flips ===")
@@ -51,7 +51,7 @@ config = config_from_e(poset.graph, poset.d, doubled)
 support = [mult for mult in config if mult]
 print("  support: %d edges, %d of them doubled" % (len(support), support.count(2)))
 labels = graph.node_labels(d)
-marks = [labels.get(v) for v in graph.corners]
+marks = {c: labels[v] for c, v in enumerate(graph.corners) if v in labels}
 monochromatic, cycles = support_summary(graph, config, marks)
 print("  monochromatic: %s; components that are simple cycles: %d -> coefficient %d"
       % (monochromatic, cycles, 2 ** cycles))

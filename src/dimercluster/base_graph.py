@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mutation_oracle import expansion_from_f_and_g
+from dimercluster.quiver_core import dynkin_edges
 
 BLACK = "black"
 WHITE = "white"
@@ -208,6 +209,12 @@ class BaseGraph:
             raise AssertionError(
                 "expected %d corners, built %d" % (2 * n + 4, len(self.corners))
             )
+        # Euler's formula: a connected plane graph has E - V + 2 faces, so
+        # 3n + 3 edges leave room for no face but the n tiles and the outer one
+        if len(self.edges) != len(self.corners) + n - 1:
+            raise AssertionError(
+                "expected %d edges, built %d" % (len(self.corners) + n - 1, len(self.edges))
+            )
         # one edge per arrow i -> j, a bw-side of tile i and a wb-side of tile j,
         # and no other edge shared: the tile adjacencies are the diagram's
         shared = sorted((t, h) for t, h in self.closed_form_plan if t < n and h < n)
@@ -229,6 +236,10 @@ class BaseGraph:
         configuration that can flip at i.  ``flip_deltas[i]``: (edge, -1) for
         every bw-side and (edge, +1) for every wb-side of tile i.
         ``weighted_edges``: (edge, label) for every labeled edge.
+        ``tile_tree``: per tile, every child before its parent along the
+        diagram's tree (rooted at tile 0), (tile, its boundary sides, its
+        parent tile, the edge they share); the root's parent and edge are
+        None.
         """
         index, plan = self.edge_index, self.closed_form_plan
         corner = {v: c for c, v in enumerate(self.corners)}
@@ -247,6 +258,15 @@ class BaseGraph:
         self.weighted_edges = tuple(
             (index[e], label) for e, label in self.edge_weights.items()
         )
+        n = self.n
+        parents = {v: u for u, v in dynkin_edges(n)}
+        tree = []
+        for i in range(n - 1, -1, -1):  # a parent's index is below its children's
+            parent = parents.get(i)
+            boundary = tuple(k for k in sides[i] if n in plan[k])
+            shared = next((k for k in sides[i] if parent in plan[k]), None)
+            tree.append((i, boundary, parent, shared))
+        self.tile_tree = tuple(tree)
 
     def _check_flips(self):
         """The per-graph identities that make a configuration and its x-weight
@@ -255,6 +275,8 @@ class BaseGraph:
         * the flip at i adds column i of the closed form: -1 on each edge
           whose bw slot is tile i (``closed_form_plan``), +1 where it is the
           wb slot, and it needs exactly those bw-sides present;
+        * that column sums to 0 at every corner, so no flip changes a
+          corner's total multiplicity;
         * its change in labelled weight (``weighted_edges``) is column i of
           Ŷ, the x-exponents of ŷ_i.  ``expansion_from_f_and_g`` of
           u_0 + ... + u_{n-1} with g = 0 has one term per ŷ_i, its y-part
@@ -281,6 +303,16 @@ class BaseGraph:
             bw = [k for k, m in column.items() if m < 0]
             if sorted(deltas) != list(column.items()) or sorted(self.bw_sides[i]) != bw:
                 raise AssertionError("the flip at tile %d disagrees with the closed form" % i)
+            totals = {}
+            for k, m in column.items():
+                for v in self.edges[k]:
+                    totals[v] = totals.get(v, 0) + m
+            moved = next((v for v, m in totals.items() if m), None)
+            if moved is not None:
+                raise AssertionError(
+                    "the flip at tile %d changes the total at corner %r by %d"
+                    % (i, moved, totals[moved])
+                )
             if changes[i] != yhat[i]:
                 raise AssertionError(
                     "the flip at tile %d changes the x-weight by %r, not by yhat_%d's %r"

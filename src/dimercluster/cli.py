@@ -50,6 +50,14 @@ MAX_SWEEP_INSTANCES = 50_000
 # within it, the alternating rank-15 one is not.
 MAX_POSET_ELEMENTS = 100_000
 
+# The most elements `verify -q` without -d may build over all of its roots:
+# the sum of their poset bounds (as for MAX_POSET_ELEMENTS), summed only
+# until it passes.  With `--oracle tran`, every root of the alternating
+# rank-14 quiver (a sum of 342,655) takes 5.9 s of CPU and of the linear
+# rank-44 one (390,870) 12.9 s; linear rank 45 (425,876) is past it, and linear
+# rank 50 (637,196) took 21.5 s (2-vCPU virtual machine, one run each).
+MAX_TOTAL_ELEMENTS = 400_000
+
 # The largest rank `verify -q` walks for the mutation oracle, as `--n` does.
 # The alternating orientation walks slowest: 0.8-0.9 s of CPU at rank 9,
 # 4.5-5.6 s and 53 MB at rank 10, 27-37 s and 159 MB at rank 11 (2-vCPU
@@ -59,8 +67,10 @@ MAX_WALK_RANK = 10
 
 # The largest flip poset `poset --lattice` diagnoses.  The witness searches
 # are cubic in the element count; the slowest lattices are the distributive
-# ones, where both run to the end: 1.4 s of CPU at 128 elements and 2.4 s at
-# 150 on a 2-vCPU virtual machine (all-ones roots at ranks 10-11, best of 3).
+# ones, where both run to the end: 0.91 s of CPU at 128 elements and 1.41 s
+# at 150 on a 2-vCPU virtual machine (all-ones roots of
+# `n=10; 0>1, 2>1, 3>2, 3>4, 4>5, 6>5, 7>6, 7>8, 7>9` and
+# `n=11; 1>0, 1>2, 2>3, 4>3, 5>4, 5>6, 7>6, 7>8, 8>10, 9>8`, best of 3).
 MAX_LATTICE_ELEMENTS = 128
 
 
@@ -103,6 +113,29 @@ def _check_poset_sizes(quiver, roots):
             _semantic_error(
                 "the flip poset of root %s may have up to %d elements, more than the "
                 "%d allowed" % (",".join(map(str, d)), bound, MAX_POSET_ELEMENTS)
+            )
+
+
+def _check_total_size(quiver, roots):
+    """Exit 3, before any poset is built, when the posets of all the roots
+    could pass MAX_TOTAL_ELEMENTS together.  A box bounds its count, so
+    nothing is counted while the boxes' sum stays within the limit, and the
+    counts are summed only until they pass it."""
+    total = 0
+    for d in roots:
+        total += math.prod(x + 1 for x in d)
+        if total > MAX_TOTAL_ELEMENTS:
+            break
+    else:
+        return
+    total = 0
+    for k, d in enumerate(roots, 1):
+        total += arrow_valid_count(quiver, d)
+        if total > MAX_TOTAL_ELEMENTS:
+            _semantic_error(
+                "the flip posets of the first %d of %d roots may have up to %d elements "
+                "in all, more than the %d -q allows without -d"
+                % (k, len(roots), total, MAX_TOTAL_ELEMENTS)
             )
 
 
@@ -463,8 +496,12 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
                 "the mutation oracle walks quivers of rank at most %d; this one has "
                 "rank %d" % (MAX_WALK_RANK, n)
             )
-        # no sweep needs the check: at rank 10, its largest, every bound is <= 2,166
-        _check_poset_sizes(quivers[0], roots or positive_roots(n))
+        # no sweep needs the checks: at rank 10, its largest, every bound is
+        # <= 2,166 and every quiver's sum <= 12,891
+        checked = roots or positive_roots(n)
+        if roots is None:
+            _check_total_size(quivers[0], checked)
+        _check_poset_sizes(quivers[0], checked)
     tasks = [(q.n, q.arrows, oracles, roots) for q in quivers]
     jobs = min(jobs or multiprocessing.cpu_count(), len(tasks))
     if jobs > 1:

@@ -17,8 +17,10 @@ the closed form at e = 0 (both of its routes agree), so by induction along
 the search every configuration reached is the closed form of its e, and its
 x-weight is ``wt(0) + Ŷ·e``; nothing is re-checked per element.
 A configuration joins the poset only if its support keeps differently-marked
-corners apart; that check and its cycle count come from one pass over its
-support, and its coefficient 2^cycles is stored then.
+corners apart; that check and its cycle count come from one support pass
+(``support_summary``), and its coefficient 2^cycles is stored then.  The pass
+relies on every corner's total multiplicity being at most 2: the build checks
+it once, on the minimal matching, and every flip keeps it.
 Excluded configurations are remembered but never expanded, and a
 configuration (a tuple of edge multiplicities) is kept only while its rank
 level is being expanded.  A cover is one flip, e -> e + unit_i, so the
@@ -41,7 +43,6 @@ import functools
 from dimercluster.base_graph import BaseGraph
 from dimercluster.mixed_dimer import (
     flip,
-    is_flippable,
     minimal_matching,
     support_summary,
     x_exponents,
@@ -64,32 +65,44 @@ class FlipPoset:
         graph, d = self.graph, self.d
         n = graph.n
         labels = graph.node_labels(d)
-        marks = [labels.get(v) for v in graph.corners]
+        marks = {c: labels[v] for c, v in enumerate(graph.corners) if v in labels}
         bottom = (0,) * n
         start = minimal_matching(graph, d)
+        # flips keep every corner's total (BaseGraph._check_flips), so the
+        # support pass may rely on totals of at most 2 in every configuration
+        totals = [sum(start[k] for k, _ in ends) for ends in graph.incidence]
+        if max(totals) > 2:
+            c = totals.index(max(totals))
+            raise AssertionError(
+                "the minimal matching meets corner %r %d times" % (graph.corners[c], totals[c])
+            )
         monochromatic, cycles = support_summary(graph, start, marks)
         if not monochromatic:
             raise AssertionError("minimal matching joins marked corners")
         self.bottom_weight = x_exponents(graph, start)
         coefficients = self.coefficients = {bottom: 2 ** cycles}
         excluded = self.excluded = set()
+        # a flip at i needs d_i >= 1 and every bw-side of tile i present
+        tiles = [(i, graph.bw_sides[i]) for i in range(n) if d[i]]
         frontier = {bottom: start}
         while frontier:
             nxt = {}
             for e, config in frontier.items():
-                for i in range(n):
-                    if not is_flippable(graph, d, config, i):
-                        continue
-                    e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                    if e2 in excluded or e2 in coefficients:
-                        continue
-                    config2 = flip(graph, config, i)
-                    monochromatic, cycles = support_summary(graph, config2, marks)
-                    if not monochromatic:
-                        excluded.add(e2)
-                        continue
-                    coefficients[e2] = 2 ** cycles
-                    nxt[e2] = config2
+                for i, sides in tiles:
+                    for k in sides:
+                        if not config[k]:
+                            break
+                    else:
+                        e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                        if e2 in excluded or e2 in coefficients:
+                            continue
+                        config2 = flip(graph, config, i)
+                        monochromatic, cycles = support_summary(graph, config2, marks)
+                        if not monochromatic:
+                            excluded.add(e2)
+                            continue
+                        coefficients[e2] = 2 ** cycles
+                        nxt[e2] = config2
             frontier = nxt
         self.elements = sorted(coefficients, key=graded_lex_key)
         self.bottom = bottom

@@ -19,11 +19,14 @@ configuration; it is computed independently as a sum over the regions
 checked against each other at runtime.
 
 A *flip* at tile i lowers every bw-side of the tile by one and raises every
-wb-side by one, sending the configuration for e to the one for ``e + unit_i``.
-``support_summary`` reads in one pass over the support, walking the graph's
-per-corner incidence, both whether a configuration keeps differently-marked
-corners apart and how many of its support components are simple cycles (its
-coefficient is 2^cycles).
+wb-side by one, sending the configuration for e to the one for ``e + unit_i``;
+it keeps every corner's total multiplicity, which is at most 2 in the
+minimal matching.  ``support_summary`` reads whether a configuration keeps
+differently-marked corners apart and how many of its support components are
+simple cycles (its coefficient is 2^cycles) in two short passes: it counts
+the cycles as the bounded faces of the support, over the diagram's tree of
+tiles (``BaseGraph.tile_tree``), and traces only the support paths that
+start at a marked corner.
 ``x_exponents`` is a configuration's labelled weight.  The closed form and
 the weight are both affine in e, with per-graph columns, which the base
 graph checks once, at construction; the flip poset reads no configuration
@@ -102,67 +105,65 @@ def flip(graph, config, tile_index):
     return tuple(out)
 
 
-def is_flippable(graph, d, config, tile_index):
-    if d[tile_index] < 1:
-        return False
-    for k in graph.bw_sides[tile_index]:
-        if config[k] < 1:
-            return False
-    return True
-
-
 # ---- support structure -----------------------------------------------------------
 
 
 def support_summary(graph, config, marks):
-    """(monochromatic, cycles) of a configuration, from one pass over its
-    support (the edges of nonzero multiplicity).
+    """(monochromatic, cycles) of a configuration: whether no component of
+    its support (the edges of nonzero multiplicity) holds two
+    differently-marked corners, and how many components are simple cycles.
+    marks maps each marked corner (an index into ``graph.corners``) to its
+    color.
 
-    marks[c] is the color of corner c (``graph.corners``), None when it is
-    unmarked.  The configuration is monochromatic when no support component
-    holds two differently-marked corners.  cycles counts the components
-    that are simple cycles: every vertex meets exactly two support edges (so
-    the edge and vertex counts agree), there are at least four, and not
-    every edge is doubled.  A corner on no support edge is a component of
-    its own that is neither.
+    Every corner's total multiplicity is at most 2 (the flip poset checks
+    the minimal matching's, and the base graph that flips keep them), so a
+    component is a path, a doubled edge or a ring of at least four single
+    edges (the graph is bipartite).
+
+    * cycles: the tiles and the outer face are every face of the base graph
+      (``BaseGraph._validate`` counts the edges), so the rings are the
+      bounded faces of the support: sets of tiles joined across edges off
+      the support, none with a boundary side off it.  ``tile_tree`` visits
+      each tile before its parent; a tile is open when a boundary side is
+      off the support or an open child joins it, and a tile whose edge to
+      its parent is on the support (or the root) closes its set, a cycle
+      unless open.
+    * monochromatic: from each marked corner, each support path is followed
+      along ``graph.incidence`` to the next marked corner, its end or back
+      to the start; two differently-marked corners share a component
+      exactly when one such trace joins them.
     """
-    incidence = graph.incidence
-    monochromatic = True
+    opened = [False] * graph.n
     cycles = 0
-    seen = [False] * len(incidence)
-    for start in range(len(incidence)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        size = 0
-        ring = True  # every vertex so far meets two support edges
-        odd = False  # an odd-multiplicity edge so far
-        color = None
-        while stack:
-            v = stack.pop()
-            size += 1
-            degree = 0
-            for k, w in incidence[v]:
-                m = config[k]
-                if m:
-                    degree += 1
-                    if m % 2:
-                        odd = True
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            if degree != 2:
-                ring = False
-            c = marks[v]
-            if c is not None:
-                if color is None:
-                    color = c
-                elif c != color:
-                    monochromatic = False
-        if ring and odd and size >= 4:
-            cycles += 1
-    return monochromatic, cycles
+    for i, boundary, parent, k in graph.tile_tree:
+        if not opened[i]:
+            for b in boundary:
+                if not config[b]:
+                    break
+            else:  # closed so far: every boundary side is on the support
+                if k is None or config[k]:
+                    cycles += 1
+                continue
+        if k is not None and not config[k]:
+            opened[parent] = True
+    incidence = graph.incidence
+    for start, color in marks.items():
+        for prev, v in incidence[start]:
+            if not config[prev]:
+                continue
+            while v != start:
+                mark = marks.get(v)
+                if mark is not None:
+                    if mark != color:
+                        return False, cycles
+                    break
+                for k, w in incidence[v]:
+                    if k != prev and config[k]:
+                        prev, v = k, w
+                        break
+                else:
+                    break  # the path ends at v
+    return True, cycles
 
 
 # ---- weights -----------------------------------------------------------------------

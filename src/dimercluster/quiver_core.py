@@ -89,13 +89,19 @@ class Quiver:
         return 0
 
     def out_neighbors(self, i):
-        return sorted(h for t, h in self.arrows if t == i)
-
-    def in_neighbors(self, i):
-        return sorted(t for t, h in self.arrows if h == i)
+        return [j for j in self.neighbors(i) if (i, j) in self.arrows]
 
     def neighbors(self, i):
-        return sorted(self.out_neighbors(i) + self.in_neighbors(i))
+        """i's at most three diagram neighbours, ascending: i - 1 and i + 1
+        along the path 0 - ... - (n-2), and n - 1 for the branch node n - 3
+        (the fork tip n - 1 has only n - 3)."""
+        n = self.n
+        if i == n - 1:
+            return [n - 3]
+        near = [j for j in (i - 1, i + 1) if 0 <= j <= n - 2]
+        if i == n - 3:
+            near.append(n - 1)
+        return near
 
     def exchange_matrix(self):
         """B as a tuple of row tuples: ``b[i][j]`` is ``arrow_sign(i, j)``."""

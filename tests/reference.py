@@ -5,10 +5,14 @@ tests can compare the two.  The package holds a configuration as a tuple of
 multiplicities indexed like ``graph.edges``; the frozen routes below hold it
 as the dict ``edge -> multiplicity`` with zeros dropped that the package used
 before, and ``as_dict`` turns the one into the other (``corner_marks``
-gives the marked corners in the package's form).
+gives the marked corners in the package's form, ``corner_colors`` in the
+form ``support_summary_by_incidence`` reads).
 
 * ``add_configs``: the sum of two dict configurations;
 
+* ``is_flippable``: the flip test one tile at a time, as the package ran it
+  before the flip poset's search tested each tile inline, against
+  ``FlipPoset``;
 * ``config_from_e_by_flips``: the configuration for e by a flip sequence
   from the minimal matching, against the closed-form multiplicities;
 * ``component_charges``: the closed-form oracle's charge count per component
@@ -41,6 +45,11 @@ gives the marked corners in the package's form).
 * ``support_summary_by_dict``: the one support pass as the package ran it
   on dict configurations, with an adjacency dict built per configuration,
   against ``support_summary``;
+* ``support_summary_by_incidence``: the support pass as the package ran it
+  before it counted cycles as enclosed faces and traced only the marked
+  paths, a search over every corner along ``graph.incidence``; it reads any
+  graph with corners and an incidence, so it also checks hand-made supports
+  that are no base graph, and against ``support_summary``;
 * ``support_components``, ``count_cycles``, ``is_monochromatic``,
   ``config_from_e_by_classes`` and ``flip_poset_by_classes``: the flip poset
   as the package built it before one support pass per configuration and the
@@ -78,9 +87,7 @@ from dimercluster.laurent_poly import (
 from dimercluster.mixed_dimer import (
     config_from_e,
     flip,
-    is_flippable,
     minimal_matching,
-    support_summary,
     x_exponents,
 )
 from dimercluster.mutation_oracle import denominator_vector, initial_seed, mutate_seed
@@ -94,9 +101,16 @@ def as_dict(graph, config):
 
 
 def corner_marks(graph, d):
+    """The marked corners for the root d, as ``support_summary`` reads them:
+    corner index (into ``graph.corners``) -> color."""
+    labels = graph.node_labels(d)
+    return {c: labels[v] for c, v in enumerate(graph.corners) if v in labels}
+
+
+def corner_colors(graph, d):
     """The colors of the graph's corners for the root d, indexed like
-    ``graph.corners`` (None where unmarked), as ``support_summary`` reads
-    them."""
+    ``graph.corners`` (None where unmarked), as ``support_summary_by_incidence``
+    reads them."""
     labels = graph.node_labels(d)
     return [labels.get(v) for v in graph.corners]
 
@@ -110,6 +124,15 @@ def add_configs(a, b):
         elif e in out:
             del out[e]
     return out
+
+
+def is_flippable(graph, d, config, tile_index):
+    if d[tile_index] < 1:
+        return False
+    for k in graph.bw_sides[tile_index]:
+        if config[k] < 1:
+            return False
+    return True
 
 
 def config_from_e_by_flips(graph, d, e):
@@ -373,6 +396,57 @@ def support_summary_by_dict(config, labels):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
+        if ring and odd and size >= 4:
+            cycles += 1
+    return monochromatic, cycles
+
+
+def support_summary_by_incidence(graph, config, marks):
+    """(monochromatic, cycles) of a configuration, from one pass over its
+    support (the edges of nonzero multiplicity).
+
+    marks[c] is the color of corner c (``graph.corners``), None when it is
+    unmarked.  The configuration is monochromatic when no support component
+    holds two differently-marked corners.  cycles counts the components
+    that are simple cycles: every vertex meets exactly two support edges (so
+    the edge and vertex counts agree), there are at least four, and not
+    every edge is doubled.  A corner on no support edge is a component of
+    its own that is neither.
+    """
+    incidence = graph.incidence
+    monochromatic = True
+    cycles = 0
+    seen = [False] * len(incidence)
+    for start in range(len(incidence)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        size = 0
+        ring = True  # every vertex so far meets two support edges
+        odd = False  # an odd-multiplicity edge so far
+        color = None
+        while stack:
+            v = stack.pop()
+            size += 1
+            degree = 0
+            for k, w in incidence[v]:
+                m = config[k]
+                if m:
+                    degree += 1
+                    if m % 2:
+                        odd = True
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            if degree != 2:
+                ring = False
+            c = marks[v]
+            if c is not None:
+                if color is None:
+                    color = c
+                elif c != color:
+                    monochromatic = False
         if ring and odd and size >= 4:
             cycles += 1
     return monochromatic, cycles
@@ -783,7 +857,7 @@ def flip_poset_by_read_back(graph, d):
     start = minimal_matching(graph, d)
     if not reads_back(start, bottom):
         raise AssertionError("minimal matching disagrees with the closed form")
-    monochromatic, cycles = support_summary(graph, start, marks)
+    monochromatic, cycles = support_summary_by_incidence(graph, start, marks)
     if not monochromatic:
         raise AssertionError("minimal matching joins marked corners")
     coefficients = {bottom: 2 ** cycles}
@@ -805,7 +879,7 @@ def flip_poset_by_read_back(graph, d):
                     raise AssertionError(
                         "flip at %d from %r disagrees with the closed form" % (i, e)
                     )
-                monochromatic, cycles = support_summary(graph, config2, marks)
+                monochromatic, cycles = support_summary_by_incidence(graph, config2, marks)
                 if not monochromatic:
                     excluded.add(e2)
                     continue

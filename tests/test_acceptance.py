@@ -30,7 +30,6 @@ from dimercluster.laurent_poly import LaurentPolynomial, u_context, xy_context
 from dimercluster.mixed_dimer import (
     config_from_e,
     flip,
-    is_flippable,
     minimal_matching,
     support_summary,
     x_exponents,
@@ -68,10 +67,13 @@ from reference import (
     acceptable_evectors,
     component_charges,
     config_from_e_by_flips,
+    corner_colors,
     corner_marks,
     e_from_config,
     enumerate_cluster_variables,
     is_distributive,
+    is_flippable,
+    support_summary_by_incidence,
 )
 
 # Wall-clock bound on building and verifying all 960 rank-6 instances.
@@ -293,6 +295,7 @@ def test_ac6_excluded_configuration():
     assert step2 == config_from_e(graph, D6, POLY_EXCLUDED_QA)
     # the reached configuration joins differently-colored nodes
     assert not support_summary(graph, step2, corner_marks(graph, D6))[0]
+    assert not support_summary_by_incidence(graph, step2, corner_colors(graph, D6))[0]
     # u2*u3 is absent from F
     assert invariants(QA, D6)[0].coefficient(POLY_EXCLUDED_QA) == 0
     assert tran_f_polynomial(QA, D6).coefficient(POLY_EXCLUDED_QA) == 0
@@ -319,7 +322,9 @@ def test_ac7_coefficient_law(sweep4, sweep5):
                     config = config_from_e(graph, d, e)
                     charges = component_charges(quiver, d, e)
                     uncharged = sum(1 for c in charges.values() if c == 0)
-                    cycles = support_summary(graph, config, [None] * len(graph.corners))[1]
+                    cycles = support_summary(graph, config, {})[1]
+                    unmarked = [None] * len(graph.corners)
+                    assert cycles == support_summary_by_incidence(graph, config, unmarked)[1]
                     assert cycles == uncharged, (quiver.arrows, d, e)
                     assert coeffs[e] == 2 ** cycles == f.coefficient(e)
 

@@ -6,6 +6,7 @@ unless noted.
 """
 
 import random
+import re
 
 import pytest
 
@@ -207,6 +208,59 @@ def test_construction_refuses_a_flip_table_off_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(BaseGraph, "_plan", corrupted)
     with pytest.raises(AssertionError, match="the flip at tile 0 disagrees with the closed form"):
+        BaseGraph(QC)
+
+
+def test_the_tiles_and_the_outer_face_are_every_face_ranks_4_to_10():
+    # Euler: 2n + 4 corners and 3n + 3 edges leave n + 1 faces, the n tiles
+    # and the outer face, which the support pass counts cycles over; the
+    # diagram's tree joins the tiles, each child before its parent
+    count = 0
+    for n in range(4, 11):
+        for q in all_orientations(n):
+            g = BaseGraph(q)
+            assert (len(g.corners), len(g.edges)) == (2 * n + 4, 3 * n + 3)
+            assert [i for i, *_ in g.tile_tree] == list(range(n - 1, -1, -1))
+            for i, boundary, parent, k in g.tile_tree:
+                assert sorted(boundary) == sorted(
+                    k for k, _ in g.flip_deltas[i] if n in g.closed_form_plan[k]
+                )
+                if parent is None:
+                    assert (i, k) == (0, None)
+                else:
+                    assert sorted(g.closed_form_plan[k]) == sorted((i, parent))
+            count += 1
+    assert count == 1016
+
+
+def test_construction_refuses_an_edge_past_the_euler_count(monkeypatch):
+    index_edges = BaseGraph._index_edges
+
+    def with_a_diagonal(graph):
+        index_edges(graph)
+        graph.edges = graph.edges + [((0, 0), (1, 1))]
+
+    monkeypatch.setattr(BaseGraph, "_index_edges", with_a_diagonal)
+    with pytest.raises(AssertionError, match="expected 18 edges, built 19"):
+        BaseGraph(QC)
+
+
+def test_construction_refuses_a_flip_that_changes_a_corner_total(monkeypatch):
+    # a boundary wb-side of tile 0 recorded as a bw-side: the tables stay
+    # consistent with the record, but the flip at tile 0 no longer keeps the
+    # totals at the side's two corners
+    index_edges = BaseGraph._index_edges
+
+    def with_a_swapped_side(graph):
+        index_edges(graph)
+        plan = list(graph.closed_form_plan)
+        k = plan.index((graph.n, 0))
+        plan[k] = (0, graph.n)
+        graph.closed_form_plan = tuple(plan)
+
+    monkeypatch.setattr(BaseGraph, "_index_edges", with_a_swapped_side)
+    message = "the flip at tile 0 changes the total at corner (0, 0) by -2"
+    with pytest.raises(AssertionError, match=re.escape(message)):
         BaseGraph(QC)
 
 

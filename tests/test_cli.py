@@ -463,16 +463,21 @@ def test_compute_checks_a_long_quiver_root_without_listing_the_roots(runner):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, refusal",
     [
-        ["compute", "-q", alternating(30), "-d", highest_root(30)],
-        ["poset", "-q", alternating(30), "-d", highest_root(30)],
-        ["verify", "-q", alternating(30), "-d", highest_root(30), "--oracle", "tran"],
-        ["verify", "-q", alternating(30), "--oracle", "tran"],
+        (["compute", "-q", alternating(30), "-d", highest_root(30)], "the flip poset of root "),
+        (["poset", "-q", alternating(30), "-d", highest_root(30)], "the flip poset of root "),
+        (
+            ["verify", "-q", alternating(30), "-d", highest_root(30), "--oracle", "tran"],
+            "the flip poset of root ",
+        ),
+        # the roots' sum passes MAX_TOTAL_ELEMENTS before any one root passes
+        # MAX_POSET_ELEMENTS
+        (["verify", "-q", alternating(30), "--oracle", "tran"], "the flip posets of the first "),
     ],
     ids=["compute", "poset", "verify-root", "verify-all-roots"],
 )
-def test_a_poset_past_the_limit_is_refused_before_it_is_built(runner, monkeypatch, args):
+def test_a_poset_past_the_limit_is_refused_before_it_is_built(runner, monkeypatch, args, refusal):
     def no_build(*a, **kw):
         raise AssertionError("a flip poset was built")
 
@@ -481,7 +486,7 @@ def test_a_poset_past_the_limit_is_refused_before_it_is_built(runner, monkeypatc
     result = runner.invoke(main, args)
     assert time.perf_counter() - start < 0.5
     assert result.exit_code == 3
-    assert result.output.startswith("error: the flip poset of root ")
+    assert result.output.startswith("error: " + refusal)
     assert result.output.count("\n") == 1
     assert "Traceback" not in result.output
 
@@ -507,6 +512,34 @@ def test_a_root_whose_box_is_within_the_limit_is_not_counted(runner, monkeypatch
 
     monkeypatch.setattr(dimercluster.cli, "arrow_valid_count", no_count)
     assert runner.invoke(main, args).exit_code == 0
+
+
+def roots_sum(spec):
+    quiver = parse_quiver(spec)
+    return sum(arrow_valid_count(quiver, d) for d in positive_roots(quiver.n))
+
+
+def test_verify_q_refuses_a_quiver_whose_roots_pass_the_total_limit(runner, monkeypatch):
+    def no_build(*a, **kw):
+        raise AssertionError("a flip poset was built")
+
+    monkeypatch.setattr(FlipPoset, "__init__", no_build)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["verify", "-q", linear(45), "--oracle", "tran"])
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code == 3
+    assert result.output == (
+        "error: the flip posets of the first 1956 of 1980 roots may have up to 400450 "
+        "elements in all, more than the 400000 -q allows without -d\n"
+    )
+
+
+def test_total_limit_admits_every_root_of_linear_rank_44_and_alternating_rank_14():
+    # linear rank 45 (425,876) is refused; a sweep never comes near the limit
+    limit = dimercluster.cli.MAX_TOTAL_ELEMENTS
+    assert roots_sum(alternating(14)) == 342_655 <= limit
+    assert roots_sum(linear(44)) == 390_870 <= limit < roots_sum(linear(45)) == 425_876
+    assert max(roots_sum(format_quiver(q)) for q in all_orientations(10)) <= 12_891
 
 
 def test_poset_limit_admits_the_alternating_rank_14_highest_root():

@@ -9,15 +9,16 @@ import pytest
 
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import dimer_invariants
+from dimercluster import flip_poset
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.mixed_dimer import is_flippable, minimal_matching
+from dimercluster.mixed_dimer import minimal_matching
 from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial
 
 from frozen import D5, D6, N5_WITNESS_QC, POLY_EXCLUDED_QA, POSET_COVERS_QC, QA, QC
 import reference
-from reference import acceptable_evectors
+from reference import acceptable_evectors, is_flippable
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,20 @@ def test_a_swapped_weight_label_fails_the_per_graph_check():
     message = "the flip at tile %d changes the x-weight by" % tile
     with pytest.raises(AssertionError, match=re.escape(message)):
         broken._check_flips()
+
+
+def test_a_minimal_matching_with_a_corner_total_past_2_is_refused(monkeypatch):
+    # the support pass relies on totals of at most 2, which flips keep
+    graph = BaseGraph(QC)
+    start = minimal_matching(graph, D5)
+    k = next(k for k, m in enumerate(start) if m)
+    heavy = start[:k] + (start[k] + 2,) + start[k + 1 :]
+    corner = graph.edges[k][0]
+    total = sum(heavy[j] for j, _ in graph.incidence[graph.corners.index(corner)])
+    monkeypatch.setattr(flip_poset, "minimal_matching", lambda graph, d: heavy)
+    message = "the minimal matching meets corner %r %d times" % (corner, total)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        FlipPoset(QC, D5, graph=graph)
 
 
 @pytest.mark.parametrize("i", range(5))

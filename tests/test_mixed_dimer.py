@@ -10,7 +10,6 @@ from dimercluster.base_graph import BaseGraph, edge_key
 from dimercluster.mixed_dimer import (
     config_from_e,
     flip,
-    is_flippable,
     minimal_matching,
     support_summary,
     x_exponents,
@@ -36,15 +35,12 @@ from reference import (
     config_valences,
     corner_marks,
     e_from_config,
+    is_flippable,
 )
 
 
 def E(p, q):
     return edge_key(tuple(p), tuple(q))
-
-
-def unmarked(graph):
-    return [None] * len(graph.corners)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +165,7 @@ def test_cycle_counts_rank5(gc):
         (1, 1, 2, 0, 1): 0,
     }
     for e, expected in cases.items():
-        assert support_summary(gc, config_from_e(gc, D5, e), unmarked(gc))[1] == expected, e
+        assert support_summary(gc, config_from_e(gc, D5, e), {})[1] == expected, e
 
 
 def test_cycle_count_matches_coefficient_everywhere(gc):
@@ -177,7 +173,7 @@ def test_cycle_count_matches_coefficient_everywhere(gc):
 
     f = tran_f_polynomial(QC, D5)
     for e in acceptable_evectors(QC, D5):
-        c = support_summary(gc, config_from_e(gc, D5, e), unmarked(gc))[1]
+        c = support_summary(gc, config_from_e(gc, D5, e), {})[1]
         assert 2 ** c == f.coefficient(e)
 
 

