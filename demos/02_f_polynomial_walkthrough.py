@@ -26,9 +26,11 @@ m = minimal_matching(graph, d)  # one multiplicity per edge of graph.edges
 for edge, mult in zip(graph.edges, m):
     if mult:
         print("  %s -- %s  x%d" % (edge[0], edge[1], mult))
-# a flip at tile i needs d_i >= 1 and every bw-side of the tile present
+# a flip at tile i needs d_i >= 1 and every bw-side of the tile present:
+# the edges its flip lowers, the -1 entries of graph.flip_deltas[i]
 print("tiles flippable from here:",
-      [i for i in range(5) if d[i] and all(m[k] for k in graph.bw_sides[i])])
+      [i for i in range(5)
+       if d[i] and all(m[k] for k, delta in graph.flip_deltas[i] if delta < 0)])
 print()
 
 print("=== breadth-first flips ===")

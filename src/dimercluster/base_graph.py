@@ -11,10 +11,10 @@ nothing.
 
 The staircase turns between consecutive tiles exactly when the two incident
 diagram edges are oriented the same way along the path (both up-index or both
-down-index); it runs straight when they oppose.  Corners are 2-colored by
-parity, with the global color choice pinned by the orientation of the first
-diagram edge.  Every tile's boundary then alternates between two classes of
-sides — "bw" and "wb", read clockwise — and the defining compatibility holds:
+down-index); it runs straight when they oppose.  A side read clockwise is
+"bw" when its first corner's parity is ``sigma``, pinned by the orientation
+of the first diagram edge, and "wb" otherwise.  Every tile's boundary then
+alternates between the two classes, and the defining compatibility holds:
 the edge shared by an arrow ``i -> j`` is a bw-side of tile ``i`` and a
 wb-side of tile ``j``.
 
@@ -36,11 +36,11 @@ Weights
 -------
 Each arrow ``i -> j`` labels one boundary edge of tile ``i`` (a wb-side) with
 the variable index ``j``, and one boundary edge of tile ``j`` (a bw-side)
-with ``i``.  Sides are claimed clockwise starting from the side shared with
-the tile's lowest-indexed neighbor; unlabeled edges weigh 1.  Boundary sides
-of a tile in the same class always carry equal multiplicity in any
-configuration, so the residual freedom in this rule cannot affect weights of
-configurations.
+with ``i``.  Sides are claimed clockwise (``flip_deltas[i]``) starting from
+the side shared with the tile's lowest-indexed neighbor, into
+``weighted_edges``; unlabeled edges weigh 1.  Boundary sides of a tile in
+the same class always carry equal multiplicity in any configuration, so the
+residual freedom in this rule cannot affect weights of configurations.
 
 Marked nodes
 ------------
@@ -56,8 +56,6 @@ from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import dynkin_edges
 
-BLACK = "black"
-WHITE = "white"
 BW = "bw"
 WB = "wb"
 
@@ -105,22 +103,16 @@ class BaseGraph:
         self._build_tiles()
         self._index_edges()
         self._validate()
-        self._assign_weights()
         self._plan()
+        self._assign_weights()
         self._check_flips()
         self._mark_nodes()
 
-    # ---- colors and classes -------------------------------------------------
-
-    def color(self, v):
-        return BLACK if (v[0] + v[1]) % 2 == self.sigma else WHITE
+    # ---- side classes -------------------------------------------------------
 
     def side_class(self, p, q):
-        """Class of the directed side (p -> q) of whichever tile lists it CW."""
-        return BW if self.color(p) == BLACK else WB
-
-    def edge_class(self, edge, tile_index):
-        return BW if self.closed_form_plan[self.edge_index[edge]][0] == tile_index else WB
+        """Class of the directed side (p -> q) of the tile listing it CW."""
+        return BW if (p[0] + p[1]) % 2 == self.sigma else WB
 
     # ---- construction ---------------------------------------------------------
 
@@ -232,14 +224,12 @@ class BaseGraph:
         every table below names an edge by its position there
         (``edge_index``) and a corner by its position in ``corners``.
         ``incidence[c]``: (edge, other corner) for every edge at corner c.
-        ``bw_sides[i]``: the bw-sides of tile i, all present in a
-        configuration that can flip at i.  ``flip_deltas[i]``: (edge, -1) for
-        every bw-side and (edge, +1) for every wb-side of tile i.
-        ``weighted_edges``: (edge, label) for every labeled edge.
-        ``tile_tree``: per tile, every child before its parent along the
-        diagram's tree (rooted at tile 0), (tile, its boundary sides, its
-        parent tile, the edge they share); the root's parent and edge are
-        None.
+        ``flip_deltas[i]``: (edge, -1) for every bw-side and (edge, +1) for
+        every wb-side of tile i, clockwise; a flip at i needs every -1 edge
+        present.  ``tile_tree``: per tile, every child before its parent
+        along the diagram's tree (rooted at tile 0), (tile, its boundary
+        sides, its parent tile, the edge they share); the root's parent and
+        edge are None.
         """
         index, plan = self.edge_index, self.closed_form_plan
         corner = {v: c for c, v in enumerate(self.corners)}
@@ -249,14 +239,8 @@ class BaseGraph:
             incidence[corner[q]].append((k, corner[p]))
         self.incidence = tuple(map(tuple, incidence))
         sides = [[index[e] for e in tile.edges] for tile in self.tiles]
-        self.bw_sides = tuple(
-            tuple(k for k in ks if plan[k][0] == i) for i, ks in enumerate(sides)
-        )
         self.flip_deltas = tuple(
             tuple((k, -1 if plan[k][0] == i else 1) for k in ks) for i, ks in enumerate(sides)
-        )
-        self.weighted_edges = tuple(
-            (index[e], label) for e, label in self.edge_weights.items()
         )
         n = self.n
         parents = {v: u for u, v in dynkin_edges(n)}
@@ -272,9 +256,10 @@ class BaseGraph:
         """The per-graph identities that make a configuration and its x-weight
         affine in e, checked once at construction.  For every tile i:
 
-        * the flip at i adds column i of the closed form: -1 on each edge
-          whose bw slot is tile i (``closed_form_plan``), +1 where it is the
-          wb slot, and it needs exactly those bw-sides present;
+        * the flip at i (``flip_deltas[i]``) adds column i of the closed form:
+          -1 on each edge whose bw slot is tile i (``closed_form_plan``), +1
+          where it is the wb slot, so the -1 entries, the sides a flip at i
+          needs present, are exactly tile i's bw-sides;
         * that column sums to 0 at every corner, so no flip changes a
           corner's total multiplicity;
         * its change in labelled weight (``weighted_edges``) is column i of
@@ -300,19 +285,15 @@ class BaseGraph:
         yhat = {x[n:].index(1): list(x[:n]) for x in terms}
         for i, deltas in enumerate(self.flip_deltas):
             column = columns[i]
-            bw = [k for k, m in column.items() if m < 0]
-            if sorted(deltas) != list(column.items()) or sorted(self.bw_sides[i]) != bw:
+            if sorted(deltas) != list(column.items()):
                 raise AssertionError("the flip at tile %d disagrees with the closed form" % i)
-            totals = {}
-            for k, m in column.items():
-                for v in self.edges[k]:
-                    totals[v] = totals.get(v, 0) + m
-            moved = next((v for v, m in totals.items() if m), None)
-            if moved is not None:
-                raise AssertionError(
-                    "the flip at tile %d changes the total at corner %r by %d"
-                    % (i, moved, totals[moved])
-                )
+            # sides s - 1 and s, clockwise, meet at the tile's corner s
+            for s, corner in enumerate(self.tiles[i].corners):
+                if deltas[s - 1][1] + deltas[s][1]:
+                    raise AssertionError(
+                        "the flip at tile %d changes the total at corner %r by %d"
+                        % (i, corner, deltas[s - 1][1] + deltas[s][1])
+                    )
             if changes[i] != yhat[i]:
                 raise AssertionError(
                     "the flip at tile %d changes the x-weight by %r, not by yhat_%d's %r"
@@ -322,26 +303,23 @@ class BaseGraph:
     # ---- weights ---------------------------------------------------------------
 
     def _assign_weights(self):
-        n = self.n
-        index, plan = self.edge_index, self.closed_form_plan
-        weights = {}
-        for tile in self.tiles:
-            i = tile.index
+        n, plan = self.n, self.closed_form_plan
+        labels = {}  # edge -> label, in the order claimed
+        for i, deltas in enumerate(self.flip_deltas):
             neighbors = self.quiver.neighbors(i)
-            tile_edges = tile.edges
-            start = next(s for s, e in enumerate(tile_edges) if neighbors[0] in plan[index[e]])
-            ring = tile_edges[start:] + tile_edges[:start]
+            start = next(s for s, (k, _) in enumerate(deltas) if neighbors[0] in plan[k])
+            ring = [k for k, _ in deltas[start:] + deltas[:start]]
             for j in neighbors:
                 # a free side is a boundary side, its record (n, i) or (i, n)
                 needed = WB if self.quiver.arrow_sign(i, j) == 1 else BW
                 free = (n, i) if needed == WB else (i, n)
-                e = next((e for e in ring if plan[index[e]] == free and e not in weights), None)
-                if e is None:
+                k = next((k for k in ring if plan[k] == free and k not in labels), None)
+                if k is None:
                     raise AssertionError(
                         "no free %s-side on tile %d for neighbor %d" % (needed, i, j)
                     )
-                weights[e] = j
-        self.edge_weights = weights
+                labels[k] = j
+        self.weighted_edges = tuple(labels.items())
 
     # ---- marked nodes ------------------------------------------------------------
 
@@ -403,9 +381,10 @@ class BaseGraph:
                 % (tile.index, tile.kind, list(tile.cells), list(tile.corners))
             )
         lines.append("edges (weight 1 unless noted):")
-        for e, pair in zip(self.edges, self.closed_form_plan):
+        weights = dict(self.weighted_edges)
+        for k, (e, pair) in enumerate(zip(self.edges, self.closed_form_plan)):
             tiles = ",".join(str(t) for t in sorted(pair) if t < self.n)
-            w = self.edge_weights.get(e)
+            w = weights.get(k)
             note = " weight=x%d" % w if w is not None else ""
             lines.append("  %s -- %s  tiles=%s%s" % (e[0], e[1], tiles, note))
         lines.append(
@@ -420,8 +399,9 @@ class BaseGraph:
             color = labels.get(v)
             attrs = ' [color=%s, style=filled]' % color if color else ""
             out.append('  "%s,%s"%s;' % (v[0], v[1], attrs))
-        for e in self.edges:
-            w = self.edge_weights.get(e)
+        weights = dict(self.weighted_edges)
+        for k, e in enumerate(self.edges):
+            w = weights.get(k)
             label = ' [label="x%d"]' % w if w is not None else ""
             out.append('  "%s,%s" -- "%s,%s"%s;' % (e[0][0], e[0][1], e[1][0], e[1][1], label))
         out.append("}")

@@ -141,6 +141,8 @@ def _check_total_size(quiver, roots):
 
 def _check_output(ctx, param, value):
     """-o must name a file in an existing directory; checked before any work."""
+    if value == "":
+        raise click.BadParameter("must name a file")
     if value is not None:
         parent = os.path.dirname(value)
         if parent and not os.path.isdir(parent):
@@ -271,6 +273,7 @@ def basegraph(quiver_spec, root_spec, fmt, output):
             ))
         _emit(output, parts)
     else:
+        weights = dict(graph.weighted_edges)
         payload = {
             "schema": 1,
             "quiver": format_quiver(quiver),
@@ -282,9 +285,9 @@ def basegraph(quiver_spec, root_spec, fmt, output):
                 {
                     "ends": e,
                     "tiles": [t for t in sorted(pair) if t < quiver.n],
-                    "weight": graph.edge_weights.get(e),
+                    "weight": weights.get(k),
                 }
-                for e, pair in zip(graph.edges, graph.closed_form_plan)
+                for k, (e, pair) in enumerate(zip(graph.edges, graph.closed_form_plan))
             ],
             "nodes": None,
         }

@@ -82,8 +82,8 @@ class FlipPoset:
         self.bottom_weight = x_exponents(graph, start)
         coefficients = self.coefficients = {bottom: 2 ** cycles}
         excluded = self.excluded = set()
-        # a flip at i needs d_i >= 1 and every bw-side of tile i present
-        tiles = [(i, graph.bw_sides[i]) for i in range(n) if d[i]]
+        # a flip at i needs d_i >= 1 and every bw-side (-1 entry) of tile i present
+        tiles = [(i, [k for k, m in graph.flip_deltas[i] if m < 0]) for i in range(n) if d[i]]
         frontier = {bottom: start}
         while frontier:
             nxt = {}
@@ -105,7 +105,6 @@ class FlipPoset:
                         nxt[e2] = config2
             frontier = nxt
         self.elements = sorted(coefficients, key=graded_lex_key)
-        self.bottom = bottom
 
     @functools.cached_property
     def covers(self):

@@ -35,8 +35,6 @@ back to its e and weighs only the minimal matching, for g.
 
 from __future__ import annotations
 
-from dimercluster.base_graph import BW
-
 
 # ---- closed form -------------------------------------------------------------
 
@@ -80,17 +78,18 @@ def minimal_matching(graph, d):
 
 
 def _region_minimal_matching(graph, d):
-    """Sum over k of the bw-sides of the region {i : d_i >= k}."""
+    """Sum over level = 1, 2 of the bw-sides of the region {i : d_i >= level}."""
     config = [0] * len(graph.edges)
-    for k in (1, 2):
-        region = {i for i in range(graph.n) if d[i] >= k}
+    for level in (1, 2):
+        region = {i for i in range(graph.n) if d[i] >= level}
         for i in region:
             for edge in graph.tiles[i].edges:
-                t, h = graph.closed_form_plan[graph.edge_index[edge]]
-                if (h if t == i else t) in region:
-                    continue  # interior to the region (the outer face n never is)
-                if graph.edge_class(edge, i) == BW:
-                    config[graph.edge_index[edge]] += 1
+                k = graph.edge_index[edge]
+                t, h = graph.closed_form_plan[k]
+                # a bw-side of tile i, not shared with a tile of the region
+                # (the outer face n never is one)
+                if t == i and h not in region:
+                    config[k] += 1
     return tuple(config)
 
 

@@ -26,7 +26,7 @@ fits v -> u), so the walk never dead-ends and visits only those vectors.
 Each one is scored by a pass over the same parent edges, whose arrow
 directions are fixed once per instance: the components of S are the runs of
 S joined by parent edges, and every critical arrow is a parent edge.  The
-intervals, as transfer tables multiplied along the reversed order, also
+intervals, as transfer tables multiplied back over the root's support, also
 count the vectors without listing them (``arrow_valid_count``).
 
 The g-vector is read off the root and the orientation alone: each arrow
@@ -68,45 +68,49 @@ def _coefficient(steps, d, e):
     return 2 ** uncharged
 
 
-def _tree_steps(quiver, d):
-    """(u, v, t, h, allowed) for v = 1..n-1: u is v's parent, t -> h is the
-    arrow between them, and allowed[x] is the range of e_v that the box and
-    that arrow leave when e_u = x."""
-    steps = []
-    for u, v in dynkin_edges(quiver.n):
-        if (u, v) in quiver.arrows:
-            slack = max(d[u] - d[v], 0)
-            allowed = [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]
-            steps.append((u, v, u, v, allowed))
-        else:
-            slack = max(d[v] - d[u], 0)
-            allowed = [range(min(x + slack, d[v]) + 1) for x in range(d[u] + 1)]
-            steps.append((u, v, v, u, allowed))
-    return steps
+def _step(quiver, d, u, v):
+    """(u, v, t, h, allowed) for the parent edge (u, v): t -> h is the arrow
+    between them, and allowed[x] is the range of e_v that the box and that
+    arrow leave when e_u = x."""
+    if (u, v) in quiver.arrows:
+        slack = max(d[u] - d[v], 0)
+        return u, v, u, v, [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]
+    slack = max(d[v] - d[u], 0)
+    return u, v, v, u, [range(min(x + slack, d[v]) + 1) for x in range(d[u] + 1)]
 
 
 def arrow_valid_count(quiver, d):
-    """Number of e in the box that pass every arrow inequality, in O(n) steps.
+    """Number of e in the box that pass every arrow inequality, in
+    O(|support|) steps after the O(n) root check.
 
-    ways[v][x] counts the assignments to the vertices after v that hang from
-    it (v's subtree in the index order) with e_v = x; the steps are taken
-    from the last vertex back, so a vertex's subtree is complete before its
-    own step.  These are the realizable exponent vectors, so the count bounds
-    the size of the instance's flip poset.
+    ways[v][x] counts the assignments to v's subtree with e_v = x, taken from
+    the last step back.  A step into a vertex with d_v = 0 multiplies by 1,
+    so only the steps inside the support, a subtree below its lowest vertex
+    r, are taken.  These are the realizable exponent vectors, so the count
+    bounds the size of the instance's flip poset.
     """
     d = check_root(quiver, d)
-    ways = [[1] * (x + 1) for x in d]
-    for u, v, _, _, allowed in reversed(_tree_steps(quiver, d)):
+    r = next(v for v, x in enumerate(d) if x)
+    ways = {r: [1] * (d[r] + 1)}
+    steps, stack = [], [r]
+    while stack:  # every step after its parent's
+        u = stack.pop()
+        for v in quiver.neighbors(u):
+            if v > u and d[v]:  # a child in the support
+                steps.append(_step(quiver, d, u, v))
+                ways[v] = [1] * (d[v] + 1)
+                stack.append(v)
+    for u, v, _, _, allowed in reversed(steps):
         below = ways[v]
         ways[u] = [w * sum(below[y] for y in allowed[x]) for x, w in enumerate(ways[u])]
-    return sum(ways[0])
+    return sum(ways[r])
 
 
 def tran_f_polynomial(quiver, d):
     """The sum of coefficient(e) * u^e over the vectors the tree walk
     visits: those in the box that pass every arrow inequality."""
     d = check_root(quiver, d)
-    steps = _tree_steps(quiver, d)
+    steps = [_step(quiver, d, u, v) for u, v in dynkin_edges(quiver.n)]
     vectors = [(x,) for x in range(d[0] + 1)]
     for u, _, _, _, allowed in steps:
         vectors = [e + (x,) for e in vectors for x in allowed[e[u]]]

@@ -24,6 +24,10 @@ form ``support_summary_by_incidence`` reads).
   package computed it before the pass over the parent edges, with S split
   into components by a search over the diagram, against
   ``tran_f_polynomial``;
+* ``arrow_valid_count_by_tree_steps``: the number of vectors that pass the
+  box and every arrow inequality, as the package counted it before it took
+  only the steps inside the root's support, with one transfer table per
+  diagram edge, against ``arrow_valid_count``;
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
   computed it before the tree walk, scoring every vector of the box with the
@@ -50,6 +54,9 @@ form ``support_summary_by_incidence`` reads).
   paths, a search over every corner along ``graph.incidence``; it reads any
   graph with corners and an incidence, so it also checks hand-made supports
   that are no base graph, and against ``support_summary``;
+* ``edge_class``: the class of an edge as a side of one tile, the method
+  ``BaseGraph`` had before every route read the plan's slot directly, for
+  the frozen routes below;
 * ``support_components``, ``count_cycles``, ``is_monochromatic``,
   ``config_from_e_by_classes`` and ``flip_poset_by_classes``: the flip poset
   as the package built it before one support pass per configuration and the
@@ -129,8 +136,8 @@ def add_configs(a, b):
 def is_flippable(graph, d, config, tile_index):
     if d[tile_index] < 1:
         return False
-    for k in graph.bw_sides[tile_index]:
-        if config[k] < 1:
+    for k, delta in graph.flip_deltas[tile_index]:
+        if delta < 0 and config[k] < 1:
             return False
     return True
 
@@ -215,6 +222,27 @@ def component_charges(quiver, d, e):
     comps = _s_components(quiver.n, d, e)
     charges = _critical_charges(quiver, d, e, comps)
     return {tuple(sorted(comp)): c for comp, c in charges.items()}
+
+
+def arrow_valid_count_by_tree_steps(quiver, d):
+    """The vectors in the box that pass every arrow inequality, counted by
+    transfer tables along every parent edge (``dynkin_edges``), from the
+    last vertex back to vertex 0."""
+    d = check_root(quiver, d)
+    steps = []
+    for u, v in dynkin_edges(quiver.n):
+        if (u, v) in quiver.arrows:
+            slack = max(d[u] - d[v], 0)
+            allowed = [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]
+        else:
+            slack = max(d[v] - d[u], 0)
+            allowed = [range(min(x + slack, d[v]) + 1) for x in range(d[u] + 1)]
+        steps.append((u, v, allowed))
+    ways = [[1] * (x + 1) for x in d]
+    for u, v, allowed in reversed(steps):
+        below = ways[v]
+        ways[u] = [w * sum(below[y] for y in allowed[x]) for x, w in enumerate(ways[u])]
+    return sum(ways[0])
 
 
 def acceptable_evectors(quiver, d):
@@ -509,6 +537,13 @@ def is_monochromatic(graph, d, config):
     return True
 
 
+def edge_class(graph, edge, tile_index):
+    """The class (BW or WB) of edge as a side of tile tile_index, read off
+    the edge's plan slot, as ``BaseGraph.edge_class`` gave it before the
+    package read the slot directly."""
+    return BW if graph.closed_form_plan[graph.edge_index[edge]][0] == tile_index else WB
+
+
 def config_from_e_by_classes(graph, d, e):
     """The closed-form configuration, reading every edge's tiles, the sign of
     its arrow and its side class afresh."""
@@ -521,7 +556,7 @@ def config_from_e_by_classes(graph, d, e):
             m = max(d[tail] - d[head], 0) + e[head] - e[tail]
         else:
             (i,) = tiles
-            m = d[i] - e[i] if graph.edge_class(edge, i) == BW else e[i]
+            m = d[i] - e[i] if edge_class(graph, edge, i) == BW else e[i]
         if m < 0:
             raise ValueError("exponent vector %r is not realizable" % (tuple(e),))
         if m:
@@ -530,7 +565,7 @@ def config_from_e_by_classes(graph, d, e):
 
 
 def _tile_class_edges(graph, tile_index, cls):
-    return [e for e in graph.tiles[tile_index].edges if graph.edge_class(e, tile_index) == cls]
+    return [e for e in graph.tiles[tile_index].edges if edge_class(graph, e, tile_index) == cls]
 
 
 def _graded(e):
@@ -556,7 +591,7 @@ def flip_poset_by_classes(graph, d):
                 if e2 in excluded:
                     continue
                 if e2 not in configs:
-                    delta = {x: 1 if graph.edge_class(x, i) == WB else -1 for x in graph.tiles[i].edges}
+                    delta = {x: 1 if edge_class(graph, x, i) == WB else -1 for x in graph.tiles[i].edges}
                     config2 = add_configs(config, delta)
                     assert config2 == config_from_e_by_classes(graph, d, e2)
                     if not is_monochromatic(graph, d, config2):

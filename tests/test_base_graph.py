@@ -67,7 +67,7 @@ def test_rank5_weights(gc):
         E((1, 3), (1, 4)): 2,  # west of tile 3
         E((2, 3), (3, 3)): 2,  # north of tile 4
     }
-    assert gc.edge_weights == expected
+    assert {gc.edges[k]: label for k, label in gc.weighted_edges} == expected
 
 
 def test_rank5_marked_nodes(gc):
@@ -105,7 +105,7 @@ def test_rank6_weights(ga):
         E((2, 2), (2, 3)): 3,  # west of tile 4
         E((4, 1), (4, 0)): 3,  # east of tile 5
     }
-    assert ga.edge_weights == expected
+    assert {ga.edges[k]: label for k, label in ga.weighted_edges} == expected
 
 
 def test_rank6_marked_nodes(ga):
@@ -137,11 +137,11 @@ def test_structure_all_orientations(n):
                 classes[i] != classes[(i + 1) % len(classes)]
                 for i in range(len(classes))
             )
-        # every arrow contributed two weight labels
-        assert len(g.edge_weights) == 2 * len(q.arrows)
+        # every arrow contributed two weight labels, on distinct edges
+        assert len({k for k, _ in g.weighted_edges}) == 2 * len(q.arrows)
         # weights sit on boundary edges only
-        for e in g.edge_weights:
-            assert n in g.closed_form_plan[g.edge_index[e]]
+        for k, _ in g.weighted_edges:
+            assert n in g.closed_form_plan[k]
         # marked corners are disjoint and live on the graph
         labels = g.node_labels(tuple(2 if i == n - 3 else 1 for i in range(n)))
         assert set(labels) <= set(g.corners)
@@ -169,7 +169,7 @@ def test_every_tile_has_a_boundary_side():
         for tile, (k, is_wb) in zip(g.tiles, sides):
             edge = g.edges[k]
             assert edge in tile.edges and q.n in plan[edge]
-            assert g.edge_class(edge, tile.index) == (WB if is_wb else BW)
+            assert reference.edge_class(g, edge, tile.index) == (WB if is_wb else BW)
             # the closed form reads e_i off a wb-side and d_i - e_i off a bw-side
             assert plan[edge] == ((q.n, tile.index) if is_wb else (tile.index, q.n))
         count += 1
@@ -178,10 +178,12 @@ def test_every_tile_has_a_boundary_side():
 
 def test_tables_match_the_frozen_builder():
     # every table the package reads, against the builder that kept the
-    # corner set, each edge's tiles and a class per (edge, tile)
+    # corner set, each edge's tiles and a class per (edge, tile); the
+    # weights in order, and the bw-sides and coordinate-keyed weights it also
+    # kept, read off the package's edge-indexed tables
     names = (
-        "edges", "edge_index", "corners", "incidence", "bw_sides", "flip_deltas",
-        "closed_form_plan", "edge_weights", "weighted_edges",
+        "edges", "edge_index", "corners", "incidence", "flip_deltas",
+        "closed_form_plan", "weighted_edges",
     )
     for q in boundary_side_orientations():
         g = BaseGraph(q)
@@ -190,23 +192,31 @@ def test_tables_match_the_frozen_builder():
             assert getattr(g, name) == getattr(frozen, name), name
         assert reference.boundary_sides(g) == frozen.boundary_sides
         assert g.corners == sorted(frozen.vertices)
+        assert frozen.bw_sides == tuple(
+            tuple(k for k, m in deltas if m < 0) for deltas in g.flip_deltas
+        )
+        assert frozen.edge_weights == {g.edges[k]: label for k, label in g.weighted_edges}
         for e in g.edges:
-            assert sorted(t for t in g.closed_form_plan[g.edge_index[e]] if t < q.n) == sorted(
-                frozen.edge_tiles[e]
-            )
+            plan = g.closed_form_plan[g.edge_index[e]]
+            assert sorted(t for t in plan if t < q.n) == sorted(frozen.edge_tiles[e])
             for i in frozen.edge_tiles[e]:
-                assert g.edge_class(e, i) == frozen.edge_class(e, i)
+                # tile i fills the bw slot of the plan exactly for its bw-sides
+                assert plan[frozen.edge_class(e, i) == WB] == i
 
 
 def test_construction_refuses_a_flip_table_off_the_closed_form(monkeypatch):
-    # the flip and weight columns are checked last, on the finished tables
-    plan = BaseGraph._plan
+    # the flip and weight columns are checked last, on the finished tables:
+    # with a bw-side dropped from tile 0's flip, the flip would need too few
+    # sides present
+    assign_weights = BaseGraph._assign_weights
 
     def corrupted(graph):
-        plan(graph)
-        graph.bw_sides = ((),) + graph.bw_sides[1:]
+        assign_weights(graph)
+        deltas = list(graph.flip_deltas[0])
+        deltas.remove(next(x for x in deltas if x[1] < 0))
+        graph.flip_deltas = (tuple(deltas),) + graph.flip_deltas[1:]
 
-    monkeypatch.setattr(BaseGraph, "_plan", corrupted)
+    monkeypatch.setattr(BaseGraph, "_assign_weights", corrupted)
     with pytest.raises(AssertionError, match="the flip at tile 0 disagrees with the closed form"):
         BaseGraph(QC)
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dimercluster.cli
+import dimercluster.cluster_invariants
 from dimercluster.cli import main
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
@@ -322,6 +323,28 @@ def test_output_into_a_missing_directory_is_a_usage_error(runner, tmp_path, args
     assert "does not exist" in result.output
     assert isinstance(result.exception, SystemExit)  # not an uncaught OSError
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["basegraph", "-q", QC_SPEC],
+        ["compute", "-q", QC_SPEC, "-d", QC_ROOT, "-f", "json"],
+        ["poset", "-q", QC_SPEC, "-d", QC_ROOT],
+        ["verify", "-q", QC_SPEC, "-d", QC_ROOT],
+    ],
+)
+def test_an_empty_output_name_is_a_usage_error_before_any_work(runner, monkeypatch, args):
+    def no_build(*_args, **_kwargs):
+        raise AssertionError("built before -o was checked")
+
+    for module in (dimercluster.cli, dimercluster.cluster_invariants):
+        monkeypatch.setattr(module, "BaseGraph", no_build)
+        monkeypatch.setattr(module, "FlipPoset", no_build)
+    result = runner.invoke(main, args + ["-o", ""])
+    assert result.exit_code == 2
+    assert "Invalid value for '-o' / '--output': must name a file" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_output_that_cannot_be_written_is_a_usage_error(runner, tmp_path):

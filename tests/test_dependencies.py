@@ -1,8 +1,9 @@
 """Runtime dependencies: pyproject.toml declares exactly what the package
 imports, the CLI runs in an interpreter where numpy cannot be imported, no
 module of the package reads an environment variable, no module writes
-indented JSON through ``json.dumps``, and every function, class and method
-of the package, public or private, is used somewhere in the package."""
+indented JSON through ``json.dumps``, every function, class and method
+of the package, public or private, is used somewhere in the package, and so
+is every attribute the package sets."""
 
 import ast
 import os
@@ -112,6 +113,21 @@ def _unused_names(directory):
     return sorted(unused)
 
 
+def _unread_attributes(directory):
+    """(file, name) of every attribute that code in *.py in directory sets on
+    an object (``self.name = ...`` or ``obj.name = ...``, in any assignment
+    target) under a name that no code in directory reads as an attribute."""
+    stored, read = [], set()
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.append((path.name, node.attr))
+                else:
+                    read.add(node.attr)
+    return sorted({(name, attr) for name, attr in stored if attr not in read})
+
+
 def _requirement_names(requirements):
     return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
 
@@ -164,6 +180,11 @@ def test_every_private_name_is_used_in_the_package():
     # no private helper or method left behind once its callers are gone
     unused = _unused_names(ROOT / "src" / "dimercluster")
     assert [label for label in unused if _is_private(label)] == []
+
+
+def test_every_attribute_set_is_read_in_the_package():
+    # no per-instance table or field that only the tests read, or nothing
+    assert _unread_attributes(ROOT / "src" / "dimercluster") == []
 
 
 def test_cli_verifies_with_numpy_blocked():

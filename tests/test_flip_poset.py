@@ -39,7 +39,7 @@ def test_rank5_elements_and_covers(poset_qc):
     expected = {e: sorted(v) for e, v in POSET_COVERS_QC.items()}
     got = {e: sorted(v) for e, v in poset_qc.covers.items() if v}
     assert got == expected
-    assert poset_qc.bottom == (0, 0, 0, 0, 0)
+    assert poset_qc.elements[0] == (0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -90,10 +90,12 @@ def test_a_flip_that_disagrees_with_the_closed_form_is_refused():
 
 
 def test_a_flip_that_needs_too_few_sides_is_refused():
-    # with one bw-side dropped from the table, a flip at tile 2 could take
-    # that side to multiplicity -1
+    # with one bw-side (a -1 entry) dropped from the flip's column, a flip
+    # at tile 2 could take that side to multiplicity -1
     graph = BaseGraph(QC)
-    broken = with_table(graph, "bw_sides", 2, graph.bw_sides[2][1:])
+    deltas = list(graph.flip_deltas[2])
+    deltas.remove(next(x for x in deltas if x[1] < 0))
+    broken = with_table(graph, "flip_deltas", 2, tuple(deltas))
     message = "the flip at tile 2 disagrees with the closed form"
     with pytest.raises(AssertionError, match=re.escape(message)):
         broken._check_flips()
@@ -202,7 +204,7 @@ def test_rank6_f_from_coefficients(poset_qa):
 def test_leq_is_coordinatewise_on_chain(poset_qc):
     top = (1, 1, 2, 1, 1)
     for e in poset_qc.elements:
-        assert poset_qc.leq(poset_qc.bottom, e)
+        assert poset_qc.leq((0,) * 5, e)
         assert poset_qc.leq(e, top)
 
 

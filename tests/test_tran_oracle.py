@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dimercluster.tran_oracle
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
@@ -12,7 +13,13 @@ from dimercluster.mutation_oracle import (
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import Quiver, all_orientations, parse_quiver, positive_roots
+from dimercluster.quiver_core import (
+    Quiver,
+    all_orientations,
+    dynkin_edges,
+    parse_quiver,
+    positive_roots,
+)
 from dimercluster.tran_oracle import arrow_valid_count, tran_f_polynomial, tran_g_vector
 
 from frozen import (
@@ -32,7 +39,12 @@ from frozen import (
     QB,
     QC,
 )
-from reference import acceptable_evectors, arrow_conditions_hold, tran_f_polynomial_by_box
+from reference import (
+    acceptable_evectors,
+    arrow_conditions_hold,
+    arrow_valid_count_by_tree_steps,
+    tran_f_polynomial_by_box,
+)
 from test_oracle_properties import instances
 
 
@@ -211,6 +223,51 @@ def test_arrow_valid_count_bounds_the_poset(sweep4, sweep5):
         for entry in sweep.entries:
             for d, poset in entry.posets.items():
                 assert arrow_valid_count(entry.quiver, d) >= len(poset.elements)
+
+
+def test_support_count_equals_the_count_over_every_edge_ranks_4_to_8():
+    checked = 0
+    for n in range(4, 9):
+        roots = positive_roots(n)
+        for q in all_orientations(n):
+            for d in roots:
+                assert arrow_valid_count(q, d) == arrow_valid_count_by_tree_steps(q, d), (q, d)
+                checked += 1
+    assert checked == sum(2 ** (n - 1) * n * (n - 1) for n in range(4, 9))
+
+
+def test_arrow_valid_count_takes_only_the_steps_inside_the_support(monkeypatch):
+    # a step into a vertex with d_v = 0 multiplies the count by 1
+    taken = []
+    original = dimercluster.tran_oracle._step
+
+    def counted(quiver, d, u, v):
+        taken.append((u, v))
+        return original(quiver, d, u, v)
+
+    monkeypatch.setattr(dimercluster.tran_oracle, "_step", counted)
+    n = 224
+    quiver = Quiver(n, [(b, a) for a, b in dynkin_edges(n)])
+    d = (0,) * 100 + (1,) * 5 + (0,) * (n - 105)
+    # e_v <= e_u along each arrow v -> u: the 6 non-increasing 0/1 runs
+    assert arrow_valid_count(quiver, d) == 6
+    assert sorted(taken) == [(v - 1, v) for v in range(101, 105)]
+
+
+@st.composite
+def oriented_roots(draw, lo, hi):
+    """A rank in [lo, hi], an orientation drawn edge by edge and a root."""
+    n = draw(st.integers(lo, hi))
+    flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    arrows = [(b, a) if f else (a, b) for (a, b), f in zip(dynkin_edges(n), flips)]
+    return Quiver(n, arrows), draw(st.sampled_from(positive_roots(n)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(oriented_roots(9, 14))
+def test_support_count_equals_the_count_over_every_edge_ranks_9_to_14(instance):
+    quiver, d = instance
+    assert arrow_valid_count(quiver, d) == arrow_valid_count_by_tree_steps(quiver, d)
 
 
 def test_arrow_valid_count_rejects_non_roots():
