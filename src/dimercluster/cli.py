@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii
 from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_quiver
 from dimercluster.flip_poset import FlipPoset
+from dimercluster.laurent_poly import LaurentPolynomial
 from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import (
     Quiver,
@@ -157,13 +158,14 @@ _output_option = click.option(
 
 def _write_json(value, newline, put):
     """Put ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    the str, int, bool, None, dict, list and tuple trees the commands print.
+    the str, int, bool, None, dict, list and tuple trees the commands print;
+    a LaurentPolynomial in the tree is written as its ``to_json()`` would be
+    (``_write_polynomial``).
 
     The stdlib encoder falls back to pure Python whenever an indent is set;
-    here each list of plain ints (the exponent vectors, nearly all of the
-    bytes) is one join.  ``newline`` is the line break and the indent of the
-    current depth.  Any other type, and a non-str dict key, raises
-    TypeError."""
+    here each list of plain ints is one join.  ``newline`` is the line break
+    and the indent of the current depth.  Any other type, and a non-str dict
+    key, raises TypeError."""
     if isinstance(value, str):
         put(encode_basestring_ascii(value))
     elif value is None:
@@ -201,8 +203,44 @@ def _write_json(value, newline, put):
             _write_json(item, inner, put)
             sep = "," + inner
         put(newline + "]")
+    elif isinstance(value, LaurentPolynomial):
+        _write_polynomial(value, newline, put)
     else:
         raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _write_polynomial(poly, newline, put):
+    """Put ``json.dumps(poly.to_json(), indent=2, sort_keys=True)`` at the
+    depth of ``newline``, byte for byte, without building the tree: the
+    terms (nearly all of the bytes) are put one by one in graded-lex order,
+    each one ``%`` of a single row template made for this width and depth.
+    ``%d`` would print 1.5 or True as 1, so an exponent or coefficient that
+    is not exactly an int raises TypeError first."""
+    terms = poly.terms
+    if not set(map(type, itertools.chain(terms.values(), *terms))) <= {int}:
+        raise TypeError("exponents and coefficients must be int to be written as JSON")
+    key = newline + "  "
+    term = key + "  "
+    field = term + "  "
+    entry = field + "  "
+    width = len(poly.context)
+    exponents = "[" + entry + ("," + entry).join(["%d"] * width) + field + "]" if width else "[]"
+    row = "," + term + "{" + field + '"coefficient": %d,' + field + '"exponents": ' + exponents
+    row += term + "}"
+    put("{" + key + '"schema": 1,' + key + '"terms": ')
+    if terms:
+        template = "[" + row[1:]
+        order = sorted(terms)
+        order.sort(key=sum)  # stable, so graded-lex order
+        for e in order:
+            put(template % ((terms[e],) + e))
+            template = row
+        put(key + "],")
+    else:
+        put("[],")
+    put(key + '"variables": ')
+    _write_json(list(poly.context), key, put)
+    put(newline + "}")
 
 
 def _emit(out, parts):
@@ -327,9 +365,9 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
             "schema": 1,
             "quiver": format_quiver(quiver),
             "root": d,
-            "f_polynomial": f.to_json(),
+            "f_polynomial": f,
             "g_vector": g,
-            "laurent_expansion": laurent.to_json(),
+            "laurent_expansion": laurent,
             "poset_size": len(poset.elements),
             "cycle_histogram": {str(k): v for k, v in sorted(histogram.items())},
         }

@@ -67,6 +67,10 @@ def _mismatches(quiver, f, g, of, og, ol):
     def first(items):
         return sorted(items, key=graded_lex_key)[:MISMATCH_LIST_LIMIT]
 
+    def only(p, keys):  # p's first terms at keys, as the rows of its JSON form
+        terms = {e: p.terms[e] for e in first(keys)}
+        return LaurentPolynomial(p.context, terms).to_json()["terms"]
+
     laurent = expansion_from_f_and_g(quiver, f, g)
     if ol is None:
         ol = expansion_from_f_and_g(quiver, of, og)
@@ -82,14 +86,8 @@ def _mismatches(quiver, f, g, of, og, ol):
             for i, (a, b) in enumerate(zip(g, og))
             if a != b
         ][:MISMATCH_LIST_LIMIT],
-        "laurent_dimer_only": [
-            {"exponents": list(e), "coefficient": laurent.terms[e]}
-            for e in first(laurent.terms.keys() - ol.terms.keys())
-        ],
-        "laurent_oracle_only": [
-            {"exponents": list(e), "coefficient": ol.terms[e]}
-            for e in first(ol.terms.keys() - laurent.terms.keys())
-        ],
+        "laurent_dimer_only": only(laurent, laurent.terms.keys() - ol.terms.keys()),
+        "laurent_oracle_only": only(ol, ol.terms.keys() - laurent.terms.keys()),
     }
 
 

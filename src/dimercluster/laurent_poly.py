@@ -4,10 +4,13 @@ A polynomial is bound to a *context*: an ordered tuple of variable names such
 as ``("x0", ..., "x4", "y0", ..., "y4")``.  Its public view, ``terms``, is a
 sparse dict mapping exponent vectors (tuples of possibly-negative ints, one
 entry per context variable) to nonzero integer coefficients; ``coefficient``,
-``render`` and ``to_json`` read it.  The arithmetic is what cluster variables
-need: ``+``, ``*`` of two polynomials, and ``divide_exact`` for the one exact
-division of an exchange relation.  All of it is exact; coefficients are
-arbitrary-precision ints.
+``render`` and ``to_json`` read it.  ``to_json`` is the schema-1 JSON document
+as a tree, one ``{"coefficient", "exponents"}`` row per term; the CLI writes
+the same bytes without building it (``cli._write_polynomial``), and the tree
+is what the mismatch lists of ``verify`` and perfbench's answer check read.
+The arithmetic is what cluster variables need: ``+``, ``*`` of two
+polynomials, and ``divide_exact`` for the one exact division of an exchange
+relation.  All of it is exact; coefficients are arbitrary-precision ints.
 
 Arithmetic runs on a second, private view of the same terms, with each
 exponent vector packed into one int: a signed 16-bit field per variable,
@@ -303,6 +306,9 @@ class LaurentPolynomial:
         return " ".join(out)
 
     def to_json(self):
+        """The schema-1 document as a tree: "variables" and the "terms" in
+        graded-lex order, each a {"coefficient", "exponents"} row.  The CLI
+        prints the same bytes from the polynomial itself."""
         return {
             "schema": 1,
             "variables": list(self.context),

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, golden snippets."""
 
+import functools
 import hashlib
 import json
 import sys
@@ -8,7 +9,7 @@ import tracemalloc
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dimercluster.cli
@@ -16,6 +17,7 @@ import dimercluster.cluster_invariants
 from dimercluster.cli import main
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
+from dimercluster.laurent_poly import LaurentPolynomial
 from dimercluster.mutation_oracle import expansion_from_f_and_g
 from dimercluster.quiver_core import (
     all_orientations,
@@ -786,27 +788,105 @@ def test_write_json_is_json_dumps_byte_for_byte(tree):
     assert "".join(chunks) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+# A polynomial is written from one %d row template (cli._write_polynomial):
+# at depths 0-3 of a tree, widths 1-28 (and 0), negative exponents and
+# coefficients up to 2^80, the zero polynomial included, it gives the bytes of
+# its to_json.
+_polynomials = st.integers(min_value=1, max_value=28).flatmap(
+    lambda width: st.builds(
+        LaurentPolynomial,
+        st.lists(_json_strings, min_size=width, max_size=width),
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=-40, max_value=40)] * width), _json_ints, max_size=6
+        ),
+    )
+)
+
+
+def _inside(kids):
+    return st.lists(kids | _json_ints, min_size=1, max_size=3) | st.dictionaries(
+        _json_strings, kids | _json_ints, min_size=1, max_size=3
+    )
+
+
+_polynomial_trees = st.sampled_from([0, 1, 2, 3]).flatmap(
+    lambda depth: functools.reduce(lambda kids, _: _inside(kids), range(depth), _polynomials)
+)
+
+
+def _as_tree(value):
+    """value with each polynomial replaced by its to_json()."""
+    if isinstance(value, LaurentPolynomial):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {k: _as_tree(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_tree(v) for v in value]
+    return value
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_polynomial_trees)
+@example(LaurentPolynomial(["u0", "u1"], {}))
+@example({"constant": LaurentPolynomial([], {(): 3})})
+@example({"f": [LaurentPolynomial(["x%d" % i for i in range(28)], {(-1,) * 28: -(2**80)})]})
+@example([LaurentPolynomial(["u0"], {(0,): 2**80, (-3,): 1, (2,): -5})])
+def test_write_json_writes_a_polynomial_as_its_to_json(tree):
+    chunks = []
+    dimercluster.cli._write_json(tree, "\n", chunks.append)
+    assert "".join(chunks) == json.dumps(_as_tree(tree), indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize(
-    "value", [1.5, {1, 2}, {1: 2}, [{"a": [0, 0.5]}]], ids=["float", "set", "int-key", "nested-float"]
+    "value",
+    [
+        1.5,
+        {1, 2},
+        {1: 2},
+        [{"a": [0, 0.5]}],
+        LaurentPolynomial(["u0", "u1"], {(0, 1.5): 1}),
+        {"f": LaurentPolynomial(["u0", "u1"], {(True, 0): 1})},
+        [LaurentPolynomial(["u0", "u1"], {(0, 0): 1, (1, 0): 2.5})],
+    ],
+    ids=[
+        "float", "set", "int-key", "nested-float",
+        "poly-float-exponent", "poly-bool-exponent", "poly-float-coefficient",
+    ],
 )
 def test_write_json_refuses_what_the_commands_never_print(value):
     with pytest.raises(TypeError):
         dimercluster.cli._write_json(value, "\n", [].append)
 
 
+@pytest.mark.parametrize("case", [0, 1], ids=["compute-9", "compute-10"])
+def test_compute_writes_its_polynomials_without_their_json_trees(runner, monkeypatch, case):
+    # the pinned compute output, byte for byte, with to_json unavailable
+    def refuse(self):
+        raise AssertionError("compute built a polynomial's JSON tree")
+
+    monkeypatch.setattr(LaurentPolynomial, "to_json", refuse)
+    args, digest = PINNED_STDOUT[case]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
 def test_the_output_is_written_as_it_is_made(tmp_path):
     # the compute payload of the alternating rank-10 highest root (1.1 MB of
     # JSON) and the Hasse diagram of the rank-11 one (1.3 MB of DOT) go to the
-    # file without being held whole in memory: the writer peaks at 0.03x the
-    # file (about 40 KB of buffers), a joined string at 3.1x.  The parts are
-    # made inside the trace, so a diagram built as one string shows.
+    # file without being held whole in memory: the writer peaks at 0.06x the
+    # file (about 64 KB: buffers and one polynomial's sorted term list), a
+    # joined string at 3.1x.  The parts are made inside the trace, so a
+    # diagram built as one string shows, and the payload holds F and its
+    # expansion themselves, as compute's does, so a JSON tree built from
+    # them shows too.
     def instance(n):
         return FlipPoset(parse_quiver(alternating(n)), tuple(map(int, highest_root(n).split(","))))
 
     poset = instance(10)
     f, g = dimer_invariants(poset)
     laurent = expansion_from_f_and_g(poset.quiver, f, g)
-    payload = {"f_polynomial": f.to_json(), "laurent_expansion": laurent.to_json()}
+    payload = {"f_polynomial": f, "laurent_expansion": laurent}
     hasse = instance(11)
     hasse.covers  # the poset's own table, read before the write is traced
     for name, make_parts in (("compute.json", lambda: [payload]), ("hasse.dot", hasse.hasse_dot)):
