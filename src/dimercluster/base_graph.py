@@ -24,13 +24,15 @@ Every edge is a side of one or two tiles, and a side of one tile in each
 class at most.  ``closed_form_plan[k]`` is the pair (bw, wb) for
 ``edges[k]``: the tile that has it as a bw-side and the tile that has it as
 a wb-side, the outer face ``n`` standing in for the missing tile of a
-boundary edge.  The record is built in one pass over the tile sides, and
-every other table (side classes, flips, weight labels) is
-read from it.  The constructor checks the ``2n + 4`` corners, and that the
-pairs without the outer face are exactly the arrows of the quiver: one
-comparison that covers the tile adjacencies, one shared edge per adjacent
-pair, and the class compatibility.  Last, once per graph, it checks each
-tile's flip and weight columns (``_check_flips``), which every poset trusts.
+boundary edge.  The record is built in one pass over the tile sides (a
+tile's sides alternate in class, so only its first side's class is read
+off the coloring), and every other table (side classes, flips, weight
+labels) is read from it.  The constructor checks the ``2n + 4`` corners,
+and that the pairs without the outer face are exactly the arrows of the
+quiver: one comparison that covers the tile adjacencies, one shared edge
+per adjacent pair, and the class compatibility.  Last, once per graph, it
+checks each tile's flip and weight columns (``_check_flips``), which every
+poset trusts.
 
 Weights
 -------
@@ -46,11 +48,14 @@ Marked nodes
 ------------
 Two corners of each fork tile are marked ("red" for ``n-1``, "blue" for
 ``n-2``), and for roots with a doubled entry two further corners are marked
-"green" near the tile of the first doubled coordinate.  Configurations whose
+"green" near the tile of the first doubled coordinate, placed by the
+staircase steps ``_build_tiles`` keeps.  Configurations whose
 support joins differently-marked corners are excluded from the flip lattice.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mutation_oracle import expansion_from_f_and_g
@@ -76,8 +81,9 @@ class Tile:
         self.cells = tuple(cells)
         c = self.corners = tuple(corners)  # clockwise, interior on the right
         # directed sides (P, Q) in clockwise order, and their edge keys
-        self.sides = tuple(zip(c, c[1:] + c[:1]))
-        self.edges = tuple(edge_key(p, q) for p, q in self.sides)
+        ends = c[1:] + c[:1]
+        self.sides = tuple(zip(c, ends))
+        self.edges = tuple(map(edge_key, c, ends))
 
 
 def _square_corners(cell):
@@ -116,31 +122,30 @@ class BaseGraph:
 
     # ---- construction ---------------------------------------------------------
 
-    def _staircase_directions(self):
-        """Step direction into tile i, for i = 1..n-3 (the last enters the brick)."""
-        q = self.quiver
-        dirs = {1: EAST}
-        for i in range(2, self.n - 2):
-            s_prev = q.arrow_sign(i - 2, i - 1)
-            s_here = q.arrow_sign(i - 1, i)
-            turn = s_prev == s_here
-            prev = dirs[i - 1]
-            dirs[i] = (NORTH if prev == EAST else EAST) if turn else prev
-        return dirs
-
     def _build_tiles(self):
+        """The tiles, and the staircase's step into each tile i = 1..n-3
+        (the last enters the brick), kept for ``green_nodes``."""
         n = self.n
-        q = self.quiver
-        dirs = self._staircase_directions()
-        cells = {0: (0, 0)}
-        for i in range(1, n - 3):
-            dx, dy = dirs[i]
-            cells[i] = (cells[i - 1][0] + dx, cells[i - 1][1] + dy)
-        tiles = [Tile(i, "square", [cells[i]], _square_corners(cells[i])) for i in range(n - 3)]
+        arrows = self.quiver.arrows
+        # the staircase turns into tile i when the diagram edges (i-2, i-1)
+        # and (i-1, i) point the same way along the path, and runs straight
+        # when they oppose
+        dirs = [None, EAST]
+        for i in range(2, n - 2):
+            prev = dirs[-1]
+            if ((i - 2, i - 1) in arrows) == ((i - 1, i) in arrows):
+                prev = NORTH if prev == EAST else EAST
+            dirs.append(prev)
+        self._directions = dirs
+        cells = [(0, 0)]
+        for dx, dy in dirs[1 : n - 3]:
+            a, b = cells[-1]
+            cells.append((a + dx, b + dy))
+        tiles = [Tile(i, "square", [c], _square_corners(c)) for i, c in enumerate(cells)]
 
         # the branch tile: a 2x1 brick entered by the final staircase step
         hex_dir = dirs[n - 3]
-        last = cells[n - 4] if n > 4 else cells[0]
+        last = cells[-1]
         h0 = (last[0] + hex_dir[0], last[1] + hex_dir[1])
         horizontal = hex_dir == EAST
         h1 = (h0[0] + 1, h0[1]) if horizontal else (h0[0], h0[1] + 1)
@@ -162,8 +167,8 @@ class BaseGraph:
             }
         hex_sides = hexagon.sides
         for t in (n - 2, n - 1):
-            sign = q.arrow_sign(n - 3, t)
-            needed = BW if sign == 1 else WB  # class w.r.t. the brick (arrow tail: bw)
+            # class w.r.t. the brick (arrow tail: bw)
+            needed = BW if (n - 3, t) in arrows else WB
             chosen = None
             for side_index, cell in candidates[t]:
                 if self.side_class(*hex_sides[side_index]) == needed:
@@ -177,23 +182,26 @@ class BaseGraph:
     def _index_edges(self):
         """The per-edge record: ``closed_form_plan[k]`` = (bw, wb) for
         ``edges[k]``, the tile that has it as a bw-side and the tile that has
-        it as a wb-side, the outer face n standing in for a missing one."""
+        it as a wb-side, the outer face n standing in for a missing one.
+
+        Every side is a unit step, so a tile's corners alternate in parity
+        and its sides in class, starting from the class of its first side."""
         n = self.n
-        slots = {}
+        bw, wb = {}, {}  # edge -> the tile that has it in that class
         for tile in self.tiles:
-            for p, q in tile.sides:
-                pair = slots.setdefault(edge_key(p, q), [n, n])
-                slot = self.side_class(p, q) == WB
-                if pair[slot] != n:
+            i = tile.index
+            classes = (bw, wb) if self.side_class(*tile.sides[0]) == BW else (wb, bw)
+            for s, e in enumerate(tile.edges):
+                other = classes[s & 1].setdefault(e, i)
+                if other != i:  # a tile's sides are distinct edges
                     raise AssertionError(
-                        "edge %r is a side of tiles %d and %d in one class"
-                        % (edge_key(p, q), pair[slot], tile.index)
+                        "edge %r is a side of tiles %d and %d in one class" % (e, other, i)
                     )
-                pair[slot] = tile.index
-        self.edges = sorted(slots)
-        self.edge_index = {e: k for k, e in enumerate(self.edges)}
-        self.closed_form_plan = tuple(tuple(slots[e]) for e in self.edges)
-        self.corners = sorted({v for e in self.edges for v in e})
+        edges = self.edges = sorted(bw.keys() | wb.keys())
+        self.edge_index = dict(zip(edges, range(len(edges))))
+        outer = [n] * len(edges)
+        self.closed_form_plan = tuple(zip(map(bw.get, edges, outer), map(wb.get, edges, outer)))
+        self.corners = sorted(set(itertools.chain.from_iterable(edges)))
 
     def _validate(self):
         n = self.n
@@ -231,25 +239,30 @@ class BaseGraph:
         sides, its parent tile, the edge they share); the root's parent and
         edge are None.
         """
-        index, plan = self.edge_index, self.closed_form_plan
-        corner = {v: c for c, v in enumerate(self.corners)}
+        n, index, plan = self.n, self.edge_index, self.closed_form_plan
+        corner = dict(zip(self.corners, range(len(self.corners))))
         incidence = [[] for _ in self.corners]
         for k, (p, q) in enumerate(self.edges):
-            incidence[corner[p]].append((k, corner[q]))
-            incidence[corner[q]].append((k, corner[p]))
+            p, q = corner[p], corner[q]
+            incidence[p].append((k, q))
+            incidence[q].append((k, p))
         self.incidence = tuple(map(tuple, incidence))
-        sides = [[index[e] for e in tile.edges] for tile in self.tiles]
-        self.flip_deltas = tuple(
-            tuple((k, -1 if plan[k][0] == i else 1) for k in ks) for i, ks in enumerate(sides)
-        )
-        n = self.n
         parents = {v: u for u, v in dynkin_edges(n)}
-        tree = []
-        for i in range(n - 1, -1, -1):  # a parent's index is below its children's
+        flips, tree = [], []
+        for i, tile in enumerate(self.tiles):
             parent = parents.get(i)
-            boundary = tuple(k for k in sides[i] if n in plan[k])
-            shared = next((k for k in sides[i] if parent in plan[k]), None)
-            tree.append((i, boundary, parent, shared))
+            deltas, boundary, shared = [], [], None
+            for k in map(index.__getitem__, tile.edges):
+                t, h = plan[k]
+                deltas.append((k, -1 if t == i else 1))
+                if t == n or h == n:
+                    boundary.append(k)
+                elif t == parent or h == parent:
+                    shared = k
+            flips.append(tuple(deltas))
+            tree.append((i, tuple(boundary), parent, shared))
+        self.flip_deltas = tuple(flips)
+        tree.reverse()  # a parent's index is below its children's
         self.tile_tree = tuple(tree)
 
     def _check_flips(self):
@@ -280,7 +293,7 @@ class BaseGraph:
             changes[t][label] -= 1
             changes[h][label] += 1
         units = {(0,) * i + (1,) + (0,) * (n - 1 - i): 1 for i in range(n)}
-        u = LaurentPolynomial(u_context(n), units)
+        u = LaurentPolynomial._build(u_context(n), units)
         terms = expansion_from_f_and_g(self.quiver, u, (0,) * n).terms
         yhat = {x[n:].index(1): list(x[:n]) for x in terms}
         for i, deltas in enumerate(self.flip_deltas):
@@ -303,22 +316,29 @@ class BaseGraph:
     # ---- weights ---------------------------------------------------------------
 
     def _assign_weights(self):
-        n, plan = self.n, self.closed_form_plan
+        n, plan, arrows = self.n, self.closed_form_plan, self.quiver.arrows
         labels = {}  # edge -> label, in the order claimed
         for i, deltas in enumerate(self.flip_deltas):
             neighbors = self.quiver.neighbors(i)
-            start = next(s for s, (k, _) in enumerate(deltas) if neighbors[0] in plan[k])
+            first = neighbors[0]
+            records = [plan[k] for k, _ in deltas]
+            start = records.index((i, first) if (i, first) in arrows else (first, i))
             ring = [k for k, _ in deltas[start:] + deltas[:start]]
+            records = records[start:] + records[:start]
+            claimed = {}  # record -> the ring position after its last claim
             for j in neighbors:
-                # a free side is a boundary side, its record (n, i) or (i, n)
-                needed = WB if self.quiver.arrow_sign(i, j) == 1 else BW
-                free = (n, i) if needed == WB else (i, n)
-                k = next((k for k in ring if plan[k] == free and k not in labels), None)
-                if k is None:
+                # a free side is a boundary side: a wb-side, record (n, i),
+                # for an arrow i -> j, a bw-side, record (i, n), for j -> i
+                free = (n, i) if (i, j) in arrows else (i, n)
+                try:
+                    s = records.index(free, claimed.get(free, 0))
+                except ValueError:
                     raise AssertionError(
-                        "no free %s-side on tile %d for neighbor %d" % (needed, i, j)
-                    )
-                labels[k] = j
+                        "no free %s-side on tile %d for neighbor %d"
+                        % (WB if free[0] == n else BW, i, j)
+                    ) from None
+                claimed[free] = s + 1
+                labels[ring[s]] = j
         self.weighted_edges = tuple(labels.items())
 
     # ---- marked nodes ------------------------------------------------------------
@@ -342,7 +362,7 @@ class BaseGraph:
         if j == 1:
             drop = set(tiles[1].corners)
             return frozenset(v for v in tiles[0].corners if v not in drop)
-        dirs = self._staircase_directions()
+        dirs = self._directions
         if dirs[j - 1] == dirs[j]:  # straight: the side facing away from tile j
             drop = set(tiles[j].corners)
             return frozenset(v for v in tiles[j - 1].corners if v not in drop)

@@ -9,9 +9,10 @@ of rank past MAX_WALK_RANK, whose walk would run for minutes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import multiprocessing
+import operator
 import os
 import sys
 
@@ -28,6 +29,7 @@ from dimercluster.quiver_core import (
     QuiverSyntaxError,
     all_orientations,
     format_quiver,
+    graded_lex_key,
     is_positive_root,
     parse_quiver,
     positive_roots,
@@ -160,7 +162,8 @@ def _write_json(value, newline, put):
     """Put ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     the str, int, bool, None, dict, list and tuple trees the commands print;
     a LaurentPolynomial in the tree is written as its ``to_json()`` would be
-    (``_write_polynomial``).
+    (``_write_polynomial``), and a callable in it is called with
+    ``(newline, put)`` to put its own value.
 
     The stdlib encoder falls back to pure Python whenever an indent is set;
     here each list of plain ints is one join.  ``newline`` is the line break
@@ -205,6 +208,8 @@ def _write_json(value, newline, put):
         put(newline + "]")
     elif isinstance(value, LaurentPolynomial):
         _write_polynomial(value, newline, put)
+    elif callable(value):  # a value that writes itself, row by row
+        value(newline, put)
     else:
         raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
@@ -353,11 +358,8 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     poset = FlipPoset(quiver, d)
     f, g = dimer_invariants(poset)
     laurent = expansion_from_f_and_g(quiver, f, g)
-    coeffs = f.terms  # the poset's coefficients, one term per element
-    if explain:  # e's term is x^(wt - d) * y^e, so its x-part plus d is e's weight
-        weights = {x[quiver.n:]: tuple(a + b for a, b in zip(x, d)) for x in laurent.terms}
     histogram = {}
-    for coeff in coeffs.values():
+    for coeff in f.terms.values():  # the poset's coefficients, one per element
         c = coeff.bit_length() - 1  # coeff is 2^cycles
         histogram[c] = histogram.get(c, 0) + 1
     if fmt == "json":
@@ -368,14 +370,11 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
             "f_polynomial": f,
             "g_vector": g,
             "laurent_expansion": laurent,
-            "poset_size": len(poset.elements),
+            "poset_size": len(poset.coefficients),
             "cycle_histogram": {str(k): v for k, v in sorted(histogram.items())},
         }
         if explain:
-            payload["configurations"] = [
-                {"e": e, "coefficient": coeffs[e], "x_exponents": weights[e]}
-                for e in poset.elements
-            ]
+            payload["configurations"] = functools.partial(_write_configurations, laurent, d)
         _emit(output, [payload])
         return
     lines = [
@@ -384,16 +383,46 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
         "F = %s" % f.render(),
         "g = (%s)" % ", ".join(map(str, g)),
         "x_d = %s" % laurent.render(),
-        "poset size: %d" % len(poset.elements),
+        "poset size: %d" % len(poset.coefficients),
         "cycle histogram: %s"
         % ", ".join("%d cycles x%d" % (k, v) for k, v in sorted(histogram.items())),
     ]
     if explain:
         lines.append("configurations (e | coefficient | weight exponents):")
-        for e in poset.elements:
-            row = (",".join(map(str, e)), coeffs[e], ",".join(map(str, weights[e])))
-            lines.append("  %s | %d | %s" % row)
+        rows = (
+            "  %s | %d | %s" % (",".join(map(str, e)), c, ",".join(map(str, w)))
+            for e, c, w in _configurations(laurent, d)
+        )
+        lines = itertools.chain(lines, rows)
     _emit(output, lines)
+
+
+def _configurations(laurent, d):
+    """(e, coefficient, weight exponents) of every poset element, in
+    graded-lex order of e, one at a time: e's Laurent term is
+    2^cycles * x^(wt - d) * y^e, so its y-part is e and its x-part plus d is
+    the weight."""
+    n = len(d)
+    terms = laurent.terms
+    for key in sorted(terms, key=lambda key: graded_lex_key(key[n:])):
+        yield key[n:], terms[key], tuple(map(operator.add, key, d))
+
+
+def _write_configurations(laurent, d, newline, put):
+    """Put the `compute --explain` rows as ``_write_json`` would put the
+    list of their ``{"coefficient", "e", "x_exponents"}`` dicts at the depth
+    of ``newline``, each row ``%`` of one template."""
+    item = newline + "  "
+    field = item + "  "
+    entry = field + "  "
+    vector = "[" + entry + ("," + entry).join(["%d"] * len(d)) + field + "]"
+    row = "," + item + "{" + field + '"coefficient": %d,' + field + '"e": ' + vector + ","
+    row += field + '"x_exponents": ' + vector + item + "}"
+    template = "[" + row[1:]
+    for e, c, w in _configurations(laurent, d):
+        put(template % ((c,) + e + w))
+        template = row
+    put(newline + "]")
 
 
 # ---- poset ---------------------------------------------------------------------------
@@ -544,8 +573,10 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             _check_total_size(quivers[0], checked)
         _check_poset_sizes(quivers[0], checked)
     tasks = [(q.n, q.arrows, oracles, roots) for q in quivers]
-    jobs = min(jobs or multiprocessing.cpu_count(), len(tasks))
+    jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     if jobs > 1:
+        import multiprocessing  # only a pool needs it
+
         with multiprocessing.Pool(jobs) as pool:
             chunks = pool.map(_verify_one_orientation, tasks)
     else:

@@ -44,8 +44,10 @@ MISMATCH_LIST_LIMIT = 5
 
 
 def dimer_invariants(poset):
-    """F and g of the instance the poset holds."""
-    f = LaurentPolynomial(u_context(poset.quiver.n), poset.coefficients)
+    """F and g of the instance the poset holds.  F's terms are the poset's
+    coefficients as they are: n-tuples of ints, each 2^cycles, so none is
+    validated again."""
+    f = LaurentPolynomial._build(u_context(poset.quiver.n), dict(poset.coefficients))
     g = tuple(w - x for w, x in zip(poset.bottom_weight, poset.d))
     return f, g
 

@@ -21,10 +21,15 @@ corners apart; that check and its cycle count come from one support pass
 (``support_summary``), and its coefficient 2^cycles is stored then.  The pass
 relies on every corner's total multiplicity being at most 2: the build checks
 it once, on the minimal matching, and every flip keeps it.
-Excluded configurations are remembered but never expanded, and a
-configuration (a tuple of edge multiplicities) is kept only while its rank
-level is being expanded.  A cover is one flip, e -> e + unit_i, so the
-covers are read off the vectors on first use, not recorded by the search.
+Excluded configurations are remembered but never expanded: one dict maps
+each vector met to its coefficient, or to 0 once excluded, so a candidate
+costs one lookup, and ``coefficients`` (in the order found) and
+``excluded`` are split off it at the end.  A configuration (a tuple of edge
+multiplicities) is kept only while its rank level is being expanded.
+``elements``, the members in graded-lex order, is sorted on first use:
+``compute`` without ``--explain`` and ``verify`` never read it.  A cover is
+one flip, e -> e + unit_i, so the covers are read off the vectors on first
+use, not recorded by the search.
 
 The order is the reflexive-transitive closure of the covers, which
 coincides with coordinatewise comparison of exponent vectors.  Meets and joins
@@ -70,7 +75,12 @@ class FlipPoset:
         start = minimal_matching(graph, d)
         # flips keep every corner's total (BaseGraph._check_flips), so the
         # support pass may rely on totals of at most 2 in every configuration
-        totals = [sum(start[k] for k, _ in ends) for ends in graph.incidence]
+        totals = []
+        for ends in graph.incidence:
+            total = 0
+            for k, _ in ends:
+                total += start[k]
+            totals.append(total)
         if max(totals) > 2:
             c = totals.index(max(totals))
             raise AssertionError(
@@ -80,8 +90,8 @@ class FlipPoset:
         if not monochromatic:
             raise AssertionError("minimal matching joins marked corners")
         self.bottom_weight = x_exponents(graph, start)
-        coefficients = self.coefficients = {bottom: 2 ** cycles}
-        excluded = self.excluded = set()
+        # e -> its coefficient, or 0 once excluded: one lookup per candidate
+        seen = {bottom: 2 ** cycles}
         # a flip at i needs d_i >= 1 and every bw-side (-1 entry) of tile i present
         tiles = [(i, [k for k, m in graph.flip_deltas[i] if m < 0]) for i in range(n) if d[i]]
         frontier = {bottom: start}
@@ -94,17 +104,23 @@ class FlipPoset:
                             break
                     else:
                         e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                        if e2 in excluded or e2 in coefficients:
+                        if e2 in seen:
                             continue
                         config2 = flip(graph, config, i)
                         monochromatic, cycles = support_summary(graph, config2, marks)
                         if not monochromatic:
-                            excluded.add(e2)
+                            seen[e2] = 0
                             continue
-                        coefficients[e2] = 2 ** cycles
+                        seen[e2] = 2 ** cycles
                         nxt[e2] = config2
             frontier = nxt
-        self.elements = sorted(coefficients, key=graded_lex_key)
+        self.coefficients = {e: c for e, c in seen.items() if c}
+        self.excluded = {e for e, c in seen.items() if not c}
+
+    @functools.cached_property
+    def elements(self):
+        """The members in graded-lex order, sorted on first use."""
+        return sorted(self.coefficients, key=graded_lex_key)
 
     @functools.cached_property
     def covers(self):

@@ -55,10 +55,14 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a quotient is requested that does not exist in the ring."""
 
 
+# Every instance of rank n names the same variables, so each rank's context
+# tuple is built once; a tuple cannot be changed by the callers sharing it.
+@functools.lru_cache(maxsize=None)
 def u_context(n):
     return tuple("u%d" % i for i in range(n))
 
 
+@functools.lru_cache(maxsize=None)
 def xy_context(n):
     return tuple("x%d" % i for i in range(n)) + tuple("y%d" % i for i in range(n))
 

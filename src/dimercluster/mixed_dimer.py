@@ -26,7 +26,7 @@ differently-marked corners apart and how many of its support components are
 simple cycles (its coefficient is 2^cycles) in two short passes: it counts
 the cycles as the bounded faces of the support, over the diagram's tree of
 tiles (``BaseGraph.tile_tree``), and traces only the support paths that
-start at a marked corner.
+start at a marked corner of any colour but the first mark's.
 ``x_exponents`` is a configuration's labelled weight.  The closed form and
 the weight are both affine in e, with per-graph columns, which the base
 graph checks once, at construction; the flip poset reads no configuration
@@ -130,7 +130,11 @@ def support_summary(graph, config, marks):
     * monochromatic: from each marked corner, each support path is followed
       along ``graph.incidence`` to the next marked corner, its end or back
       to the start; two differently-marked corners share a component
-      exactly when one such trace joins them.
+      exactly when one such trace joins them.  A component holding two
+      colours holds two differently-marked corners with no marked corner
+      between them on it, and at most one of the two has the colour of the
+      first mark in ``marks``, so the traces start only at the marks of the
+      other colours.
     """
     opened = [False] * graph.n
     cycles = 0
@@ -146,7 +150,10 @@ def support_summary(graph, config, marks):
         if k is not None and not config[k]:
             opened[parent] = True
     incidence = graph.incidence
+    skipped = next(iter(marks.values()), None)
     for start, color in marks.items():
+        if color == skipped:
+            continue
         for prev, v in incidence[start]:
             if not config[prev]:
                 continue

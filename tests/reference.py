@@ -54,6 +54,10 @@ form ``support_summary_by_incidence`` reads).
   paths, a search over every corner along ``graph.incidence``; it reads any
   graph with corners and an incidence, so it also checks hand-made supports
   that are no base graph, and against ``support_summary``;
+* ``support_summary_every_mark``: the support pass as the package ran it
+  before its traces skipped the first mark's colour, tracing from every
+  marked corner, against ``support_summary`` with the marks in every
+  colour order;
 * ``edge_class``: the class of an edge as a side of one tile, the method
   ``BaseGraph`` had before every route read the plan's slot directly, for
   the frozen routes below;
@@ -478,6 +482,45 @@ def support_summary_by_incidence(graph, config, marks):
         if ring and odd and size >= 4:
             cycles += 1
     return monochromatic, cycles
+
+
+def support_summary_every_mark(graph, config, marks):
+    """(monochromatic, cycles) of a configuration, with marks read as
+    ``support_summary`` reads them: the cycles counted as the bounded faces
+    of the support over ``graph.tile_tree``, and the support paths traced
+    from every marked corner to the next marked corner, their end or back
+    to the start."""
+    opened = [False] * graph.n
+    cycles = 0
+    for i, boundary, parent, k in graph.tile_tree:
+        if not opened[i]:
+            for b in boundary:
+                if not config[b]:
+                    break
+            else:  # closed so far: every boundary side is on the support
+                if k is None or config[k]:
+                    cycles += 1
+                continue
+        if k is not None and not config[k]:
+            opened[parent] = True
+    incidence = graph.incidence
+    for start, color in marks.items():
+        for prev, v in incidence[start]:
+            if not config[prev]:
+                continue
+            while v != start:
+                mark = marks.get(v)
+                if mark is not None:
+                    if mark != color:
+                        return False, cycles
+                    break
+                for k, w in incidence[v]:
+                    if k != prev and config[k]:
+                        prev, v = k, w
+                        break
+                else:
+                    break  # the path ends at v
+    return True, cycles
 
 
 def support_components(config):

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from dimercluster.base_graph import BW, WB, BaseGraph, edge_key
+from dimercluster.base_graph import BW, WB, BaseGraph, Tile, edge_key
 from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges
 
 import reference
@@ -271,6 +271,37 @@ def test_construction_refuses_a_flip_that_changes_a_corner_total(monkeypatch):
     monkeypatch.setattr(BaseGraph, "_index_edges", with_a_swapped_side)
     message = "the flip at tile 0 changes the total at corner (0, 0) by -2"
     with pytest.raises(AssertionError, match=re.escape(message)):
+        BaseGraph(QC)
+
+
+def test_construction_refuses_two_tiles_on_one_side_in_one_class(monkeypatch):
+    # tile 1 laid over tile 0: their sides meet in the same classes
+    build_tiles = BaseGraph._build_tiles
+
+    def overlapping(graph):
+        build_tiles(graph)
+        cell = graph.tiles[0].cells[0]
+        graph.tiles[1] = Tile(1, "square", [cell], graph.tiles[0].corners)
+
+    monkeypatch.setattr(BaseGraph, "_build_tiles", overlapping)
+    message = "edge ((0, 0), (0, 1)) is a side of tiles 0 and 1 in one class"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        BaseGraph(QC)
+
+
+def test_construction_refuses_a_tile_without_a_free_side(monkeypatch):
+    # tile 0's boundary sides recorded as no boundary side: its arrow from
+    # tile 1 finds no free bw-side to label
+    plan_tables = BaseGraph._plan
+
+    def without_boundary(graph):
+        plan_tables(graph)
+        graph.closed_form_plan = tuple(
+            (0, 0) if 0 in pair and graph.n in pair else pair for pair in graph.closed_form_plan
+        )
+
+    monkeypatch.setattr(BaseGraph, "_plan", without_boundary)
+    with pytest.raises(AssertionError, match="no free bw-side on tile 0 for neighbor 1"):
         BaseGraph(QC)
 
 

@@ -3,9 +3,13 @@
 import functools
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -23,6 +27,7 @@ from dimercluster.quiver_core import (
     all_orientations,
     dynkin_edges,
     format_quiver,
+    graded_lex_key,
     parse_quiver,
     positive_roots,
 )
@@ -376,7 +381,7 @@ def test_verify_rejects_jobs_below_one(runner, monkeypatch, jobs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(dimercluster.cli.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     result = runner.invoke(main, ["verify", "--n", "4", "--jobs", jobs])
     assert result.exit_code == 2
     assert "--jobs" in result.output
@@ -398,11 +403,26 @@ def test_verify_caps_the_pool_at_the_orientation_count(runner, monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(dimercluster.cli.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     result = runner.invoke(main, ["verify", "--n", "4", "--oracle", "tran", "--jobs", "64"])
     assert result.exit_code == 0
     assert "verified 96 instances" in result.output
     assert sizes == [8]
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # verify imports it only when it starts a pool
+    code = (
+        "import sys\n"
+        "import dimercluster.cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_exit_3_on_semantic_errors(runner):
@@ -869,6 +889,53 @@ def test_compute_writes_its_polynomials_without_their_json_trees(runner, monkeyp
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+UNSORTED_QUERIES = [
+    ["compute", "-q", QC_SPEC, "-d", QC_ROOT, "-f", "json"],
+    ["compute", "-q", QC_SPEC, "-d", QC_ROOT],
+    PINNED_STDOUT[0][0][:-1],  # the alternating rank-9 highest root, no --explain
+    ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "tran"],
+    ["verify", "-q", QC_SPEC, "-d", QC_ROOT, "--oracle", "tran", "-f", "json", "--explain"],
+    ["verify", "-q", PINNED_STDOUT[0][0][2], "-d", "1,2,2,2,2,2,2,1,1", "--oracle", "tran"],
+]
+
+
+@pytest.mark.parametrize(
+    "args", UNSORTED_QUERIES,
+    ids=["compute-json", "compute-text", "compute-9", "verify", "verify-json", "verify-9"],
+)
+def test_a_query_sorts_no_elements_it_does_not_print(runner, monkeypatch, args):
+    # compute without --explain and verify read the poset's coefficients
+    # and never its graded-lex element list: the same bytes with it refused
+    expected = runner.invoke(main, args)
+    assert expected.exit_code == 0, expected.output
+
+    def refuse(self):
+        raise AssertionError("the query sorted the poset's elements")
+
+    monkeypatch.setattr(FlipPoset, "elements", property(refuse))
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output) == (0, expected.output)
+
+
+def test_listed_elements_are_in_graded_lex_order(runner):
+    # poset and compute --explain still list every element in graded-lex order
+    spec, root = PINNED_STDOUT[0][0][2], "1,2,2,2,2,2,2,1,1"
+    payload = json.loads(runner.invoke(main, ["poset", "-q", spec, "-d", root, "-f", "json"]).output)
+    listed = [tuple(e) for e in payload["elements"]]
+    assert listed == sorted(listed, key=graded_lex_key) and len(listed) == 861
+    rows = json.loads(runner.invoke(main, PINNED_STDOUT[0][0]).output)["configurations"]
+    assert [tuple(row["e"]) for row in rows] == listed
+    text = runner.invoke(main, ["poset", "-q", spec, "-d", root, "-f", "text"]).output
+    assert [line.split()[0] for line in text.splitlines()[1 : 1 + len(listed)]] == [
+        ",".join(map(str, e)) for e in listed
+    ]
+    explained = runner.invoke(main, ["compute", "-q", spec, "-d", root, "--explain"]).output
+    rows = explained.split("configurations (e | coefficient | weight exponents):\n")[1]
+    assert [line.split(" | ")[0].strip() for line in rows.splitlines()] == [
+        ",".join(map(str, e)) for e in listed
+    ]
 
 
 def test_the_output_is_written_as_it_is_made(tmp_path):

@@ -6,7 +6,12 @@ helpers, the dict-keyed and the incidence support passes and the
 class-by-class closed form (``reference.py``): on hand-made supports of a
 base graph, on random orientations at ranks 4-9, with e drawn from the box
 (realizable vectors, monochromatic or excluded, and arbitrary ones), and on
-every configuration the flip BFS reaches at ranks 4-6.  The fact the pass
+every configuration the flip BFS reaches at ranks 4-6.  Its traces skip
+the colour of the first mark; with the marks in every rotation of their
+colour order, so that each colour is once the skipped one, it equals the
+frozen trace from every mark (``reference.support_summary_every_mark``) and
+the incidence pass on every configuration the BFS reaches at ranks 4-6, on
+the hand-made supports and on draws at ranks 7-10.  The fact the pass
 rests on, corner totals of at most 2 that every realizable configuration
 shares with the minimal matching, is checked on every rank 4-6 instance and
 on draws at ranks 7-10.  The flip
@@ -171,10 +176,70 @@ def test_support_pass_on_hand_made_base_graph_supports(name):
         support.update(ring(graph, tiles))
     config = base_graph_support(graph, support)
     assert max(corner_totals(graph, config)) <= 2
-    assert support_summary(graph, config, reference.corner_marks(graph, D5)) == expected
+    marks = reference.corner_marks(graph, D5)
+    rotations = colour_rotations(marks)
+    assert len(rotations) == 3  # red, blue and green: each is skipped once
+    for rotated in rotations:
+        assert support_summary(graph, config, rotated) == expected
+    assert reference.support_summary_every_mark(graph, config, marks) == expected
     colors = reference.corner_colors(graph, D5)
     assert reference.support_summary_by_incidence(graph, config, colors) == expected
     assert support_summary(graph, config, {})[1] == expected[1]
+
+
+def colour_rotations(marks):
+    """marks (corner -> colour) once per rotation of its colour order, so
+    that each colour comes first, and is the one ``support_summary`` does
+    not trace from, in one of them."""
+    colours = list(dict.fromkeys(marks.values()))
+    orders = [colours[r:] + colours[:r] for r in range(len(colours))] or [[]]
+    return [
+        {c: colour for colour in order for c, v in marks.items() if v == colour}
+        for order in orders
+    ]
+
+
+def one_colour_trace_agrees(graph, d, config):
+    """``support_summary`` with the marks of d in every colour order equals
+    the frozen every-mark trace and the incidence pass; returns the
+    summary."""
+    marks = reference.corner_marks(graph, d)
+    expected = reference.support_summary_every_mark(graph, config, marks)
+    colors = reference.corner_colors(graph, d)
+    assert reference.support_summary_by_incidence(graph, config, colors) == expected
+    for rotated in colour_rotations(marks):
+        assert support_summary(graph, config, rotated) == expected
+    return expected
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_one_colour_trace_on_every_reached_configuration(request, rank):
+    # the admitted configurations and the excluded ones, which the BFS meets
+    # and refuses: an excluded one joins two colours, which one trace finds
+    sweep = request.getfixturevalue("sweep%d" % rank)
+    reached = excluded = 0
+    for entry in sweep.entries:
+        graph = entry.graph
+        for d, poset in entry.posets.items():
+            for e in itertools.chain(poset.coefficients, poset.excluded):
+                config = config_from_e(graph, d, e)
+                monochromatic, _ = one_colour_trace_agrees(graph, d, config)
+                assert monochromatic == (e not in poset.excluded)
+                reached += 1
+                excluded += not monochromatic
+    assert (reached, excluded) == {4: (409, 25), 5: (2119, 193), 6: (9981, 1053)}[rank]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(instances(7, 10))
+def test_one_colour_trace_at_ranks_7_to_10(instance):
+    graph, d, e, free = instance
+    one_colour_trace_agrees(graph, d, config_from_e(graph, d, e))
+    try:
+        config = config_from_e(graph, d, free)
+    except ValueError:
+        return
+    one_colour_trace_agrees(graph, d, config)
 
 
 def corner_totals(graph, config):
