@@ -29,7 +29,7 @@ from dimercluster.quiver_core import (
     QuiverSyntaxError,
     all_orientations,
     format_quiver,
-    graded_lex_key,
+    graded_lex_sorted,
     is_positive_root,
     parse_quiver,
     positive_roots,
@@ -161,9 +161,9 @@ _output_option = click.option(
 def _write_json(value, newline, put):
     """Put ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     the str, int, bool, None, dict, list and tuple trees the commands print;
-    a LaurentPolynomial in the tree is written as its ``to_json()`` would be
-    (``_write_polynomial``), and a callable in it is called with
-    ``(newline, put)`` to put its own value.
+    a LaurentPolynomial in the tree is written as its ``to_json()`` would be,
+    its terms a table of rows (``_write_rows``), and a callable in it is
+    called with ``(newline, put)`` to put its own value.
 
     The stdlib encoder falls back to pure Python whenever an indent is set;
     here each list of plain ints is one join.  ``newline`` is the line break
@@ -207,45 +207,48 @@ def _write_json(value, newline, put):
             sep = "," + inner
         put(newline + "]")
     elif isinstance(value, LaurentPolynomial):
-        _write_polynomial(value, newline, put)
+        terms = value.terms
+        # %d would print 1.5 or True as 1
+        if not set(map(type, itertools.chain(terms.values(), *terms))) <= {int}:
+            raise TypeError("exponents and coefficients must be int to be written as JSON")
+        fields = (("coefficient", None), ("exponents", len(value.context)))
+        rows = ((terms[e],) + e for e in graded_lex_sorted(terms))
+        document = {
+            "schema": 1,
+            "terms": functools.partial(_write_rows, fields, rows),
+            "variables": list(value.context),
+        }
+        _write_json(document, newline, put)
     elif callable(value):  # a value that writes itself, row by row
         value(newline, put)
     else:
         raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
-def _write_polynomial(poly, newline, put):
-    """Put ``json.dumps(poly.to_json(), indent=2, sort_keys=True)`` at the
-    depth of ``newline``, byte for byte, without building the tree: the
-    terms (nearly all of the bytes) are put one by one in graded-lex order,
-    each one ``%`` of a single row template made for this width and depth.
-    ``%d`` would print 1.5 or True as 1, so an exponent or coefficient that
-    is not exactly an int raises TypeError first."""
-    terms = poly.terms
-    if not set(map(type, itertools.chain(terms.values(), *terms))) <= {int}:
-        raise TypeError("exponents and coefficients must be int to be written as JSON")
-    key = newline + "  "
-    term = key + "  "
-    field = term + "  "
+def _write_rows(fields, rows, newline, put):
+    """Put the list of dicts that ``rows`` stands for as ``_write_json``
+    would, at the depth of ``newline``, each row ``%`` of one template.
+    ``fields`` are a row's (name, width) pairs in name order, no name
+    holding a ``%``, width None for one int and n for a list of n ints; a
+    row is the flat tuple of its ints in field order."""
+    item = newline + "  "
+    field = item + "  "
     entry = field + "  "
-    width = len(poly.context)
-    exponents = "[" + entry + ("," + entry).join(["%d"] * width) + field + "]" if width else "[]"
-    row = "," + term + "{" + field + '"coefficient": %d,' + field + '"exponents": ' + exponents
-    row += term + "}"
-    put("{" + key + '"schema": 1,' + key + '"terms": ')
-    if terms:
-        template = "[" + row[1:]
-        order = sorted(terms)
-        order.sort(key=sum)  # stable, so graded-lex order
-        for e in order:
-            put(template % ((terms[e],) + e))
-            template = row
-        put(key + "],")
-    else:
-        put("[],")
-    put(key + '"variables": ')
-    _write_json(list(poly.context), key, put)
-    put(newline + "}")
+    parts = []
+    for name, width in fields:
+        if width is None:
+            value = "%d"
+        elif width:
+            value = "[" + entry + ("," + entry).join(["%d"] * width) + field + "]"
+        else:
+            value = "[]"
+        parts.append(encode_basestring_ascii(name) + ": " + value)
+    row = "," + item + "{" + field + ("," + field).join(parts) + item + "}"
+    template = "[" + row[1:]
+    for values in rows:
+        put(template % values)
+        template = row
+    put(newline + "]" if template is row else "[]")  # no row: an empty list
 
 
 def _emit(out, parts):
@@ -374,7 +377,9 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
             "cycle_histogram": {str(k): v for k, v in sorted(histogram.items())},
         }
         if explain:
-            payload["configurations"] = functools.partial(_write_configurations, laurent, d)
+            fields = (("coefficient", None), ("e", quiver.n), ("x_exponents", quiver.n))
+            rows = ((c,) + e + w for e, c, w in _configurations(laurent, d))
+            payload["configurations"] = functools.partial(_write_rows, fields, rows)
         _emit(output, [payload])
         return
     lines = [
@@ -404,25 +409,8 @@ def _configurations(laurent, d):
     the weight."""
     n = len(d)
     terms = laurent.terms
-    for key in sorted(terms, key=lambda key: graded_lex_key(key[n:])):
+    for key in graded_lex_sorted(terms, key=lambda key: key[n:]):
         yield key[n:], terms[key], tuple(map(operator.add, key, d))
-
-
-def _write_configurations(laurent, d, newline, put):
-    """Put the `compute --explain` rows as ``_write_json`` would put the
-    list of their ``{"coefficient", "e", "x_exponents"}`` dicts at the depth
-    of ``newline``, each row ``%`` of one template."""
-    item = newline + "  "
-    field = item + "  "
-    entry = field + "  "
-    vector = "[" + entry + ("," + entry).join(["%d"] * len(d)) + field + "]"
-    row = "," + item + "{" + field + '"coefficient": %d,' + field + '"e": ' + vector + ","
-    row += field + '"x_exponents": ' + vector + item + "}"
-    template = "[" + row[1:]
-    for e, c, w in _configurations(laurent, d):
-        put(template % ((c,) + e + w))
-        template = row
-    put(newline + "]")
 
 
 # ---- poset ---------------------------------------------------------------------------
@@ -533,9 +521,8 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
     oracles = _oracle_list(oracle_spec)
     if (rank is None) == (quiver_spec is None):
         raise click.UsageError("give exactly one of --n or --quiver")
-    if quiver_spec is not None:
-        quivers = [_parse_quiver_opt(quiver_spec)]
-    else:
+    checked = None  # every root of every orientation
+    if quiver_spec is None:
         if rank < 4:
             _semantic_error("rank must be at least 4")
         # past the limit's bit length 2^(rank-1) alone exceeds it: a huge rank
@@ -548,15 +535,15 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
                 "a rank-%d sweep is 2^%d orientations x %d roots, more than the "
                 "%d instances --n allows" % (rank, rank - 1, rank * (rank - 1), MAX_SWEEP_INSTANCES)
             )
-        quivers = all_orientations(rank)
-    roots = None
-    if root_spec is not None:
-        if quiver_spec is None:
+        if root_spec is not None:
             raise click.UsageError("--root requires --quiver")
-        roots = [_parse_root_opt(root_spec, quivers[0].n)]
-    if quiver_spec is not None:
-        n = quivers[0].n
-        if roots is None and n * (n - 1) > MAX_SWEEP_INSTANCES:
+        quivers = all_orientations(rank)
+    else:
+        quiver = _parse_quiver_opt(quiver_spec)
+        n = quiver.n
+        if root_spec is not None:
+            checked = [_parse_root_opt(root_spec, n)]
+        elif n * (n - 1) > MAX_SWEEP_INSTANCES:
             _semantic_error(
                 "a rank-%d quiver has %d roots, more than the %d instances -q allows "
                 "without -d" % (n, n * (n - 1), MAX_SWEEP_INSTANCES)
@@ -568,11 +555,12 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             )
         # no sweep needs the checks: at rank 10, its largest, every bound is
         # <= 2,166 and every quiver's sum <= 12,891
-        checked = roots or positive_roots(n)
-        if roots is None:
-            _check_total_size(quivers[0], checked)
-        _check_poset_sizes(quivers[0], checked)
-    tasks = [(q.n, q.arrows, oracles, roots) for q in quivers]
+        if checked is None:
+            checked = positive_roots(n)
+            _check_total_size(quiver, checked)
+        _check_poset_sizes(quiver, checked)
+        quivers = [quiver]
+    tasks = [(q.n, q.arrows, oracles, checked) for q in quivers]
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         import multiprocessing  # only a pool needs it

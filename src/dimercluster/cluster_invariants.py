@@ -34,7 +34,7 @@ from dimercluster.mutation_oracle import (
     g_vector_from_expansion,
     walk_cluster_variables,
 )
-from dimercluster.quiver_core import format_quiver, graded_lex_key, positive_roots
+from dimercluster.quiver_core import format_quiver, graded_lex_sorted, positive_roots
 from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 
 ORACLE_NAMES = ("tran", "mutation")
@@ -67,7 +67,7 @@ def _mismatches(quiver, f, g, of, og, ol):
     """
 
     def first(items):
-        return sorted(items, key=graded_lex_key)[:MISMATCH_LIST_LIMIT]
+        return graded_lex_sorted(items)[:MISMATCH_LIST_LIMIT]
 
     def only(p, keys):  # p's first terms at keys, as the rows of its JSON form
         terms = {e: p.terms[e] for e in first(keys)}

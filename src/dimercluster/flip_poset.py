@@ -52,7 +52,7 @@ from dimercluster.mixed_dimer import (
     support_summary,
     x_exponents,
 )
-from dimercluster.quiver_core import check_root, graded_lex_key
+from dimercluster.quiver_core import check_root, graded_lex_sorted
 
 
 class FlipPoset:
@@ -120,7 +120,7 @@ class FlipPoset:
     @functools.cached_property
     def elements(self):
         """The members in graded-lex order, sorted on first use."""
-        return sorted(self.coefficients, key=graded_lex_key)
+        return graded_lex_sorted(self.coefficients)
 
     @functools.cached_property
     def covers(self):

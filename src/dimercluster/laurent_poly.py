@@ -6,7 +6,7 @@ sparse dict mapping exponent vectors (tuples of possibly-negative ints, one
 entry per context variable) to nonzero integer coefficients; ``coefficient``,
 ``render`` and ``to_json`` read it.  ``to_json`` is the schema-1 JSON document
 as a tree, one ``{"coefficient", "exponents"}`` row per term; the CLI writes
-the same bytes without building it (``cli._write_polynomial``), and the tree
+the same bytes without building the rows (``cli._write_rows``), and the tree
 is what the mismatch lists of ``verify`` and perfbench's answer check read.
 The arithmetic is what cluster variables need: ``+``, ``*`` of two
 polynomials, and ``divide_exact`` for the one exact division of an exchange
@@ -44,7 +44,7 @@ import heapq
 import operator
 import struct
 
-from dimercluster.quiver_core import graded_lex_key
+from dimercluster.quiver_core import graded_lex_sorted
 
 
 class ContextError(ValueError):
@@ -279,7 +279,7 @@ class LaurentPolynomial:
 
     def sorted_terms(self):
         """Terms in ascending graded-lex order, as (exps, coeff) pairs."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=graded_lex_key)]
+        return [(e, self.terms[e]) for e in graded_lex_sorted(self.terms)]
 
     def render(self):
         """Deterministic text form, e.g. ``1 + u0 + 2*u0*u1*u2^2``."""

@@ -80,15 +80,14 @@ def minimal_matching(graph, d):
 def _region_minimal_matching(graph, d):
     """Sum over level = 1, 2 of the bw-sides of the region {i : d_i >= level}."""
     config = [0] * len(graph.edges)
+    plan = graph.closed_form_plan
     for level in (1, 2):
         region = {i for i in range(graph.n) if d[i] >= level}
         for i in region:
-            for edge in graph.tiles[i].edges:
-                k = graph.edge_index[edge]
-                t, h = graph.closed_form_plan[k]
-                # a bw-side of tile i, not shared with a tile of the region
-                # (the outer face n never is one)
-                if t == i and h not in region:
+            for k, delta in graph.flip_deltas[i]:
+                # a bw-side of tile i (a -1 entry), not shared with a tile of
+                # the region (the outer face n never is one)
+                if delta < 0 and plan[k][1] not in region:
                     config[k] += 1
     return tuple(config)
 

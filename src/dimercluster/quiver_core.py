@@ -23,9 +23,14 @@ import itertools
 MIN_RANK = 4
 
 
-def graded_lex_key(e):
-    """Sort key of graded-lex order: total degree first, then lexicographic."""
-    return (sum(e), e)
+def graded_lex_sorted(items, key=None):
+    """A new list of items in graded-lex order of ``key(item)`` (the item
+    itself by default): total degree first, then lexicographic.  A
+    lexicographic sort and then a stable one by degree, so no
+    (degree, vector) pair is held per item."""
+    out = sorted(items, key=key)
+    out.sort(key=sum if key is None else lambda item: sum(key(item)))
+    return out
 
 
 def _check_rank(n):
@@ -220,8 +225,7 @@ def _roots(n):
                 for s, x in zip(starts, runs):
                     path = path[:s] + (x,) * (m - s)
                 roots.append(path + tips)
-    roots.sort(key=graded_lex_key)
-    return tuple(roots)
+    return tuple(graded_lex_sorted(roots))
 
 
 def is_positive_root(n, d):

@@ -102,7 +102,7 @@ from dimercluster.mixed_dimer import (
     x_exponents,
 )
 from dimercluster.mutation_oracle import denominator_vector, initial_seed, mutate_seed
-from dimercluster.quiver_core import check_root, dynkin_edges, graded_lex_key
+from dimercluster.quiver_core import check_root, dynkin_edges
 from dimercluster.tran_oracle import tran_f_polynomial
 
 
@@ -965,7 +965,7 @@ def flip_poset_by_read_back(graph, d):
                 weights[e2] = x_exponents(graph, config2)
                 nxt[e2] = config2
         frontier = nxt
-    return sorted(weights, key=graded_lex_key), excluded, coefficients, weights
+    return sorted(weights, key=lambda e: (sum(e), e)), excluded, coefficients, weights
 
 
 class FrozenTables:

@@ -27,7 +27,6 @@ from dimercluster.quiver_core import (
     all_orientations,
     dynkin_edges,
     format_quiver,
-    graded_lex_key,
     parse_quiver,
     positive_roots,
 )
@@ -408,6 +407,27 @@ def test_verify_caps_the_pool_at_the_orientation_count(runner, monkeypatch):
     assert result.exit_code == 0
     assert "verified 96 instances" in result.output
     assert sizes == [8]
+
+
+def test_a_worker_pool_prints_what_one_process_prints():
+    # the only run of the pickled task path: two worker processes, no more
+    code = (
+        "import sys\n"
+        "from dimercluster.cli import main\n"
+        "main(['verify', '--n', '4', '--oracle', 'tran', '--jobs', sys.argv[1],"
+        " '--explain', '-f', 'json'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    outputs = []
+    for jobs in ("2", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", code, jobs],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["instances"] == 96
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
@@ -808,7 +828,7 @@ def test_write_json_is_json_dumps_byte_for_byte(tree):
     assert "".join(chunks) == json.dumps(tree, indent=2, sort_keys=True)
 
 
-# A polynomial is written from one %d row template (cli._write_polynomial):
+# A polynomial is written from one %d row template (cli._write_rows):
 # at depths 0-3 of a tree, widths 1-28 (and 0), negative exponents and
 # coefficients up to 2^80, the zero polynomial included, it gives the bytes of
 # its to_json.
@@ -855,6 +875,56 @@ def test_write_json_writes_a_polynomial_as_its_to_json(tree):
     chunks = []
     dimercluster.cli._write_json(tree, "\n", chunks.append)
     assert "".join(chunks) == json.dumps(_as_tree(tree), indent=2, sort_keys=True)
+
+
+# A table is written from one %d row template (cli._write_rows): at depths
+# 0-3, with no row or up to 5, of ints and of int lists of width 0-28 under
+# any names without a %, it gives the bytes of the list of dicts it stands for.
+_row_fields = st.lists(
+    st.tuples(
+        _json_strings.filter(lambda name: "%" not in name),
+        st.none() | st.integers(min_value=0, max_value=28),
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda field: field[0],
+).map(lambda fields: sorted(fields, key=lambda field: field[0]))
+_row_tables = st.tuples(st.integers(min_value=0, max_value=3), _row_fields).flatmap(
+    lambda table: st.tuples(
+        st.just(table[0]),
+        st.just(table[1]),
+        st.lists(
+            st.tuples(*[_json_ints] * sum(1 if w is None else w for _, w in table[1])),
+            max_size=5,
+        ),
+    )
+)
+
+
+def _as_dicts(fields, rows):
+    """The list of dicts that a flat row table stands for."""
+    dicts = []
+    for row in rows:
+        values = iter(row)
+        dicts.append({
+            name: next(values) if width is None else [next(values) for _ in range(width)]
+            for name, width in fields
+        })
+    return dicts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_row_tables)
+@example((0, [("coefficient", None), ("e", 0), ("x_exponents", 0)], [(1,)]))
+@example((2, [("coefficient", None), ("exponents", 3)], []))
+@example((1, [("x\n", 1), ("\u00e9", None)], [(-(2**80), 5)]))
+def test_write_rows_is_json_dumps_of_its_dicts(table):
+    depth, fields, rows = table
+    newline = "\n" + "  " * depth
+    chunks = []
+    dimercluster.cli._write_rows(fields, iter(rows), newline, chunks.append)
+    expected = json.dumps(_as_dicts(fields, rows), indent=2, sort_keys=True)
+    assert "".join(chunks) == expected.replace("\n", newline)
 
 
 @pytest.mark.parametrize(
@@ -924,7 +994,7 @@ def test_listed_elements_are_in_graded_lex_order(runner):
     spec, root = PINNED_STDOUT[0][0][2], "1,2,2,2,2,2,2,1,1"
     payload = json.loads(runner.invoke(main, ["poset", "-q", spec, "-d", root, "-f", "json"]).output)
     listed = [tuple(e) for e in payload["elements"]]
-    assert listed == sorted(listed, key=graded_lex_key) and len(listed) == 861
+    assert listed == sorted(listed, key=lambda e: (sum(e), e)) and len(listed) == 861
     rows = json.loads(runner.invoke(main, PINNED_STDOUT[0][0]).output)["configurations"]
     assert [tuple(row["e"]) for row in rows] == listed
     text = runner.invoke(main, ["poset", "-q", spec, "-d", root, "-f", "text"]).output

@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimercluster.quiver_core import (
     Quiver,
     all_orientations,
     dynkin_edges,
     format_quiver,
+    graded_lex_sorted,
     is_positive_root,
     parse_quiver,
     positive_roots,
@@ -203,3 +206,34 @@ def test_roots_entries_bounded_random():
             twos = [i for i, x in enumerate(d) if x == 2]
             if twos:
                 assert all(i <= n - 3 for i in twos)
+
+
+# ---- graded-lex order ----------------------------------------------------------
+
+
+def _graded_lex(e):
+    return (sum(e), e)
+
+
+# vectors of one width 0-28 with entries in -2..2, so degrees repeat often
+_vector_lists = st.integers(min_value=0, max_value=28).flatmap(
+    lambda width: st.lists(
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * width), max_size=40
+    )
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_vector_lists)
+def test_graded_lex_sorted_is_the_degree_then_vector_sort(vectors):
+    assert graded_lex_sorted(vectors) == sorted(vectors, key=_graded_lex)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_vector_lists, st.randoms(use_true_random=False))
+def test_graded_lex_sorted_by_a_key_keeps_ties_in_input_order(vectors, rng):
+    # items with equal vectors stay in the order given, as with sorted()
+    items = [(e, tag) for tag, e in enumerate(vectors)]
+    rng.shuffle(items)
+    got = graded_lex_sorted(items, key=lambda item: item[0])
+    assert got == sorted(items, key=lambda item: _graded_lex(item[0]))
