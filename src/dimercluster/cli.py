@@ -23,7 +23,11 @@ from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_quiver
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial
-from dimercluster.mutation_oracle import expansion_from_f_and_g
+from dimercluster.mutation_oracle import (
+    expansion_from_f_and_g,
+    mirror_atlas,
+    walk_cluster_variables,
+)
 from dimercluster.quiver_core import (
     Quiver,
     QuiverSyntaxError,
@@ -496,10 +500,21 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
 
 
 def _verify_one_orientation(args):
-    """Worker: verification of one orientation (picklable payload); roots=None
-    means every positive root."""
-    n, arrows, oracles, roots = args
-    return verify_quiver(Quiver(n, arrows), oracles=oracles, roots=roots)
+    """Worker: verification of one orientation (picklable payload), one list
+    of reports per quiver; roots=None means every positive root.  With
+    mirrored set, its mirror ``tips_swapped()`` is verified too, against the
+    ``mirror_atlas`` of the one walk."""
+    n, arrows, oracles, roots, mirrored = args
+    quiver = Quiver(n, arrows)
+    if not mirrored:
+        return [verify_quiver(quiver, oracles=oracles, roots=roots)]
+    atlas = walk_cluster_variables(quiver)
+    return [
+        verify_quiver(quiver, oracles=oracles, roots=roots, atlas=atlas),
+        verify_quiver(
+            quiver.tips_swapped(), oracles=oracles, roots=roots, atlas=mirror_atlas(atlas, n)
+        ),
+    ]
 
 
 @main.command()
@@ -560,7 +575,17 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             _check_total_size(quiver, checked)
         _check_poset_sizes(quiver, checked)
         quivers = [quiver]
-    tasks = [(q.n, q.arrows, oracles, checked) for q in quivers]
+    orbits = [(q,) for q in quivers]
+    if quiver_spec is None and "mutation" in oracles:
+        # one walk per tip-swap orbit: the first of a pair in sweep order
+        # walks for both
+        orbits, paired = [], set()
+        for q in quivers:
+            if q not in paired:
+                mirror = q.tips_swapped()
+                paired.add(mirror)
+                orbits.append((q,) if mirror == q else (q, mirror))
+    tasks = [(o[0].n, o[0].arrows, oracles, checked, len(o) == 2) for o in orbits]
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         import multiprocessing  # only a pool needs it
@@ -569,7 +594,10 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             chunks = pool.map(_verify_one_orientation, tasks)
     else:
         chunks = [_verify_one_orientation(t) for t in tasks]
-    results = [r for chunk in chunks for r in chunk]
+    reports = {}
+    for orbit, chunk in zip(orbits, chunks):
+        reports.update(zip(orbit, chunk))
+    results = [r for q in quivers for r in reports[q]]
     failures = [r for r in results if not r["ok"]]
     if fmt == "json":
         payload = {

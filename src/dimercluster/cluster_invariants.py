@@ -20,7 +20,9 @@ oracle gives an expansion, compared with the dimer model's.  An oracle that
 disagrees also gets its differences named.
 ``verify_quiver(quiver)`` is the one per-orientation loop: it checks the
 oracle names, then builds one base graph, at most one mutation atlas, and one
-poset per root.
+poset per root.  The atlas is walked only when the caller hands none in: a
+sweep walks one quiver of each tip-swap pair and hands its mirror the
+``mirror_atlas`` of that walk.
 """
 
 from __future__ import annotations
@@ -136,12 +138,15 @@ def verify_root(poset, oracles, atlas):
     return report
 
 
-def verify_quiver(quiver, oracles=ORACLE_NAMES, roots=None):
-    """Reports for every positive root (or a chosen subset) of one quiver."""
+def verify_quiver(quiver, oracles=ORACLE_NAMES, roots=None, atlas=None):
+    """Reports for every positive root (or a chosen subset) of one quiver.
+    atlas is the quiver's ``walk_cluster_variables`` result; it is walked
+    here when "mutation" is asked for and none is given."""
     for name in oracles:
         if name not in ORACLE_NAMES:
             raise ValueError("unknown oracle %r (choose from %s)" % (name, ORACLE_NAMES))
-    atlas = walk_cluster_variables(quiver) if "mutation" in oracles else None
+    if atlas is None and "mutation" in oracles:
+        atlas = walk_cluster_variables(quiver)
     graph = BaseGraph(quiver)
     return [
         verify_root(FlipPoset(quiver, d, graph=graph), oracles, atlas)

@@ -22,7 +22,10 @@ use it too.
 The cluster variables come from ``walk_cluster_variables``, repeated source
 sweeps that touch O(n^2) seeds.  The breadth-first search over the whole
 exchange graph, which the walk is checked against at ranks 4-6, is a
-test reference (``tests/reference.py``), not part of the package.
+test reference (``tests/reference.py``), not part of the package.  The tip
+swap σ (n - 2 <-> n - 1) is an automorphism of the diagram, so the atlas of
+``quiver.tips_swapped()`` is the walked quiver's atlas with the tips' x and y
+variables exchanged: ``mirror_atlas`` reads it off without a second walk.
 """
 
 from __future__ import annotations
@@ -176,3 +179,21 @@ def walk_cluster_variables(quiver):
                         )
                     return atlas
     raise RuntimeError("sweep walk found %d of %d variables" % (len(atlas), expected))
+
+
+def mirror_atlas(atlas, n):
+    """The atlas of σQ from Q's ``walk_cluster_variables`` atlas, σ the tip
+    swap n - 2 <-> n - 1: σ carries Q's initial seed to σQ's, so it carries
+    each cluster variable of Q, keyed by its denominator vector d, to the one
+    of σQ keyed by σd, with x_{n-2}, x_{n-1} and y_{n-2}, y_{n-1} exchanged.
+    Only exponent positions move, so no term is validated again."""
+    a, b = n - 2, n - 1
+    ctx = xy_context(n)
+    mirrored = {}
+    for d, poly in atlas.items():
+        terms = {
+            e[:a] + (e[b], e[a]) + e[n : n + a] + (e[n + b], e[n + a]): c
+            for e, c in poly.terms.items()
+        }
+        mirrored[d[:a] + (d[b], d[a])] = LaurentPolynomial._build(ctx, terms)
+    return mirrored

@@ -108,6 +108,13 @@ class Quiver:
             near.append(n - 1)
         return near
 
+    def tips_swapped(self):
+        """σQ: this orientation with the fork tips n - 2 and n - 1 exchanged,
+        the image of Q under the diagram automorphism σ that swaps them."""
+        n = self.n
+        swap = {n - 2: n - 1, n - 1: n - 2}
+        return Quiver(n, [(swap.get(t, t), swap.get(h, h)) for t, h in self.arrows])
+
     def exchange_matrix(self):
         """B as a tuple of row tuples: ``b[i][j]`` is ``arrow_sign(i, j)``."""
         n = self.n

@@ -22,7 +22,7 @@ from dimercluster.cli import main
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial
-from dimercluster.mutation_oracle import expansion_from_f_and_g
+from dimercluster.mutation_oracle import expansion_from_f_and_g, walk_cluster_variables
 from dimercluster.quiver_core import (
     all_orientations,
     dynkin_edges,
@@ -428,6 +428,68 @@ def test_a_worker_pool_prints_what_one_process_prints():
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["instances"] == 96
+
+
+def test_a_worker_pool_verifies_tip_swap_pairs_as_one_process_does():
+    # the pickled pair task: each walked quiver and its mirror in one worker
+    code = (
+        "import sys\n"
+        "from dimercluster.cli import main\n"
+        "main(['verify', '--n', '5', '--jobs', sys.argv[1], '--explain', '-f', 'json'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    outputs = []
+    for jobs in ("2", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", code, jobs],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert (payload["oracles"], payload["instances"]) == (["tran", "mutation"], 320)
+    assert [r["quiver"] for r in payload["results"][::20]] == [
+        format_quiver(q) for q in all_orientations(5)
+    ]
+
+
+@pytest.fixture()
+def walked(monkeypatch):
+    """The quivers walk_cluster_variables is called on, in call order."""
+    calls = []
+
+    def counted(quiver):
+        calls.append(quiver)
+        return walk_cluster_variables(quiver)
+
+    monkeypatch.setattr(dimercluster.cli, "walk_cluster_variables", counted)
+    monkeypatch.setattr(dimercluster.cluster_invariants, "walk_cluster_variables", counted)
+    return calls
+
+
+@pytest.mark.parametrize("oracles", ["tran,mutation", "mutation"])
+@pytest.mark.parametrize("rank, walks", [(4, 6), (5, 12), (6, 24)])
+def test_a_sweep_walks_the_first_quiver_of_each_tip_swap_orbit(runner, walked, oracles, rank, walks):
+    result = runner.invoke(main, ["verify", "--n", str(rank), "--oracle", oracles, "--jobs", "1"])
+    assert result.exit_code == 0
+    assert "all ok" in result.output
+    quivers = all_orientations(rank)
+    first = [q for i, q in enumerate(quivers) if quivers.index(q.tips_swapped()) >= i]
+    assert walked == first
+    assert len(walked) == walks
+
+
+def test_a_tran_sweep_walks_no_quiver(runner, walked):
+    result = runner.invoke(main, ["verify", "--n", "5", "--oracle", "tran", "--jobs", "1"])
+    assert result.exit_code == 0
+    assert walked == []
+
+
+def test_a_single_quiver_is_walked_once(runner, walked):
+    result = runner.invoke(main, ["verify", "-q", QC_SPEC, "-d", QC_ROOT])
+    assert result.exit_code == 0
+    assert walked == [parse_quiver(QC_SPEC)]
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():

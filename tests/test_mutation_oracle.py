@@ -14,6 +14,7 @@ from dimercluster.mutation_oracle import (
     f_polynomial_from_expansion,
     g_vector_from_expansion,
     initial_seed,
+    mirror_atlas,
     mutate_ext,
     mutate_seed,
     walk_cluster_variables,
@@ -272,3 +273,21 @@ def test_walk_atlas_properties_rank6():
         assert f.coefficient(d) == 1
         assert max(f.terms, key=lambda e: (sum(e), e)) == d
         assert denominator_vector(var, 6) == d
+
+
+# ---- the tip swap ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_the_mirrored_atlas_is_the_walk_of_the_mirrored_quiver(request, rank):
+    # [DERIVED] σ (n-2 <-> n-1) is an automorphism of the diagram carrying Q's
+    # initial seed to σQ's: σQ's atlas is Q's with the tips' x and y variables
+    # and key entries exchanged, keys and polynomials
+    if rank < 7:
+        entries = request.getfixturevalue("sweep%d" % rank).entries
+        atlases = {entry.quiver: entry.atlas for entry in entries}
+    else:
+        atlases = {q: walk_cluster_variables(q) for q in all_orientations(rank)}
+    assert len(atlases) == 2 ** (rank - 1)
+    for q, atlas in atlases.items():
+        assert mirror_atlas(atlas, rank) == atlases[q.tips_swapped()]

@@ -101,6 +101,20 @@ def test_all_orientations_count_and_uniqueness():
         assert len(set(qs)) == len(qs)
 
 
+def test_tips_swapped_relabels_the_fork_tips():
+    q = Quiver(5, [(0, 1), (1, 2), (2, 3), (4, 2)])
+    assert q.tips_swapped() == Quiver(5, [(0, 1), (1, 2), (2, 4), (3, 2)])
+
+
+def test_tips_swapped_is_an_involution_fixing_half_the_orientations():
+    for n in range(4, 9):
+        quivers = all_orientations(n)
+        mirrors = [q.tips_swapped() for q in quivers]
+        assert set(mirrors) == set(quivers)
+        assert [m.tips_swapped() for m in mirrors] == quivers
+        assert sum(m == q for m, q in zip(mirrors, quivers)) == len(quivers) // 2
+
+
 # ---- [TRIVIAL] parsing ------------------------------------------------------
 
 
