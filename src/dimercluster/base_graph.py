@@ -317,16 +317,19 @@ class BaseGraph:
 
     def _assign_weights(self):
         n, plan, arrows = self.n, self.closed_form_plan, self.quiver.arrows
+        near = [[] for _ in range(n)]  # each tile's diagram neighbours, ascending
+        for u, v in dynkin_edges(n):
+            near[u].append(v)
+            near[v].append(u)
         labels = {}  # edge -> label, in the order claimed
         for i, deltas in enumerate(self.flip_deltas):
-            neighbors = self.quiver.neighbors(i)
-            first = neighbors[0]
+            first = near[i][0]
             records = [plan[k] for k, _ in deltas]
             start = records.index((i, first) if (i, first) in arrows else (first, i))
             ring = [k for k, _ in deltas[start:] + deltas[:start]]
             records = records[start:] + records[:start]
             claimed = {}  # record -> the ring position after its last claim
-            for j in neighbors:
+            for j in near[i]:
                 # a free side is a boundary side: a wb-side, record (n, i),
                 # for an arrow i -> j, a bw-side, record (i, n), for j -> i
                 free = (n, i) if (i, j) in arrows else (i, n)

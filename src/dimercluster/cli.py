@@ -29,7 +29,6 @@ from dimercluster.mutation_oracle import (
     walk_cluster_variables,
 )
 from dimercluster.quiver_core import (
-    Quiver,
     QuiverSyntaxError,
     all_orientations,
     format_quiver,
@@ -500,21 +499,16 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
 
 
 def _verify_one_orientation(args):
-    """Worker: verification of one orientation (picklable payload), one list
-    of reports per quiver; roots=None means every positive root.  With
-    mirrored set, its mirror ``tips_swapped()`` is verified too, against the
-    ``mirror_atlas`` of the one walk."""
-    n, arrows, oracles, roots, mirrored = args
-    quiver = Quiver(n, arrows)
-    if not mirrored:
-        return [verify_quiver(quiver, oracles=oracles, roots=roots)]
-    atlas = walk_cluster_variables(quiver)
-    return [
-        verify_quiver(quiver, oracles=oracles, roots=roots, atlas=atlas),
-        verify_quiver(
-            quiver.tips_swapped(), oracles=oracles, roots=roots, atlas=mirror_atlas(atlas, n)
-        ),
-    ]
+    """Worker: the reports of a task ``(orbit, oracles, roots)``, one list per
+    quiver of the orbit; roots=None means every positive root.  An orbit is a
+    quiver Q, or with "mutation" the tip-swap pair (Q, σQ): Q is walked once
+    and σQ gets that walk's ``mirror_atlas``, so ``verify_quiver`` walks none."""
+    (first, *mirrors), oracles, roots = args
+    atlas = walk_cluster_variables(first) if "mutation" in oracles else None
+    reports = [verify_quiver(first, oracles=oracles, roots=roots, atlas=atlas)]
+    for q in mirrors:  # σ(first), if the orbit is a pair
+        reports.append(verify_quiver(q, oracles, roots, mirror_atlas(atlas, first.n)))
+    return reports
 
 
 @main.command()
@@ -577,15 +571,16 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
         quivers = [quiver]
     orbits = [(q,) for q in quivers]
     if quiver_spec is None and "mutation" in oracles:
-        # one walk per tip-swap orbit: the first of a pair in sweep order
-        # walks for both
-        orbits, paired = [], set()
+        # one walk per tip-swap orbit: σ fixes a quiver whose tip arrows agree,
+        # and of a pair the first in sweep order (rank-3 -> rank-1) walks for both
+        orbits = []
         for q in quivers:
-            if q not in paired:
-                mirror = q.tips_swapped()
-                paired.add(mirror)
-                orbits.append((q,) if mirror == q else (q, mirror))
-    tasks = [(o[0].n, o[0].arrows, oracles, checked, len(o) == 2) for o in orbits]
+            mirror = q.tips_swapped()
+            if mirror == q:
+                orbits.append((q,))
+            elif (rank - 3, rank - 1) in q.arrows:
+                orbits.append((q, mirror))
+    tasks = [(orbit, oracles, checked) for orbit in orbits]
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         import multiprocessing  # only a pool needs it
@@ -594,10 +589,8 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             chunks = pool.map(_verify_one_orientation, tasks)
     else:
         chunks = [_verify_one_orientation(t) for t in tasks]
-    reports = {}
-    for orbit, chunk in zip(orbits, chunks):
-        reports.update(zip(orbit, chunk))
-    results = [r for q in quivers for r in reports[q]]
+    reports = dict(zip(itertools.chain(*orbits), itertools.chain(*chunks)))
+    results = [r for q in quivers for r in reports[q]]  # back in sweep order
     failures = [r for r in results if not r["ok"]]
     if fmt == "json":
         payload = {

@@ -20,9 +20,9 @@ oracle gives an expansion, compared with the dimer model's.  An oracle that
 disagrees also gets its differences named.
 ``verify_quiver(quiver)`` is the one per-orientation loop: it checks the
 oracle names, then builds one base graph, at most one mutation atlas, and one
-poset per root.  The atlas is walked only when the caller hands none in: a
-sweep walks one quiver of each tip-swap pair and hands its mirror the
-``mirror_atlas`` of that walk.
+poset per root.  It walks the atlas only for a caller that hands it none:
+each ``verify`` task is a tip-swap orbit, whose first quiver is walked once
+for the orbit, its mirror, if any, getting the ``mirror_atlas`` of that walk.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Vertices of the rank-``n`` diagram (``n >= 4``) are ``0..n-1``.  The diagram
 is a path ``0 - 1 - ... - (n-3)`` with two extra edges ``(n-3) - (n-2)`` and
 ``(n-3) - (n-1)``, i.e. vertex ``n-3`` is the branch node and ``n-2``,
-``n-1`` are the fork tips.
+``n-1`` are the fork tips.  ``dynkin_edges`` is the diagram's only
+statement: every reader of its adjacency takes the tree from it, or from a
+quiver's arrows.
 
 A quiver here is an orientation of that tree, so it is automatically acyclic.
 Sign convention used throughout the package: ``b[i][j] = +1`` exactly when
@@ -93,21 +95,6 @@ class Quiver:
             return -1
         return 0
 
-    def out_neighbors(self, i):
-        return [j for j in self.neighbors(i) if (i, j) in self.arrows]
-
-    def neighbors(self, i):
-        """i's at most three diagram neighbours, ascending: i - 1 and i + 1
-        along the path 0 - ... - (n-2), and n - 1 for the branch node n - 3
-        (the fork tip n - 1 has only n - 3)."""
-        n = self.n
-        if i == n - 1:
-            return [n - 3]
-        near = [j for j in (i - 1, i + 1) if 0 <= j <= n - 2]
-        if i == n - 3:
-            near.append(n - 1)
-        return near
-
     def tips_swapped(self):
         """σQ: this orientation with the fork tips n - 2 and n - 1 exchanged,
         the image of Q under the diagram automorphism σ that swaps them."""
@@ -121,18 +108,21 @@ class Quiver:
         return tuple(tuple(self.arrow_sign(i, j) for j in range(n)) for i in range(n))
 
     def topological_order(self):
-        """Vertex order with every arrow tail before its head."""
-        indeg = {v: 0 for v in range(self.n)}
-        for _, h in self.arrows:
+        """Vertex order with every arrow tail before its head, the smallest
+        ready vertex first."""
+        heads = [[] for _ in range(self.n)]
+        indeg = [0] * self.n
+        for t, h in self.arrows:
+            heads[t].append(h)
             indeg[h] += 1
-        ready = sorted(v for v, d in indeg.items() if d == 0)
+        ready = [v for v in range(self.n) if not indeg[v]]
         order = []
         while ready:
             v = ready.pop(0)
             order.append(v)
-            for h in self.out_neighbors(v):
+            for h in heads[v]:
                 indeg[h] -= 1
-                if indeg[h] == 0:
+                if not indeg[h]:
                     ready.append(h)
             ready.sort()
         if len(order) != self.n:

@@ -80,26 +80,20 @@ def _step(quiver, d, u, v):
 
 
 def arrow_valid_count(quiver, d):
-    """Number of e in the box that pass every arrow inequality, in
-    O(|support|) steps after the O(n) root check.
+    """Number of e in the box that pass every arrow inequality: a scan of
+    the parent edges from r plus |support| steps, after the O(n) root check.
 
     ways[v][x] counts the assignments to v's subtree with e_v = x, taken from
     the last step back.  A step into a vertex with d_v = 0 multiplies by 1,
-    so only the steps inside the support, a subtree below its lowest vertex
-    r, are taken.  These are the realizable exponent vectors, so the count
-    bounds the size of the instance's flip poset.
+    so only the steps inside the support are taken: the parent edges into
+    its vertices past its lowest one, r, whose parents all lie in it.  These
+    are the realizable exponent vectors, so the count bounds the size of the
+    instance's flip poset.
     """
     d = check_root(quiver, d)
     r = next(v for v, x in enumerate(d) if x)
-    ways = {r: [1] * (d[r] + 1)}
-    steps, stack = [], [r]
-    while stack:  # every step after its parent's
-        u = stack.pop()
-        for v in quiver.neighbors(u):
-            if v > u and d[v]:  # a child in the support
-                steps.append(_step(quiver, d, u, v))
-                ways[v] = [1] * (d[v] + 1)
-                stack.append(v)
+    steps = [_step(quiver, d, u, v) for u, v in dynkin_edges(quiver.n)[r:] if d[v]]
+    ways = {v: [1] * (d[v] + 1) for v in range(r, quiver.n) if d[v]}
     for u, v, _, _, allowed in reversed(steps):
         below = ways[v]
         ways[u] = [w * sum(below[y] for y in allowed[x]) for x, w in enumerate(ways[u])]

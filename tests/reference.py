@@ -81,6 +81,10 @@ form ``support_summary_by_incidence`` reads).
   tables, closed-form plan, boundary sides, weights) as ``BaseGraph`` built
   them before its one per-edge record, from the corner set, the tiles of
   every edge and a class per (edge, tile), against ``BaseGraph``;
+* ``topological_order_by_kahn``: a quiver's vertex order as
+  ``Quiver.topological_order`` computed it while quivers listed their
+  diagram neighbours, the out-neighbours of each vertex read by a scan of
+  the arrows, against ``Quiver.topological_order``;
 * ``bound_by_walk``: a meet or join found by walking every bit of the common
   down- or up-set, as ``FlipPoset`` did before its one-bit check, against
   ``FlipPoset.meet`` and ``FlipPoset.join``.
@@ -719,6 +723,25 @@ def is_distributive(poset):
     return True
 
 
+def topological_order_by_kahn(quiver):
+    """Every arrow tail before its head, by Kahn's loop: the ready vertices
+    sorted after each step and the smallest taken first."""
+    indeg = {v: 0 for v in range(quiver.n)}
+    for _, h in quiver.arrows:
+        indeg[h] += 1
+    ready = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for h in sorted(h for t, h in quiver.arrows if t == v):
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                ready.append(h)
+        ready.sort()
+    return order
+
+
 def bound_by_walk(poset, masks, u, v):
     """The element whose mask (``down`` for a meet, ``up`` for a join) is
     the common mask of u and v, found by walking that mask from its lowest
@@ -1090,7 +1113,9 @@ class FrozenTables:
         weights = {}
         for tile in self.tiles:
             i = tile.index
-            neighbors = self.quiver.neighbors(i)
+            neighbors = sorted(
+                j for edge in dynkin_edges(self.n) if i in edge for j in edge if j != i
+            )
             if not neighbors:
                 continue
             start_edge = self.shared_edge(i, neighbors[0])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -710,6 +711,7 @@ def test_verify_q_refuses_the_walk_past_its_rank_before_any_work(runner, monkeyp
     def no_walk(quiver):
         raise AssertionError("the quiver was walked")
 
+    monkeypatch.setattr(dimercluster.cli, "walk_cluster_variables", no_walk)
     monkeypatch.setattr(dimercluster.cluster_invariants, "walk_cluster_variables", no_walk)
     rank = dimercluster.cli.MAX_WALK_RANK + 1
     args = ["verify", "-q", linear(rank), "-d", "1" + ",0" * (rank - 1)]
@@ -730,6 +732,16 @@ def test_walk_limit_admits_a_quiver_of_its_rank(runner, monkeypatch):
     assert runner.invoke(main, args).exit_code == 0
     monkeypatch.setattr(dimercluster.cli, "MAX_WALK_RANK", 4)
     assert runner.invoke(main, args).exit_code == 3
+
+
+def test_readme_states_every_cli_limit_at_its_value():
+    # each "N (`cli.MAX_...`)" in the README, against the constant it names
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    stated = re.findall(r"([\d,]+)(?: \w+)?\s+\(`cli\.(MAX_[A-Z_]+)", text)
+    limits = {name for name in vars(dimercluster.cli) if name.startswith("MAX_")}
+    assert {name for _, name in stated} == limits
+    for value, name in stated:
+        assert int(value.replace(",", "")) == getattr(dimercluster.cli, name), name
 
 
 @pytest.fixture()
