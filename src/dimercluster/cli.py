@@ -26,6 +26,7 @@ from dimercluster.laurent_poly import LaurentPolynomial
 from dimercluster.mutation_oracle import (
     expansion_from_f_and_g,
     mirror_atlas,
+    reversed_atlas,
     walk_cluster_variables,
 )
 from dimercluster.quiver_core import (
@@ -501,13 +502,26 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
 def _verify_one_orientation(args):
     """Worker: the reports of a task ``(orbit, oracles, roots)``, one list per
     quiver of the orbit; roots=None means every positive root.  An orbit is a
-    quiver Q, or with "mutation" the tip-swap pair (Q, σQ): Q is walked once
-    and σQ gets that walk's ``mirror_atlas``, so ``verify_quiver`` walks none."""
-    (first, *mirrors), oracles, roots = args
+    quiver Q, or with "mutation" Q's ⟨σ, ρ⟩ orbit {Q, σQ, ρQ, σρQ}, σ the tip
+    swap and ρ the reversal of every arrow: Q is walked once, and each other
+    member gets that walk's atlas with its exponents moved, ``mirror_atlas``
+    for σ, ``reversed_atlas`` (y^b -> y^(d-b)) for ρ, or both, so
+    ``verify_quiver`` walks none."""
+    (first, *others), oracles, roots = args
     atlas = walk_cluster_variables(first) if "mutation" in oracles else None
     reports = [verify_quiver(first, oracles=oracles, roots=roots, atlas=atlas)]
-    for q in mirrors:  # σ(first), if the orbit is a pair
-        reports.append(verify_quiver(q, oracles, roots, mirror_atlas(atlas, first.n)))
+    if others:  # ρ fixes no quiver, so ρ(first) is among them
+        n = first.n
+        mirror, reverse = first.tips_swapped(), first.reversed()
+        op_atlas = reversed_atlas(atlas, n)
+        for q in others:
+            if q == mirror:
+                a = mirror_atlas(atlas, n)
+            elif q == reverse:
+                a = op_atlas
+            else:  # σρ(first)
+                a = mirror_atlas(op_atlas, n)
+            reports.append(verify_quiver(q, oracles, roots, a))
     return reports
 
 
@@ -520,7 +534,8 @@ def _verify_one_orientation(args):
     "--jobs",
     type=click.IntRange(min=1),
     default=None,
-    help="parallel orientations (default: cores, at most one per orientation)",
+    help="parallel workers (default: cores, at most one per task: an orientation, "
+    "or with the mutation oracle its orbit under tip swap and reversal)",
 )
 @click.option("-f", "--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--explain", is_flag=True, help="per-instance lines, not just the summary")
@@ -571,15 +586,15 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
         quivers = [quiver]
     orbits = [(q,) for q in quivers]
     if quiver_spec is None and "mutation" in oracles:
-        # one walk per tip-swap orbit: σ fixes a quiver whose tip arrows agree,
-        # and of a pair the first in sweep order (rank-3 -> rank-1) walks for both
-        orbits = []
+        # one walk per ⟨σ, ρ⟩ orbit, σ the tip swap and ρ the reversal, by its
+        # first quiver in sweep order; ρ and σρ fix none, so it has 2 or 4 members
+        orbits, grouped = [], set()
         for q in quivers:
-            mirror = q.tips_swapped()
-            if mirror == q:
-                orbits.append((q,))
-            elif (rank - 3, rank - 1) in q.arrows:
-                orbits.append((q, mirror))
+            if q not in grouped:
+                mirror = q.tips_swapped()
+                orbit = tuple(dict.fromkeys((q, mirror, q.reversed(), mirror.reversed())))
+                grouped.update(orbit)
+                orbits.append(orbit)
     tasks = [(orbit, oracles, checked) for orbit in orbits]
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     if jobs > 1:

@@ -22,13 +22,21 @@ use it too.
 The cluster variables come from ``walk_cluster_variables``, repeated source
 sweeps that touch O(n^2) seeds.  The breadth-first search over the whole
 exchange graph, which the walk is checked against at ranks 4-6, is a
-test reference (``tests/reference.py``), not part of the package.  The tip
-swap σ (n - 2 <-> n - 1) is an automorphism of the diagram, so the atlas of
-``quiver.tips_swapped()`` is the walked quiver's atlas with the tips' x and y
-variables exchanged: ``mirror_atlas`` reads it off without a second walk.
+test reference (``tests/reference.py``), not part of the package.  Two
+maps read another orientation's atlas off a walk without a second walk.  The
+tip swap σ (n - 2 <-> n - 1) is an automorphism of the diagram, so the atlas
+of ``quiver.tips_swapped()`` is the walked quiver's atlas with the tips' x
+and y variables exchanged (``mirror_atlas``).  The reversal ρ of every arrow
+dualizes the quiver's representations, and F is the generating function of
+their quiver Grassmannians, so the atlas of ``quiver.reversed()`` is the
+walked one with y^b replaced by y^(d-b) in each term of the variable keyed
+by d, the x-part unchanged (``reversed_atlas``).  ``verify --n`` walks one
+quiver per ⟨σ, ρ⟩ orbit {Q, σQ, ρQ, σρQ} and reads the others off it.
 """
 
 from __future__ import annotations
+
+import operator
 
 from dimercluster.laurent_poly import LaurentPolynomial, divide_exact, u_context, xy_context
 from dimercluster.quiver_core import is_positive_root
@@ -197,3 +205,17 @@ def mirror_atlas(atlas, n):
         }
         mirrored[d[:a] + (d[b], d[a])] = LaurentPolynomial._build(ctx, terms)
     return mirrored
+
+
+def reversed_atlas(atlas, n):
+    """The atlas of ρQ = Q^op from Q's ``walk_cluster_variables`` atlas: the
+    representations of Q^op are the duals of Q's, and Gr_e(DM) ≅ Gr_{d-e}(M),
+    so the variable keyed by d is Q's with each term's y^b replaced by
+    y^(d-b) and its x-part unchanged (the keys stay).  Only exponents move,
+    so no term is validated again."""
+    ctx = xy_context(n)
+    reversed_ = {}
+    for d, poly in atlas.items():
+        terms = {e[:n] + tuple(map(operator.sub, d, e[n:])): c for e, c in poly.terms.items()}
+        reversed_[d] = LaurentPolynomial._build(ctx, terms)
+    return reversed_

@@ -102,6 +102,10 @@ class Quiver:
         swap = {n - 2: n - 1, n - 1: n - 2}
         return Quiver(n, [(swap.get(t, t), swap.get(h, h)) for t, h in self.arrows])
 
+    def reversed(self):
+        """ρQ = Q^op: this orientation with every arrow reversed."""
+        return Quiver(self.n, [(h, t) for t, h in self.arrows])
+
     def exchange_matrix(self):
         """B as a tuple of row tuples: ``b[i][j]`` is ``arrow_sign(i, j)``."""
         n = self.n

@@ -432,7 +432,8 @@ def test_a_worker_pool_prints_what_one_process_prints():
 
 
 def test_a_worker_pool_verifies_tip_swap_pairs_as_one_process_does():
-    # the pickled pair task: each walked quiver and its mirror in one worker
+    # the pickled orbit task: each walked quiver and the rest of its ⟨σ, ρ⟩
+    # orbit in one worker
     code = (
         "import sys\n"
         "from dimercluster.cli import main\n"
@@ -470,13 +471,23 @@ def walked(monkeypatch):
 
 
 @pytest.mark.parametrize("oracles", ["tran,mutation", "mutation"])
-@pytest.mark.parametrize("rank, walks", [(4, 6), (5, 12), (6, 24)])
-def test_a_sweep_walks_the_first_quiver_of_each_tip_swap_orbit(runner, walked, oracles, rank, walks):
+@pytest.mark.parametrize("rank, walks", [(4, 3), (5, 6), (6, 12)])
+def test_a_sweep_walks_the_first_quiver_of_each_tip_swap_and_reversal_orbit(
+    runner, walked, oracles, rank, walks
+):
+    # one walk per ⟨σ, ρ⟩ orbit {Q, σQ, ρQ, σρQ}, by its first quiver in sweep order
     result = runner.invoke(main, ["verify", "--n", str(rank), "--oracle", oracles, "--jobs", "1"])
     assert result.exit_code == 0
     assert "all ok" in result.output
     quivers = all_orientations(rank)
-    first = [q for i, q in enumerate(quivers) if quivers.index(q.tips_swapped()) >= i]
+    first = [
+        q
+        for i, q in enumerate(quivers)
+        if all(
+            quivers.index(m) >= i
+            for m in (q.tips_swapped(), q.reversed(), q.tips_swapped().reversed())
+        )
+    ]
     assert walked == first
     assert len(walked) == walks
 

@@ -17,6 +17,7 @@ from dimercluster.mutation_oracle import (
     mirror_atlas,
     mutate_ext,
     mutate_seed,
+    reversed_atlas,
     walk_cluster_variables,
 )
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
@@ -275,7 +276,24 @@ def test_walk_atlas_properties_rank6():
         assert denominator_vector(var, 6) == d
 
 
-# ---- the tip swap ------------------------------------------------------------
+# ---- the tip swap and the reversal ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def rank7_atlases():
+    return {q: walk_cluster_variables(q) for q in all_orientations(7)}
+
+
+def sweep_atlases(request, rank):
+    """Every rank-n orientation's walk: the sweep fixtures' at ranks 4-6,
+    walked once per module at rank 7."""
+    if rank < 7:
+        entries = request.getfixturevalue("sweep%d" % rank).entries
+        atlases = {entry.quiver: entry.atlas for entry in entries}
+    else:
+        atlases = request.getfixturevalue("rank7_atlases")
+    assert len(atlases) == 2 ** (rank - 1)
+    return atlases
 
 
 @pytest.mark.parametrize("rank", [4, 5, 6, 7])
@@ -283,11 +301,18 @@ def test_the_mirrored_atlas_is_the_walk_of_the_mirrored_quiver(request, rank):
     # [DERIVED] σ (n-2 <-> n-1) is an automorphism of the diagram carrying Q's
     # initial seed to σQ's: σQ's atlas is Q's with the tips' x and y variables
     # and key entries exchanged, keys and polynomials
-    if rank < 7:
-        entries = request.getfixturevalue("sweep%d" % rank).entries
-        atlases = {entry.quiver: entry.atlas for entry in entries}
-    else:
-        atlases = {q: walk_cluster_variables(q) for q in all_orientations(rank)}
-    assert len(atlases) == 2 ** (rank - 1)
+    atlases = sweep_atlases(request, rank)
     for q, atlas in atlases.items():
         assert mirror_atlas(atlas, rank) == atlases[q.tips_swapped()]
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_the_reversed_atlas_is_the_walk_of_the_reversed_quiver(request, rank):
+    # [DERIVED] ρ reverses every arrow and dualizes the representations,
+    # Gr_e(DM) ≅ Gr_{d-e}(M): ρQ's variable at d is Q's with y^b -> y^(d-b)
+    # and the x-part kept; σρQ's is the mirror of that
+    atlases = sweep_atlases(request, rank)
+    for q, atlas in atlases.items():
+        reversed_ = reversed_atlas(atlas, rank)
+        assert reversed_ == atlases[q.reversed()]
+        assert mirror_atlas(reversed_, rank) == atlases[q.tips_swapped().reversed()]

@@ -115,6 +115,16 @@ def test_tips_swapped_is_an_involution_fixing_half_the_orientations():
         assert sum(m == q for m, q in zip(mirrors, quivers)) == len(quivers) // 2
 
 
+
+def test_reversed_is_an_involution_fixing_no_orientation_and_commuting_with_the_tip_swap():
+    # so each ⟨σ, ρ⟩ orbit has 2 members (σQ = Q) or 4
+    assert Quiver(4, [(0, 1), (2, 1), (1, 3)]).reversed() == Quiver(4, [(1, 0), (1, 2), (3, 1)])
+    for n in range(4, 9):
+        for q in all_orientations(n):
+            r = q.reversed()
+            assert r.reversed() == q != r
+            assert r.tips_swapped() == q.tips_swapped().reversed() != q
+
 # ---- [TRIVIAL] parsing ------------------------------------------------------
 
 

@@ -46,6 +46,7 @@ from reference import (
     tran_f_polynomial_by_box,
 )
 from test_oracle_properties import instances
+from test_reversal_duality import dual, minus_cartan_times
 
 
 # ---- [TRIVIAL] basic conditions ----------------------------------------------
@@ -150,6 +151,23 @@ def test_matches_mutation_engine_frozen_instances():
         var = walk_cluster_variables(quiver)[d]
         assert tran_f_polynomial(quiver, d) == f_polynomial_from_expansion(var, n)
         assert tran_g_vector(quiver, d) == g_vector_from_expansion(var, n)
+
+
+def test_reversing_every_arrow_reads_e_as_d_minus_e_ranks_4_to_7():
+    # [DERIVED] Q^op's representations are Q's duals, Gr_e(DM) ≅ Gr_{d-e}(M):
+    # F of Q^op has the term {d - e: c} for each term {e: c} of Q's, and
+    # g + g^op = -C d
+    checked = 0
+    for n in (4, 5, 6, 7):
+        for q in all_orientations(n):
+            op = q.reversed()
+            for d in positive_roots(n):
+                f_terms = tran_f_polynomial(q, d).terms
+                assert tran_f_polynomial(op, d).terms == {dual(d, e): c for e, c in f_terms.items()}
+                g, op_g = tran_g_vector(q, d), tran_g_vector(op, d)
+                assert tuple(map(sum, zip(g, op_g))) == minus_cartan_times(d), (q, d)
+                checked += 1
+    assert checked == 4064  # every orientation x root instance
 
 
 def test_simple_root_f_is_binomial_like():
