@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import os
 import sys
@@ -38,7 +37,7 @@ from dimercluster.quiver_core import (
     parse_quiver,
     positive_roots,
 )
-from dimercluster.tran_oracle import arrow_valid_count
+from dimercluster.tran_oracle import poset_size
 
 EXIT_MISMATCH = 1
 EXIT_SEMANTIC = 3
@@ -50,19 +49,18 @@ EXIT_SEMANTIC = 3
 # (50,400) is not.
 MAX_SWEEP_INSTANCES = 50_000
 
-# The largest flip poset `compute`, `poset` and `verify -q` build, bounded
-# before the build by the count of exponent vectors that pass the box and
-# every arrow inequality (every poset element is one of them).  The
-# alternating rank-14 highest root (a bound of 55,215, 49,427 elements) is
-# within it, the alternating rank-15 one is not.
+# The largest flip poset `compute`, `poset` and `verify -q` build, counted
+# exactly before the build (`poset_size`).  The alternating rank-14 highest
+# root (49,427 elements) is within it, 1.1 s of CPU and 51 MB with
+# `verify -q -d … --oracle tran` (2-vCPU Intel Xeon virtual machine, one
+# run); the alternating rank-15 one (111,064) is not.
 MAX_POSET_ELEMENTS = 100_000
 
-# The most elements `verify -q` without -d may build over all of its roots:
-# the sum of their poset bounds (as for MAX_POSET_ELEMENTS), summed only
-# until it passes.  With `--oracle tran`, every root of the alternating
-# rank-14 quiver (a sum of 342,655) takes 5.9 s of CPU and of the linear
-# rank-44 one (390,870) 12.9 s; linear rank 45 (425,876) is past it, and linear
-# rank 50 (637,196) took 21.5 s (2-vCPU virtual machine, one run each).
+# The most elements `verify -q` without -d may build over all of its roots,
+# their exact sizes summed only until they pass it.  With `--oracle tran`,
+# every root of the alternating rank-14 quiver (306,397) takes 5.5 s of CPU
+# and of the linear rank-45 one (372,900) 15.8 s; linear rank 46 (406,410) is
+# past it (2-vCPU Intel Xeon virtual machine, one run each).
 MAX_TOTAL_ELEMENTS = 400_000
 
 # The largest rank `verify -q` walks for the mutation oracle, as `--n` does.
@@ -108,42 +106,38 @@ def _parse_root_opt(spec, n):
     return d
 
 
-def _check_poset_sizes(quiver, roots):
-    """Exit 3, before any poset is built, when a root's poset could pass
-    MAX_POSET_ELEMENTS.  The vectors that pass the arrows lie in the box, so
-    a root whose box prod(d_i + 1) is within the limit is not counted."""
+def _check_sizes(quiver, roots):
+    """The flip poset size of each root, counted in order; exit 3, before any
+    poset is built, at the first root past MAX_POSET_ELEMENTS or that takes
+    the running total past MAX_TOTAL_ELEMENTS."""
+    sizes, total = [], 0
     for d in roots:
-        if math.prod(x + 1 for x in d) <= MAX_POSET_ELEMENTS:
-            continue
-        bound = arrow_valid_count(quiver, d)
-        if bound > MAX_POSET_ELEMENTS:
+        size = poset_size(quiver, d)
+        if size > MAX_POSET_ELEMENTS:
             _semantic_error(
                 "the flip poset of root %s may have up to %d elements, more than the "
-                "%d allowed" % (",".join(map(str, d)), bound, MAX_POSET_ELEMENTS)
+                "%d allowed" % (",".join(map(str, d)), size, MAX_POSET_ELEMENTS)
             )
-
-
-def _check_total_size(quiver, roots):
-    """Exit 3, before any poset is built, when the posets of all the roots
-    could pass MAX_TOTAL_ELEMENTS together.  A box bounds its count, so
-    nothing is counted while the boxes' sum stays within the limit, and the
-    counts are summed only until they pass it."""
-    total = 0
-    for d in roots:
-        total += math.prod(x + 1 for x in d)
-        if total > MAX_TOTAL_ELEMENTS:
-            break
-    else:
-        return
-    total = 0
-    for k, d in enumerate(roots, 1):
-        total += arrow_valid_count(quiver, d)
+        sizes.append(size)
+        total += size
         if total > MAX_TOTAL_ELEMENTS:
             _semantic_error(
                 "the flip posets of the first %d of %d roots may have up to %d elements "
                 "in all, more than the %d -q allows without -d"
-                % (k, len(roots), total, MAX_TOTAL_ELEMENTS)
+                % (len(sizes), len(roots), total, MAX_TOTAL_ELEMENTS)
             )
+    return sizes
+
+
+def _flip_poset(quiver, d, size):
+    """The flip poset of d; AssertionError unless it has the counted size."""
+    poset = FlipPoset(quiver, d)
+    if len(poset.coefficients) != size:
+        raise AssertionError(
+            "root %r: the search found %d elements, Tran's count %d"
+            % (d, len(poset.coefficients), size)
+        )
+    return poset
 
 
 def _check_output(ctx, param, value):
@@ -361,8 +355,8 @@ def compute(quiver_spec, root_spec, fmt, explain, output):
     """F-polynomial, g-vector, and Laurent expansion for one root."""
     quiver = _parse_quiver_opt(quiver_spec)
     d = _parse_root_opt(root_spec, quiver.n)
-    _check_poset_sizes(quiver, [d])
-    poset = FlipPoset(quiver, d)
+    (size,) = _check_sizes(quiver, [d])
+    poset = _flip_poset(quiver, d, size)
     f, g = dimer_invariants(poset)
     laurent = expansion_from_f_and_g(quiver, f, g)
     histogram = {}
@@ -430,13 +424,13 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
     """Hasse diagram of the flip poset for one root."""
     quiver = _parse_quiver_opt(quiver_spec)
     d = _parse_root_opt(root_spec, quiver.n)
-    _check_poset_sizes(quiver, [d])
-    p = FlipPoset(quiver, d)
-    if lattice and len(p.elements) > MAX_LATTICE_ELEMENTS:
+    (size,) = _check_sizes(quiver, [d])
+    if lattice and size > MAX_LATTICE_ELEMENTS:
         _semantic_error(
             "--lattice diagnoses posets of at most %d elements; this one has %d"
-            % (MAX_LATTICE_ELEMENTS, len(p.elements))
+            % (MAX_LATTICE_ELEMENTS, size)
         )
+    p = _flip_poset(quiver, d, size)
     diagnostics = None
     if lattice:
         ok, _ = p.is_lattice()
@@ -577,12 +571,11 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
                 "the mutation oracle walks quivers of rank at most %d; this one has "
                 "rank %d" % (MAX_WALK_RANK, n)
             )
-        # no sweep needs the checks: at rank 10, its largest, every bound is
-        # <= 2,166 and every quiver's sum <= 12,891
+        # no sweep needs the checks: at rank 10, its largest, every poset has
+        # at most 1,937 elements and every quiver's posets at most 11,501
         if checked is None:
             checked = positive_roots(n)
-            _check_total_size(quiver, checked)
-        _check_poset_sizes(quiver, checked)
+        _check_sizes(quiver, checked)
         quivers = [quiver]
     orbits = [(q,) for q in quivers]
     if quiver_spec is None and "mutation" in oracles:

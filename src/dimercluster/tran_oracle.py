@@ -15,19 +15,17 @@ of two determined by local patterns around the entries with d_i = 2:
 
 The vertex indices are a connected order of the diagram: every vertex
 v >= 1 has one earlier neighbour, its parent u (v - 1, or n - 3 for the fork
-tip n - 1), and the parent edges (u, v) are ``dynkin_edges(n)``, in order,
-so every arrow lies on one of them.  Each arrow inequality involves a vertex
-and its parent, so the vectors that pass the box and every arrow are
-enumerated by a walk along the indices: given e_u the arrow between u and v
-leaves an interval of e_v, e_v >= e_u - max(d_u - d_v, 0) for u -> v and
-e_v <= e_u + max(d_v - d_u, 0) for v -> u.  Cut to
-[0, d_v] that interval is never empty (e_v = d_v fits u -> v and e_v = 0
-fits v -> u), so the walk never dead-ends and visits only those vectors.
-Each one is scored by a pass over the same parent edges, whose arrow
-directions are fixed once per instance: the components of S are the runs of
-S joined by parent edges, and every critical arrow is a parent edge.  The
-intervals, as transfer tables multiplied back over the root's support, also
-count the vectors without listing them (``arrow_valid_count``).
+tip n - 1), and the parent edges (u, v) are ``dynkin_edges(n)``, in order.
+Each condition is local to a parent edge (an arrow joins a vertex and its
+parent, and the components of S are runs of S along parent edges; d_0 <= 1,
+so vertex 0 is never in S), and ``_RULES`` states them once: for the edge
+(u, v), each e_u maps every e_v that the box and the arrow leave (never
+none) to what the edge does to S's components.  A walk along the indices
+visits exactly the vectors that pass the box and every arrow, and a pass
+over the same edges scores each.  As transfer tables multiplied back over
+the root's support, with the charge (0 or 1) of v's open component as state,
+the rules count the vectors of nonzero coefficient, the flip poset's
+elements, without listing them (Stanley, *EC1* §4.7).
 
 The g-vector is read off the root and the orientation alone: each arrow
 t -> h contributes d_h to coordinate t on top of -d.
@@ -35,84 +33,104 @@ t -> h contributes d_h to coordinate t on top of -d.
 
 from __future__ import annotations
 
+import itertools
+
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.quiver_core import check_root, dynkin_edges
 
+# a parent edge (u, v): v off S, charging u's component of S, v joining it,
+# v opening its own, or opening it charged by a critical arrow
+_KEEP, _CHARGE, _JOIN, _OPEN, _OPEN_CHARGED = range(5)
+
+
+def _rule(du, dv, forward):
+    """For each e_u, {e_v: kind} over the e_v in [0, d_v] that the arrow
+    u -> v (forward) or v -> u allows: e_t - e_h <= max(d_t - d_h, 0)."""
+    rule = [{} for _ in range(du + 1)]
+    for x, y in itertools.product(range(du + 1), range(dv + 1)):
+        (dt, et), (dh, eh) = ((du, x), (dv, y))[:: 1 if forward else -1]
+        if et - eh > max(dt - dh, 0):
+            continue
+        critical = ((dt, et), (dh, eh)) in (((2, 1), (1, 0)), ((1, 1), (2, 1)))
+        if (dv, y) != (2, 1):
+            rule[x][y] = _CHARGE if critical else _KEEP
+        elif (du, x) == (2, 1):
+            rule[x][y] = _JOIN
+        else:
+            rule[x][y] = _OPEN_CHARGED if critical else _OPEN
+    return rule
+
+
+# keyed by (d_u, d_v, u -> v)
+_RULES = {key: _rule(*key) for key in itertools.product(range(3), range(3), (True, False))}
+
+
+def _steps(quiver, d, edges):
+    """(u, v, rule) for each parent edge (u, v) in ``edges``."""
+    return [(u, v, _RULES[d[u], d[v], (u, v) in quiver.arrows]) for u, v in edges]
+
 
 def _coefficient(steps, d, e):
-    """Coefficient of u^e for a vector e the tree walk visits.
-
-    One pass over the parent edges in index order, parents first: a vertex of
-    S takes its parent's component label when the parent is in S too, and
-    starts a component (labelled by itself) otherwise; the arrow t -> h on
-    the edge, if critical, charges the label of its S end.
-    """
-    n = len(d)
-    label = [-1] * n  # the component of S holding v, -1 off S
-    charges = [0] * n  # per label
-    if d[0] == 2 and e[0] == 1:
-        label[0] = 0
-    for u, v, t, h, _ in steps:
-        if d[v] == 2 and e[v] == 1:
-            label[v] = label[u] if label[u] >= 0 else v
-        if label[t] >= 0 and d[h] == 1 and e[h] == 0:
-            charges[label[t]] += 1
-        elif label[h] >= 0 and d[t] == 1 and e[t] == 1:
-            charges[label[h]] += 1
+    """Coefficient of u^e for a vector e the tree walk visits: one pass over
+    the parent edges in index order, parents first, labelling each component
+    of S by its top vertex and charging it as the rules say."""
+    top = [-1] * len(d)  # the top vertex of v's component of S, -1 off S
+    charges = [0] * len(d)  # per top vertex
+    for u, v, rule in steps:
+        kind = rule[e[u]][e[v]]
+        if kind == _CHARGE:
+            charges[top[u]] += 1
+        elif kind == _JOIN:
+            top[v] = top[u]
+        elif kind != _KEEP:
+            top[v] = v
+            charges[v] = kind == _OPEN_CHARGED
     uncharged = 0
-    for v in range(n):
-        if label[v] == v:
+    for v, t in enumerate(top):
+        if t == v:
             if charges[v] >= 2:
                 return 0
             uncharged += not charges[v]
     return 2 ** uncharged
 
 
-def _step(quiver, d, u, v):
-    """(u, v, t, h, allowed) for the parent edge (u, v): t -> h is the arrow
-    between them, and allowed[x] is the range of e_v that the box and that
-    arrow leave when e_u = x."""
-    if (u, v) in quiver.arrows:
-        slack = max(d[u] - d[v], 0)
-        return u, v, u, v, [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]
-    slack = max(d[v] - d[u], 0)
-    return u, v, v, u, [range(min(x + slack, d[v]) + 1) for x in range(d[u] + 1)]
-
-
-def arrow_valid_count(quiver, d):
-    """Number of e in the box that pass every arrow inequality: a scan of
-    the parent edges from r plus |support| steps, after the O(n) root check.
-
-    ways[v][x] counts the assignments to v's subtree with e_v = x, taken from
-    the last step back.  A step into a vertex with d_v = 0 multiplies by 1,
-    so only the steps inside the support are taken: the parent edges into
-    its vertices past its lowest one, r, whose parents all lie in it.  These
-    are the realizable exponent vectors, so the count bounds the size of the
-    instance's flip poset.
-    """
+def poset_size(quiver, d):
+    """Number of e with nonzero coefficient, the flip poset's size, after the
+    O(n) root check: ways[v][x] counts the assignments to v's subtree with
+    e_v = x and no closed component charged twice, as a pair (v's open
+    component uncharged, charged once).  A step into a vertex with d_v = 0
+    multiplies by 1, so only the parent edges into the support's vertices
+    past its lowest one, r, are taken: their parents all lie in it."""
     d = check_root(quiver, d)
     r = next(v for v, x in enumerate(d) if x)
-    steps = [_step(quiver, d, u, v) for u, v in dynkin_edges(quiver.n)[r:] if d[v]]
-    ways = {v: [1] * (d[v] + 1) for v in range(r, quiver.n) if d[v]}
-    for u, v, _, _, allowed in reversed(steps):
-        below = ways[v]
-        ways[u] = [w * sum(below[y] for y in allowed[x]) for x, w in enumerate(ways[u])]
-    return sum(ways[r])
+    ways = {v: [(1, 0)] * (d[v] + 1) for v in range(r, quiver.n) if d[v]}
+    edges = [(u, v) for u, v in dynkin_edges(quiver.n)[r:] if d[v]]
+    for u, v, rule in reversed(_steps(quiver, d, edges)):
+        below, table = ways[v], []
+        for (a0, a1), kinds in zip(ways[u], rule):
+            same = plus = 0  # keeping u's charge, adding one to it
+            for y, kind in kinds.items():
+                b0, b1 = below[y]
+                if kind == _JOIN:
+                    same, plus = same + b0, plus + b1
+                elif kind == _CHARGE:
+                    plus += b0 + b1
+                else:  # v's component, if any, closes here
+                    same += b0 if kind == _OPEN_CHARGED else b0 + b1
+            table.append((a0 * same, a1 * same + a0 * plus))
+        ways[u] = table
+    return sum(map(sum, ways[r]))
 
 
 def tran_f_polynomial(quiver, d):
     """The sum of coefficient(e) * u^e over the vectors the tree walk
     visits: those in the box that pass every arrow inequality."""
     d = check_root(quiver, d)
-    steps = [_step(quiver, d, u, v) for u, v in dynkin_edges(quiver.n)]
+    steps = _steps(quiver, d, dynkin_edges(quiver.n))
     vectors = [(x,) for x in range(d[0] + 1)]
-    for u, _, _, _, allowed in steps:
-        vectors = [e + (x,) for e in vectors for x in allowed[e[u]]]
-    terms = {}
-    for e in vectors:
-        c = _coefficient(steps, d, e)
-        if c:
-            terms[e] = c
+    for u, _, rule in steps:
+        vectors = [e + (x,) for e in vectors for x in rule[e[u]]]
+    terms = {e: c for e in vectors if (c := _coefficient(steps, d, e))}
     return LaurentPolynomial(u_context(quiver.n), terms)
 
 

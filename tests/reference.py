@@ -24,10 +24,19 @@ form ``support_summary_by_incidence`` reads).
   package computed it before the pass over the parent edges, with S split
   into components by a search over the diagram, against
   ``tran_f_polynomial``;
-* ``arrow_valid_count_by_tree_steps``: the number of vectors that pass the
-  box and every arrow inequality, as the package counted it before it took
-  only the steps inside the root's support, with one transfer table per
-  diagram edge, against ``arrow_valid_count``;
+* ``arrow_valid_count`` (with ``_step``, the transfer table of one parent
+  edge): the number of vectors that pass the box and every arrow
+  inequality, taking only the steps inside the root's support, as the
+  package counted it to bound the flip poset's size before
+  ``poset_size`` counted it exactly from the rule table, against
+  ``poset_size`` (a bound) and the box scan;
+* ``arrow_valid_count_by_tree_steps``: the same count as the package made
+  it before it took only the steps inside the root's support, with one
+  transfer table per diagram edge, against ``arrow_valid_count``;
+* ``tran_f_polynomial_by_tree_walk`` (with ``_coefficient``): the
+  closed-form F-polynomial as the package computed it before the rule
+  table, walking the ``_step`` ranges and scoring each vector by tests on
+  (d, e) along the parent edges, against ``tran_f_polynomial``;
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
   computed it before the tree walk, scoring every vector of the box with the
@@ -230,6 +239,83 @@ def component_charges(quiver, d, e):
     comps = _s_components(quiver.n, d, e)
     charges = _critical_charges(quiver, d, e, comps)
     return {tuple(sorted(comp)): c for comp, c in charges.items()}
+
+
+def _coefficient(steps, d, e):
+    """Coefficient of u^e for a vector e the tree walk visits.
+
+    One pass over the parent edges in index order, parents first: a vertex of
+    S takes its parent's component label when the parent is in S too, and
+    starts a component (labelled by itself) otherwise; the arrow t -> h on
+    the edge, if critical, charges the label of its S end.
+    """
+    n = len(d)
+    label = [-1] * n  # the component of S holding v, -1 off S
+    charges = [0] * n  # per label
+    if d[0] == 2 and e[0] == 1:
+        label[0] = 0
+    for u, v, t, h, _ in steps:
+        if d[v] == 2 and e[v] == 1:
+            label[v] = label[u] if label[u] >= 0 else v
+        if label[t] >= 0 and d[h] == 1 and e[h] == 0:
+            charges[label[t]] += 1
+        elif label[h] >= 0 and d[t] == 1 and e[t] == 1:
+            charges[label[h]] += 1
+    uncharged = 0
+    for v in range(n):
+        if label[v] == v:
+            if charges[v] >= 2:
+                return 0
+            uncharged += not charges[v]
+    return 2 ** uncharged
+
+
+def _step(quiver, d, u, v):
+    """(u, v, t, h, allowed) for the parent edge (u, v): t -> h is the arrow
+    between them, and allowed[x] is the range of e_v that the box and that
+    arrow leave when e_u = x."""
+    if (u, v) in quiver.arrows:
+        slack = max(d[u] - d[v], 0)
+        return u, v, u, v, [range(max(x - slack, 0), d[v] + 1) for x in range(d[u] + 1)]
+    slack = max(d[v] - d[u], 0)
+    return u, v, v, u, [range(min(x + slack, d[v]) + 1) for x in range(d[u] + 1)]
+
+
+def arrow_valid_count(quiver, d):
+    """Number of e in the box that pass every arrow inequality: a scan of
+    the parent edges from r plus |support| steps, after the O(n) root check.
+
+    ways[v][x] counts the assignments to v's subtree with e_v = x, taken from
+    the last step back.  A step into a vertex with d_v = 0 multiplies by 1,
+    so only the steps inside the support are taken: the parent edges into
+    its vertices past its lowest one, r, whose parents all lie in it.  These
+    are the realizable exponent vectors, so the count bounds the size of the
+    instance's flip poset.
+    """
+    d = check_root(quiver, d)
+    r = next(v for v, x in enumerate(d) if x)
+    steps = [_step(quiver, d, u, v) for u, v in dynkin_edges(quiver.n)[r:] if d[v]]
+    ways = {v: [1] * (d[v] + 1) for v in range(r, quiver.n) if d[v]}
+    for u, v, _, _, allowed in reversed(steps):
+        below = ways[v]
+        ways[u] = [w * sum(below[y] for y in allowed[x]) for x, w in enumerate(ways[u])]
+    return sum(ways[r])
+
+
+def tran_f_polynomial_by_tree_walk(quiver, d):
+    """The sum of coefficient(e) * u^e over the vectors the tree walk
+    visits: those in the box that pass every arrow inequality."""
+    d = check_root(quiver, d)
+    steps = [_step(quiver, d, u, v) for u, v in dynkin_edges(quiver.n)]
+    vectors = [(x,) for x in range(d[0] + 1)]
+    for u, _, _, _, allowed in steps:
+        vectors = [e + (x,) for e in vectors for x in allowed[e[u]]]
+    terms = {}
+    for e in vectors:
+        c = _coefficient(steps, d, e)
+        if c:
+            terms[e] = c
+    return LaurentPolynomial(u_context(quiver.n), terms)
 
 
 def arrow_valid_count_by_tree_steps(quiver, d):

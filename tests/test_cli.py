@@ -31,7 +31,8 @@ from dimercluster.quiver_core import (
     parse_quiver,
     positive_roots,
 )
-from dimercluster.tran_oracle import arrow_valid_count, tran_f_polynomial
+from dimercluster.tran_oracle import poset_size, tran_f_polynomial
+from reference import arrow_valid_count
 
 QC_SPEC = "n=5; 1>0,2>1,3>2,2>4"
 QC_ROOT = "1,1,2,1,1"
@@ -637,25 +638,11 @@ def test_the_poset_limit_is_on_size_not_rank(runner):
     assert "poset size: " in result.output
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["compute", "-q", QC_SPEC, "-d", QC_ROOT],
-        ["poset", "-q", QC_SPEC, "-d", QC_ROOT],
-        ["verify", "-q", QC_SPEC, "--oracle", "tran"],
-    ],
-)
-def test_a_root_whose_box_is_within_the_limit_is_not_counted(runner, monkeypatch, args):
-    def no_count(*a, **kw):
-        raise AssertionError("the vectors were counted")
-
-    monkeypatch.setattr(dimercluster.cli, "arrow_valid_count", no_count)
-    assert runner.invoke(main, args).exit_code == 0
-
-
-def roots_sum(spec):
+def roots_sum(spec, count=arrow_valid_count):
+    """The sum of ``count`` over every root of a quiver: by default the frozen
+    bound, which the limits read before they read exact sizes."""
     quiver = parse_quiver(spec)
-    return sum(arrow_valid_count(quiver, d) for d in positive_roots(quiver.n))
+    return sum(count(quiver, d) for d in positive_roots(quiver.n))
 
 
 def test_verify_q_refuses_a_quiver_whose_roots_pass_the_total_limit(runner, monkeypatch):
@@ -664,28 +651,91 @@ def test_verify_q_refuses_a_quiver_whose_roots_pass_the_total_limit(runner, monk
 
     monkeypatch.setattr(FlipPoset, "__init__", no_build)
     start = time.perf_counter()
-    result = runner.invoke(main, ["verify", "-q", linear(45), "--oracle", "tran"])
+    result = runner.invoke(main, ["verify", "-q", linear(46), "--oracle", "tran"])
     assert time.perf_counter() - start < 2.0
     assert result.exit_code == 3
     assert result.output == (
-        "error: the flip posets of the first 1956 of 1980 roots may have up to 400450 "
+        "error: the flip posets of the first 2065 of 2070 roots may have up to 400870 "
         "elements in all, more than the 400000 -q allows without -d\n"
     )
 
 
 def test_total_limit_admits_every_root_of_linear_rank_44_and_alternating_rank_14():
-    # linear rank 45 (425,876) is refused; a sweep never comes near the limit
+    # exact sizes: linear rank 45 is admitted too, and rank 46 is refused; the
+    # bound refused rank 45 (425,876); a sweep never comes near the limit
     limit = dimercluster.cli.MAX_TOTAL_ELEMENTS
-    assert roots_sum(alternating(14)) == 342_655 <= limit
-    assert roots_sum(linear(44)) == 390_870 <= limit < roots_sum(linear(45)) == 425_876
-    assert max(roots_sum(format_quiver(q)) for q in all_orientations(10)) <= 12_891
+    assert roots_sum(alternating(14), poset_size) == 306_397 <= limit
+    assert roots_sum(alternating(14)) == 342_655
+    assert roots_sum(linear(45), poset_size) == 372_900 <= limit < roots_sum(linear(45)) == 425_876
+    assert roots_sum(linear(46), poset_size) == 406_410 > limit
+    assert max(roots_sum(format_quiver(q), poset_size) for q in all_orientations(10)) == 11_501
 
 
 def test_poset_limit_admits_the_alternating_rank_14_highest_root():
-    # 49,427 elements; the rank-15 one is refused
-    rank14 = arrow_valid_count(parse_quiver(alternating(14)), map(int, highest_root(14).split(",")))
-    rank15 = arrow_valid_count(parse_quiver(alternating(15)), map(int, highest_root(15).split(",")))
-    assert 49_427 <= rank14 <= dimercluster.cli.MAX_POSET_ELEMENTS < rank15
+    # the bound allowed 55,215 and 124,067
+    rank14 = poset_size(parse_quiver(alternating(14)), map(int, highest_root(14).split(",")))
+    rank15 = poset_size(parse_quiver(alternating(15)), map(int, highest_root(15).split(",")))
+    assert rank14 == 49_427 <= dimercluster.cli.MAX_POSET_ELEMENTS < rank15 == 111_064
+
+
+@pytest.mark.parametrize(
+    "args, refusal",
+    [
+        (
+            ["verify", "-q", linear(224), "--oracle", "tran"],
+            "the flip posets of the first 10889 of 49952 roots may have up to 400018 elements "
+            "in all, more than the 400000 -q allows without -d",
+        ),
+        (
+            ["verify", "-q", alternating(30), "--oracle", "tran"],
+            "the flip posets of the first 465 of 870 roots may have up to 400213 elements "
+            "in all, more than the 400000 -q allows without -d",
+        ),
+        (
+            ["verify", "-q", alternating(15), "--oracle", "tran"],
+            "the flip posets of the first 207 of 210 roots may have up to 447373 elements "
+            "in all, more than the 400000 -q allows without -d",
+        ),
+        (
+            ["compute", "-q", alternating(15), "-d", highest_root(15)],
+            "the flip poset of root %s may have up to 111064 elements, more than the "
+            "100000 allowed" % highest_root(15),
+        ),
+        (
+            ["verify", "-q", linear(46), "--oracle", "tran"],
+            "the flip posets of the first 2065 of 2070 roots may have up to 400870 elements "
+            "in all, more than the 400000 -q allows without -d",
+        ),
+    ],
+    ids=["linear-224", "alternating-30", "alternating-15", "alternating-15-highest", "linear-46"],
+)
+def test_each_size_refusal_is_pinned(runner, monkeypatch, args, refusal):
+    # exact counts from Tran's rules, each refused before any poset is built
+    def no_build(*a, **kw):
+        raise AssertionError("a flip poset was built")
+
+    monkeypatch.setattr(FlipPoset, "__init__", no_build)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.output == "error: %s\n" % refusal
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "-q", QC_SPEC, "-d", QC_ROOT],
+        ["poset", "-q", QC_SPEC, "-d", QC_ROOT, "-f", "text"],
+    ],
+    ids=["compute", "poset"],
+)
+def test_a_poset_that_is_not_the_counted_size_fails_the_self_check(runner, monkeypatch, args):
+    # the search's element count against Tran's count, per built poset
+    monkeypatch.setattr(dimercluster.cli, "poset_size", lambda quiver, d: poset_size(quiver, d) + 1)
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, AssertionError)
+    assert str(result.exception) == (
+        "root (1, 1, 2, 1, 1): the search found 13 elements, Tran's count 14"
+    )
 
 
 def test_lattice_diagnostics_past_the_limit_are_refused_before_any_order_query(
@@ -699,6 +749,7 @@ def test_lattice_diagnostics_past_the_limit_are_refused_before_any_order_query(
     assert plain.output.startswith("elements (157):")
     for name in ("is_lattice", "leq", "meet", "join", "n5_witness", "m3_witness"):
         monkeypatch.setattr(FlipPoset, name, lambda *a, **kw: pytest.fail("order query ran"))
+    monkeypatch.setattr(FlipPoset, "__init__", lambda *a, **kw: pytest.fail("a poset was built"))
     result = runner.invoke(main, args + ["--lattice"])
     assert result.exit_code == 3
     assert result.output == (

@@ -9,7 +9,8 @@ obeys it on its own, every piece built from Q^op and never derived from Q:
 * ``BaseGraph(Q^op)`` has Q's edges, corners and node labels for every root;
 * the closed form of d - e on G(Q^op) is that of e on G(Q);
 * Q^op's poset coefficients are Q's at d - e;
-* g_Q + g_{Q^op} = -C d, C the frozen Cartan matrix.
+* g_Q + g_{Q^op} = -C d, C the frozen Cartan matrix;
+* Tran's count of the poset (``poset_size``) is the same for Q and Q^op.
 
 Every rank-4-6 instance is checked, from the sweep fixtures, and derandomized
 draws at ranks 7-10.
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from dimercluster.cluster_invariants import dimer_invariants
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import config_from_e
+from dimercluster.tran_oracle import poset_size
 
 from reference import cartan_matrix
 from test_oracle_properties import instances
@@ -45,6 +47,8 @@ def check_reversal_duality(poset, reversed_poset):
         assert config_from_e(op_graph, d, dual(d, e)) == config_from_e(graph, d, e)
     g, op_g = dimer_invariants(poset)[1], dimer_invariants(reversed_poset)[1]
     assert tuple(map(sum, zip(g, op_g))) == minus_cartan_times(d)
+    size = poset_size(poset.quiver, d)
+    assert poset_size(reversed_poset.quiver, d) == size == len(poset.coefficients)
 
 
 def test_reversal_duality_on_every_instance_ranks_4_to_6(sweep4, sweep5, sweep6):

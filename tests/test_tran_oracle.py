@@ -20,7 +20,8 @@ from dimercluster.quiver_core import (
     parse_quiver,
     positive_roots,
 )
-from dimercluster.tran_oracle import arrow_valid_count, tran_f_polynomial, tran_g_vector
+from dimercluster.flip_poset import FlipPoset
+from dimercluster.tran_oracle import poset_size, tran_f_polynomial, tran_g_vector
 
 from frozen import (
     COEFF2_E_QB,
@@ -42,8 +43,10 @@ from frozen import (
 from reference import (
     acceptable_evectors,
     arrow_conditions_hold,
+    arrow_valid_count,
     arrow_valid_count_by_tree_steps,
     tran_f_polynomial_by_box,
+    tran_f_polynomial_by_tree_walk,
 )
 from test_oracle_properties import instances
 from test_reversal_duality import dual, minus_cartan_times
@@ -254,21 +257,21 @@ def test_support_count_equals_the_count_over_every_edge_ranks_4_to_8():
     assert checked == sum(2 ** (n - 1) * n * (n - 1) for n in range(4, 9))
 
 
-def test_arrow_valid_count_takes_only_the_steps_inside_the_support(monkeypatch):
+def test_poset_size_takes_only_the_steps_inside_the_support(monkeypatch):
     # a step into a vertex with d_v = 0 multiplies the count by 1
     taken = []
-    original = dimercluster.tran_oracle._step
+    original = dimercluster.tran_oracle._steps
 
-    def counted(quiver, d, u, v):
-        taken.append((u, v))
-        return original(quiver, d, u, v)
+    def counted(quiver, d, edges):
+        taken.extend(edges)
+        return original(quiver, d, edges)
 
-    monkeypatch.setattr(dimercluster.tran_oracle, "_step", counted)
+    monkeypatch.setattr(dimercluster.tran_oracle, "_steps", counted)
     n = 224
     quiver = Quiver(n, [(b, a) for a, b in dynkin_edges(n)])
     d = (0,) * 100 + (1,) * 5 + (0,) * (n - 105)
     # e_v <= e_u along each arrow v -> u: the 6 non-increasing 0/1 runs
-    assert arrow_valid_count(quiver, d) == 6
+    assert poset_size(quiver, d) == 6
     assert sorted(taken) == [(v - 1, v) for v in range(101, 105)]
 
 
@@ -291,3 +294,51 @@ def test_support_count_equals_the_count_over_every_edge_ranks_9_to_14(instance):
 def test_arrow_valid_count_rejects_non_roots():
     with pytest.raises(ValueError):
         arrow_valid_count(QC, (1, 0, 0, 0, 1))
+
+
+def test_poset_size_rejects_non_roots():
+    with pytest.raises(ValueError):
+        poset_size(QC, (1, 0, 0, 0, 1))
+
+
+# ---- the exact count from the rule table ------------------------------------------
+
+
+def test_poset_size_is_the_flip_posets_size_ranks_4_to_6(sweep4, sweep5, sweep6):
+    checked = 0
+    for sweep in (sweep4, sweep5, sweep6):
+        for entry in sweep.entries:
+            for d, poset in entry.posets.items():
+                size = poset_size(entry.quiver, d)
+                assert size == len(poset.elements) <= arrow_valid_count(entry.quiver, d), d
+                checked += 1
+    assert checked == 96 + 320 + 960
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(instances(7, 10))
+def test_poset_size_is_the_flip_posets_size_ranks_7_to_10(instance):
+    quiver, d = instance
+    size = poset_size(quiver, d)
+    assert size == len(FlipPoset(quiver, d).elements) <= arrow_valid_count(quiver, d)
+
+
+def test_poset_size_counts_the_terms_of_the_frozen_walk_ranks_4_to_7():
+    checked = 0
+    for n in (4, 5, 6, 7):
+        roots = positive_roots(n)
+        for q in all_orientations(n):
+            for d in roots:
+                f = tran_f_polynomial(q, d)
+                assert f == tran_f_polynomial_by_tree_walk(q, d), (q, d)
+                assert poset_size(q, d) == len(f.terms) <= arrow_valid_count(q, d), (q, d)
+                checked += 1
+    assert checked == 4064  # every orientation x root instance
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(oriented_roots(8, 14))
+def test_poset_size_counts_the_terms_ranks_8_to_14(instance):
+    quiver, d = instance
+    size = poset_size(quiver, d)
+    assert size == len(tran_f_polynomial(quiver, d).terms) <= arrow_valid_count(quiver, d)
