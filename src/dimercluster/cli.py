@@ -115,15 +115,15 @@ def _check_sizes(quiver, roots):
         size = poset_size(quiver, d)
         if size > MAX_POSET_ELEMENTS:
             _semantic_error(
-                "the flip poset of root %s may have up to %d elements, more than the "
-                "%d allowed" % (",".join(map(str, d)), size, MAX_POSET_ELEMENTS)
+                "the flip poset of root %s has %d elements, more than the %d allowed"
+                % (",".join(map(str, d)), size, MAX_POSET_ELEMENTS)
             )
         sizes.append(size)
         total += size
         if total > MAX_TOTAL_ELEMENTS:
             _semantic_error(
-                "the flip posets of the first %d of %d roots may have up to %d elements "
-                "in all, more than the %d -q allows without -d"
+                "the flip posets of the first %d of %d roots have %d elements in all, "
+                "more than the %d -q allows without -d"
                 % (len(sizes), len(roots), total, MAX_TOTAL_ELEMENTS)
             )
     return sizes

@@ -17,15 +17,20 @@ The vertex indices are a connected order of the diagram: every vertex
 v >= 1 has one earlier neighbour, its parent u (v - 1, or n - 3 for the fork
 tip n - 1), and the parent edges (u, v) are ``dynkin_edges(n)``, in order.
 Each condition is local to a parent edge (an arrow joins a vertex and its
-parent, and the components of S are runs of S along parent edges; d_0 <= 1,
-so vertex 0 is never in S), and ``_RULES`` states them once: for the edge
-(u, v), each e_u maps every e_v that the box and the arrow leave (never
-none) to what the edge does to S's components.  A walk along the indices
-visits exactly the vectors that pass the box and every arrow, and a pass
-over the same edges scores each.  As transfer tables multiplied back over
-the root's support, with the charge (0 or 1) of v's open component as state,
-the rules count the vectors of nonzero coefficient, the flip poset's
-elements, without listing them (Stanley, *EC1* §4.7).
+parent, and the components of S are runs of S along parent edges), and
+``_RULES`` states them once: for the edge (u, v), each e_u maps every e_v
+that the box and the arrow leave (never none) to what the edge does to S's
+components.  A walk along the indices extends only the vectors that pass
+the box and every arrow, scoring each prefix as (e, c, k) on the way: c is
+the charge of the last component of S opened (-1 before any) and k the
+number closed uncharged, and a prefix is dropped once c would pass 1.  This
+is exact: the tips 0, n - 2 and n - 1 have d <= 1, so S's components are
+runs along the path 0..n-3, and each edge's u is the last path vertex the
+walk has reached, so no edge charges a component once a later one opens.
+As transfer tables multiplied back over the root's support, with the
+charge (0 or 1) of v's open component as state, the rules count the
+vectors of nonzero coefficient, the flip poset's elements, without listing
+them (Stanley, *EC1* §4.7).
 
 The g-vector is read off the root and the orientation alone: each arrow
 t -> h contributes d_h to coordinate t on top of -d.
@@ -38,9 +43,10 @@ import itertools
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.quiver_core import check_root, dynkin_edges
 
-# a parent edge (u, v): v off S, charging u's component of S, v joining it,
-# v opening its own, or opening it charged by a critical arrow
-_KEEP, _CHARGE, _JOIN, _OPEN, _OPEN_CHARGED = range(5)
+# a parent edge (u, v): nothing to S (v off S, or v joining u's component),
+# charging u's component, or v opening its own, uncharged or charged by a
+# critical arrow
+_KEEP, _CHARGE, _OPEN, _OPEN_CHARGED = range(4)
 
 
 def _rule(du, dv, forward):
@@ -52,12 +58,10 @@ def _rule(du, dv, forward):
         if et - eh > max(dt - dh, 0):
             continue
         critical = ((dt, et), (dh, eh)) in (((2, 1), (1, 0)), ((1, 1), (2, 1)))
-        if (dv, y) != (2, 1):
-            rule[x][y] = _CHARGE if critical else _KEEP
-        elif (du, x) == (2, 1):
-            rule[x][y] = _JOIN
-        else:
+        if (dv, y) == (2, 1) != (du, x):
             rule[x][y] = _OPEN_CHARGED if critical else _OPEN
+        else:  # an arrow inside S is never critical
+            rule[x][y] = _CHARGE if critical else _KEEP
     return rule
 
 
@@ -70,37 +74,14 @@ def _steps(quiver, d, edges):
     return [(u, v, _RULES[d[u], d[v], (u, v) in quiver.arrows]) for u, v in edges]
 
 
-def _coefficient(steps, d, e):
-    """Coefficient of u^e for a vector e the tree walk visits: one pass over
-    the parent edges in index order, parents first, labelling each component
-    of S by its top vertex and charging it as the rules say."""
-    top = [-1] * len(d)  # the top vertex of v's component of S, -1 off S
-    charges = [0] * len(d)  # per top vertex
-    for u, v, rule in steps:
-        kind = rule[e[u]][e[v]]
-        if kind == _CHARGE:
-            charges[top[u]] += 1
-        elif kind == _JOIN:
-            top[v] = top[u]
-        elif kind != _KEEP:
-            top[v] = v
-            charges[v] = kind == _OPEN_CHARGED
-    uncharged = 0
-    for v, t in enumerate(top):
-        if t == v:
-            if charges[v] >= 2:
-                return 0
-            uncharged += not charges[v]
-    return 2 ** uncharged
-
-
 def poset_size(quiver, d):
     """Number of e with nonzero coefficient, the flip poset's size, after the
     O(n) root check: ways[v][x] counts the assignments to v's subtree with
     e_v = x and no closed component charged twice, as a pair (v's open
-    component uncharged, charged once).  A step into a vertex with d_v = 0
-    multiplies by 1, so only the parent edges into the support's vertices
-    past its lowest one, r, are taken: their parents all lie in it."""
+    component uncharged, charged once; the second is 0 off S).  A step into
+    a vertex with d_v = 0 multiplies by 1, so only the parent edges into the
+    support's vertices past its lowest one, r, are taken: their parents all
+    lie in it."""
     d = check_root(quiver, d)
     r = next(v for v, x in enumerate(d) if x)
     ways = {v: [(1, 0)] * (d[v] + 1) for v in range(r, quiver.n) if d[v]}
@@ -111,11 +92,11 @@ def poset_size(quiver, d):
             same = plus = 0  # keeping u's charge, adding one to it
             for y, kind in kinds.items():
                 b0, b1 = below[y]
-                if kind == _JOIN:
+                if kind == _KEEP:
                     same, plus = same + b0, plus + b1
                 elif kind == _CHARGE:
                     plus += b0 + b1
-                else:  # v's component, if any, closes here
+                else:  # v's component closes here
                     same += b0 if kind == _OPEN_CHARGED else b0 + b1
             table.append((a0 * same, a1 * same + a0 * plus))
         ways[u] = table
@@ -123,15 +104,26 @@ def poset_size(quiver, d):
 
 
 def tran_f_polynomial(quiver, d):
-    """The sum of coefficient(e) * u^e over the vectors the tree walk
-    visits: those in the box that pass every arrow inequality."""
+    """The sum of coefficient(e) * u^e over the vectors in the box that pass
+    every arrow inequality: each prefix (e, c, k) is extended edge by edge
+    and dropped when its open component is charged twice, and a full vector
+    scores 2^(k + [c = 0])."""
     d = check_root(quiver, d)
-    steps = _steps(quiver, d, dynkin_edges(quiver.n))
-    vectors = [(x,) for x in range(d[0] + 1)]
-    for u, _, rule in steps:
-        vectors = [e + (x,) for e in vectors for x in rule[e[u]]]
-    terms = {e: c for e in vectors if (c := _coefficient(steps, d, e))}
-    return LaurentPolynomial(u_context(quiver.n), terms)
+    prefixes = [((x,), -1, 0) for x in range(d[0] + 1)]
+    for u, _, rule in _steps(quiver, d, dynkin_edges(quiver.n)):
+        extended = []
+        for e, c, k in prefixes:
+            for x, kind in rule[e[u]].items():
+                if kind == _KEEP:
+                    extended.append((e + (x,), c, k))
+                elif kind == _CHARGE:
+                    if c == 0:
+                        extended.append((e + (x,), 1, k))
+                else:  # the open component, if any, closes
+                    extended.append((e + (x,), int(kind == _OPEN_CHARGED), k + (c == 0)))
+        prefixes = extended
+    terms = {e: 2 ** (k + (c == 0)) for e, c, k in prefixes}
+    return LaurentPolynomial._build(u_context(quiver.n), terms)
 
 
 def tran_g_vector(quiver, d):

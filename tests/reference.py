@@ -37,6 +37,12 @@ form ``support_summary_by_incidence`` reads).
   closed-form F-polynomial as the package computed it before the rule
   table, walking the ``_step`` ranges and scoring each vector by tests on
   (d, e) along the parent edges, against ``tran_f_polynomial``;
+* ``tran_f_polynomial_by_rule_walk`` (with ``_rule``, ``_RULES``, its
+  five-kind table, and ``_rule_coefficient``): the closed-form F-polynomial
+  as the package computed it before its walk scored each prefix as it
+  extended it, listing every vector that passes the box and every arrow and
+  scoring each in a second pass over the rule table, against
+  ``tran_f_polynomial``, and its table against ``tran_oracle._RULES``;
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
   computed it before the tree walk, scoring every vector of the box with the
@@ -315,6 +321,73 @@ def tran_f_polynomial_by_tree_walk(quiver, d):
         c = _coefficient(steps, d, e)
         if c:
             terms[e] = c
+    return LaurentPolynomial(u_context(quiver.n), terms)
+
+
+# a parent edge (u, v) as the rule walk told its kinds apart: v off S,
+# charging u's component of S, v joining it, v opening its own, or opening
+# it charged by a critical arrow
+_KEEP, _CHARGE, _JOIN, _OPEN, _OPEN_CHARGED = range(5)
+
+
+def _rule(du, dv, forward):
+    """For each e_u, {e_v: kind} over the e_v in [0, d_v] that the arrow
+    u -> v (forward) or v -> u allows: e_t - e_h <= max(d_t - d_h, 0)."""
+    rule = [{} for _ in range(du + 1)]
+    for x, y in itertools.product(range(du + 1), range(dv + 1)):
+        (dt, et), (dh, eh) = ((du, x), (dv, y))[:: 1 if forward else -1]
+        if et - eh > max(dt - dh, 0):
+            continue
+        critical = ((dt, et), (dh, eh)) in (((2, 1), (1, 0)), ((1, 1), (2, 1)))
+        if (dv, y) != (2, 1):
+            rule[x][y] = _CHARGE if critical else _KEEP
+        elif (du, x) == (2, 1):
+            rule[x][y] = _JOIN
+        else:
+            rule[x][y] = _OPEN_CHARGED if critical else _OPEN
+    return rule
+
+
+# keyed by (d_u, d_v, u -> v)
+_RULES = {key: _rule(*key) for key in itertools.product(range(3), range(3), (True, False))}
+
+
+def _rule_coefficient(steps, d, e):
+    """Coefficient of u^e for a vector e the rule walk visits: one pass over
+    the parent edges in index order, parents first, labelling each component
+    of S by its top vertex and charging it as the rules say."""
+    top = [-1] * len(d)  # the top vertex of v's component of S, -1 off S
+    charges = [0] * len(d)  # per top vertex
+    for u, v, rule in steps:
+        kind = rule[e[u]][e[v]]
+        if kind == _CHARGE:
+            charges[top[u]] += 1
+        elif kind == _JOIN:
+            top[v] = top[u]
+        elif kind != _KEEP:
+            top[v] = v
+            charges[v] = kind == _OPEN_CHARGED
+    uncharged = 0
+    for v, t in enumerate(top):
+        if t == v:
+            if charges[v] >= 2:
+                return 0
+            uncharged += not charges[v]
+    return 2 ** uncharged
+
+
+def tran_f_polynomial_by_rule_walk(quiver, d):
+    """The sum of coefficient(e) * u^e over the vectors the walk along the
+    ``_RULES`` ranges visits: those in the box that pass every arrow
+    inequality, each scored by ``_rule_coefficient`` once listed."""
+    d = check_root(quiver, d)
+    steps = [
+        (u, v, _RULES[d[u], d[v], (u, v) in quiver.arrows]) for u, v in dynkin_edges(quiver.n)
+    ]
+    vectors = [(x,) for x in range(d[0] + 1)]
+    for u, _, rule in steps:
+        vectors = [e + (x,) for e in vectors for x in rule[e[u]]]
+    terms = {e: c for e in vectors if (c := _rule_coefficient(steps, d, e))}
     return LaurentPolynomial(u_context(quiver.n), terms)
 
 

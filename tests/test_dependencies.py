@@ -3,7 +3,8 @@ imports, the CLI runs in an interpreter where numpy cannot be imported, no
 module of the package reads an environment variable, no module writes
 indented JSON through ``json.dumps``, every function, class and method
 of the package, public or private, is used somewhere in the package, and so
-is every attribute the package sets."""
+is every attribute the package sets; and every hypothesis test of the suite
+draws the same examples on every run, with no database and no deadline."""
 
 import ast
 import os
@@ -128,6 +129,35 @@ def _unread_attributes(directory):
     return sorted({(name, attr) for name, attr in stored if attr not in read})
 
 
+def _decorator_name(deco):
+    func = deco.func if isinstance(deco, ast.Call) else deco
+    return getattr(func, "attr", None) or getattr(func, "id", None)
+
+
+def _hypothesis_tests(directory):
+    """{(file, test name): whether its ``@settings`` has derandomize=True,
+    database=None and deadline=None} for every ``@given`` def in *.py in
+    directory."""
+    pinned = {"derandomize": True, "database": None, "deadline": None}
+    tests = {}
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if "given" not in map(_decorator_name, node.decorator_list):
+                continue
+            keywords = {}
+            for deco in node.decorator_list:
+                if _decorator_name(deco) == "settings" and isinstance(deco, ast.Call):
+                    for kw in deco.keywords:
+                        if isinstance(kw.value, ast.Constant):
+                            keywords[kw.arg] = kw.value.value
+            tests[path.name, node.name] = all(
+                k in keywords and keywords[k] is v for k, v in pinned.items()
+            )
+    return tests
+
+
 def _requirement_names(requirements):
     return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
 
@@ -185,6 +215,13 @@ def test_every_private_name_is_used_in_the_package():
 def test_every_attribute_set_is_read_in_the_package():
     # no per-instance table or field that only the tests read, or nothing
     assert _unread_attributes(ROOT / "src" / "dimercluster") == []
+
+
+def test_every_hypothesis_test_is_derandomized_without_database_or_deadline():
+    # the same draws on every run and every machine, so a failure repeats
+    tests = _hypothesis_tests(ROOT / "tests")
+    assert len(tests) >= 25
+    assert [name for name, pinned in tests.items() if not pinned] == []
 
 
 def test_cli_verifies_with_numpy_blocked():

@@ -13,7 +13,7 @@ obeys it on its own, every piece built from Q^op and never derived from Q:
 * Tran's count of the poset (``poset_size``) is the same for Q and Q^op.
 
 Every rank-4-6 instance is checked, from the sweep fixtures, and derandomized
-draws at ranks 7-10.
+draws at ranks 7-10 and 11-12.
 """
 
 from hypothesis import given, settings
@@ -66,5 +66,12 @@ def test_reversal_duality_on_every_instance_ranks_4_to_6(sweep4, sweep5, sweep6)
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(instances(7, 10))
 def test_reversal_duality_ranks_7_to_10(instance):
+    quiver, d = instance
+    check_reversal_duality(FlipPoset(quiver, d), FlipPoset(quiver.reversed(), d))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(instances(11, 12))
+def test_reversal_duality_ranks_11_to_12(instance):
     quiver, d = instance
     check_reversal_duality(FlipPoset(quiver, d), FlipPoset(quiver.reversed(), d))

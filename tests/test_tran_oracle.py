@@ -40,6 +40,7 @@ from frozen import (
     QB,
     QC,
 )
+import reference
 from reference import (
     acceptable_evectors,
     arrow_conditions_hold,
@@ -225,18 +226,34 @@ def test_rank13_scores_only_the_vectors_that_pass_every_arrow(monkeypatch):
     quiver = parse_quiver("n=13; 1>0, 2>1, 3>2, 4>3, 5>4, 6>5, 7>6, 8>7, 9>8, 10>9, 11>10, 12>10")
     d = (1,) + (2,) * 10 + (1, 1)
     scored = []
-    original = dimercluster.tran_oracle._coefficient
+    original = reference._rule_coefficient
 
     def counted(steps, dd, e):
         scored.append(e)
         return original(steps, dd, e)
 
-    monkeypatch.setattr(dimercluster.tran_oracle, "_coefficient", counted)
-    f = tran_f_polynomial(quiver, d)
+    monkeypatch.setattr(reference, "_rule_coefficient", counted)
+    f = reference.tran_f_polynomial_by_rule_walk(quiver, d)
     valid = box_arrow_vectors(quiver, d)
     assert len(scored) == len(valid) == arrow_valid_count(quiver, d) == 113
     assert set(scored) == valid
     assert len(f.terms) == 100
+    assert tran_f_polynomial(quiver, d) == f
+
+
+def test_the_rules_are_the_frozen_rules_with_join_read_as_keep():
+    # v joining u's component does to S's charges what v off S does
+    kinds = {
+        reference._KEEP: dimercluster.tran_oracle._KEEP,
+        reference._CHARGE: dimercluster.tran_oracle._CHARGE,
+        reference._JOIN: dimercluster.tran_oracle._KEEP,
+        reference._OPEN: dimercluster.tran_oracle._OPEN,
+        reference._OPEN_CHARGED: dimercluster.tran_oracle._OPEN_CHARGED,
+    }
+    rules = dimercluster.tran_oracle._RULES
+    assert rules.keys() == reference._RULES.keys() and len(rules) == 18
+    for key, frozen in reference._RULES.items():
+        assert rules[key] == [{y: kinds[k] for y, k in row.items()} for row in frozen], key
 
 
 def test_arrow_valid_count_bounds_the_poset(sweep4, sweep5):
@@ -331,6 +348,7 @@ def test_poset_size_counts_the_terms_of_the_frozen_walk_ranks_4_to_7():
             for d in roots:
                 f = tran_f_polynomial(q, d)
                 assert f == tran_f_polynomial_by_tree_walk(q, d), (q, d)
+                assert f == reference.tran_f_polynomial_by_rule_walk(q, d), (q, d)
                 assert poset_size(q, d) == len(f.terms) <= arrow_valid_count(q, d), (q, d)
                 checked += 1
     assert checked == 4064  # every orientation x root instance
@@ -340,5 +358,6 @@ def test_poset_size_counts_the_terms_of_the_frozen_walk_ranks_4_to_7():
 @given(oriented_roots(8, 14))
 def test_poset_size_counts_the_terms_ranks_8_to_14(instance):
     quiver, d = instance
-    size = poset_size(quiver, d)
-    assert size == len(tran_f_polynomial(quiver, d).terms) <= arrow_valid_count(quiver, d)
+    f = tran_f_polynomial(quiver, d)
+    assert f == reference.tran_f_polynomial_by_rule_walk(quiver, d)
+    assert poset_size(quiver, d) == len(f.terms) <= arrow_valid_count(quiver, d)
