@@ -67,7 +67,12 @@ MAX_TOTAL_ELEMENTS = 400_000
 # The alternating orientation walks slowest: 0.8-0.9 s of CPU at rank 9,
 # 4.5-5.6 s and 53 MB at rank 10, 27-37 s and 159 MB at rank 11 (2-vCPU
 # virtual machine, 2-4 runs each); the linear one walks rank 10 in 0.04 s and
-# rank 20 in 1.8 s.
+# rank 20 in 1.8 s.  Building each side of an exchange binomial as one
+# y-monomial times its cluster factors left the alternating walks where they
+# were: `verify -q … -d <highest root> --oracle mutation` took 0.54-0.81 s of
+# process CPU at rank 9 (0.55-0.69 s before) and 3.89-4.11 s and 55 MB at
+# rank 10 (3.81-4.27 s and 54 MB before), in 6 and 4 alternating pairs on
+# the same kind of machine; the exact division dominates there.
 MAX_WALK_RANK = 10
 
 # The largest flip poset `poset --lattice` diagnoses.  The witness searches

@@ -16,7 +16,8 @@ requested independent oracles — the closed-form exponent-vector conditions
 and/or direct seed mutation — and reports the outcome per quantity.  The
 closed-form oracle gives F and g, and its expansion is the same relabel of
 them, so its Laurent match is its F match and its g match; the mutation
-oracle gives an expansion, compared with the dimer model's.  An oracle that
+oracle gives an expansion, compared with the dimer model's before its F
+and g are read off it (a match fixes them).  An oracle that
 disagrees also gets its differences named.
 ``verify_quiver(quiver)`` is the one per-orientation loop: it checks the
 oracle names, then builds one base graph, at most one mutation atlas, and one
@@ -111,6 +112,12 @@ def verify_root(poset, oracles, atlas):
     "oracles".  The closed-form oracle's "laurent_match" is its "f_match" and "g_match"
     together: both expansions relabel their (F, g) alike, with e as the
     y-part and the constant term 1, so they agree exactly when F and g do.
+    For "mutation" the walk's expansion is compared with the dimer model's
+    first.  When they are equal and F(0) = 1, the walk's F and g are the
+    dimer model's: in x^g F(ŷ) the term of F at e has y-part e, so setting
+    every x to 1 gives F back, and its one y-free term is x^g.  Only a
+    mismatch, or an F(0) other than 1, reads F and g off the walk's
+    expansion, which raises ValueError when its F(0) is not 1.
     The entry of an oracle that disagrees also names the differences under
     "mismatches" (``_mismatches``).  The invariants themselves are
     ``dimer_invariants(poset)``.
@@ -131,9 +138,12 @@ def verify_root(poset, oracles, atlas):
             laurent_match = of == f and og == g
         else:
             ol = atlas[d]
-            of = f_polynomial_from_expansion(ol, n)
-            og = g_vector_from_expansion(ol, n)
             laurent_match = ol == expansion_from_f_and_g(quiver, f, g)
+            if laurent_match and f.coefficient((0,) * n) == 1:
+                of, og = f, g
+            else:
+                of = f_polynomial_from_expansion(ol, n)
+                og = g_vector_from_expansion(ol, n)
         entry = {"f_match": of == f, "g_match": og == g, "laurent_match": laurent_match}
         if not all(entry.values()):
             entry["mismatches"] = _mismatches(quiver, f, g, of, og, ol)

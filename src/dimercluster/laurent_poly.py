@@ -156,19 +156,22 @@ class LaurentPolynomial:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def one(cls, context):
-        context = tuple(context)
-        zero = (0,) * len(context)
-        return cls._build(context, {zero: 1}, {0: 1}, (zero, zero))
+    def monomial(cls, context, exps):
+        """The monomial with exponent vector exps and coefficient 1, packed
+        when arithmetic first touches it."""
+        context, exps = tuple(context), tuple(exps)
+        if len(exps) != len(context):
+            raise ContextError(
+                "exponent vector %r does not match context of width %d" % (exps, len(context))
+            )
+        return cls._build(context, {exps: 1}, box=(exps, exps))
 
     @classmethod
     def variable(cls, context, name):
         context = tuple(context)
         exps = [0] * len(context)
         exps[context.index(name)] = 1
-        exps = tuple(exps)
-        key = _layout(len(context)).encode(exps)
-        return cls._build(context, {exps: 1}, {key: 1}, (exps, exps))
+        return cls.monomial(context, exps)
 
     # ---- the two views ------------------------------------------------
 

@@ -11,6 +11,11 @@ describes the current quiver and whose bottom block tracks coefficients
 that mutating at a sink ``k`` of the quiver produces
 ``(y_k + prod_{j->k} x_j) / x_k``; with the package-wide sign convention
 ``b[i][j] = +1 for i -> j`` that means the top block starts as ``-B``.
+Mutating at k divides the exchange binomial by the k-th cluster entry.  Each
+side of the binomial is one y-monomial, built straight from the bottom block
+of column k, times the product of the cluster entries that the top block of
+column k puts on that side, the i-th taken |b_ik| times; a mutation makes one
+product per cluster factor.
 
 Extraction of invariants from a Laurent expansion ``L`` is
 convention-independent: the g-vector is the x-exponent of the unique
@@ -66,45 +71,44 @@ def initial_seed(quiver):
 def mutate_ext(ext, k):
     """Matrix mutation at column/row k, applied to all 2n rows.
 
-    ``b'_ij = -b_ij`` if i or j is k, else ``b_ij + sgn(b_ik) max(b_ik b_kj, 0)``.
+    ``b'_ij = -b_ij`` if i or j is k, else ``b_ij + sgn(b_ik) max(b_ik b_kj, 0)``:
+    row i adds |b_ik| times row k's positive part when b_ik > 0, and times
+    its negative part when b_ik < 0.  Both parts are 0 at k, since b_kk = 0.
     """
     row_k = ext[k]
+    positive = [b if b > 0 else 0 for b in row_k]
+    negative = [b if b < 0 else 0 for b in row_k]
     out = []
     for i, row in enumerate(ext):
         bik = row[k]
         if i == k:
             row = tuple(-b for b in row)
         elif bik:
-            s = 1 if bik > 0 else -1
-            row = tuple(
-                -b if j == k else b + s * max(bik * bkj, 0)
-                for j, (b, bkj) in enumerate(zip(row, row_k))
-            )
+            part, m = (positive, bik) if bik > 0 else (negative, -bik)
+            row = [b + m * p for b, p in zip(row, part)]
+            row[k] = -bik
+            row = tuple(row)
         out.append(row)
     return tuple(out)
 
 
 def mutate_seed(seed, k):
+    """The seed mutated at k: the exchange binomial, one y-monomial times
+    cluster factors on each side, divided by the cluster's k-th entry."""
     n = seed.n
-    ctx = seed.cluster[0].context
-    plus = minus = LaurentPolynomial.one(ctx)
-    for i in range(2 * n):
-        m = seed.ext[i][k]
-        if not m:
-            continue
-        if i < n:
-            gen = seed.cluster[i]
-        else:
-            gen = LaurentPolynomial.variable(ctx, "y%d" % (i - n))
-        # |m| is 1 in the top block and at most 2 in the bottom one
-        for _ in range(m):
-            plus = plus * gen
-        for _ in range(-m):
-            minus = minus * gen
-    new_var = divide_exact(plus + minus, seed.cluster[k])
-    cluster = list(seed.cluster)
+    ext, cluster = seed.ext, seed.cluster
+    sides = []
+    for sign in (1, -1):
+        y = tuple(max(sign * row[k], 0) for row in ext[n:])
+        side = LaurentPolynomial.monomial(cluster[0].context, (0,) * n + y)
+        for i in range(n):
+            for _ in range(sign * ext[i][k]):  # |b_ik| is 1 in the top block
+                side = side * cluster[i]
+        sides.append(side)
+    new_var = divide_exact(sides[0] + sides[1], cluster[k])
+    cluster = list(cluster)
     cluster[k] = new_var
-    return Seed(cluster, mutate_ext(seed.ext, k))
+    return Seed(cluster, mutate_ext(ext, k))
 
 
 # ---- invariant extraction ---------------------------------------------------

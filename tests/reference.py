@@ -55,6 +55,15 @@ form ``support_summary_by_incidence`` reads).
   ranges, against ``positive_roots``;
 * ``enumerate_cluster_variables``: every cluster variable by a breadth-first
   search over the whole exchange graph, against the source-sweep walk;
+* ``mutate_ext_by_entries`` and ``mutate_seed_by_variables``: matrix
+  mutation with one ``max`` per entry, and seed mutation multiplying in one
+  variable per unit of |b_ik|, y's included, as the package mutated before
+  it built each side's y-part as one monomial and added row k's positive or
+  negative part to each row, against ``mutate_ext`` and ``mutate_seed``;
+* ``verify_root_by_extraction``: the report of one instance as the package
+  made it before the mutation oracle compared expansions first, reading the
+  walk's F and g off its expansion on every instance, against
+  ``verify_root``;
 * ``is_distributive``: distributivity of a flip lattice by the triple
   meet/join loop, against the absence of both ``FlipPoset.n5_witness`` and
   ``FlipPoset.m3_witness`` (Birkhoff's theorem);
@@ -112,6 +121,7 @@ from dimercluster.laurent_poly import (
     DIVISION_STEP_LIMIT,
     ExactDivisionError,
     LaurentPolynomial,
+    divide_exact,
     u_context,
 )
 from dimercluster.mixed_dimer import (
@@ -120,9 +130,18 @@ from dimercluster.mixed_dimer import (
     minimal_matching,
     x_exponents,
 )
-from dimercluster.mutation_oracle import denominator_vector, initial_seed, mutate_seed
-from dimercluster.quiver_core import check_root, dynkin_edges
-from dimercluster.tran_oracle import tran_f_polynomial
+from dimercluster.cluster_invariants import _mismatches, dimer_invariants
+from dimercluster.mutation_oracle import (
+    Seed,
+    denominator_vector,
+    expansion_from_f_and_g,
+    f_polynomial_from_expansion,
+    g_vector_from_expansion,
+    initial_seed,
+    mutate_seed,
+)
+from dimercluster.quiver_core import check_root, dynkin_edges, format_quiver
+from dimercluster.tran_oracle import tran_f_polynomial, tran_g_vector
 
 
 def as_dict(graph, config):
@@ -867,6 +886,80 @@ def enumerate_cluster_variables(quiver):
                 nxt.append(neighbor)
         frontier = nxt
     return atlas, len(seen)
+
+
+def mutate_ext_by_entries(ext, k):
+    """Matrix mutation at column/row k, applied to all 2n rows.
+
+    ``b'_ij = -b_ij`` if i or j is k, else ``b_ij + sgn(b_ik) max(b_ik b_kj, 0)``.
+    """
+    row_k = ext[k]
+    out = []
+    for i, row in enumerate(ext):
+        bik = row[k]
+        if i == k:
+            row = tuple(-b for b in row)
+        elif bik:
+            s = 1 if bik > 0 else -1
+            row = tuple(
+                -b if j == k else b + s * max(bik * bkj, 0)
+                for j, (b, bkj) in enumerate(zip(row, row_k))
+            )
+        out.append(row)
+    return tuple(out)
+
+
+def mutate_seed_by_variables(seed, k):
+    n = seed.n
+    ctx = seed.cluster[0].context
+    plus = minus = LaurentPolynomial.monomial(ctx, (0,) * len(ctx))
+    for i in range(2 * n):
+        m = seed.ext[i][k]
+        if not m:
+            continue
+        if i < n:
+            gen = seed.cluster[i]
+        else:
+            gen = LaurentPolynomial.variable(ctx, "y%d" % (i - n))
+        # |m| is 1 in the top block and at most 2 in the bottom one
+        for _ in range(m):
+            plus = plus * gen
+        for _ in range(-m):
+            minus = minus * gen
+    new_var = divide_exact(plus + minus, seed.cluster[k])
+    cluster = list(seed.cluster)
+    cluster[k] = new_var
+    return Seed(cluster, mutate_ext_by_entries(seed.ext, k))
+
+
+def verify_root_by_extraction(poset, oracles, atlas):
+    """The report of ``verify_root``, with the mutation oracle's F and g read
+    off its expansion before the expansions are compared."""
+    quiver, d = poset.quiver, poset.d
+    n = quiver.n
+    f, g = dimer_invariants(poset)
+    report = {
+        "quiver": format_quiver(quiver),
+        "root": d,
+        "roundtrip": True,
+        "oracles": {},
+        "ok": True,
+    }
+    for name in oracles:
+        if name == "tran":
+            of, og, ol = tran_f_polynomial(quiver, d), tran_g_vector(quiver, d), None
+            laurent_match = of == f and og == g
+        else:
+            ol = atlas[d]
+            of = f_polynomial_from_expansion(ol, n)
+            og = g_vector_from_expansion(ol, n)
+            laurent_match = ol == expansion_from_f_and_g(quiver, f, g)
+        entry = {"f_match": of == f, "g_match": og == g, "laurent_match": laurent_match}
+        if not all(entry.values()):
+            entry["mismatches"] = _mismatches(quiver, f, g, of, og, ol)
+            report["ok"] = False
+        report["oracles"][name] = entry
+    return report
 
 
 def is_distributive(poset):

@@ -3,11 +3,14 @@
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 import dimercluster.cluster_invariants
+import dimercluster.laurent_poly
 import dimercluster.mixed_dimer
 import dimercluster.mutation_oracle
 from dimercluster.base_graph import BaseGraph
+from dimercluster.cli import main
 from dimercluster.cluster_invariants import (
     MISMATCH_LIST_LIMIT,
     ORACLE_NAMES,
@@ -40,6 +43,7 @@ from frozen import (
     WT_MIN_QA,
     WT_MIN_QB,
 )
+from reference import verify_root_by_extraction
 
 
 def invariants(quiver, d):
@@ -138,7 +142,8 @@ def test_verify_quiver_rank4_all_roots():
 
 def count_calls(monkeypatch, owner, name):
     """Count the calls of ``owner.<name>`` through each module of the
-    package that binds it; returns the dict module name -> count."""
+    package that binds it, or through the class when owner is one; returns
+    the dict module (or class) name -> count."""
     original = getattr(owner, name)
     counts = {}
 
@@ -149,6 +154,10 @@ def count_calls(monkeypatch, owner, name):
 
         return call
 
+    if isinstance(owner, type):  # a method, or a classmethod called on the class
+        counts[owner.__name__] = 0
+        monkeypatch.setattr(owner, name, counted(owner.__name__))
+        return counts
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("dimercluster") and getattr(module, name, None) is original:
             counts[module_name] = 0
@@ -184,6 +193,22 @@ def test_the_rank5_sweep_makes_one_closed_form_per_instance(monkeypatch):
     assert {name: count for name, count in expansions.items() if count} == {
         "dimercluster.base_graph": 16,
     }
+
+
+def test_the_rank6_sweep_multiplies_once_per_cluster_factor(monkeypatch):
+    # The 12 walks (one per ⟨σ, ρ⟩ orbit) make 360 mutations, each dividing
+    # once; each side of an exchange binomial is one y-monomial times its
+    # cluster factors, so the only variables built are the 72 initial x's,
+    # and the product count is the factor count (it was 1,820 with one
+    # product per unit of |b_ik|, y's included, and 1,172 variables).
+    mutations = count_calls(monkeypatch, dimercluster.mutation_oracle, "mutate_seed")
+    divisions = count_calls(monkeypatch, dimercluster.laurent_poly, "divide_exact")
+    products = count_calls(monkeypatch, LaurentPolynomial, "__mul__")
+    variables = count_calls(monkeypatch, LaurentPolynomial, "variable")
+    result = CliRunner().invoke(main, ["verify", "--n", "6", "--jobs", "1"])
+    assert result.output == "verified 960 instances against tran+mutation: all ok\n"
+    counts = [mutations, divisions, products, variables]
+    assert [sum(c.values()) for c in counts] == [360, 360, 600, 72]
 
 
 def test_verify_quiver_subset_of_roots():
@@ -254,6 +279,67 @@ def test_a_wrong_g_names_the_coordinate_and_caps_the_laurent_lists(monkeypatch):
     assert dimer_only == [
         {"exponents": list(e), "coefficient": dimer_laurent.terms[e]} for e in lowest
     ]
+
+
+# ---- the mutation oracle's comparison order ----------------------------------------
+
+
+def test_reports_match_the_extraction_first_branch_on_every_rank5_instance(sweep5):
+    for entry in sweep5.entries:
+        for poset in entry.posets.values():
+            assert verify_root(poset, ORACLE_NAMES, entry.atlas) == verify_root_by_extraction(
+                poset, ORACLE_NAMES, entry.atlas
+            )
+
+
+def planted(atlas, d, change):
+    """A copy of atlas whose variable at d has each term (e, c) replaced by
+    change(e, c)."""
+    poly = atlas[d]
+    terms = dict(change(e, c) for e, c in poly.terms.items())
+    return {**atlas, d: LaurentPolynomial(poly.context, terms)}
+
+
+@pytest.mark.parametrize("y_free", [False, True], ids=["top-term", "y-free-term"])
+def test_a_planted_x_part_gets_the_extraction_first_mismatches(y_free):
+    # one term's x0 exponent raised: the top term's leaves F and g alone and
+    # moves one Laurent term; the y-free term's also moves g
+    atlas = walk_cluster_variables(QC)
+    terms = atlas[D5].terms
+    if y_free:
+        (target,) = [e for e in terms if not any(e[5:])]
+    else:
+        target = max(terms, key=lambda e: (sum(e[5:]), e))
+
+    def change(e, c):
+        return ((e[0] + 1,) + e[1:], c) if e == target else (e, c)
+
+    bad = planted(atlas, D5, change)
+    poset = FlipPoset(QC, D5)
+    report = verify_root(poset, ("mutation",), bad)
+    assert report == verify_root_by_extraction(poset, ("mutation",), bad)
+    entry = report["oracles"]["mutation"]
+    assert (entry["f_match"], entry["g_match"], entry["laurent_match"]) == (True, not y_free, False)
+    assert len(entry["mismatches"]["laurent_oracle_only"]) == 1
+
+
+@pytest.mark.parametrize("dimer_too", [False, True], ids=["walk-only", "walk-and-dimer"])
+def test_an_f_with_constant_term_2_raises_as_the_extraction_first_branch(dimer_too):
+    # the walk's y-free term doubled: on its own a Laurent mismatch, and with
+    # the dimer model's F(0) doubled as well a match; either way reading F
+    # off the walk's expansion raises
+    atlas = walk_cluster_variables(QC)
+    bad = planted(atlas, D5, lambda e, c: (e, 2 * c if not any(e[5:]) else c))
+    poset = FlipPoset(QC, D5)
+    if dimer_too:
+        poset.coefficients[(0,) * 5] = 2
+    assert (bad[D5] == expansion_from_f_and_g(QC, *dimer_invariants(poset))) is dimer_too
+    errors = []
+    for route in (verify_root, verify_root_by_extraction):
+        with pytest.raises(ValueError) as caught:
+            route(poset, ("tran", "mutation"), bad)
+        errors.append(str(caught.value))
+    assert errors == ["expansion has no unit constant term; not a cluster variable?"] * 2
 
 
 # ---- input validation ----------------------------------------------------------------

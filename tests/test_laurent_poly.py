@@ -59,7 +59,10 @@ def test_context_width_enforced():
 def test_variable_and_monomial_constructors():
     u1 = LaurentPolynomial.variable(CTX, "u1")
     assert u1.terms == {(0, 1, 0): 1}
-    assert LaurentPolynomial.one(CTX).terms == {(0, 0, 0): 1}
+    assert LaurentPolynomial.monomial(CTX, (0, 0, 0)).terms == {(0, 0, 0): 1}
+    assert LaurentPolynomial.monomial(CTX, (2, -1, 0)) == P({(2, -1, 0): 1})
+    with pytest.raises(ContextError):
+        LaurentPolynomial.monomial(CTX, (1, 0))
 
 
 def test_context_helpers():
@@ -77,14 +80,14 @@ def test_add_cancels_to_zero():
 
 def test_mul_collects_cross_terms():
     # (1 + u0) * (1 - u0) = 1 - u0^2
-    one = LaurentPolynomial.one(CTX)
+    one = LaurentPolynomial.monomial(CTX, (0, 0, 0))
     u0 = LaurentPolynomial.variable(CTX, "u0")
     prod = (one + u0) * P({(0, 0, 0): 1, (1, 0, 0): -1})
     assert prod == P({(0, 0, 0): 1, (2, 0, 0): -1})
 
 
 def test_context_mismatch_raises():
-    q = LaurentPolynomial.one(u_context(2))
+    q = LaurentPolynomial.monomial(u_context(2), (0, 0))
     with pytest.raises(ContextError):
         P({}) + q
     with pytest.raises(ContextError):
@@ -99,7 +102,7 @@ def test_context_mismatch_raises():
 def test_an_int_operand_is_a_type_error(op):
     # both operand orders fail alike: the int is not coerced
     with pytest.raises(TypeError):
-        op(LaurentPolynomial.one(CTX))
+        op(LaurentPolynomial.monomial(CTX, (0, 0, 0)))
 
 
 # ---- [TRIVIAL] queries -----------------------------------------------------
@@ -137,7 +140,7 @@ def test_to_json_schema():
 
 def test_divide_exact_simple():
     # [TRIVIAL] (1 - u0^2) / (1 + u0) = 1 - u0
-    one = LaurentPolynomial.one(CTX)
+    one = LaurentPolynomial.monomial(CTX, (0, 0, 0))
     u0 = LaurentPolynomial.variable(CTX, "u0")
     q = divide_exact(P({(0, 0, 0): 1, (2, 0, 0): -1}), one + u0)
     assert q == P({(0, 0, 0): 1, (1, 0, 0): -1})
@@ -151,7 +154,7 @@ def test_divide_exact_laurent_denominator():
 
 
 def test_divide_exact_rejects_inexact():
-    one = LaurentPolynomial.one(CTX)
+    one = LaurentPolynomial.monomial(CTX, (0, 0, 0))
     u0 = LaurentPolynomial.variable(CTX, "u0")
     with pytest.raises(ExactDivisionError):
         divide_exact(one + u0, P({(0, 0, 0): 2}))
@@ -169,7 +172,7 @@ def test_divide_exact_rejects_inexact():
 def test_ring_axioms_random():
     rng = random.Random(20260813)
     ctx = u_context(3)
-    one = LaurentPolynomial.one(ctx)
+    one = LaurentPolynomial.monomial(ctx, (0, 0, 0))
     for _ in range(200):
         a = rand_poly(rng, ctx)
         b = rand_poly(rng, ctx)
@@ -243,12 +246,12 @@ def test_inexact_division_raises(pair):
         # The exponent box of 1 / b is empty in a coordinate where b's terms
         # differ, so the first quotient term already falls outside it.
         with pytest.raises(ExactDivisionError, match="outside the exponent box"):
-            divide_exact(LaurentPolynomial.one(b.context), b)
+            divide_exact(LaurentPolynomial.monomial(b.context, (0,) * len(b.context)), b)
 
 
 def test_exponents_past_the_field_range_raise():
     x0 = LaurentPolynomial.variable(CTX, "u0")
-    one = LaurentPolynomial.one(CTX)
+    one = LaurentPolynomial.monomial(CTX, (0, 0, 0))
     top = P({(EXP_LIMIT, 0, -EXP_LIMIT): 1})
     assert (top * one).terms == {(EXP_LIMIT, 0, -EXP_LIMIT): 1}
     for factor in (x0, P({(0, 0, -1): 1}), top):

@@ -38,7 +38,7 @@ from frozen import (
     SEED_COUNTS,
     YHAT_QC,
 )
-from reference import enumerate_cluster_variables
+from reference import enumerate_cluster_variables, mutate_ext_by_entries, mutate_seed_by_variables
 
 
 def laurent_from_triples(n, triples):
@@ -109,8 +109,8 @@ def test_matrix_mutation_rank2_block():
 
 
 @st.composite
-def mutation_sequences(draw):
-    n = draw(st.integers(4, 9))
+def mutation_sequences(draw, low=4, high=9):
+    n = draw(st.integers(low, high))
     quiver = draw(st.sampled_from(all_orientations(n)))
     ks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30))
     return quiver, ks
@@ -134,13 +134,48 @@ def test_matrix_mutation_properties_along_random_sequences(instance):
             assert all(c >= 0 for c in column) or all(c <= 0 for c in column)
 
 
+# ---- the frozen per-variable mutation ------------------------------------------
+
+
+def same_seed(seed, k):
+    """The package's mutation of seed at k, after checking it against the
+    frozen per-variable one, cluster and extended matrix."""
+    got, want = mutate_seed(seed, k), mutate_seed_by_variables(seed, k)
+    assert got.cluster == want.cluster and got.ext == want.ext
+    assert got.ext == mutate_ext_by_entries(seed.ext, k)
+    return got
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6, 7])
+def test_every_seed_of_every_walk_matches_the_per_variable_mutation(monkeypatch, rank):
+    compared = []
+
+    def checked(seed, k):
+        compared.append(k)
+        return same_seed(seed, k)
+
+    monkeypatch.setattr(dimercluster.mutation_oracle, "mutate_seed", checked)
+    for q in all_orientations(rank):
+        assert set(walk_cluster_variables(q)) == set(positive_roots(rank))
+    assert len(compared) == {4: 96, 5: 338, 6: 960, 7: 2818}[rank]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(mutation_sequences(8, 9))
+def test_mutation_matches_the_per_variable_mutation_at_ranks_8_and_9(instance):
+    quiver, ks = instance
+    seed = initial_seed(quiver)
+    for k in ks:
+        seed = same_seed(seed, k)
+
+
 # ---- invariant extraction ----------------------------------------------------
 
 
 def test_extractors_on_initial_variable():
     q = Quiver(4, [(0, 1), (1, 2), (1, 3)])
     x0 = initial_seed(q).cluster[0]
-    assert f_polynomial_from_expansion(x0, 4) == LaurentPolynomial.one(u_context(4))
+    assert f_polynomial_from_expansion(x0, 4) == LaurentPolynomial.monomial(u_context(4), (0, 0, 0, 0))
     assert g_vector_from_expansion(x0, 4) == (1, 0, 0, 0)
     assert denominator_vector(x0, 4) == (-1, 0, 0, 0)
 
