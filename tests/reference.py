@@ -117,6 +117,7 @@ form ``support_summary_by_incidence`` reads).
 import itertools
 
 from dimercluster.base_graph import BW, WB, edge_key
+from dimercluster.cluster_invariants import _mismatches, dimer_invariants
 from dimercluster.laurent_poly import (
     DIVISION_STEP_LIMIT,
     ExactDivisionError,
@@ -130,7 +131,6 @@ from dimercluster.mixed_dimer import (
     minimal_matching,
     x_exponents,
 )
-from dimercluster.cluster_invariants import _mismatches, dimer_invariants
 from dimercluster.mutation_oracle import (
     Seed,
     denominator_vector,
