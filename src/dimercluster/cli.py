@@ -22,12 +22,7 @@ from dimercluster.base_graph import BaseGraph
 from dimercluster.cluster_invariants import ORACLE_NAMES, dimer_invariants, verify_quiver
 from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial
-from dimercluster.mutation_oracle import (
-    expansion_from_f_and_g,
-    mirror_atlas,
-    reversed_atlas,
-    walk_cluster_variables,
-)
+from dimercluster.mutation_oracle import expansion_from_f_and_g, moved_atlas, walk_cluster_variables
 from dimercluster.quiver_core import (
     QuiverSyntaxError,
     all_orientations,
@@ -309,7 +304,7 @@ def basegraph(quiver_spec, root_spec, fmt, output):
     """Build the hexagon-square base graph of a quiver."""
     quiver = _parse_quiver_opt(quiver_spec)
     graph = BaseGraph(quiver)
-    d = _parse_root_opt(root_spec, quiver.n) if root_spec else None
+    d = _parse_root_opt(root_spec, quiver.n) if root_spec is not None else None
     if fmt == "dot":
         _emit(output, [graph.to_dot(d)])
     elif fmt == "text":
@@ -500,28 +495,16 @@ def poset(quiver_spec, root_spec, fmt, lattice, output):
 
 def _verify_one_orientation(args):
     """Worker: the reports of a task ``(orbit, oracles, roots)``, one list per
-    quiver of the orbit; roots=None means every positive root.  An orbit is a
-    quiver Q, or with "mutation" Q's ⟨σ, ρ⟩ orbit {Q, σQ, ρQ, σρQ}, σ the tip
-    swap and ρ the reversal of every arrow: Q is walked once, and each other
-    member gets that walk's atlas with its exponents moved, ``mirror_atlas``
-    for σ, ``reversed_atlas`` (y^b -> y^(d-b)) for ρ, or both, so
+    member of the orbit, a tuple of ``Quiver.orbit``'s (quiver, moves) pairs;
+    roots=None means every positive root.  With "mutation" the first member
+    is walked once and each member gets ``moved_atlas`` of that walk, so
     ``verify_quiver`` walks none."""
-    (first, *others), oracles, roots = args
+    orbit, oracles, roots = args
+    first, _ = orbit[0]
     atlas = walk_cluster_variables(first) if "mutation" in oracles else None
-    reports = [verify_quiver(first, oracles=oracles, roots=roots, atlas=atlas)]
-    if others:  # ρ fixes no quiver, so ρ(first) is among them
-        n = first.n
-        mirror, reverse = first.tips_swapped(), first.reversed()
-        op_atlas = reversed_atlas(atlas, n)
-        for q in others:
-            if q == mirror:
-                a = mirror_atlas(atlas, n)
-            elif q == reverse:
-                a = op_atlas
-            else:  # σρ(first)
-                a = mirror_atlas(op_atlas, n)
-            reports.append(verify_quiver(q, oracles, roots, a))
-    return reports
+    return [
+        verify_quiver(q, oracles, roots, moved_atlas(atlas, q.n, *moves)) for q, moves in orbit
+    ]
 
 
 @main.command()
@@ -582,17 +565,14 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             checked = positive_roots(n)
         _check_sizes(quiver, checked)
         quivers = [quiver]
-    orbits = [(q,) for q in quivers]
+    orbits = [((q, (False, False)),) for q in quivers]
     if quiver_spec is None and "mutation" in oracles:
-        # one walk per ⟨σ, ρ⟩ orbit, σ the tip swap and ρ the reversal, by its
-        # first quiver in sweep order; ρ and σρ fix none, so it has 2 or 4 members
+        # one walk per ``Quiver.orbit``, by its first quiver in sweep order
         orbits, grouped = [], set()
         for q in quivers:
             if q not in grouped:
-                mirror = q.tips_swapped()
-                orbit = tuple(dict.fromkeys((q, mirror, q.reversed(), mirror.reversed())))
-                grouped.update(orbit)
-                orbits.append(orbit)
+                orbits.append(q.orbit())
+                grouped.update(m for m, _ in orbits[-1])
     tasks = [(orbit, oracles, checked) for orbit in orbits]
     jobs = min(jobs or os.cpu_count() or 1, len(tasks))
     if jobs > 1:
@@ -602,7 +582,8 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
             chunks = pool.map(_verify_one_orientation, tasks)
     else:
         chunks = [_verify_one_orientation(t) for t in tasks]
-    reports = dict(zip(itertools.chain(*orbits), itertools.chain(*chunks)))
+    members = (q for orbit in orbits for q, _ in orbit)
+    reports = dict(zip(members, itertools.chain(*chunks)))
     results = [r for q in quivers for r in reports[q]]  # back in sweep order
     failures = [r for r in results if not r["ok"]]
     if fmt == "json":

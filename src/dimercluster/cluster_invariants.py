@@ -22,12 +22,10 @@ disagrees also gets its differences named.
 ``verify_quiver(quiver)`` is the one per-orientation loop: it checks the
 oracle names, then builds one base graph, at most one mutation atlas, and one
 poset per root.  It walks the atlas only for a caller that hands it none:
-each ``verify --n`` task with the mutation oracle is a ⟨σ, ρ⟩ orbit
-{Q, σQ, ρQ, σρQ} (σ the tip swap, ρ the reversal of every arrow), whose
-first quiver is walked once for the orbit; each other member gets that
-walk's atlas with its exponents moved: the tips' exchanged for σ
-(``mirror_atlas``), y^b replaced by y^(d-b) for ρ (``reversed_atlas``), or
-both.  Every poset, Tran's oracle and every comparison still run per quiver.
+each ``verify --n`` task with the mutation oracle is a ``Quiver.orbit``,
+whose first quiver is walked once, and each member gets that walk's
+``moved_atlas``.  Every poset, Tran's oracle and every comparison still run
+per quiver.
 """
 
 from __future__ import annotations

@@ -27,16 +27,9 @@ use it too.
 The cluster variables come from ``walk_cluster_variables``, repeated source
 sweeps that touch O(n^2) seeds.  The breadth-first search over the whole
 exchange graph, which the walk is checked against at ranks 4-6, is a
-test reference (``tests/reference.py``), not part of the package.  Two
-maps read another orientation's atlas off a walk without a second walk.  The
-tip swap σ (n - 2 <-> n - 1) is an automorphism of the diagram, so the atlas
-of ``quiver.tips_swapped()`` is the walked quiver's atlas with the tips' x
-and y variables exchanged (``mirror_atlas``).  The reversal ρ of every arrow
-dualizes the quiver's representations, and F is the generating function of
-their quiver Grassmannians, so the atlas of ``quiver.reversed()`` is the
-walked one with y^b replaced by y^(d-b) in each term of the variable keyed
-by d, the x-part unchanged (``reversed_atlas``).  ``verify --n`` walks one
-quiver per ⟨σ, ρ⟩ orbit {Q, σQ, ρQ, σρQ} and reads the others off it.
+test reference (``tests/reference.py``), not part of the package.
+``moved_atlas`` reads the atlas of any member of a quiver's ⟨σ, ρ⟩ orbit
+(``Quiver.orbit``) off the quiver's walk.
 """
 
 from __future__ import annotations
@@ -193,33 +186,32 @@ def walk_cluster_variables(quiver):
     raise RuntimeError("sweep walk found %d of %d variables" % (len(atlas), expected))
 
 
-def mirror_atlas(atlas, n):
-    """The atlas of σQ from Q's ``walk_cluster_variables`` atlas, σ the tip
-    swap n - 2 <-> n - 1: σ carries Q's initial seed to σQ's, so it carries
-    each cluster variable of Q, keyed by its denominator vector d, to the one
-    of σQ keyed by σd, with x_{n-2}, x_{n-1} and y_{n-2}, y_{n-1} exchanged.
-    Only exponent positions move, so no term is validated again."""
+def moved_atlas(atlas, n, swap, reverse):
+    """The atlas of Q's ``Quiver.orbit`` member with these moves, read off
+    Q's ``walk_cluster_variables`` atlas without a second walk; Q's own
+    (no move) is the atlas itself.  σ, the tip swap n - 2 <-> n - 1, is an
+    automorphism of the diagram carrying Q's initial seed to σQ's, so it
+    carries the variable keyed by d to σQ's keyed by σd, with x_{n-2},
+    x_{n-1} and y_{n-2}, y_{n-1} exchanged.  ρ reverses every arrow: the
+    representations of ρQ = Q^op are the duals of Q's and
+    Gr_e(DM) ≅ Gr_{d-e}(M), F being the generating function of the quiver
+    Grassmannians, so the variable keyed by d keeps its key and x-part and
+    has each y^b replaced by y^(d-b).  σρ does both in one pass.  Only
+    exponent positions move, so no term is validated again."""
+    if not (swap or reverse):
+        return atlas
     a, b = n - 2, n - 1
     ctx = xy_context(n)
-    mirrored = {}
+    moved = {}
     for d, poly in atlas.items():
-        terms = {
-            e[:a] + (e[b], e[a]) + e[n : n + a] + (e[n + b], e[n + a]): c
-            for e, c in poly.terms.items()
-        }
-        mirrored[d[:a] + (d[b], d[a])] = LaurentPolynomial._build(ctx, terms)
-    return mirrored
-
-
-def reversed_atlas(atlas, n):
-    """The atlas of ρQ = Q^op from Q's ``walk_cluster_variables`` atlas: the
-    representations of Q^op are the duals of Q's, and Gr_e(DM) ≅ Gr_{d-e}(M),
-    so the variable keyed by d is Q's with each term's y^b replaced by
-    y^(d-b) and its x-part unchanged (the keys stay).  Only exponents move,
-    so no term is validated again."""
-    ctx = xy_context(n)
-    reversed_ = {}
-    for d, poly in atlas.items():
-        terms = {e[:n] + tuple(map(operator.sub, d, e[n:])): c for e, c in poly.terms.items()}
-        reversed_[d] = LaurentPolynomial._build(ctx, terms)
-    return reversed_
+        if swap:
+            d = d[:a] + (d[b], d[a])
+        terms = {}
+        for e, c in poly.terms.items():
+            if swap:
+                e = e[:a] + (e[b], e[a]) + e[n : n + a] + (e[n + b], e[n + a])
+            if reverse:  # y^b -> y^(d-b), d the key as moved
+                e = e[:n] + tuple(map(operator.sub, d, e[n:]))
+            terms[e] = c
+        moved[d] = LaurentPolynomial._build(ctx, terms)
+    return moved

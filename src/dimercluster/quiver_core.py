@@ -106,6 +106,20 @@ class Quiver:
         """ρQ = Q^op: this orientation with every arrow reversed."""
         return Quiver(self.n, [(h, t) for t, h in self.arrows])
 
+    def orbit(self):
+        """Q's orbit under ⟨σ, ρ⟩, σ the tip swap and ρ the reversal of every
+        arrow: Q, σQ, ρQ and σρQ, each once and in that order, as
+        (member, (swap, reverse)) pairs whose flags say whether the member
+        is Q with its tips swapped and with its arrows reversed.  ρ and σρ
+        fix no orientation (both turn the path edge (0, 1) round) and
+        σρ = ρσ, so the orbit has 4 members, or 2 when σQ = Q."""
+        swapped = self.tips_swapped()
+        members = {}
+        for reverse, swap in itertools.product((False, True), repeat=2):
+            q = swapped if swap else self
+            members.setdefault(q.reversed() if reverse else q, (swap, reverse))
+        return tuple(members.items())
+
     def exchange_matrix(self):
         """B as a tuple of row tuples: ``b[i][j]`` is ``arrow_sign(i, j)``."""
         n = self.n

@@ -21,16 +21,17 @@ parent, and the components of S are runs of S along parent edges), and
 ``_RULES`` states them once: for the edge (u, v), each e_u maps every e_v
 that the box and the arrow leave (never none) to what the edge does to S's
 components.  A walk along the indices extends only the vectors that pass
-the box and every arrow, scoring each prefix as (e, c, k) on the way: c is
+the box and every arrow, scoring each prefix e as (c, k) on the way: c is
 the charge of the last component of S opened (-1 before any) and k the
-number closed uncharged, and a prefix is dropped once c would pass 1.  This
-is exact: the tips 0, n - 2 and n - 1 have d <= 1, so S's components are
-runs along the path 0..n-3, and each edge's u is the last path vertex the
-walk has reached, so no edge charges a component once a later one opens.
-As transfer tables multiplied back over the root's support, with the
-charge (0 or 1) of v's open component as state, the rules count the
-vectors of nonzero coefficient, the flip poset's elements, without listing
-them (Stanley, *EC1* §4.7).
+number closed uncharged.  ``_charge_step`` states what each edge kind does
+to (c, k), and drops a prefix once c would pass 1.  This is exact: the
+tips 0, n - 2 and n - 1 have d <= 1, so S's components are runs along the
+path 0..n-3, and each edge's u is the last path vertex the walk has
+reached, so no edge charges a component once a later one opens.  The same
+walk over the root's support, with the prefixes that agree on c and on e
+of the last path vertex counted together, counts the vectors of nonzero
+coefficient, the flip poset's elements, without listing them (a transfer
+count, Stanley, *EC1* §4.7).
 
 The g-vector is read off the root and the orientation alone: each arrow
 t -> h contributes d_h to coordinate t on top of -d.
@@ -74,55 +75,61 @@ def _steps(quiver, d, edges):
     return [(u, v, _RULES[d[u], d[v], (u, v) in quiver.arrows]) for u, v in edges]
 
 
+def _charge_step(state, kind):
+    """The score (c, k) of a prefix after a parent edge of this kind, from
+    its score ``state`` before it, or None once a component of S would be
+    charged twice: c is the charge of the last component opened (-1 before
+    any), k the number closed uncharged.  An edge charges u's component,
+    the open one."""
+    if kind == _KEEP:
+        return state
+    c, k = state
+    if kind == _CHARGE:
+        return (1, k) if c == 0 else None
+    return int(kind == _OPEN_CHARGED), k + (c == 0)  # the open one closes
+
+
 def poset_size(quiver, d):
     """Number of e with nonzero coefficient, the flip poset's size, after the
-    O(n) root check: ways[v][x] counts the assignments to v's subtree with
-    e_v = x and no closed component charged twice, as a pair (v's open
-    component uncharged, charged once; the second is 0 off S).  A step into
-    a vertex with d_v = 0 multiplies by 1, so only the parent edges into the
-    support's vertices past its lowest one, r, are taken: their parents all
-    lie in it."""
+    O(n) root check: the walk of ``tran_f_polynomial``, with the prefixes
+    that agree on c and on e of the last path vertex reached counted
+    together (a tip edge keeps that vertex).  An edge into a vertex with
+    d_v = 0 extends each prefix one way and charges nothing, so only the
+    edges into the support's vertices past its lowest one, r, are taken:
+    their parents all lie in it."""
     d = check_root(quiver, d)
     r = next(v for v, x in enumerate(d) if x)
-    ways = {v: [(1, 0)] * (d[v] + 1) for v in range(r, quiver.n) if d[v]}
     edges = [(u, v) for u, v in dynkin_edges(quiver.n)[r:] if d[v]]
-    for u, v, rule in reversed(_steps(quiver, d, edges)):
-        below, table = ways[v], []
-        for (a0, a1), kinds in zip(ways[u], rule):
-            same = plus = 0  # keeping u's charge, adding one to it
-            for y, kind in kinds.items():
-                b0, b1 = below[y]
-                if kind == _KEEP:
-                    same, plus = same + b0, plus + b1
-                elif kind == _CHARGE:
-                    plus += b0 + b1
-                else:  # v's component closes here
-                    same += b0 if kind == _OPEN_CHARGED else b0 + b1
-            table.append((a0 * same, a1 * same + a0 * plus))
-        ways[u] = table
-    return sum(map(sum, ways[r]))
+    ways = {(x, -1): 1 for x in range(d[r] + 1)}
+    for _, v, rule in _steps(quiver, d, edges):
+        path = v < quiver.n - 2
+        counted = {}
+        for (x, c), w in ways.items():
+            state = (c, 0)  # the count needs no k
+            for y, kind in rule[x].items():
+                step = _charge_step(state, kind)
+                if step:
+                    key = (y if path else x, step[0])
+                    counted[key] = counted.get(key, 0) + w
+        ways = counted
+    return sum(ways.values())
 
 
 def tran_f_polynomial(quiver, d):
     """The sum of coefficient(e) * u^e over the vectors in the box that pass
-    every arrow inequality: each prefix (e, c, k) is extended edge by edge
-    and dropped when its open component is charged twice, and a full vector
-    scores 2^(k + [c = 0])."""
+    every arrow inequality: each prefix (e, (c, k)) is extended edge by edge
+    through ``_charge_step``, and a full vector scores 2^(k + [c = 0])."""
     d = check_root(quiver, d)
-    prefixes = [((x,), -1, 0) for x in range(d[0] + 1)]
+    prefixes = [((x,), (-1, 0)) for x in range(d[0] + 1)]
     for u, _, rule in _steps(quiver, d, dynkin_edges(quiver.n)):
         extended = []
-        for e, c, k in prefixes:
+        for e, state in prefixes:
             for x, kind in rule[e[u]].items():
-                if kind == _KEEP:
-                    extended.append((e + (x,), c, k))
-                elif kind == _CHARGE:
-                    if c == 0:
-                        extended.append((e + (x,), 1, k))
-                else:  # the open component, if any, closes
-                    extended.append((e + (x,), int(kind == _OPEN_CHARGED), k + (c == 0)))
+                step = _charge_step(state, kind)
+                if step:
+                    extended.append((e + (x,), step))
         prefixes = extended
-    terms = {e: 2 ** (k + (c == 0)) for e, c, k in prefixes}
+    terms = {e: 2 ** (k + (c == 0)) for e, (c, k) in prefixes}
     return LaurentPolynomial._build(u_context(quiver.n), terms)
 
 

@@ -43,6 +43,11 @@ form ``support_summary_by_incidence`` reads).
   extended it, listing every vector that passes the box and every arrow and
   scoring each in a second pass over the rule table, against
   ``tran_f_polynomial``, and its table against ``tran_oracle._RULES``;
+* ``poset_size_by_pairs``: the flip poset's size as the package counted it
+  before ``poset_size`` became the forward walk of ``tran_f_polynomial``,
+  by transfer tables multiplied back over the root's support with the
+  charge pair (uncharged, charged once) of v's open component as state,
+  reading the five-kind ``_RULES``, against ``poset_size``;
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
   computed it before the tree walk, scoring every vector of the box with the
@@ -55,6 +60,10 @@ form ``support_summary_by_incidence`` reads).
   ranges, against ``positive_roots``;
 * ``enumerate_cluster_variables``: every cluster variable by a breadth-first
   search over the whole exchange graph, against the source-sweep walk;
+* ``mirror_atlas`` and ``reversed_atlas``: the atlases of σQ (the tips
+  swapped) and ρQ (every arrow reversed) read off Q's walk, as the package
+  read them before one ``moved_atlas`` took any move (σρ was the mirror of
+  the reversed atlas, two passes), against ``moved_atlas``;
 * ``mutate_ext_by_entries`` and ``mutate_seed_by_variables``: matrix
   mutation with one ``max`` per entry, and seed mutation multiplying in one
   variable per unit of |b_ik|, y's included, as the package mutated before
@@ -115,6 +124,7 @@ form ``support_summary_by_incidence`` reads).
 """
 
 import itertools
+import operator
 
 from dimercluster.base_graph import BW, WB, edge_key
 from dimercluster.cluster_invariants import _mismatches, dimer_invariants
@@ -124,6 +134,7 @@ from dimercluster.laurent_poly import (
     LaurentPolynomial,
     divide_exact,
     u_context,
+    xy_context,
 )
 from dimercluster.mixed_dimer import (
     config_from_e,
@@ -429,6 +440,34 @@ def arrow_valid_count_by_tree_steps(quiver, d):
         below = ways[v]
         ways[u] = [w * sum(below[y] for y in allowed[x]) for x, w in enumerate(ways[u])]
     return sum(ways[0])
+
+
+def poset_size_by_pairs(quiver, d):
+    """Number of e with nonzero coefficient: ways[v][x] counts the
+    assignments to v's subtree with e_v = x and no closed component charged
+    twice, as a pair (v's open component uncharged, charged once; the
+    second is 0 off S), over the parent edges into the support's vertices
+    past its lowest one, r, taken from the last back to r."""
+    d = check_root(quiver, d)
+    r = next(v for v, x in enumerate(d) if x)
+    ways = {v: [(1, 0)] * (d[v] + 1) for v in range(r, quiver.n) if d[v]}
+    edges = [(u, v) for u, v in dynkin_edges(quiver.n)[r:] if d[v]]
+    for u, v in reversed(edges):
+        rule = _RULES[d[u], d[v], (u, v) in quiver.arrows]
+        below, table = ways[v], []
+        for (a0, a1), kinds in zip(ways[u], rule):
+            same = plus = 0  # keeping u's charge, adding one to it
+            for y, kind in kinds.items():
+                b0, b1 = below[y]
+                if kind in (_KEEP, _JOIN):
+                    same, plus = same + b0, plus + b1
+                elif kind == _CHARGE:
+                    plus += b0 + b1
+                else:  # v's component closes here
+                    same += b0 if kind == _OPEN_CHARGED else b0 + b1
+            table.append((a0 * same, a1 * same + a0 * plus))
+        ways[u] = table
+    return sum(map(sum, ways[r]))
 
 
 def acceptable_evectors(quiver, d):
@@ -886,6 +925,34 @@ def enumerate_cluster_variables(quiver):
                 nxt.append(neighbor)
         frontier = nxt
     return atlas, len(seen)
+
+
+def mirror_atlas(atlas, n):
+    """The atlas of σQ from Q's ``walk_cluster_variables`` atlas, σ the tip
+    swap n - 2 <-> n - 1: each variable keyed by d goes to the key σd, with
+    x_{n-2}, x_{n-1} and y_{n-2}, y_{n-1} exchanged."""
+    a, b = n - 2, n - 1
+    ctx = xy_context(n)
+    mirrored = {}
+    for d, poly in atlas.items():
+        terms = {
+            e[:a] + (e[b], e[a]) + e[n : n + a] + (e[n + b], e[n + a]): c
+            for e, c in poly.terms.items()
+        }
+        mirrored[d[:a] + (d[b], d[a])] = LaurentPolynomial._build(ctx, terms)
+    return mirrored
+
+
+def reversed_atlas(atlas, n):
+    """The atlas of ρQ = Q^op from Q's ``walk_cluster_variables`` atlas: the
+    variable keyed by d is Q's with each term's y^b replaced by y^(d-b) and
+    its x-part unchanged (the keys stay)."""
+    ctx = xy_context(n)
+    reversed_ = {}
+    for d, poly in atlas.items():
+        terms = {e[:n] + tuple(map(operator.sub, d, e[n:])): c for e, c in poly.terms.items()}
+        reversed_[d] = LaurentPolynomial._build(ctx, terms)
+    return reversed_
 
 
 def mutate_ext_by_entries(ext, k):

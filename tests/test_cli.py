@@ -377,6 +377,23 @@ def test_exit_2_on_parse_errors(runner):
     assert runner.invoke(main, ["verify", "--root", QC_ROOT]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["basegraph", "-q", QC_SPEC],
+        ["compute", "-q", QC_SPEC],
+        ["poset", "-q", QC_SPEC],
+        ["verify", "-q", QC_SPEC],
+    ],
+)
+def test_an_empty_root_is_a_usage_error(runner, args):
+    # an empty -d is a root given empty, not a root left out
+    result = runner.invoke(main, args + ["-d", ""])
+    assert result.exit_code == 2
+    assert "root must be a comma-separated integer vector" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_rejects_jobs_below_one(runner, monkeypatch, jobs):
     def no_pool(*args, **kwargs):

@@ -14,10 +14,9 @@ from dimercluster.mutation_oracle import (
     f_polynomial_from_expansion,
     g_vector_from_expansion,
     initial_seed,
-    mirror_atlas,
+    moved_atlas,
     mutate_ext,
     mutate_seed,
-    reversed_atlas,
     walk_cluster_variables,
 )
 from dimercluster.quiver_core import Quiver, all_orientations, positive_roots
@@ -38,7 +37,12 @@ from frozen import (
     SEED_COUNTS,
     YHAT_QC,
 )
-from reference import enumerate_cluster_variables, mutate_seed_by_variables
+from reference import (
+    enumerate_cluster_variables,
+    mirror_atlas,
+    mutate_seed_by_variables,
+    reversed_atlas,
+)
 
 
 def laurent_from_triples(n, triples):
@@ -332,23 +336,34 @@ def sweep_atlases(request, rank):
     return atlases
 
 
+def check_moved_atlases(request, rank, moves):
+    """``moved_atlas`` of every rank-n walk, for each (swap, reverse) move:
+    the walk of Q moved by it, and the frozen maps' atlas (σρ the mirror of
+    the reversed atlas); no move gives the walk itself."""
+    atlases = sweep_atlases(request, rank)
+    for q, atlas in atlases.items():
+        for swap, reverse in moves:
+            moved = moved_atlas(atlas, rank, swap, reverse)
+            member, frozen = q, atlas
+            if reverse:
+                member, frozen = member.reversed(), reversed_atlas(frozen, rank)
+            if swap:
+                member, frozen = member.tips_swapped(), mirror_atlas(frozen, rank)
+            assert moved == atlases[member] == frozen, (q, swap, reverse)
+            assert (moved is atlas) == (not (swap or reverse))
+
+
 @pytest.mark.parametrize("rank", [4, 5, 6, 7])
 def test_the_mirrored_atlas_is_the_walk_of_the_mirrored_quiver(request, rank):
     # [DERIVED] σ (n-2 <-> n-1) is an automorphism of the diagram carrying Q's
     # initial seed to σQ's: σQ's atlas is Q's with the tips' x and y variables
-    # and key entries exchanged, keys and polynomials
-    atlases = sweep_atlases(request, rank)
-    for q, atlas in atlases.items():
-        assert mirror_atlas(atlas, rank) == atlases[q.tips_swapped()]
+    # and key entries exchanged, keys and polynomials; Q's own is Q's walk
+    check_moved_atlases(request, rank, [(False, False), (True, False)])
 
 
 @pytest.mark.parametrize("rank", [4, 5, 6, 7])
 def test_the_reversed_atlas_is_the_walk_of_the_reversed_quiver(request, rank):
     # [DERIVED] ρ reverses every arrow and dualizes the representations,
     # Gr_e(DM) ≅ Gr_{d-e}(M): ρQ's variable at d is Q's with y^b -> y^(d-b)
-    # and the x-part kept; σρQ's is the mirror of that
-    atlases = sweep_atlases(request, rank)
-    for q, atlas in atlases.items():
-        reversed_ = reversed_atlas(atlas, rank)
-        assert reversed_ == atlases[q.reversed()]
-        assert mirror_atlas(reversed_, rank) == atlases[q.tips_swapped().reversed()]
+    # and the x-part kept; σρQ's is the mirror of that, in one pass
+    check_moved_atlases(request, rank, [(False, True), (True, True)])

@@ -125,6 +125,30 @@ def test_reversed_is_an_involution_fixing_no_orientation_and_commuting_with_the_
             assert r.reversed() == q != r
             assert r.tips_swapped() == q.tips_swapped().reversed() != q
 
+
+@pytest.mark.parametrize("n, orbits", [(4, 3), (5, 6), (6, 12), (7, 24)])
+def test_orbit_lists_q_sigma_q_rho_q_and_sigma_rho_q_once_each(n, orbits):
+    quivers = all_orientations(n)
+    grouped = []
+    for q in quivers:
+        orbit = q.orbit()
+        assert orbit[0] == (q, (False, False))
+        fixed = q.tips_swapped() == q
+        moves = [(False, False)] + ([] if fixed else [(True, False)]) + [(False, True)]
+        assert [m for _, m in orbit] == moves + ([] if fixed else [(True, True)])
+        for member, (swap, reverse) in orbit:
+            moved = q.tips_swapped() if swap else q
+            assert member == (moved.reversed() if reverse else moved)
+        members = {member for member, _ in orbit}
+        assert len(members) == len(orbit) == (2 if fixed else 4)
+        for member in members:  # every member has the same orbit
+            assert {m for m, _ in member.orbit()} == members
+        if members not in grouped:
+            grouped.append(members)
+    assert len(grouped) == orbits
+    assert sum(map(len, grouped)) == len(quivers) == len(set().union(*grouped))
+
+
 # ---- [TRIVIAL] parsing ------------------------------------------------------
 
 

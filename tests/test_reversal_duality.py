@@ -2,7 +2,7 @@
 reversed, ``Quiver.reversed()``) is Q's with e read as d - e.
 
 Reversing every arrow dualizes the quiver's representations, and
-Gr_e(DM) ≅ Gr_{d-e}(M); ``mutation_oracle.reversed_atlas`` reads Q^op's
+Gr_e(DM) ≅ Gr_{d-e}(M); ``mutation_oracle.moved_atlas`` reads Q^op's
 atlas off Q's walk by this duality.  These tests check that the dimer route
 obeys it on its own, every piece built from Q^op and never derived from Q:
 
@@ -10,7 +10,8 @@ obeys it on its own, every piece built from Q^op and never derived from Q:
 * the closed form of d - e on G(Q^op) is that of e on G(Q);
 * Q^op's poset coefficients are Q's at d - e;
 * g_Q + g_{Q^op} = -C d, C the frozen Cartan matrix;
-* Tran's count of the poset (``poset_size``) is the same for Q and Q^op.
+* Tran's count of the poset (``poset_size``) is the same for Q and Q^op,
+  and for σQ (the tips swapped) at σd.
 
 Every rank-4-6 instance is checked, from the sweep fixtures, and derandomized
 draws at ranks 7-10 and 11-12.
@@ -49,6 +50,12 @@ def check_reversal_duality(poset, reversed_poset):
     assert tuple(map(sum, zip(g, op_g))) == minus_cartan_times(d)
     size = poset_size(poset.quiver, d)
     assert poset_size(reversed_poset.quiver, d) == size == len(poset.coefficients)
+    assert poset_size(poset.quiver.tips_swapped(), tips_swapped(d)) == size
+
+
+def tips_swapped(d):
+    """σd: the root with its fork-tip entries exchanged."""
+    return d[:-2] + (d[-1], d[-2])
 
 
 def test_reversal_duality_on_every_instance_ranks_4_to_6(sweep4, sweep5, sweep6):

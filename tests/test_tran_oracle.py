@@ -14,9 +14,11 @@ from dimercluster.mutation_oracle import (
     walk_cluster_variables,
 )
 from dimercluster.quiver_core import (
+    _PATH_RUNS,
     Quiver,
     all_orientations,
     dynkin_edges,
+    is_positive_root,
     parse_quiver,
     positive_roots,
 )
@@ -46,11 +48,12 @@ from reference import (
     arrow_conditions_hold,
     arrow_valid_count,
     arrow_valid_count_by_tree_steps,
+    poset_size_by_pairs,
     tran_f_polynomial_by_box,
     tran_f_polynomial_by_tree_walk,
 )
 from test_oracle_properties import instances
-from test_reversal_duality import dual, minus_cartan_times
+from test_reversal_duality import dual, minus_cartan_times, tips_swapped
 
 
 # ---- [TRIVIAL] basic conditions ----------------------------------------------
@@ -349,7 +352,9 @@ def test_poset_size_counts_the_terms_of_the_frozen_walk_ranks_4_to_7():
                 f = tran_f_polynomial(q, d)
                 assert f == tran_f_polynomial_by_tree_walk(q, d), (q, d)
                 assert f == reference.tran_f_polynomial_by_rule_walk(q, d), (q, d)
-                assert poset_size(q, d) == len(f.terms) <= arrow_valid_count(q, d), (q, d)
+                size = poset_size(q, d)
+                assert size == len(f.terms) <= arrow_valid_count(q, d), (q, d)
+                assert size == poset_size_by_pairs(q, d), (q, d)
                 checked += 1
     assert checked == 4064  # every orientation x root instance
 
@@ -360,4 +365,35 @@ def test_poset_size_counts_the_terms_ranks_8_to_14(instance):
     quiver, d = instance
     f = tran_f_polynomial(quiver, d)
     assert f == reference.tran_f_polynomial_by_rule_walk(quiver, d)
-    assert poset_size(quiver, d) == len(f.terms) <= arrow_valid_count(quiver, d)
+    size = poset_size(quiver, d)
+    assert size == len(f.terms) <= arrow_valid_count(quiver, d)
+    assert size == poset_size_by_pairs(quiver, d)
+
+
+@st.composite
+def long_oriented_roots(draw, lo, hi):
+    """A rank in [lo, hi], an orientation drawn edge by edge and a root
+    drawn from the closed form (``_PATH_RUNS``) without listing the roots:
+    a tip pair, a run pattern it admits, and where each run starts."""
+    n = draw(st.integers(lo, hi))
+    flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    arrows = [(b, a) if f else (a, b) for (a, b), f in zip(dynkin_edges(n), flips)]
+    tips = draw(st.sampled_from(sorted(_PATH_RUNS)))
+    runs = draw(st.sampled_from(_PATH_RUNS[tips]))
+    places = st.integers(0, n - 3)
+    starts = draw(st.lists(places, min_size=len(runs), max_size=len(runs), unique=True))
+    path = [0] * (n - 2)
+    for s, x in zip(sorted(starts), runs):
+        path[s:] = [x] * (n - 2 - s)
+    return Quiver(n, arrows), tuple(path) + tips
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(long_oriented_roots(15, 224))
+def test_poset_size_is_the_frozen_pair_count_ranks_15_to_224(instance):
+    quiver, d = instance
+    assert is_positive_root(quiver.n, d)
+    size = poset_size(quiver, d)
+    assert size == poset_size_by_pairs(quiver, d) <= arrow_valid_count(quiver, d)
+    assert poset_size(quiver.reversed(), d) == size
+    assert poset_size(quiver.tips_swapped(), tips_swapped(d)) == size
