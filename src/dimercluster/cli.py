@@ -29,6 +29,7 @@ from dimercluster.quiver_core import (
     format_quiver,
     graded_lex_sorted,
     is_positive_root,
+    parse_int,
     parse_quiver,
     positive_roots,
 )
@@ -98,7 +99,7 @@ def _parse_quiver_opt(spec):
 def _parse_root_opt(spec, n):
     """Root vector from csv; bad syntax exits 2, a non-root exits 3."""
     try:
-        d = tuple(int(x) for x in spec.split(","))
+        d = tuple(map(parse_int, spec.split(",")))
     except ValueError:
         raise click.UsageError("root must be a comma-separated integer vector")
     if len(d) != n or not is_positive_root(n, d):

@@ -165,6 +165,13 @@ class QuiverSyntaxError(ValueError):
     """Quiver text that does not have the form ``"n=<rank>; t>h, ..."``."""
 
 
+def parse_int(text):
+    """``int(text)``, refusing the underscores and non-ASCII digits it reads."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
+
+
 def parse_quiver(text):
     """Parse ``"n=6; 1>0, 2>1, 3>2, 4>3, 3>5"`` into a Quiver.
 
@@ -179,7 +186,7 @@ def parse_quiver(text):
     if not head.startswith("n="):
         raise QuiverSyntaxError('quiver text must start with "n=<rank>"')
     try:
-        n = int(head[2:])
+        n = parse_int(head[2:])
     except ValueError:
         raise QuiverSyntaxError("rank %r is not an integer" % head[2:]) from None
     arrows = []
@@ -191,7 +198,7 @@ def parse_quiver(text):
             raise QuiverSyntaxError("arrow %r must look like t>h" % chunk)
         t_text, h_text = chunk.split(">", 1)
         try:
-            arrows.append((int(t_text), int(h_text)))
+            arrows.append((parse_int(t_text), parse_int(h_text)))
         except ValueError:
             raise QuiverSyntaxError("arrow %r must be a pair of integers" % chunk) from None
     return Quiver(n, arrows)

@@ -48,6 +48,14 @@ form ``support_summary_by_incidence`` reads).
   by transfer tables multiplied back over the root's support with the
   charge pair (uncharged, charged once) of v's open component as state,
   reading the five-kind ``_RULES``, against ``poset_size``;
+* ``tran_f_polynomial_by_charge_steps`` and ``poset_size_by_charge_steps``
+  (with ``_kind_rule``, ``_KIND_RULES``, its four-kind table, ``_kind_steps``
+  and ``_charge_step``): the closed-form F-polynomial and the flip poset's
+  size as the package computed them before the charge rule was folded into
+  its move table, each prefix extended along every parent edge (the count:
+  every edge into the support) through one charge-step call per move,
+  against ``tran_f_polynomial`` and ``poset_size``, and the table composed
+  with ``_charge_step`` against ``tran_oracle._RULES``;
 * ``acceptable_evectors``: the closed-form support, against the poset;
 * ``tran_f_polynomial_by_box``: the closed-form F-polynomial as the package
   computed it before the tree walk, scoring every vector of the box with the
@@ -468,6 +476,91 @@ def poset_size_by_pairs(quiver, d):
             table.append((a0 * same, a1 * same + a0 * plus))
         ways[u] = table
     return sum(map(sum, ways[r]))
+
+
+def _kind_rule(du, dv, forward):
+    """For each e_u, {e_v: kind} over the e_v in [0, d_v] that the arrow
+    u -> v (forward) or v -> u allows: e_t - e_h <= max(d_t - d_h, 0).  The
+    four kinds of the charge-step walk: v joining u's component of S is
+    read as ``_KEEP``."""
+    rule = [{} for _ in range(du + 1)]
+    for x, y in itertools.product(range(du + 1), range(dv + 1)):
+        (dt, et), (dh, eh) = ((du, x), (dv, y))[:: 1 if forward else -1]
+        if et - eh > max(dt - dh, 0):
+            continue
+        critical = ((dt, et), (dh, eh)) in (((2, 1), (1, 0)), ((1, 1), (2, 1)))
+        if (dv, y) == (2, 1) != (du, x):
+            rule[x][y] = _OPEN_CHARGED if critical else _OPEN
+        else:  # an arrow inside S is never critical
+            rule[x][y] = _CHARGE if critical else _KEEP
+    return rule
+
+
+# keyed by (d_u, d_v, u -> v)
+_KIND_RULES = {
+    key: _kind_rule(*key) for key in itertools.product(range(3), range(3), (True, False))
+}
+
+
+def _kind_steps(quiver, d, edges):
+    """(u, v, rule) for each parent edge (u, v) in ``edges``."""
+    return [(u, v, _KIND_RULES[d[u], d[v], (u, v) in quiver.arrows]) for u, v in edges]
+
+
+def _charge_step(state, kind):
+    """The score (c, k) of a prefix after a parent edge of this kind, from
+    its score ``state`` before it, or None once a component of S would be
+    charged twice: c is the charge of the last component opened (-1 before
+    any), k the number closed uncharged.  An edge charges u's component,
+    the open one."""
+    if kind == _KEEP:
+        return state
+    c, k = state
+    if kind == _CHARGE:
+        return (1, k) if c == 0 else None
+    return int(kind == _OPEN_CHARGED), k + (c == 0)  # the open one closes
+
+
+def poset_size_by_charge_steps(quiver, d):
+    """Number of e with nonzero coefficient: the walk of
+    ``tran_f_polynomial_by_charge_steps`` over the parent edges into the
+    support's vertices past its lowest one, r, with the prefixes that agree
+    on c and on e of the last path vertex reached counted together."""
+    d = check_root(quiver, d)
+    r = next(v for v, x in enumerate(d) if x)
+    edges = [(u, v) for u, v in dynkin_edges(quiver.n)[r:] if d[v]]
+    ways = {(x, -1): 1 for x in range(d[r] + 1)}
+    for _, v, rule in _kind_steps(quiver, d, edges):
+        path = v < quiver.n - 2
+        counted = {}
+        for (x, c), w in ways.items():
+            state = (c, 0)  # the count needs no k
+            for y, kind in rule[x].items():
+                step = _charge_step(state, kind)
+                if step:
+                    key = (y if path else x, step[0])
+                    counted[key] = counted.get(key, 0) + w
+        ways = counted
+    return sum(ways.values())
+
+
+def tran_f_polynomial_by_charge_steps(quiver, d):
+    """The sum of coefficient(e) * u^e over the vectors in the box that pass
+    every arrow inequality: each prefix (e, (c, k)) is extended along every
+    parent edge through ``_charge_step``, and a full vector scores
+    2^(k + [c = 0])."""
+    d = check_root(quiver, d)
+    prefixes = [((x,), (-1, 0)) for x in range(d[0] + 1)]
+    for u, _, rule in _kind_steps(quiver, d, dynkin_edges(quiver.n)):
+        extended = []
+        for e, state in prefixes:
+            for x, kind in rule[e[u]].items():
+                step = _charge_step(state, kind)
+                if step:
+                    extended.append((e + (x,), step))
+        prefixes = extended
+    terms = {e: 2 ** (k + (c == 0)) for e, (c, k) in prefixes}
+    return LaurentPolynomial(u_context(quiver.n), terms)
 
 
 def acceptable_evectors(quiver, d):

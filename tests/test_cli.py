@@ -394,6 +394,31 @@ def test_an_empty_root_is_a_usage_error(runner, args):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "quiver_spec, root, message",
+    [
+        ("n=4; 1>0,1>2,1>3", "\uff10,1,1,1", "root must be a comma-separated integer vector"),
+        ("n=4; 1>0,1>2,1>3", "0_1,1,1,1", "root must be a comma-separated integer vector"),
+        ("n=\uff104; 1>0,1>2,1>3", "0,1,1,1", "rank '\uff104' is not an integer"),
+        ("n=4; 1>0,1>2,1>0_3", "0,1,1,1", "arrow '1>0_3' must be a pair of integers"),
+    ],
+    ids=["fullwidth-root-digit", "underscore-in-root", "fullwidth-rank-digit", "underscore-in-arrow"],
+)
+def test_only_ascii_digits_make_an_integer(runner, quiver_spec, root, message):
+    # int() alone reads the fullwidth 0 as 0 and 0_1 as 1
+    result = runner.invoke(main, ["compute", "-q", quiver_spec, "-d", root])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_signs_and_surrounding_whitespace_still_make_an_integer(runner):
+    plain = runner.invoke(main, ["compute", "-q", "n=4; 1>0,1>2,1>3", "-d", "0,1,1,1"])
+    spaced = runner.invoke(main, ["compute", "-q", "n= 4 ; 1>0, +1> 2,1>3", "-d", " 0,+1, 1 ,1"])
+    assert plain.exit_code == spaced.exit_code == 0
+    assert spaced.output == plain.output
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_rejects_jobs_below_one(runner, monkeypatch, jobs):
     def no_pool(*args, **kwargs):

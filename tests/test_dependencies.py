@@ -3,8 +3,10 @@ imports, the CLI runs in an interpreter where numpy cannot be imported, no
 module of the package reads an environment variable, no module writes
 indented JSON through ``json.dumps``, every function, class and method
 of the package, public or private, is used somewhere in the package, and so
-is every attribute the package sets; and every hypothesis test of the suite
-draws the same examples on every run, with no database and no deadline."""
+is every attribute the package sets; every definition of the tests' frozen
+copies in ``tests/reference.py`` is used by a test; and every hypothesis
+test of the suite draws the same examples on every run, with no database
+and no deadline."""
 
 import ast
 import os
@@ -114,6 +116,46 @@ def _unused_names(directory):
     return sorted(unused)
 
 
+def _names_used(node):
+    """Every name a node's code uses: ``Name`` ids, ``Attribute`` attrs and
+    import aliases."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.split(".")[-1])
+    return names
+
+
+def _unused_references(directory):
+    """Module-level functions, classes and assigned names of reference.py in
+    directory that no other *.py there names, directly or through the
+    reference definitions it names."""
+    defs = {}
+    for node in ast.parse((directory / "reference.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        defs[sub.id] = node.value
+    used = set()
+    for path in directory.glob("*.py"):
+        if path.name != "reference.py":
+            used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
+    live = [name for name in defs if name in used]
+    seen = set(live)
+    while live:
+        for name in _names_used(defs[live.pop()]) & defs.keys() - seen:
+            seen.add(name)
+            live.append(name)
+    return sorted(defs.keys() - seen)
+
+
 def _unread_attributes(directory):
     """(file, name) of every attribute that code in *.py in directory sets on
     an object (``self.name = ...`` or ``obj.name = ...``, in any assignment
@@ -215,6 +257,11 @@ def test_every_private_name_is_used_in_the_package():
 def test_every_attribute_set_is_read_in_the_package():
     # no per-instance table or field that only the tests read, or nothing
     assert _unread_attributes(ROOT / "src" / "dimercluster") == []
+
+
+def test_every_reference_definition_is_used_by_a_test():
+    # a frozen copy that no test compares with anything checks nothing
+    assert _unused_references(ROOT / "tests") == []
 
 
 def test_every_hypothesis_test_is_derandomized_without_database_or_deadline():

@@ -14,6 +14,7 @@ from dimercluster.quiver_core import (
     format_quiver,
     graded_lex_sorted,
     is_positive_root,
+    parse_int,
     parse_quiver,
     positive_roots,
 )
@@ -166,11 +167,25 @@ def test_parse_roundtrip():
         "n=4; 0-1, 1>2, 1>3",
         "n=4; 0>x, 1>2, 1>3",
         "n=4",
+        "n=\uff14; 0>1, 1>2, 1>3",
+        "n=0_4; 0>1, 1>2, 1>3",
+        "n=4; 0>1, 1>\u0662, 1>3",
     ],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_quiver(bad)
+
+
+@pytest.mark.parametrize("text, value", [("4", 4), (" +4 ", 4), ("-12", -12), ("007", 7)])
+def test_parse_int_reads_ascii_digits_with_a_sign_and_spaces(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("bad", ["", "+", "4_0", "\uff14", "\u0664", "1.0", "0x4", "- 4"])
+def test_parse_int_rejects_underscores_other_digits_and_other_forms(bad):
+    with pytest.raises(ValueError):
+        parse_int(bad)
 
 
 # ---- positive roots ---------------------------------------------------------

@@ -48,10 +48,13 @@ from reference import (
     arrow_conditions_hold,
     arrow_valid_count,
     arrow_valid_count_by_tree_steps,
+    poset_size_by_charge_steps,
     poset_size_by_pairs,
+    tran_f_polynomial_by_charge_steps,
     tran_f_polynomial_by_box,
     tran_f_polynomial_by_tree_walk,
 )
+from test_cli import alternating, highest_root
 from test_oracle_properties import instances
 from test_reversal_duality import dual, minus_cartan_times, tips_swapped
 
@@ -245,18 +248,25 @@ def test_rank13_scores_only_the_vectors_that_pass_every_arrow(monkeypatch):
 
 
 def test_the_rules_are_the_frozen_rules_with_join_read_as_keep():
-    # v joining u's component does to S's charges what v off S does
-    kinds = {
-        reference._KEEP: dimercluster.tran_oracle._KEEP,
-        reference._CHARGE: dimercluster.tran_oracle._CHARGE,
-        reference._JOIN: dimercluster.tran_oracle._KEEP,
-        reference._OPEN: dimercluster.tran_oracle._OPEN,
-        reference._OPEN_CHARGED: dimercluster.tran_oracle._OPEN_CHARGED,
-    }
+    # the move table is the four-kind table composed with the charge step,
+    # and that table is the five-kind one with v joining u's component of S
+    # read as v off S
     rules = dimercluster.tran_oracle._RULES
-    assert rules.keys() == reference._RULES.keys() and len(rules) == 18
-    for key, frozen in reference._RULES.items():
-        assert rules[key] == [{y: kinds[k] for y, k in row.items()} for row in frozen], key
+    assert rules.keys() == reference._KIND_RULES.keys() == reference._RULES.keys()
+    assert len(rules) == 18
+    for key, frozen in reference._KIND_RULES.items():
+        five = reference._RULES[key]
+        join_as_keep = {reference._JOIN: reference._KEEP}
+        assert frozen == [{y: join_as_keep.get(k, k) for y, k in row.items()} for row in five]
+        assert len(rules[key]) == len(frozen), key
+        for x, kinds in enumerate(frozen):
+            for c in (-1, 0, 1):
+                moves = []
+                for y, kind in kinds.items():
+                    step = reference._charge_step((c, 0), kind)
+                    if step:
+                        moves.append((y, step[0], step[1]))
+                assert rules[key][x][c] == tuple(moves), (key, x, c)
 
 
 def test_arrow_valid_count_bounds_the_poset(sweep4, sweep5):
@@ -278,15 +288,16 @@ def test_support_count_equals_the_count_over_every_edge_ranks_4_to_8():
 
 
 def test_poset_size_takes_only_the_steps_inside_the_support(monkeypatch):
-    # a step into a vertex with d_v = 0 multiplies the count by 1
+    # an edge into a vertex with d_v = 0 has one move and charges nothing
     taken = []
-    original = dimercluster.tran_oracle._steps
+    original = dimercluster.tran_oracle._support_steps
 
-    def counted(quiver, d, edges):
-        taken.extend(edges)
-        return original(quiver, d, edges)
+    def counted(quiver, d):
+        r, top, steps = original(quiver, d)
+        taken.extend((u, v) for u, v, _ in steps)
+        return r, top, steps
 
-    monkeypatch.setattr(dimercluster.tran_oracle, "_steps", counted)
+    monkeypatch.setattr(dimercluster.tran_oracle, "_support_steps", counted)
     n = 224
     quiver = Quiver(n, [(b, a) for a, b in dynkin_edges(n)])
     d = (0,) * 100 + (1,) * 5 + (0,) * (n - 105)
@@ -370,6 +381,37 @@ def test_poset_size_counts_the_terms_ranks_8_to_14(instance):
     assert size == poset_size_by_pairs(quiver, d)
 
 
+def test_the_walks_are_the_frozen_charge_step_walks_ranks_4_to_8():
+    # every orientation, so the images under rho and sigma are all checked
+    checked = 0
+    for n in range(4, 9):
+        roots = positive_roots(n)
+        for q in all_orientations(n):
+            for d in roots:
+                f = tran_f_polynomial(q, d)
+                assert f == tran_f_polynomial_by_charge_steps(q, d), (q, d)
+                assert poset_size(q, d) == poset_size_by_charge_steps(q, d) == len(f.terms)
+                checked += 1
+    assert checked == 11_232
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(oriented_roots(9, 14))
+def test_the_walks_are_the_frozen_charge_step_walks_ranks_9_to_14(instance):
+    quiver, d = instance
+    f = tran_f_polynomial(quiver, d)
+    assert f == tran_f_polynomial_by_charge_steps(quiver, d)
+    size = poset_size(quiver, d)
+    assert size == poset_size_by_charge_steps(quiver, d) == len(f.terms)
+    op, swapped = tran_f_polynomial(quiver.reversed(), d), tran_f_polynomial(
+        quiver.tips_swapped(), tips_swapped(d)
+    )
+    assert op.terms == {dual(d, e): c for e, c in f.terms.items()}
+    assert swapped.terms == {tips_swapped(e): c for e, c in f.terms.items()}
+    assert poset_size(quiver.reversed(), d) == size
+    assert poset_size(quiver.tips_swapped(), tips_swapped(d)) == size
+
+
 @st.composite
 def long_oriented_roots(draw, lo, hi):
     """A rank in [lo, hi], an orientation drawn edge by edge and a root
@@ -395,5 +437,29 @@ def test_poset_size_is_the_frozen_pair_count_ranks_15_to_224(instance):
     assert is_positive_root(quiver.n, d)
     size = poset_size(quiver, d)
     assert size == poset_size_by_pairs(quiver, d) <= arrow_valid_count(quiver, d)
+    assert size == poset_size_by_charge_steps(quiver, d)
     assert poset_size(quiver.reversed(), d) == size
     assert poset_size(quiver.tips_swapped(), tips_swapped(d)) == size
+
+
+# ---- pins past the caps --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, size", [(16, 249_561), (17, 560_761), (40, 68_479_304_440_820)]
+)
+def test_poset_size_of_the_alternating_highest_root_past_the_caps(n, size):
+    quiver = parse_quiver(alternating(n))
+    d = tuple(map(int, highest_root(n).split(",")))
+    assert poset_size(quiver, d) == poset_size_by_charge_steps(quiver, d) == size
+    assert poset_size(quiver.reversed(), d) == size
+    assert poset_size(quiver.tips_swapped(), tips_swapped(d)) == size
+
+
+def test_f_of_the_alternating_rank_14_highest_root():
+    quiver = parse_quiver(alternating(14))
+    d = tuple(map(int, highest_root(14).split(",")))
+    f = tran_f_polynomial(quiver, d)
+    assert len(f.terms) == 49_427
+    assert sum(f.terms.values()) == 229_969
+    assert f == tran_f_polynomial_by_charge_steps(quiver, d)
