@@ -38,11 +38,12 @@ Weights
 -------
 Each arrow ``i -> j`` labels one boundary edge of tile ``i`` (a wb-side) with
 the variable index ``j``, and one boundary edge of tile ``j`` (a bw-side)
-with ``i``.  Sides are claimed clockwise (``flip_deltas[i]``) starting from
-the side shared with the tile's lowest-indexed neighbor, into
-``weighted_edges``; unlabeled edges weigh 1.  Boundary sides of a tile in
-the same class always carry equal multiplicity in any configuration, so the
-residual freedom in this rule cannot affect weights of configurations.
+with ``i``.  Each neighbor, in ascending order, claims the next boundary
+side of its class (+1 in ``flip_deltas[i]``: wb, -1: bw) clockwise from the
+side shared with the lowest-indexed one, into ``weighted_edges``; unlabeled
+edges weigh 1.  Boundary sides of a tile in the same class always carry
+equal multiplicity in any configuration, so the residual freedom in this
+rule cannot affect weights of configurations.
 
 Marked nodes
 ------------
@@ -105,7 +106,7 @@ class BaseGraph:
         self.quiver = quiver
         self.n = quiver.n
         # the first diagram edge pins the 2-coloring
-        self.sigma = 0 if quiver.arrow_sign(0, 1) == 1 else 1
+        self.sigma = 0 if (0, 1) in quiver.arrows else 1
         self._build_tiles()
         self._index_edges()
         self._validate()
@@ -323,25 +324,20 @@ class BaseGraph:
             near[v].append(u)
         labels = {}  # edge -> label, in the order claimed
         for i, deltas in enumerate(self.flip_deltas):
-            first = near[i][0]
-            records = [plan[k] for k, _ in deltas]
-            start = records.index((i, first) if (i, first) in arrows else (first, i))
-            ring = [k for k, _ in deltas[start:] + deltas[:start]]
-            records = records[start:] + records[:start]
-            claimed = {}  # record -> the ring position after its last claim
+            start = next(s for s, (k, _) in enumerate(deltas) if near[i][0] in plan[k])
+            free = {1: [], -1: []}  # the boundary wb- and bw-sides, clockwise
+            for k, delta in deltas[start:] + deltas[:start]:
+                if n in plan[k]:
+                    free[delta].append(k)
             for j in near[i]:
-                # a free side is a boundary side: a wb-side, record (n, i),
-                # for an arrow i -> j, a bw-side, record (i, n), for j -> i
-                free = (n, i) if (i, j) in arrows else (i, n)
-                try:
-                    s = records.index(free, claimed.get(free, 0))
-                except ValueError:
+                # an arrow i -> j labels a wb-side, an arrow j -> i a bw-side
+                delta = 1 if (i, j) in arrows else -1
+                if not free[delta]:
                     raise AssertionError(
                         "no free %s-side on tile %d for neighbor %d"
-                        % (WB if free[0] == n else BW, i, j)
-                    ) from None
-                claimed[free] = s + 1
-                labels[ring[s]] = j
+                        % (WB if delta == 1 else BW, i, j)
+                    )
+                labels[free[delta].pop(0)] = j
         self.weighted_edges = tuple(labels.items())
 
     # ---- marked nodes ------------------------------------------------------------

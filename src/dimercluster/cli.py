@@ -24,6 +24,7 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.laurent_poly import LaurentPolynomial
 from dimercluster.mutation_oracle import expansion_from_f_and_g, moved_atlas, walk_cluster_variables
 from dimercluster.quiver_core import (
+    MIN_RANK,
     QuiverSyntaxError,
     all_orientations,
     format_quiver,
@@ -102,7 +103,7 @@ def _parse_root_opt(spec, n):
         d = tuple(map(parse_int, spec.split(",")))
     except ValueError:
         raise click.UsageError("root must be a comma-separated integer vector")
-    if len(d) != n or not is_positive_root(n, d):
+    if not is_positive_root(n, d):
         _semantic_error("%r is not a positive root at rank %d" % (d, n))
     return d
 
@@ -139,6 +140,15 @@ def _flip_poset(quiver, d, size):
             % (d, len(poset.coefficients), size)
         )
     return poset
+
+
+def _read_int(ctx, param, value):
+    """An integer option read as -q and -d are (``parse_int``): click's int
+    types also take ``0_4`` and non-ASCII digits."""
+    try:
+        return value if value is None else parse_int(value)
+    except ValueError:
+        raise click.BadParameter("%r is not a valid integer." % value) from None
 
 
 def _check_output(ctx, param, value):
@@ -509,15 +519,17 @@ def _verify_one_orientation(args):
 
 
 @main.command()
-@click.option("--n", "rank", type=int, default=None, help="sweep every orientation at this rank")
+@click.option(
+    "--n", "rank", callback=_read_int, metavar="INTEGER", help="sweep every orientation at this rank"
+)
 @click.option("-q", "--quiver", "quiver_spec", default=None, help="verify a single quiver instead")
 @click.option("-d", "--root", "root_spec", default=None, help="restrict to one root")
 @click.option("--oracle", "oracle_spec", default="tran,mutation", help="comma-joined subset")
 @click.option(
     "--jobs",
-    type=click.IntRange(min=1),
-    default=None,
-    help="parallel workers (default: cores, at most one per task: an orientation, "
+    callback=_read_int,
+    metavar="INTEGER",
+    help="parallel workers, at least 1 (default: cores, at most one per task: an orientation, "
     "or with the mutation oracle its orbit under tip swap and reversal)",
 )
 @click.option("-f", "--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -525,13 +537,15 @@ def _verify_one_orientation(args):
 @_output_option
 def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output):
     """Cross-check the dimer model against the independent oracles."""
+    if jobs is not None and jobs < 1:
+        raise click.BadParameter("%d is not in the range x>=1." % jobs, param_hint="'--jobs'")
     oracles = _oracle_list(oracle_spec)
     if (rank is None) == (quiver_spec is None):
         raise click.UsageError("give exactly one of --n or --quiver")
     checked = None  # every root of every orientation
     if quiver_spec is None:
-        if rank < 4:
-            _semantic_error("rank must be at least 4")
+        if rank < MIN_RANK:
+            _semantic_error("rank must be at least %d" % MIN_RANK)
         # past the limit's bit length 2^(rank-1) alone exceeds it: a huge rank
         # builds no huge int
         if (

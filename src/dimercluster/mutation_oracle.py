@@ -56,9 +56,10 @@ def initial_seed(quiver):
     n = quiver.n
     ctx = xy_context(n)
     cluster = [LaurentPolynomial.variable(ctx, "x%d" % i) for i in range(n)]
-    top = tuple(tuple(-b for b in row) for row in quiver.exchange_matrix())
-    bottom = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return Seed(cluster, top + bottom)
+    ext = [[0] * n for _ in range(n)] + [[int(i == j) for j in range(n)] for i in range(n)]
+    for t, h in quiver.arrows:  # the top block is -B
+        ext[t][h], ext[h][t] = -1, 1
+    return Seed(cluster, tuple(map(tuple, ext)))
 
 
 def mutate_ext(ext, k):

@@ -1,4 +1,4 @@
-"""Type-D Dynkin combinatorics: orientations, exchange matrices, roots.
+"""Type-D Dynkin combinatorics: orientations and roots.
 
 Vertices of the rank-``n`` diagram (``n >= 4``) are ``0..n-1``.  The diagram
 is a path ``0 - 1 - ... - (n-3)`` with two extra edges ``(n-3) - (n-2)`` and
@@ -7,9 +7,9 @@ is a path ``0 - 1 - ... - (n-3)`` with two extra edges ``(n-3) - (n-2)`` and
 statement: every reader of its adjacency takes the tree from it, or from a
 quiver's arrows.
 
-A quiver here is an orientation of that tree, so it is automatically acyclic.
-Sign convention used throughout the package: ``b[i][j] = +1`` exactly when
-there is an arrow ``i -> j``.
+A quiver here is an orientation of that tree, so it is acyclic; its arrows
+are its one statement.  Sign convention used throughout the package: its
+exchange matrix has ``b[i][j] = +1`` exactly when there is an arrow ``i -> j``.
 
 The n(n-1) positive roots have a closed form, stated once in the table
 ``_PATH_RUNS``: ``_roots`` lists them from it, not as the reflection orbit of
@@ -40,14 +40,13 @@ def _check_rank(n):
         raise ValueError("rank must be at least %d, got %d" % (MIN_RANK, n))
 
 
+@functools.lru_cache(maxsize=None)
 def dynkin_edges(n):
     """Undirected edges of the rank-n diagram as ascending pairs (u, v), one
     per vertex v >= 1 in index order: u is v's one earlier neighbour, v - 1,
-    or n - 3 for the fork tip n - 1."""
+    or n - 3 for the fork tip n - 1.  A tuple, built once per rank."""
     _check_rank(n)
-    edges = [(i, i + 1) for i in range(n - 2)]
-    edges.append((n - 3, n - 1))
-    return edges
+    return tuple((i, i + 1) for i in range(n - 2)) + ((n - 3, n - 1),)
 
 
 class Quiver:
@@ -87,14 +86,6 @@ class Quiver:
     def __repr__(self):
         return "Quiver(%s)" % format_quiver(self)
 
-    def arrow_sign(self, i, j):
-        """+1 if i -> j, -1 if j -> i, 0 if i and j are not adjacent."""
-        if (i, j) in self.arrows:
-            return 1
-        if (j, i) in self.arrows:
-            return -1
-        return 0
-
     def tips_swapped(self):
         """σQ: this orientation with the fork tips n - 2 and n - 1 exchanged,
         the image of Q under the diagram automorphism σ that swaps them."""
@@ -120,14 +111,9 @@ class Quiver:
             members.setdefault(q.reversed() if reverse else q, (swap, reverse))
         return tuple(members.items())
 
-    def exchange_matrix(self):
-        """B as a tuple of row tuples: ``b[i][j]`` is ``arrow_sign(i, j)``."""
-        n = self.n
-        return tuple(tuple(self.arrow_sign(i, j) for j in range(n)) for i in range(n))
-
     def topological_order(self):
         """Vertex order with every arrow tail before its head, the smallest
-        ready vertex first."""
+        ready vertex first; a tree's orientation has no cycle to stall it."""
         heads = [[] for _ in range(self.n)]
         indeg = [0] * self.n
         for t, h in self.arrows:
@@ -143,8 +129,6 @@ class Quiver:
                 if not indeg[h]:
                     ready.append(h)
             ready.sort()
-        if len(order) != self.n:
-            raise ValueError("orientation contains a cycle")  # unreachable on a tree
         return order
 
 

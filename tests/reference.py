@@ -122,6 +122,15 @@ form ``support_summary_by_incidence`` reads).
   tables, closed-form plan, boundary sides, weights) as ``BaseGraph`` built
   them before its one per-edge record, from the corner set, the tiles of
   every edge and a class per (edge, tile), against ``BaseGraph``;
+* ``arrow_sign`` and ``exchange_matrix``: the orientation as a sign per
+  pair and as the matrix B, the two forms ``Quiver`` gave besides its arrows
+  before the initial seed and the base graph's coloring read the arrows,
+  against ``initial_seed`` and ``BaseGraph.sigma``; the frozen builders
+  above read ``arrow_sign``;
+* ``assign_weights_by_records``: the weight labels as ``BaseGraph`` claimed
+  them before it read each tile's free sides off ``flip_deltas``, by a
+  search of (tail, head) records with an offset per class, against
+  ``weighted_edges``;
 * ``topological_order_by_kahn``: a quiver's vertex order as
   ``Quiver.topological_order`` computed it while quivers listed their
   diagram neighbours, the out-neighbours of each vertex read by a scan of
@@ -909,7 +918,7 @@ def config_from_e_by_classes(graph, d, e):
         tiles = [tile.index for tile in graph.tiles if edge in tile.edges]
         if len(tiles) == 2:
             i, j = tiles
-            tail, head = (i, j) if graph.quiver.arrow_sign(i, j) == 1 else (j, i)
+            tail, head = (i, j) if arrow_sign(graph.quiver, i, j) == 1 else (j, i)
             m = max(d[tail] - d[head], 0) + e[head] - e[tail]
         else:
             (i,) = tiles
@@ -1133,6 +1142,57 @@ def is_distributive(poset):
                 if lhs != rhs:
                     return False
     return True
+
+
+def arrow_sign(quiver, i, j):
+    """+1 if i -> j, -1 if j -> i, 0 if i and j are not adjacent, as
+    ``Quiver.arrow_sign`` gave it."""
+    if (i, j) in quiver.arrows:
+        return 1
+    if (j, i) in quiver.arrows:
+        return -1
+    return 0
+
+
+def exchange_matrix(quiver):
+    """B as a tuple of row tuples, ``b[i][j]`` the ``arrow_sign(i, j)``, as
+    ``Quiver.exchange_matrix`` gave it."""
+    n = quiver.n
+    return tuple(tuple(arrow_sign(quiver, i, j) for j in range(n)) for i in range(n))
+
+
+def assign_weights_by_records(graph):
+    """``weighted_edges`` as ``BaseGraph._assign_weights`` built it before it
+    read the free sides off ``flip_deltas``: the side shared with the lowest
+    neighbour found by its (tail, head) record, and each free side by a
+    search of the records from the last claim of its class."""
+    n, plan, arrows = graph.n, graph.closed_form_plan, graph.quiver.arrows
+    near = [[] for _ in range(n)]  # each tile's diagram neighbours, ascending
+    for u, v in dynkin_edges(n):
+        near[u].append(v)
+        near[v].append(u)
+    labels = {}  # edge -> label, in the order claimed
+    for i, deltas in enumerate(graph.flip_deltas):
+        first = near[i][0]
+        records = [plan[k] for k, _ in deltas]
+        start = records.index((i, first) if (i, first) in arrows else (first, i))
+        ring = [k for k, _ in deltas[start:] + deltas[:start]]
+        records = records[start:] + records[:start]
+        claimed = {}  # record -> the ring position after its last claim
+        for j in near[i]:
+            # a free side is a boundary side: a wb-side, record (n, i),
+            # for an arrow i -> j, a bw-side, record (i, n), for j -> i
+            free = (n, i) if (i, j) in arrows else (i, n)
+            try:
+                s = records.index(free, claimed.get(free, 0))
+            except ValueError:
+                raise AssertionError(
+                    "no free %s-side on tile %d for neighbor %d"
+                    % (WB if free[0] == n else BW, i, j)
+                ) from None
+            claimed[free] = s + 1
+            labels[ring[s]] = j
+    return tuple(labels.items())
 
 
 def topological_order_by_kahn(quiver):
@@ -1535,7 +1595,7 @@ class FrozenTables:
             start = tile_edges.index(start_edge)
             ring = tile_edges[start:] + tile_edges[:start]
             for j in neighbors:
-                needed = WB if self.quiver.arrow_sign(i, j) == 1 else BW
+                needed = WB if arrow_sign(self.quiver, i, j) == 1 else BW
                 for e in ring:
                     if len(self.edge_tiles[e]) != 1:
                         continue

@@ -176,6 +176,16 @@ def test_every_tile_has_a_boundary_side():
     assert count == sum(2 ** (n - 1) for n in range(4, 11)) + 4 * 16
 
 
+def test_weights_and_coloring_match_the_frozen_forms_ranks_4_to_12():
+    # the labels claimed in one pass over flip_deltas, in claim order, against
+    # the record search, and the coloring bit against the frozen arrow sign
+    for n in range(4, 13):
+        for q in all_orientations(n):
+            g = BaseGraph(q)
+            assert g.weighted_edges == reference.assign_weights_by_records(g)
+            assert g.sigma == (0 if reference.arrow_sign(q, 0, 1) == 1 else 1)
+
+
 def test_tables_match_the_frozen_builder():
     # every table the package reads, against the builder that kept the
     # corner set, each edge's tiles and a class per (edge, tile); the

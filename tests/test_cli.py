@@ -412,9 +412,30 @@ def test_only_ascii_digits_make_an_integer(runner, quiver_spec, root, message):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["--n", "0_4", "--jobs", "1"], "--n"),
+        (["--n", "\uff14", "--jobs", "1"], "--n"),
+        (["--n", "4", "--jobs", "0_1"], "--jobs"),
+    ],
+    ids=["underscore-in-rank", "fullwidth-rank", "underscore-in-jobs"],
+)
+def test_verify_options_take_only_ascii_digits(runner, args, option):
+    # click's int types read 0_4 and the fullwidth 4 as 4, and ran the sweep
+    result = runner.invoke(main, ["verify"] + args)
+    assert result.exit_code == 2
+    assert "Invalid value for '%s'" % option in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_signs_and_surrounding_whitespace_still_make_an_integer(runner):
     plain = runner.invoke(main, ["compute", "-q", "n=4; 1>0,1>2,1>3", "-d", "0,1,1,1"])
     spaced = runner.invoke(main, ["compute", "-q", "n= 4 ; 1>0, +1> 2,1>3", "-d", " 0,+1, 1 ,1"])
+    assert plain.exit_code == spaced.exit_code == 0
+    assert spaced.output == plain.output
+    plain = runner.invoke(main, ["verify", "--n", "4", "--jobs", "1"])
+    spaced = runner.invoke(main, ["verify", "--n", " 4 ", "--jobs", " +1"])
     assert plain.exit_code == spaced.exit_code == 0
     assert spaced.output == plain.output
 

@@ -3,7 +3,8 @@ imports, the CLI runs in an interpreter where numpy cannot be imported, no
 module of the package reads an environment variable, no module writes
 indented JSON through ``json.dumps``, every function, class and method
 of the package, public or private, is used somewhere in the package, and so
-is every attribute the package sets; every definition of the tests' frozen
+are every attribute the package sets and every module-level name it
+assigns; every definition of the tests' frozen
 copies in ``tests/reference.py`` is used by a test; and every hypothesis
 test of the suite draws the same examples on every run, with no database
 and no deadline."""
@@ -114,6 +115,31 @@ def _unused_names(directory):
         if not any(used == name and id(node) not in own for used, node in uses):
             unused.append(label)
     return sorted(unused)
+
+
+def _unread_module_names(directory):
+    """(file, name) of every name assigned at module level (constants and
+    tables; dunders such as ``__all__`` exempt) in *.py in directory that no
+    code there reads: a ``Name`` load, an ``Attribute`` attr or an import
+    alias.  Also the number of names checked."""
+    assigned, read = [], set()
+    for path in sorted(directory.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Name) and not _is_dunder(sub.id):
+                            assigned.append((path.name, sub.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.split(".")[-1])
+    return sorted(item for item in assigned if item[1] not in read), len(assigned)
 
 
 def _names_used(node):
@@ -257,6 +283,13 @@ def test_every_private_name_is_used_in_the_package():
 def test_every_attribute_set_is_read_in_the_package():
     # no per-instance table or field that only the tests read, or nothing
     assert _unread_attributes(ROOT / "src" / "dimercluster") == []
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # no constant or table left behind once its readers are gone
+    unread, checked = _unread_module_names(ROOT / "src" / "dimercluster")
+    assert checked >= 20
+    assert unread == []
 
 
 def test_every_reference_definition_is_used_by_a_test():

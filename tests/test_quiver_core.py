@@ -1,4 +1,4 @@
-"""Unit tests for diagram orientations, exchange matrices, and roots."""
+"""Unit tests for diagram orientations and roots."""
 
 import itertools
 import random
@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimercluster.base_graph import BaseGraph
+from dimercluster.mutation_oracle import initial_seed
 from dimercluster.quiver_core import (
     Quiver,
     all_orientations,
@@ -30,9 +32,9 @@ from reference import (
 
 
 def test_dynkin_edges_small_ranks():
-    assert dynkin_edges(4) == [(0, 1), (1, 2), (1, 3)]
-    assert dynkin_edges(5) == [(0, 1), (1, 2), (2, 3), (2, 4)]
-    assert dynkin_edges(6) == [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]
+    assert dynkin_edges(4) == ((0, 1), (1, 2), (1, 3))
+    assert dynkin_edges(5) == ((0, 1), (1, 2), (2, 3), (2, 4))
+    assert dynkin_edges(6) == ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5))
 
 
 def test_rank_floor():
@@ -63,20 +65,26 @@ def test_quiver_requires_every_edge_once():
 
 
 def test_arrow_sign_and_neighbors():
+    # the arrows are the orientation's one form: the seed's top block, -B, is
+    # -1 at (t, h) and +1 at (h, t) for an arrow t -> h, and 0 between
+    # vertices the diagram does not join
     q = Quiver(5, [(1, 0), (2, 1), (3, 2), (2, 4)])
-    assert q.arrow_sign(2, 1) == 1
-    assert q.arrow_sign(1, 2) == -1
-    assert q.arrow_sign(0, 3) == 0
+    top = initial_seed(q).ext[:5]
+    assert top[2][1] == -1
+    assert top[1][2] == 1
+    assert top[0][3] == 0
+    assert BaseGraph(q).sigma == 1  # 1 -> 0: the first edge points down-index
 
 
 def test_exchange_matrix_sign_convention():
-    # b[i][j] = +1 exactly when i -> j
+    # b[i][j] = +1 exactly when i -> j, read off the seed's top block -B
     q = Quiver(4, [(0, 1), (2, 1), (1, 3)])
-    b = q.exchange_matrix()
+    b = tuple(tuple(-x for x in row) for row in initial_seed(q).ext[:4])
     assert b[0][1] == 1 and b[1][0] == -1
     assert b[2][1] == 1 and b[1][2] == -1
     assert b[1][3] == 1 and b[3][1] == -1
     assert b == tuple(tuple(-x for x in col) for col in zip(*b))
+    assert BaseGraph(q).sigma == 0  # 0 -> 1 pins the coloring
 
 
 def test_topological_order_tails_first():

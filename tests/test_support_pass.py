@@ -65,7 +65,7 @@ def instances(draw, low=4, high=9):
     e = [rng.randint(0, d[0])]
     for v in range(1, n):
         u = n - 3 if v == n - 1 else v - 1
-        if quiver.arrow_sign(u, v) == 1:
+        if reference.arrow_sign(quiver, u, v) == 1:
             lo, hi = e[u] - max(d[u] - d[v], 0), d[v]
         else:
             lo, hi = 0, e[u] + max(d[v] - d[u], 0)
