@@ -4,19 +4,21 @@ Construction
 ------------
 Each vertex ``i`` of the diagram becomes a *tile*: vertices ``0..n-4`` are unit
 squares forming a monotone staircase (steps East/North), vertex ``n-3`` (the
-branch node) becomes a 2x1 hexagonal brick, and the fork tips ``n-2``, ``n-1``
-become unit squares attached to two of the brick's outer sides.  Adjacent
-diagram vertices share exactly one graph edge; non-adjacent tiles share
-nothing.
+branch node) becomes a 2x1 hexagonal brick on the cell the last step enters
+and the next cell along that step, and the fork tips ``n-2``, ``n-1`` become
+unit squares across clockwise brick sides 1-2 and 3-4, each across the side
+of its class with respect to the brick, on the cell to that side's left.
+Adjacent diagram vertices share exactly one graph edge; non-adjacent tiles
+share nothing.
 
 The staircase turns between consecutive tiles exactly when the two incident
 diagram edges are oriented the same way along the path (both up-index or both
-down-index); it runs straight when they oppose.  A side read clockwise is
-"bw" when its first corner's parity is ``sigma``, pinned by the orientation
-of the first diagram edge, and "wb" otherwise.  Every tile's boundary then
-alternates between the two classes, and the defining compatibility holds:
-the edge shared by an arrow ``i -> j`` is a bw-side of tile ``i`` and a
-wb-side of tile ``j``.
+down-index); it runs straight when they oppose, and tile 0 counts as entered
+straight, East.  A side read clockwise is "bw" when its first corner's parity
+is ``sigma``, pinned by the orientation of the first diagram edge, and "wb"
+otherwise.  Every tile's boundary then alternates between the two classes,
+and the defining compatibility holds: the edge shared by an arrow ``i -> j``
+is a bw-side of tile ``i`` and a wb-side of tile ``j``.
 
 Per-edge record
 ---------------
@@ -92,13 +94,13 @@ def _square_corners(cell):
     return [(a, b), (a, b + 1), (a + 1, b + 1), (a + 1, b)]
 
 
-def _hexagon_corners(cell, horizontal):
-    a, b = cell
-    if horizontal:
-        # cells (a,b),(a+1,b); clockwise from the lower-left corner
-        return [(a, b), (a, b + 1), (a + 1, b + 1), (a + 2, b + 1), (a + 2, b), (a + 1, b)]
-    # cells (a,b),(a,b+1)
-    return [(a, b), (a, b + 1), (a, b + 2), (a + 1, b + 2), (a + 1, b + 1), (a + 1, b)]
+def _hexagon_corners(cell, step):
+    """The 2x1 brick on cell and cell + step, clockwise from its lower-left corner."""
+    (a, b), (x, y) = cell, step
+    return [
+        (a, b), (a, b + 1), (a + x, b + 1 + y),
+        (a + 1 + x, b + 1 + y), (a + 1 + x, b + y), (a + 1, b),
+    ]
 
 
 class BaseGraph:
@@ -124,14 +126,15 @@ class BaseGraph:
     # ---- construction ---------------------------------------------------------
 
     def _build_tiles(self):
-        """The tiles, and the staircase's step into each tile i = 1..n-3
-        (the last enters the brick), kept for ``green_nodes``."""
+        """The tiles, and the staircase's step into each tile i = 0..n-3
+        (tile 0 counts as entered straight, the last enters the brick),
+        kept for ``green_nodes``."""
         n = self.n
         arrows = self.quiver.arrows
         # the staircase turns into tile i when the diagram edges (i-2, i-1)
         # and (i-1, i) point the same way along the path, and runs straight
         # when they oppose
-        dirs = [None, EAST]
+        dirs = [EAST, EAST]
         for i in range(2, n - 2):
             prev = dirs[-1]
             if ((i - 2, i - 1) in arrows) == ((i - 1, i) in arrows):
@@ -139,45 +142,27 @@ class BaseGraph:
             dirs.append(prev)
         self._directions = dirs
         cells = [(0, 0)]
-        for dx, dy in dirs[1 : n - 3]:
+        for dx, dy in dirs[1:]:
             a, b = cells[-1]
             cells.append((a + dx, b + dy))
+        # the branch tile: a 2x1 brick on the last cell and the next one along
+        # the last step
+        cell, step = cells.pop(), dirs[-1]
         tiles = [Tile(i, "square", [c], _square_corners(c)) for i, c in enumerate(cells)]
-
-        # the branch tile: a 2x1 brick entered by the final staircase step
-        hex_dir = dirs[n - 3]
-        last = cells[-1]
-        h0 = (last[0] + hex_dir[0], last[1] + hex_dir[1])
-        horizontal = hex_dir == EAST
-        h1 = (h0[0] + 1, h0[1]) if horizontal else (h0[0], h0[1] + 1)
-        hexagon = Tile(n - 3, "hexagon", [h0, h1], _hexagon_corners(h0, horizontal))
+        brick = [cell, (cell[0] + step[0], cell[1] + step[1])]
+        hexagon = Tile(n - 3, "hexagon", brick, _hexagon_corners(cell, step))
         tiles.append(hexagon)
-
-        # fork tiles sit across hexagon sides chosen by arrow compatibility:
-        # candidate (side index, outward cell) pairs, one pair per fork tile
-        a, b = h0
-        if horizontal:
-            candidates = {
-                n - 2: [(1, (a, b + 1)), (2, (a + 1, b + 1))],  # upper-left, upper-right
-                n - 1: [(3, (a + 2, b)), (4, (a + 1, b - 1))],  # right, lower-right
-            }
-        else:
-            candidates = {
-                n - 2: [(1, (a - 1, b + 1)), (2, (a, b + 2))],  # west-high, north
-                n - 1: [(3, (a + 1, b + 1)), (4, (a + 1, b))],  # east-high, east-low
-            }
-        hex_sides = hexagon.sides
-        for t in (n - 2, n - 1):
-            # class w.r.t. the brick (arrow tail: bw)
+        # each fork tile sits across the brick side of its class (arrow tail:
+        # bw) among clockwise sides 1-2 (tile n-2) or 3-4 (tile n-1), on the
+        # cell to that side's left
+        for t, sides in ((n - 2, hexagon.sides[1:3]), (n - 1, hexagon.sides[3:5])):
             needed = BW if (n - 3, t) in arrows else WB
-            chosen = None
-            for side_index, cell in candidates[t]:
-                if self.side_class(*hex_sides[side_index]) == needed:
-                    chosen = cell
-                    break
-            if chosen is None:  # the two candidates have opposite classes
+            side = next((side for side in sides if self.side_class(*side) == needed), None)
+            if side is None:  # neither side is of the needed class
                 raise AssertionError("no compatible brick side for fork tile %d" % t)
-            tiles.append(Tile(t, "square", [chosen], _square_corners(chosen)))
+            (px, py), (qx, qy) = side
+            cell = (min(px, qx) - (qy > py), min(py, qy) - (qx < px))
+            tiles.append(Tile(t, "square", [cell], _square_corners(cell)))
         self.tiles = tiles
 
     def _index_edges(self):
@@ -342,31 +327,26 @@ class BaseGraph:
 
     # ---- marked nodes ------------------------------------------------------------
 
+    def _corners_off(self, i, j):
+        """Tile i's corners that are not tile j's."""
+        drop = set(self.tiles[j].corners)
+        return frozenset(v for v in self.tiles[i].corners if v not in drop)
+
     def _mark_nodes(self):
-        hex_corners = set(self.tiles[self.n - 3].corners)
-        self.red_nodes = frozenset(
-            v for v in self.tiles[self.n - 1].corners if v not in hex_corners
-        )
-        self.blue_nodes = frozenset(
-            v for v in self.tiles[self.n - 2].corners if v not in hex_corners
-        )
+        self.red_nodes = self._corners_off(self.n - 1, self.n - 3)
+        self.blue_nodes = self._corners_off(self.n - 2, self.n - 3)
 
     def green_nodes(self, d):
         """Marked corners for the first doubled coordinate of d (empty if none)."""
-        doubled = [i for i, x in enumerate(d) if x == 2]
-        if not doubled:
+        if 2 not in d:
             return frozenset()
-        j = min(doubled)
-        tiles = self.tiles
-        if j == 1:
-            drop = set(tiles[1].corners)
-            return frozenset(v for v in tiles[0].corners if v not in drop)
+        j = d.index(2)
         dirs = self._directions
         if dirs[j - 1] == dirs[j]:  # straight: the side facing away from tile j
-            drop = set(tiles[j].corners)
-            return frozenset(v for v in tiles[j - 1].corners if v not in drop)
+            return self._corners_off(j - 1, j)
         # zig-zag: the end of the (j-2, j-1) shared edge that avoids tile j, plus
         # its diagonal opposite within tile j-2
+        tiles = self.tiles
         shared = set(tiles[j - 2].corners) & set(tiles[j - 1].corners)
         away = shared - set(tiles[j].corners)
         if len(away) != 1:

@@ -544,6 +544,8 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
         raise click.UsageError("give exactly one of --n or --quiver")
     checked = None  # every root of every orientation
     if quiver_spec is None:
+        if root_spec is not None:
+            raise click.UsageError("--root requires --quiver")
         if rank < MIN_RANK:
             _semantic_error("rank must be at least %d" % MIN_RANK)
         # past the limit's bit length 2^(rank-1) alone exceeds it: a huge rank
@@ -556,8 +558,6 @@ def verify(rank, quiver_spec, root_spec, oracle_spec, jobs, fmt, explain, output
                 "a rank-%d sweep is 2^%d orientations x %d roots, more than the "
                 "%d instances --n allows" % (rank, rank - 1, rank * (rank - 1), MAX_SWEEP_INSTANCES)
             )
-        if root_spec is not None:
-            raise click.UsageError("--root requires --quiver")
         quivers = all_orientations(rank)
     else:
         quiver = _parse_quiver_opt(quiver_spec)

@@ -45,10 +45,14 @@ def config_from_e(graph, d, e):
     Every edge is read as the side an arrow ``tail -> head`` shares
     (``graph.closed_form_plan``); a boundary side shares it with the outer
     face, index n, where d and e are 0, so both boundary formulas are the
-    interior one.
+    interior one.  ValueError unless d and e both have n entries.
     """
     dd = tuple(d) + (0,)
     ee = tuple(e) + (0,)
+    if not len(dd) == len(ee) == graph.n + 1:
+        raise ValueError(
+            "d and e must have %d entries each, not %r and %r" % (graph.n, dd[:-1], ee[:-1])
+        )
     config = tuple([
         dd[t] - dd[h] + ee[h] - ee[t] if dd[t] > dd[h] else ee[h] - ee[t]
         for t, h in graph.closed_form_plan

@@ -36,7 +36,13 @@ from __future__ import annotations
 
 import operator
 
-from dimercluster.laurent_poly import LaurentPolynomial, divide_exact, u_context, xy_context
+from dimercluster.laurent_poly import (
+    ContextError,
+    LaurentPolynomial,
+    divide_exact,
+    u_context,
+    xy_context,
+)
 from dimercluster.quiver_core import is_positive_root
 
 
@@ -142,7 +148,14 @@ def expansion_from_f_and_g(quiver, f_poly, g_vec):
     term c * x^(g + Ŷe) * y^e, and as its y-part is e itself, no two terms
     meet (the separation formula).  No polynomial arithmetic is involved,
     and F's terms are nonzero and of width n, so none is re-validated.
+    ContextError unless F lives in ``u_context(n)``, ValueError unless g has
+    n entries.
     """
+    n = quiver.n
+    if f_poly.context != u_context(n):
+        raise ContextError("F must live in u_context(%d), not %r" % (n, f_poly.context))
+    if len(g_vec) != n:
+        raise ValueError("g must have %d entries, not %d" % (n, len(g_vec)))
     terms = {}
     for e, c in f_poly.terms.items():
         x = list(g_vec)
@@ -150,7 +163,7 @@ def expansion_from_f_and_g(quiver, f_poly, g_vec):
             x[h] += e[t]
             x[t] -= e[h]
         terms[tuple(x) + e] = c
-    return LaurentPolynomial._build(xy_context(quiver.n), terms)
+    return LaurentPolynomial._build(xy_context(n), terms)
 
 
 # ---- source-sweep walk ------------------------------------------------------

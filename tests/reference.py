@@ -131,6 +131,13 @@ form ``support_summary_by_incidence`` reads).
   them before it read each tile's free sides off ``flip_deltas``, by a
   search of (tail, head) records with an offset per class, against
   ``weighted_edges``;
+* ``build_tiles_by_candidates`` (with ``_hexagon_corners_by_branch``) and
+  ``green_nodes_by_cases``: the tiles and the staircase steps as
+  ``BaseGraph`` laid them out before it read them off the steps and the
+  brick's sides, with the brick's corners in one list per direction, the
+  fork tiles' cells from a table of candidates per direction and tile 0
+  entered by no step, and the green corners with the doubled coordinate at
+  1 a case of its own, against ``BaseGraph.tiles`` and ``green_nodes``;
 * ``topological_order_by_kahn``: a quiver's vertex order as
   ``Quiver.topological_order`` computed it while quivers listed their
   diagram neighbours, the out-neighbours of each vertex read by a scan of
@@ -143,7 +150,7 @@ form ``support_summary_by_incidence`` reads).
 import itertools
 import operator
 
-from dimercluster.base_graph import BW, WB, edge_key
+from dimercluster.base_graph import BW, EAST, NORTH, WB, Tile, _square_corners, edge_key
 from dimercluster.cluster_invariants import _mismatches, dimer_invariants
 from dimercluster.laurent_poly import (
     DIVISION_STEP_LIMIT,
@@ -1193,6 +1200,98 @@ def assign_weights_by_records(graph):
             claimed[free] = s + 1
             labels[ring[s]] = j
     return tuple(labels.items())
+
+
+def _hexagon_corners_by_branch(cell, horizontal):
+    a, b = cell
+    if horizontal:
+        # cells (a,b),(a+1,b); clockwise from the lower-left corner
+        return [(a, b), (a, b + 1), (a + 1, b + 1), (a + 2, b + 1), (a + 2, b), (a + 1, b)]
+    # cells (a,b),(a,b+1)
+    return [(a, b), (a, b + 1), (a, b + 2), (a + 1, b + 2), (a + 1, b + 1), (a + 1, b)]
+
+
+def build_tiles_by_candidates(graph):
+    """(tiles, directions) as ``BaseGraph._build_tiles`` built them before it
+    laid the tiles out from the staircase steps and the brick's sides: the
+    step into each tile i = 1..n-3 (entry 0 None), the brick's corners in one
+    list per direction, and each fork tile's cell from a table of (brick
+    side, outward cell) candidates per direction."""
+    n = graph.n
+    arrows = graph.quiver.arrows
+    dirs = [None, EAST]
+    for i in range(2, n - 2):
+        prev = dirs[-1]
+        if ((i - 2, i - 1) in arrows) == ((i - 1, i) in arrows):
+            prev = NORTH if prev == EAST else EAST
+        dirs.append(prev)
+    cells = [(0, 0)]
+    for dx, dy in dirs[1 : n - 3]:
+        a, b = cells[-1]
+        cells.append((a + dx, b + dy))
+    tiles = [Tile(i, "square", [c], _square_corners(c)) for i, c in enumerate(cells)]
+
+    # the branch tile: a 2x1 brick entered by the final staircase step
+    hex_dir = dirs[n - 3]
+    last = cells[-1]
+    h0 = (last[0] + hex_dir[0], last[1] + hex_dir[1])
+    horizontal = hex_dir == EAST
+    h1 = (h0[0] + 1, h0[1]) if horizontal else (h0[0], h0[1] + 1)
+    hexagon = Tile(n - 3, "hexagon", [h0, h1], _hexagon_corners_by_branch(h0, horizontal))
+    tiles.append(hexagon)
+
+    # fork tiles sit across hexagon sides chosen by arrow compatibility:
+    # candidate (side index, outward cell) pairs, one pair per fork tile
+    a, b = h0
+    if horizontal:
+        candidates = {
+            n - 2: [(1, (a, b + 1)), (2, (a + 1, b + 1))],  # upper-left, upper-right
+            n - 1: [(3, (a + 2, b)), (4, (a + 1, b - 1))],  # right, lower-right
+        }
+    else:
+        candidates = {
+            n - 2: [(1, (a - 1, b + 1)), (2, (a, b + 2))],  # west-high, north
+            n - 1: [(3, (a + 1, b + 1)), (4, (a + 1, b))],  # east-high, east-low
+        }
+    hex_sides = hexagon.sides
+    for t in (n - 2, n - 1):
+        # class w.r.t. the brick (arrow tail: bw)
+        needed = BW if (n - 3, t) in arrows else WB
+        chosen = None
+        for side_index, cell in candidates[t]:
+            if graph.side_class(*hex_sides[side_index]) == needed:
+                chosen = cell
+                break
+        if chosen is None:  # the two candidates have opposite classes
+            raise AssertionError("no compatible brick side for fork tile %d" % t)
+        tiles.append(Tile(t, "square", [chosen], _square_corners(chosen)))
+    return tiles, dirs
+
+
+def green_nodes_by_cases(tiles, dirs, d):
+    """``BaseGraph.green_nodes`` as it read the tiles and steps of
+    ``build_tiles_by_candidates``, with the first doubled coordinate at 1 a
+    case of its own, before tile 0 counted as entered straight."""
+    doubled = [i for i, x in enumerate(d) if x == 2]
+    if not doubled:
+        return frozenset()
+    j = min(doubled)
+    if j == 1:
+        drop = set(tiles[1].corners)
+        return frozenset(v for v in tiles[0].corners if v not in drop)
+    if dirs[j - 1] == dirs[j]:  # straight: the side facing away from tile j
+        drop = set(tiles[j].corners)
+        return frozenset(v for v in tiles[j - 1].corners if v not in drop)
+    # zig-zag: the end of the (j-2, j-1) shared edge that avoids tile j, plus
+    # its diagonal opposite within tile j-2
+    shared = set(tiles[j - 2].corners) & set(tiles[j - 1].corners)
+    away = shared - set(tiles[j].corners)
+    if len(away) != 1:
+        raise AssertionError("zig-zag at %d has no unique corner away from tile j" % j)
+    (y,) = away
+    (a, b) = tiles[j - 2].cells[0]
+    z = (2 * a + 1 - y[0], 2 * b + 1 - y[1])
+    return frozenset({y, z})
 
 
 def topological_order_by_kahn(quiver):

@@ -11,7 +11,7 @@ import re
 import pytest
 
 from dimercluster.base_graph import BW, WB, BaseGraph, Tile, edge_key
-from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges
+from dimercluster.quiver_core import Quiver, all_orientations, dynkin_edges, positive_roots
 
 import reference
 from frozen import D5, D6, QA, QB, QC
@@ -184,6 +184,34 @@ def test_weights_and_coloring_match_the_frozen_forms_ranks_4_to_12():
             g = BaseGraph(q)
             assert g.weighted_edges == reference.assign_weights_by_records(g)
             assert g.sigma == (0 if reference.arrow_sign(q, 0, 1) == 1 else 1)
+
+
+def test_layout_and_marks_match_the_frozen_candidates_ranks_4_to_12():
+    # the tiles read off the staircase steps and the brick's sides, against
+    # the per-direction corner lists and fork-cell tables; the marked corners
+    # by one rule, against the case for a doubled coordinate at 1
+    count = 0
+    for n in range(4, 13):
+        roots = positive_roots(n)
+        for q in all_orientations(n):
+            g = BaseGraph(q)
+            tiles, dirs = reference.build_tiles_by_candidates(g)
+            assert [(t.index, t.kind, t.cells, t.corners) for t in g.tiles] == [
+                (t.index, t.kind, t.cells, t.corners) for t in tiles
+            ]
+            assert g._directions[1:] == dirs[1:]
+            brick = set(tiles[n - 3].corners)
+            red, blue = (
+                frozenset(v for v in tiles[t].corners if v not in brick) for t in (n - 1, n - 2)
+            )
+            assert (g.red_nodes, g.blue_nodes) == (red, blue)
+            forks = dict.fromkeys(red, "red") | dict.fromkeys(blue, "blue")
+            for d in roots:
+                green = reference.green_nodes_by_cases(tiles, dirs, d)
+                assert g.green_nodes(d) == green
+                assert g.node_labels(d) == forks | dict.fromkeys(green, "green")
+            count += 1
+    assert count == 4088
 
 
 def test_tables_match_the_frozen_builder():

@@ -377,6 +377,16 @@ def test_exit_2_on_parse_errors(runner):
     assert runner.invoke(main, ["verify", "--root", QC_ROOT]).exit_code == 2
 
 
+@pytest.mark.parametrize("rank", ["3", "4", "11"])
+def test_a_root_with_a_rank_is_a_usage_error_before_the_rank_is_judged(runner, rank):
+    # --n with -d is refused as a usage error whatever the rank: below the
+    # rank floor and past the sweep limit it exited 3 instead
+    result = runner.invoke(main, ["verify", "--n", rank, "-d", "1,1,1,1"])
+    assert result.exit_code == 2
+    assert "--root requires --quiver" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -971,14 +981,13 @@ def test_rank5_lattice_output_is_pinned(runner):
     assert digest.hexdigest() == "36592f6bb34cf89d2b3627f7c2e79afe11c8b9898fcbbaae5d9c0b271b729f11"
 
 
-def test_rank4_and_rank5_basegraph_output_is_pinned(runner):
-    # basegraph in every format for every rank-4 and rank-5 orientation, with
-    # no root and with each root that has an entry 2, one digest over the
-    # concatenated stdout; taken before the per-edge record replaced the
-    # corner set, each edge's tile list and the per-(edge, tile) classes
+def _basegraph_digest(runner, ranks):
+    """(cases, digest): basegraph in every format for every orientation of
+    the ranks, with no root and with each root that has an entry 2, one
+    digest over the concatenated stdout."""
     digest = hashlib.sha256()
     count = 0
-    for n in (4, 5):
+    for n in ranks:
         for quiver in all_orientations(n):
             for d in [None] + [d for d in positive_roots(n) if 2 in d]:
                 for fmt in ("text", "json", "dot"):
@@ -989,8 +998,26 @@ def test_rank4_and_rank5_basegraph_output_is_pinned(runner):
                     assert result.exit_code == 0
                     digest.update(result.output.encode())
                 count += 1
-    assert count == 80
-    assert digest.hexdigest() == "71b63e44c61c139080d681fbe09ba89247b68e72ff85743f24e9cd289b1c6363"
+    return count, digest.hexdigest()
+
+
+def test_rank4_and_rank5_basegraph_output_is_pinned(runner):
+    # taken before the per-edge record replaced the corner set, each edge's
+    # tile list and the per-(edge, tile) classes
+    assert _basegraph_digest(runner, (4, 5)) == (
+        80,
+        "71b63e44c61c139080d681fbe09ba89247b68e72ff85743f24e9cd289b1c6363",
+    )
+
+
+def test_rank6_and_rank7_basegraph_output_is_pinned(runner):
+    # the first 2 of a root falls past position 2 and the brick sits at tile
+    # 3 or 4, which ranks 4 and 5 never reach; taken before the tiles were
+    # read off the staircase steps and the brick's sides
+    assert _basegraph_digest(runner, (6, 7)) == (
+        32 * 7 + 64 * 11,
+        "de64cd6e533752ca882e19d7fb8986e3e2ae3e00fb8df895d8454d85cc65bd66",
+    )
 
 
 def test_mismatch_text_is_pinned(runner, wrong_tran):

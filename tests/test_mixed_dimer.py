@@ -243,6 +243,23 @@ def test_config_from_e_names_an_unrealizable_edge_by_its_corners(gc):
         config_from_e(gc, D5, (0, 1, 0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "d, e",
+    [
+        # a sixth entry was read as the outer face's, giving a wrong configuration
+        (D5, (0, 0, 0, 0, 0, -1)),
+        ((1, 1, 2, 1, 1, 1), (0, 0, 0, 0, 0)),
+        # a short vector raised IndexError
+        ((1, 1, 1, 1), (0, 0, 0, 0, 0)),
+        (D5, (0, 0, 0, 0)),
+    ],
+    ids=["long-e", "long-d", "short-d", "short-e"],
+)
+def test_config_from_e_refuses_vectors_of_the_wrong_width(gc, d, e):
+    with pytest.raises(ValueError, match="d and e must have 5 entries each"):
+        config_from_e(gc, d, e)
+
+
 def test_e_from_config_rejects_negative_multiplicities(gc):
     # every -1/-2 single-edge perturbation that goes below zero; 7 of these
     # once recovered the unperturbed e instead of raising

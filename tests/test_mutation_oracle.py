@@ -241,6 +241,22 @@ def test_expansion_recombines_from_f_and_g():
         assert expansion_from_f_and_g(quiver, f, g) == var
 
 
+def test_expansion_refuses_an_f_or_g_of_another_width():
+    # both gave terms of width 11 in the 10-variable context of rank 5
+    var = walk_cluster_variables(QC)[D5]
+    f, g = f_polynomial_from_expansion(var, 5), g_vector_from_expansion(var, 5)
+    with pytest.raises(ValueError, match="g must have 5 entries, not 6"):
+        expansion_from_f_and_g(QC, f, g + (7,))
+    with pytest.raises(ValueError, match="g must have 5 entries, not 4"):
+        expansion_from_f_and_g(QC, f, g[:4])
+    rank6 = f_polynomial_from_expansion(walk_cluster_variables(QA)[D6], 6)
+    with pytest.raises(laurent_poly.ContextError, match=r"F must live in u_context\(5\)"):
+        expansion_from_f_and_g(QC, rank6, g)
+    renamed = LaurentPolynomial(("v0", "v1", "v2", "v3", "v4"), f.terms)
+    with pytest.raises(laurent_poly.ContextError):
+        expansion_from_f_and_g(QC, renamed, g)
+
+
 def test_unknown_root_rejected():
     # (1,0,0,0,1) is no root, so no cluster variable has it as denominator
     assert (1, 0, 0, 0, 1) not in walk_cluster_variables(QC)
