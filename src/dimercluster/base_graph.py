@@ -62,7 +62,7 @@ import itertools
 
 from dimercluster.laurent_poly import LaurentPolynomial, u_context
 from dimercluster.mutation_oracle import expansion_from_f_and_g
-from dimercluster.quiver_core import dynkin_edges
+from dimercluster.quiver_core import check_root, dynkin_edges
 
 BW = "bw"
 WB = "wb"
@@ -337,7 +337,8 @@ class BaseGraph:
         self.blue_nodes = self._corners_off(self.n - 2, self.n - 3)
 
     def green_nodes(self, d):
-        """Marked corners for the first doubled coordinate of d (empty if none)."""
+        """Marked corners for the first 2 in d, if any; ValueError unless d is a root."""
+        d = check_root(self.quiver, d)
         if 2 not in d:
             return frozenset()
         j = d.index(2)

@@ -74,10 +74,10 @@ MAX_WALK_RANK = 10
 
 # The largest flip poset `poset --lattice` diagnoses.  The witness searches
 # are cubic in the element count; the slowest lattices are the distributive
-# ones, where both run to the end: 0.91 s of CPU at 128 elements and 1.41 s
+# ones, where both run to the end: 0.15 s of CPU at 128 elements and 0.22 s
 # at 150 on a 2-vCPU virtual machine (all-ones roots of
 # `n=10; 0>1, 2>1, 3>2, 3>4, 4>5, 6>5, 7>6, 7>8, 7>9` and
-# `n=11; 1>0, 1>2, 2>3, 4>3, 5>4, 5>6, 7>6, 7>8, 8>10, 9>8`, best of 3).
+# `n=11; 1>0, 1>2, 2>3, 4>3, 5>4, 5>6, 7>6, 7>8, 8>10, 9>8`, medians of 5).
 MAX_LATTICE_ELEMENTS = 128
 
 

@@ -38,7 +38,7 @@ one candidate each); they equal coordinatewise min/max exactly when those
 vectors are themselves members, and drop past them otherwise (the source of
 pentagon sublattices).
 The bitmasks take O(m^2) bits for m elements, so they are built on the first
-order query (``leq``, ``meet``, ``join``), not with the poset.
+order query (``meet``, ``join``, a witness search), not with the poset.
 """
 
 from __future__ import annotations
@@ -154,31 +154,17 @@ class FlipPoset:
 
     # ---- order queries ---------------------------------------------------------
 
-    def leq(self, u, v):
-        index, down, _ = self._order
-        return bool(down[index[tuple(v)]] >> index[tuple(u)] & 1)
-
-    def _bound(self, masks, u, v, highest):
-        """The element whose mask is the common mask of u and v, or None.
-
-        Elements are in rank order, so only the highest bit of a common
-        down-set can be a meet and only the lowest bit of a common up-set a
-        join.
-        """
-        index = self._order[0]
-        common = masks[index[tuple(u)]] & masks[index[tuple(v)]]
-        if not common:
-            return None
-        k = common.bit_length() - 1 if highest else (common & -common).bit_length() - 1
-        return self.elements[k] if masks[k] == common else None
-
     def meet(self, u, v):
         """Greatest common lower bound, or None."""
-        return self._bound(self._order[1], u, v, True)
+        index, down, _ = self._order
+        k = _bound(down, index[tuple(u)], index[tuple(v)], True)
+        return None if k is None else self.elements[k]
 
     def join(self, u, v):
         """Least common upper bound, or None."""
-        return self._bound(self._order[2], u, v, False)
+        index, _, up = self._order
+        k = _bound(up, index[tuple(u)], index[tuple(v)], False)
+        return None if k is None else self.elements[k]
 
     def is_lattice(self):
         """(True, None) or (False, offending pair)."""
@@ -195,48 +181,41 @@ class FlipPoset:
 
     # ---- forbidden-sublattice witnesses ------------------------------------------
 
+    def _apart(self):
+        """The order masks, and per position the mask of elements apart from it."""
+        _, down, up = self._order
+        everything = (1 << len(down)) - 1
+        return down, up, [everything ^ (lo | hi) for lo, hi in zip(down, up)]
+
+    def _witness(self, **positions):
+        """The witness with each position read as its element."""
+        return {name: self.elements[k] for name, k in positions.items()}
+
     def n5_witness(self):
         """A pentagon: u < v, w incomparable to both, equal meets and joins."""
         self.require_lattice()
-        for u in self.elements:
-            for v in self.elements:
-                if u == v or not self.leq(u, v):
-                    continue
-                for w in self.elements:
-                    if self.leq(w, u) or self.leq(u, w) or self.leq(w, v) or self.leq(v, w):
-                        continue
-                    if self.meet(u, w) == self.meet(v, w) and self.join(u, w) == self.join(v, w):
-                        return {
-                            "u": u,
-                            "v": v,
-                            "w": w,
-                            "meet": self.meet(u, w),
-                            "join": self.join(u, w),
-                        }
+        down, up, apart = self._apart()
+        for a in range(len(up)):
+            for b in _bits(up[a] ^ (1 << a)):
+                for c in _bits(apart[a] & apart[b]):
+                    meet, join = _bound(down, a, c, True), _bound(up, a, c, False)
+                    if meet == _bound(down, b, c, True) and join == _bound(up, b, c, False):
+                        return self._witness(u=a, v=b, w=c, meet=meet, join=join)
         return None
 
     def m3_witness(self):
         """A diamond: three pairwise-incomparable elements with one common
         meet and one common join."""
         self.require_lattice()
-        els = self.elements
-        for i, x in enumerate(els):
-            for j in range(i + 1, len(els)):
-                y = els[j]
-                if self.leq(x, y) or self.leq(y, x):
-                    continue
-                mxy, jxy = self.meet(x, y), self.join(x, y)
-                for k in range(j + 1, len(els)):
-                    z = els[k]
-                    if self.leq(x, z) or self.leq(z, x) or self.leq(y, z) or self.leq(z, y):
-                        continue
-                    if (
-                        self.meet(x, z) == mxy
-                        and self.meet(y, z) == mxy
-                        and self.join(x, z) == jxy
-                        and self.join(y, z) == jxy
+        down, up, apart = self._apart()
+        for a in range(len(up)):
+            for b in _bits(apart[a] >> (a + 1) << (a + 1)):
+                meet, join = _bound(down, a, b, True), _bound(up, a, b, False)
+                for c in _bits((apart[a] & apart[b]) >> (b + 1) << (b + 1)):
+                    if _bound(down, a, c, True) == meet == _bound(down, b, c, True) and (
+                        _bound(up, a, c, False) == join == _bound(up, b, c, False)
                     ):
-                        return {"x": x, "y": y, "z": z, "meet": mxy, "join": jxy}
+                        return self._witness(x=a, y=b, z=c, meet=meet, join=join)
         return None
 
     # ---- derived data ---------------------------------------------------------------
@@ -251,3 +230,22 @@ class FlipPoset:
             for v in ups:
                 yield '  "%s" -> "%s";' % (",".join(map(str, u)), ",".join(map(str, v)))
         yield "}"
+
+
+def _bits(mask):
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _bound(masks, a, b, highest):
+    """The position whose mask is the common mask of positions a and b, or
+    None.  Elements are in rank order, so only the highest bit of a common
+    down-set can be a meet and only the lowest bit of a common up-set a join."""
+    common = masks[a] & masks[b]
+    if not common:
+        return None
+    k = common.bit_length() - 1 if highest else (common & -common).bit_length() - 1
+    return k if masks[k] == common else None

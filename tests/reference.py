@@ -144,7 +144,13 @@ form ``support_summary_by_incidence`` reads).
   the arrows, against ``Quiver.topological_order``;
 * ``bound_by_walk``: a meet or join found by walking every bit of the common
   down- or up-set, as ``FlipPoset`` did before its one-bit check, against
-  ``FlipPoset.meet`` and ``FlipPoset.join``.
+  ``FlipPoset.meet`` and ``FlipPoset.join``;
+* ``leq``, ``n5_witness_by_leq`` and ``m3_witness_by_leq``: the order test
+  ``FlipPoset.leq`` by exponent vector, and the pentagon and diamond searches
+  as ``FlipPoset`` ran them before they read comparability off the order
+  masks, calling ``leq``, ``meet`` and ``join`` per candidate triple, against
+  ``FlipPoset.n5_witness`` and ``FlipPoset.m3_witness``; the tests read the
+  order through ``leq``.
 """
 
 import itertools
@@ -1325,6 +1331,57 @@ def bound_by_walk(poset, masks, u, v):
         if masks[low] == common:
             return poset.elements[low]
         k &= k - 1
+    return None
+
+
+def leq(poset, u, v):
+    index, down, _ = poset._order
+    return bool(down[index[tuple(v)]] >> index[tuple(u)] & 1)
+
+
+def n5_witness_by_leq(poset):
+    """A pentagon: u < v, w incomparable to both, equal meets and joins."""
+    poset.require_lattice()
+    for u in poset.elements:
+        for v in poset.elements:
+            if u == v or not leq(poset, u, v):
+                continue
+            for w in poset.elements:
+                if leq(poset, w, u) or leq(poset, u, w) or leq(poset, w, v) or leq(poset, v, w):
+                    continue
+                if poset.meet(u, w) == poset.meet(v, w) and poset.join(u, w) == poset.join(v, w):
+                    return {
+                        "u": u,
+                        "v": v,
+                        "w": w,
+                        "meet": poset.meet(u, w),
+                        "join": poset.join(u, w),
+                    }
+    return None
+
+
+def m3_witness_by_leq(poset):
+    """A diamond: three pairwise-incomparable elements with one common
+    meet and one common join."""
+    poset.require_lattice()
+    els = poset.elements
+    for i, x in enumerate(els):
+        for j in range(i + 1, len(els)):
+            y = els[j]
+            if leq(poset, x, y) or leq(poset, y, x):
+                continue
+            mxy, jxy = poset.meet(x, y), poset.join(x, y)
+            for k in range(j + 1, len(els)):
+                z = els[k]
+                if leq(poset, x, z) or leq(poset, z, x) or leq(poset, y, z) or leq(poset, z, y):
+                    continue
+                if (
+                    poset.meet(x, z) == mxy
+                    and poset.meet(y, z) == mxy
+                    and poset.join(x, z) == jxy
+                    and poset.join(y, z) == jxy
+                ):
+                    return {"x": x, "y": y, "z": z, "meet": mxy, "join": jxy}
     return None
 
 

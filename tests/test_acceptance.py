@@ -73,6 +73,7 @@ from reference import (
     enumerate_cluster_variables,
     is_distributive,
     is_flippable,
+    leq,
     support_summary_by_incidence,
 )
 
@@ -365,8 +366,8 @@ def test_ac8_poset_lattice_properties(sweep4, sweep5):
     witness = poset.n5_witness()
     assert witness is not None
     u, v, w = witness["u"], witness["v"], witness["w"]
-    assert poset.leq(u, v) and u != v
-    assert not poset.leq(w, v) and not poset.leq(u, w)
+    assert leq(poset, u, v) and u != v
+    assert not leq(poset, w, v) and not leq(poset, u, w)
     assert poset.meet(u, w) == poset.meet(v, w) == witness["meet"]
     assert poset.join(u, w) == poset.join(v, w) == witness["join"]
 

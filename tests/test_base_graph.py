@@ -77,6 +77,16 @@ def test_rank5_marked_nodes(gc):
     assert gc.green_nodes((0, 1, 1, 0, 1)) == frozenset()
 
 
+def test_marks_are_refused_for_a_vector_that_is_no_root(gc):
+    # each once gave marks or failed elsewhere: six marks for the first two,
+    # "corner (1, 4) marked twice", and an IndexError
+    for d in [(1, 1, 2), (0, 2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2)]:
+        message = "%r is not a positive root of the rank-5 system" % (d,)
+        for marks in (gc.green_nodes, gc.node_labels, gc.to_dot):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                marks(d)
+
+
 # ---- frozen rank-6 geometry -----------------------------------------------------
 
 

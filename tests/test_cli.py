@@ -820,7 +820,7 @@ def test_lattice_diagnostics_past_the_limit_are_refused_before_any_order_query(
     plain = runner.invoke(main, args)
     assert plain.exit_code == 0
     assert plain.output.startswith("elements (157):")
-    for name in ("is_lattice", "leq", "meet", "join", "n5_witness", "m3_witness"):
+    for name in ("is_lattice", "meet", "join", "n5_witness", "m3_witness"):
         monkeypatch.setattr(FlipPoset, name, lambda *a, **kw: pytest.fail("order query ran"))
     monkeypatch.setattr(FlipPoset, "__init__", lambda *a, **kw: pytest.fail("a poset was built"))
     result = runner.invoke(main, args + ["--lattice"])
@@ -979,6 +979,25 @@ def test_rank5_lattice_output_is_pinned(runner):
             count += 1
     assert count == 48
     assert digest.hexdigest() == "36592f6bb34cf89d2b3627f7c2e79afe11c8b9898fcbbaae5d9c0b271b729f11"
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "131d9bc1d32205c2223e307f40044504ea849b3d69badcedd2392130ab8b21fd"),
+        ("json", "54359bf94b1eb1ce3fcf2fbb516b84268f342b04fd95720f7ba4aa0303a2e105"),
+        ("dot", "26fe378cf28753600b6dadb97eacd069ab56ff17c309228021c471d4ca427d24"),
+    ],
+)
+def test_lattice_output_at_the_limit_is_pinned(runner, fmt, digest):
+    # the all-ones root of this rank-10 orientation: a distributive lattice of
+    # MAX_LATTICE_ELEMENTS = 128 elements, where both witness searches run to
+    # the end; digests taken before the searches read the order masks
+    quiver = "n=10; 0>1, 2>1, 3>2, 3>4, 4>5, 6>5, 7>6, 7>8, 7>9"
+    args = ["poset", "-q", quiver, "-d", ",".join("1" * 10), "-f", fmt, "--lattice"]
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def _basegraph_digest(runner, ranks):

@@ -142,7 +142,7 @@ def test_a_minimal_matching_that_does_not_read_back_to_zero_is_refused(monkeypat
 
 def test_order_closure_is_built_on_the_first_order_query():
     queries = {
-        "_order": lambda poset: poset.leq((0, 0, 0, 0, 0), (1, 1, 2, 1, 1)),
+        "_order": lambda poset: reference.leq(poset, (0, 0, 0, 0, 0), (1, 1, 2, 1, 1)),
         "covers": lambda poset: poset.covers,
     }
     for name, query in queries.items():
@@ -174,7 +174,7 @@ def test_rank5_is_nondistributive_lattice_with_pentagon(poset_qc):
     # the frozen pentagon is a valid witness; the search may find it or an
     # equally valid one, so check the frozen one explicitly
     u, v, x = N5_WITNESS_QC["u"], N5_WITNESS_QC["v"], N5_WITNESS_QC["w"]
-    assert poset_qc.leq(u, v)
+    assert reference.leq(poset_qc, u, v)
     assert poset_qc.meet(u, x) == poset_qc.meet(v, x) == N5_WITNESS_QC["meet"]
     assert poset_qc.join(u, x) == poset_qc.join(v, x) == N5_WITNESS_QC["join"]
     assert poset_qc.m3_witness() is None
@@ -204,8 +204,8 @@ def test_rank6_f_from_coefficients(poset_qa):
 def test_leq_is_coordinatewise_on_chain(poset_qc):
     top = (1, 1, 2, 1, 1)
     for e in poset_qc.elements:
-        assert poset_qc.leq((0,) * 5, e)
-        assert poset_qc.leq(e, top)
+        assert reference.leq(poset_qc, (0,) * 5, e)
+        assert reference.leq(poset_qc, e, top)
 
 
 def test_order_is_coordinatewise_comparison(poset_qc, poset_qa):
@@ -214,7 +214,7 @@ def test_order_is_coordinatewise_comparison(poset_qc, poset_qa):
     for poset in (poset_qc, poset_qa):
         for u in poset.elements:
             for v in poset.elements:
-                assert poset.leq(u, v) == all(a <= b for a, b in zip(u, v))
+                assert reference.leq(poset, u, v) == all(a <= b for a, b in zip(u, v))
 
 
 def test_meet_join_against_coordinatewise_bounds(poset_qc, poset_qa):
@@ -241,11 +241,11 @@ def test_order_antisymmetry_and_transitivity(poset_qc):
     els = poset_qc.elements
     for u in els:
         for v in els:
-            if poset_qc.leq(u, v) and poset_qc.leq(v, u):
+            if reference.leq(poset_qc, u, v) and reference.leq(poset_qc, v, u):
                 assert u == v
     for u, v, w in itertools.permutations(els[:6], 3):
-        if poset_qc.leq(u, v) and poset_qc.leq(v, w):
-            assert poset_qc.leq(u, w)
+        if reference.leq(poset_qc, u, v) and reference.leq(poset_qc, v, w):
+            assert reference.leq(poset_qc, u, w)
 
 
 # ---- distributivity for multiplicity-free roots ----------------------------------------------
@@ -313,6 +313,37 @@ def test_meet_and_join_equal_the_frozen_bit_walk(sweep4, sweep5):
                         pairs += 1
                         missing += (meet is None) + (join is None)
     assert (pairs, missing) == (23446, 40)
+
+
+def test_witnesses_equal_the_frozen_loops_by_leq(sweep4, sweep5, sweep6):
+    # the searches over the order masks against the loops that called leq,
+    # meet and join per candidate triple: every poset at ranks 4-6 and a
+    # seeded sample of rank-7 posets; a poset that is no lattice is refused
+    # by both
+    posets = [
+        poset for sweep in (sweep4, sweep5, sweep6) for entry in sweep.entries
+        for poset in entry.posets.values()
+    ]
+    rng = random.Random(7)
+    rank7 = [(q, d) for q in all_orientations(7) for d in positive_roots(7)]
+    posets += [FlipPoset(q, d) for q, d in rng.sample(rank7, 300)]
+    refused = {4: 0, 5: 0, 6: 0, 7: 0}
+    for poset in posets:
+        searches = [
+            (poset.n5_witness, reference.n5_witness_by_leq),
+            (poset.m3_witness, reference.m3_witness_by_leq),
+        ]
+        if poset.is_lattice()[0]:
+            for search, frozen in searches:
+                assert search() == frozen(poset), (poset.quiver, poset.d)
+            continue
+        refused[poset.graph.n] += 1
+        for search, frozen in searches:
+            with pytest.raises(ValueError, match="not a lattice"):
+                search()
+            with pytest.raises(ValueError, match="not a lattice"):
+                frozen(poset)
+    assert refused == {4: 0, 5: 6, 6: 44, 7: 16}
 
 
 def test_hasse_dot_renders(poset_qc):

@@ -11,7 +11,9 @@ obeys it on its own, every piece built from Q^op and never derived from Q:
 * Q^op's poset coefficients are Q's at d - e;
 * g_Q + g_{Q^op} = -C d, C the frozen Cartan matrix;
 * Tran's count of the poset (``poset_size``) is the same for Q and Q^op,
-  and for σQ (the tips swapped) at σd.
+  and for σQ (the tips swapped) at σd;
+* Q's first pentagon, read as d - e with u and v and with meet and join
+  swapped, is a pentagon of Q^op's lattice.
 
 Every rank-4-6 instance is checked, from the sweep fixtures, and derandomized
 draws at ranks 7-10 and 11-12.
@@ -24,7 +26,7 @@ from dimercluster.flip_poset import FlipPoset
 from dimercluster.mixed_dimer import config_from_e
 from dimercluster.tran_oracle import poset_size
 
-from reference import cartan_matrix
+from reference import cartan_matrix, leq
 from test_oracle_properties import instances
 
 
@@ -82,3 +84,32 @@ def test_reversal_duality_ranks_7_to_10(instance):
 def test_reversal_duality_ranks_11_to_12(instance):
     quiver, d = instance
     check_reversal_duality(FlipPoset(quiver, d), FlipPoset(quiver.reversed(), d))
+
+
+def test_a_pentagon_read_as_d_minus_e_is_a_pentagon_of_the_reversed_lattice(
+    sweep4, sweep5, sweep6
+):
+    # e -> d - e reverses the order, so u < v becomes d - v < d - u and
+    # meets become joins; checked through meet, join and the order masks.
+    # Every non-distributive lattice at these ranks has a pentagon.
+    pentagons = 0
+    for sweep in (sweep4, sweep5, sweep6):
+        entries = {entry.quiver: entry for entry in sweep.entries}
+        for q, entry in entries.items():
+            for d, poset in entry.posets.items():
+                if not poset.is_lattice()[0]:
+                    continue
+                witness = poset.n5_witness()
+                if witness is None:
+                    assert poset.m3_witness() is None
+                    continue
+                op = entries[q.reversed()].posets[d]
+                u, v, w, meet, join = (
+                    dual(d, witness[k]) for k in ("v", "u", "w", "join", "meet")
+                )
+                assert u != v and leq(op, u, v)
+                assert not any(leq(op, *pair) for pair in ((u, w), (w, u), (v, w), (w, v)))
+                assert op.meet(u, w) == op.meet(v, w) == meet
+                assert op.join(u, w) == op.join(v, w) == join
+                pentagons += 1
+    assert pentagons == 198
